@@ -10,6 +10,7 @@ finite-difference checker in :func:`grad_check` is meaningful.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -722,7 +723,8 @@ class Rng:
             np.asarray(s["buffer"], dtype=np.uint64),
             np.asarray([s["buffer_pos"], s["has_uint32"], s["uinteger"]], dtype=np.uint64),
         ])
-        assert flat.size == self.STATE_WORDS
+        if flat.size != self.STATE_WORDS:
+            raise DomainError(f"rng state has {flat.size} words, want {self.STATE_WORDS}")
         return flat
 
     def set_state(self, flat: np.ndarray):
@@ -856,29 +858,47 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] = 
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Read a ``save_checkpoint`` file; any malformed index line, unknown
+    dtype or array reaching past the end of the body is a SegcvaeError
+    naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     split = data.find(b"\n\n")
     if split < 0:
         raise SegcvaeError(f"{path}: missing checkpoint header terminator")
-    header = data[:split].decode("utf-8").splitlines()
-    body = data[split + 2:]
+    try:
+        header = data[:split].decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise SegcvaeError(f"{path}: checkpoint index is not UTF-8 text")
+    body = memoryview(data)[split + 2:]
     if not header or header[0] != CHECKPOINT_TAG:
         raise SegcvaeError(f"{path}: not a {CHECKPOINT_TAG} file")
     arrays: dict[str, np.ndarray] = {}
     meta: dict[str, str] = {}
-    for line in header[1:]:
-        kind, rest = line.split(" ", 1)
-        if kind == "meta":
+    for lineno, line in enumerate(header[1:], start=2):
+        kind, _, rest = line.partition(" ")
+        if kind == "meta" and " " in rest:
             key, value = rest.split(" ", 1)
             meta[key] = value
-        elif kind == "array":
-            name, dtype, shape_s, offset_s = rest.split(" ")
+            continue
+        if kind != "array" or rest.count(" ") != 3:
+            raise SegcvaeError(f"{path}: malformed index line {lineno}: '{line}'")
+        name, dtype_s, shape_s, offset_s = rest.split(" ")
+        try:
+            dtype = np.dtype(dtype_s)
+        except (TypeError, ValueError):
+            dtype = None
+        if dtype is None or dtype.kind not in "biuf":
+            raise SegcvaeError(f"{path}: array '{name}' has unknown dtype '{dtype_s}'")
+        try:
             shape = () if shape_s == "-" else tuple(int(d) for d in shape_s.split(","))
-            count = int(np.prod(shape)) if shape else 1
             offset = int(offset_s)
-            flat = np.frombuffer(body, dtype=np.dtype(dtype), count=count, offset=offset)
-            arrays[name] = flat.reshape(shape).copy()
-        else:
-            raise SegcvaeError(f"{path}: unknown index entry '{kind}'")
+        except ValueError:
+            raise SegcvaeError(f"{path}: malformed index line {lineno}: '{line}'")
+        count = math.prod(shape)
+        if min(shape, default=0) < 0 or offset < 0 or offset + count * dtype.itemsize > len(body):
+            raise SegcvaeError(f"{path}: array '{name}' reaches past the end of the "
+                               f"{len(body)}-byte body")
+        flat = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
+        arrays[name] = flat.reshape(shape).copy()
     return arrays, meta

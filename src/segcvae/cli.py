@@ -12,108 +12,15 @@ import hashlib
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import corpus as cp
 from . import evaluation as ev
 from . import training as tr
-from .autodiff import Rng, load_checkpoint
-from .errors import ConfigError, MissingKey, SegcvaeError
+from .autodiff import Rng
+from .config import config_snapshot, parse_config
+from .errors import MissingKey, SegcvaeError
 from .gradsuite import TOLERANCE, run_suite
-from .model import ModelConfig, SegCVAE
-
-# config keys: interface name -> (TrainingConfig field, parser, validator)
-_POS = ("must be positive", lambda v: v > 0)
-_ANY = ("", lambda v: True)
-_UNIT = ("must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-
-
-def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: '{text}'")
-
-
-KEY_SPECS = {
-    "learning_rate": ("learning_rate", float, _POS),
-    "batch_size": ("batch_size", int, _POS),
-    "epochs": ("epochs", int, _POS),
-    "grad_clip": ("grad_clip", float, _POS),
-    "snorm_step": ("snorm_step", int, _POS),
-    "lambda_constant": ("lambda_constant", float, _UNIT),
-    "kl_anneal_steps": ("kl_anneal_steps", int, _POS),
-    "seed": ("seed", int, _ANY),
-    "vocab_cap": ("vocab_cap", int, ("must be at least 4", lambda v: v >= 4)),
-    "max_clen": ("max_len", int, ("must be at least 2", lambda v: v >= 2)),
-    "N_emb": ("emb_dim", int, _POS),
-    "N_hid": ("hidden_dim", int, _POS),
-    "d_z": ("latent_dim", int, _POS),
-    "m": ("kernel_width", int, _POS),
-    "chan": ("conv_channels", int, _POS),
-    "M": ("num_triggers", int, _POS),
-    "tau": ("tau", float, _POS),
-    "gs_noise": ("gs_noise", _bool, _ANY),
-    "no_is": ("no_is", _bool, _ANY),
-    "no_eg": ("no_eg", _bool, _ANY),
-    "no_san": ("no_san", _bool, _ANY),
-    "no_scn": ("no_scn", _bool, _ANY),
-    "no_sdn": ("no_sdn", _bool, _ANY),
-}
-PATH_KEYS = ("data_dir", "corpus")
-
-
-def parse_config(path) -> tuple[tr.TrainingConfig, dict[str, str]]:
-    """Read line-oriented ``key = value`` text into a full configuration.
-
-    Unknown keys, wrong types and out-of-range values are reported with
-    their line number; absent keys keep their documented defaults.
-    """
-    values: dict[str, object] = {}
-    paths: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
-            key, _, text = line.partition("=")
-            key, text = key.strip(), text.strip()
-            if key in PATH_KEYS:
-                paths[key] = text
-                continue
-            if key not in KEY_SPECS:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            field, convert, (why, check) = KEY_SPECS[key]
-            try:
-                value = convert(text)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: '{key}' needs a {convert.__name__} value, got '{text}'")
-            if not check(value):
-                raise ConfigError(f"{path}:{lineno}: '{key}' {why}, got {text}")
-            values[field] = value
-    return tr.TrainingConfig(**values), paths
-
-
-def config_snapshot(cfg: tr.TrainingConfig) -> dict[str, str]:
-    """The full configuration under its file-format key names."""
-    snapshot = {}
-    for key, (field, convert, _) in KEY_SPECS.items():
-        value = getattr(cfg, field)
-        if value is None:
-            continue
-        if convert is _bool:
-            snapshot[key] = "true" if value else "false"
-        elif convert is float:
-            snapshot[key] = repr(float(value))
-        else:
-            snapshot[key] = str(value)
-    return snapshot
+from .model import SegCVAE
 
 
 def _digest(path: Path) -> str:
@@ -161,15 +68,8 @@ def _read_pairs_file(path: Path) -> list[cp.DialoguePair]:
 
 
 def _load_run(run_dir: Path) -> tuple[SegCVAE, cp.Vocabulary]:
-    run_dir = Path(run_dir)
-    arrays, meta = load_checkpoint(run_dir / tr.CHECKPOINT_NAME)
-    config = ModelConfig.from_meta(meta)
-    embedding = arrays["param.emb"]
-    vocab = cp.Vocabulary.load(run_dir / "vocab.txt", embedding)
-    model = SegCVAE(config, np.zeros((config.vocab_size, config.emb_dim)), Rng(0))
-    model.load_state({k[len("param."):]: v for k, v in arrays.items()
-                      if k.startswith("param.")})
-    return model, vocab
+    model, _ = tr.load_model(Path(run_dir) / tr.CHECKPOINT_NAME)
+    return model, cp.Vocabulary.load(Path(run_dir) / "vocab.txt", model.emb.values)
 
 
 # ---------------------------------------------------------------------------

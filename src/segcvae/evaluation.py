@@ -41,13 +41,18 @@ def greedy_decode(model: SegCVAE, ctx_ids: np.ndarray, branch: int,
     cfg = model.config
     if not 0 <= branch < cfg.num_triggers:
         raise DomainError(f"branch must lie in [0, {cfg.num_triggers}), got {branch}")
-    ctx_ids = np.atleast_2d(ctx_ids)
     with ad.no_grad():
-        x = model.prominent_semantics(ctx_ids, noise=False)[branch]
+        x = model.prominent_semantics(np.atleast_2d(ctx_ids), noise=False)[branch]
+    return _decode_from(model, x, z)
+
+
+def _decode_from(model: SegCVAE, x: Tensor, z: np.ndarray) -> list[int]:
+    """Greedy decoding from one (1, hidden) semantics vector and latent."""
+    with ad.no_grad():
         state = model.decoder_initial(Tensor(np.asarray(z, dtype=np.float64)[None]), x)
         token = BOS_ID
         out: list[int] = []
-        for _ in range(cfg.max_len):
+        for _ in range(model.config.max_len):
             logits, state = model.decode_step(state, np.array([token]))
             token = int(np.argmax(logits.values[0]))
             if token == EOS_ID:
@@ -60,7 +65,7 @@ def generate_n(model: SegCVAE, vocab: Vocabulary, context: Sequence[str],
                n: int, rng: Rng,
                ground_truths: Sequence[Sequence[str]] = ()) -> GenerationRecord:
     """Exactly ``n`` responses: branch k % num_triggers with a fresh prior
-    draw per response."""
+    draw per response.  The semantics are computed once for all of them."""
     if n < 1:
         raise DomainError(f"need at least one response, got n={n}")
     cfg = model.config
@@ -74,7 +79,7 @@ def generate_n(model: SegCVAE, vocab: Vocabulary, context: Sequence[str],
         branch = k % cfg.num_triggers
         mu, logvar = priors[branch]
         z = mu.values[0] + np.exp(logvar.values[0] / 2.0) * rng.normal(cfg.latent_dim)
-        ids = greedy_decode(model, ctx_ids, branch, z)
+        ids = _decode_from(model, xs[branch], z)
         record.responses.append(vocab.tokens_of(ids))
         record.branch_indices.append(branch)
         record.z_samples.append(z)

@@ -112,17 +112,12 @@ def _tiny_model(seed: int, num_triggers: int = 2):
 
 
 def _selection_gap(net, ctx, resp, noise_seed: int) -> float:
-    """Smallest per-example gap between the best and second-best branch,
-    with the noise stream consumed exactly as in forward_losses."""
+    """Smallest per-example gap between the best and second-best branch
+    bound of the ``loss_total`` forward pass."""
     if net.config.num_triggers < 2:
         return np.inf  # a single branch cannot flip
-    rng = Rng(noise_seed)
     with ad.no_grad():
-        r_e = net.encode_ids(resp)
-        xs = net.prominent_semantics(ctx, rng, noise=True)
-        values = np.stack([
-            net.elbo(resp, x, r_e, 0.5, rng, want_generated=True)["elbo"].values
-            for x in xs])
+        values = net.forward_losses(ctx, resp, 0.5, Rng(noise_seed))["branch_elbos"]
     top2 = np.sort(values, axis=0)[-2:]
     return float((top2[1] - top2[0]).min())
 
@@ -131,8 +126,9 @@ def loss_cases(seed: int):
     """(name, f, inputs) triples for every loss term.
 
     ``elbo`` and ``total`` differentiate through the whole network with the
-    model parameters as the checked inputs; the three norms are checked on
-    raw representation tensors as well.
+    model parameters as the checked inputs; ``total`` runs the training
+    forward pass itself.  The three norms are checked on raw representation
+    tensors as well.
     """
     r = np.random.default_rng(seed ^ 0x5EED)
     r_gt = Tensor(r.normal(size=(3, 4)))
@@ -167,32 +163,18 @@ def loss_cases(seed: int):
 
     total_names = sorted(total_net.params)
     total_tensors = [total_net.params[k] for k in total_names]
-    batch = total_ctx.shape[0]
     # the distillation target is stop-gradiented, so the difference quotient
     # must hold it fixed while the parameters move
     with ad.no_grad():
         frozen_rgt = total_net.encode_ids(total_resp).values.copy()
 
-    def total_case(*params):
-        rng = Rng(noise_seed)
-        r_e = total_net.encode_ids(total_resp)
-        xs = total_net.prominent_semantics(total_ctx, rng, noise=True)
-        branches = [total_net.elbo(total_resp, x, r_e, 0.5, rng, want_generated=True)
-                    for x in xs]
-        positive = np.atleast_1d(mod.select_positive([b["elbo"] for b in branches]))
-        one_hot = np.zeros((len(xs), batch))
-        one_hot[positive, np.arange(batch)] = 1.0
-        elbo_plus = Tensor(np.zeros(batch))
-        generated = Tensor(np.zeros((batch, total_net.config.hidden_dim)))
-        for i, b in enumerate(branches):
-            elbo_plus = ad.add(elbo_plus, ad.mul(b["elbo"], Tensor(one_hot[i])))
-            generated = ad.add(generated, ad.mul(b["generated"], Tensor(one_hot[i][:, None])))
-        san_v = mod.san(ad.stack_rows(xs))
-        scn_v = mod.scn(total_net.encode_ids(total_ctx), xs)
-        sdn_v = mod.sdn(Tensor(frozen_rgt), generated)
-        return mod.total_loss(ad.tmean(elbo_plus), san_v, scn_v, sdn_v, lambda_w=1.0)
+    def loss_total(*params):
+        parts = total_net.forward_losses(total_ctx, total_resp, 0.5, Rng(noise_seed),
+                                         r_gt=frozen_rgt)
+        return mod.total_loss(parts["elbo_plus"], parts["san"], parts["scn"],
+                              parts["sdn"], lambda_w=1.0)
 
-    cases.append(("loss_total", total_case, total_tensors))
+    cases.append(("loss_total", loss_total, total_tensors))
     return cases
 
 

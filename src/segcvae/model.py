@@ -21,66 +21,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Rng, Tensor
+from .config import ModelConfig
 from .corpus import PAD_ID, SPECIALS
 from .errors import DomainError, ShapeError
 
 LOGVAR_CLIP = 10.0
-
-
-@dataclass
-class ModelConfig:
-    """Network dimensions and structural ablation switches."""
-
-    vocab_size: int
-    max_len: int = 25
-    emb_dim: int = 300
-    hidden_dim: int = 300
-    latent_dim: int = 300
-    kernel_width: int = 3
-    conv_channels: int = 3
-    num_triggers: int = 8
-    tau: float = 0.1
-    no_is: bool = False
-    no_eg: bool = False
-    no_san: bool = False
-    no_scn: bool = False
-    no_sdn: bool = False
-
-    def validate(self):
-        for name in ("vocab_size", "max_len", "emb_dim", "hidden_dim",
-                     "latent_dim", "kernel_width", "conv_channels", "num_triggers"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.tau <= 0:
-            raise DomainError(f"tau must be positive, got {self.tau}")
-        if self.max_len < self.kernel_width:
-            raise ShapeError(f"max_len {self.max_len} shorter than kernel width {self.kernel_width}")
-
-    def meta(self) -> dict[str, str]:
-        """Hyperparameters under their checkpoint-index key names."""
-        return {
-            "max_clen": str(self.max_len), "N_emb": str(self.emb_dim),
-            "N_hid": str(self.hidden_dim), "d_z": str(self.latent_dim),
-            "m": str(self.kernel_width), "chan": str(self.conv_channels),
-            "M": str(self.num_triggers), "tau": repr(self.tau),
-            "vocab_size": str(self.vocab_size),
-            "no_is": str(int(self.no_is)), "no_eg": str(int(self.no_eg)),
-            "no_san": str(int(self.no_san)), "no_scn": str(int(self.no_scn)),
-            "no_sdn": str(int(self.no_sdn)),
-        }
-
-    @classmethod
-    def from_meta(cls, meta: dict[str, str]) -> "ModelConfig":
-        return cls(
-            vocab_size=int(meta["vocab_size"]), max_len=int(meta["max_clen"]),
-            emb_dim=int(meta["N_emb"]), hidden_dim=int(meta["N_hid"]),
-            latent_dim=int(meta["d_z"]), kernel_width=int(meta["m"]),
-            conv_channels=int(meta["chan"]), num_triggers=int(meta["M"]),
-            tau=float(meta["tau"]),
-            no_is=bool(int(meta["no_is"])), no_eg=bool(int(meta["no_eg"])),
-            no_san=bool(int(meta["no_san"])), no_scn=bool(int(meta["no_scn"])),
-            no_sdn=bool(int(meta["no_sdn"])),
-        )
 
 
 @dataclass
@@ -92,15 +37,6 @@ class TriggerNetwork:
     kernel: Tensor
     dense: Tensor
     tau: float
-    stride: tuple[int, int, int, int] = (1, 1, 1, 1)
-
-
-@dataclass
-class ProminentInputs:
-    """Per-trigger word selections: rows are convex mixes of embedding rows."""
-
-    c_is: list[Tensor]
-    v_eg: list[Tensor]
 
 
 @dataclass
@@ -222,14 +158,6 @@ class SegCVAE:
         return [ad.matmul(self._selection(t, c_emb, mask_row, rng, noise), self.emb)
                 for t in self.eg_triggers]
 
-    def prominent_inputs(self, ctx_ids: np.ndarray, rng: Rng = None,
-                         noise: bool = False) -> ProminentInputs:
-        c_emb = self.embed_matrix(ctx_ids)
-        pad = ctx_ids == PAD_ID
-        c_is = self.internal_separation(c_emb, pad, rng, noise) if not self.config.no_is else []
-        v_eg = self.external_guidance(c_emb, rng, noise) if not self.config.no_eg else []
-        return ProminentInputs(c_is, v_eg)
-
     def prominent_semantics(self, ctx_ids: np.ndarray, rng: Rng = None,
                             noise: bool = False) -> list[Tensor]:
         """Encode each trigger's selected rows (in-context part first, then
@@ -241,17 +169,14 @@ class SegCVAE:
         if cfg.no_is and cfg.no_eg:
             x = self.encode_ids(ctx_ids)
             return [x] * cfg.num_triggers
-        inputs = self.prominent_inputs(ctx_ids, rng, noise)
-        xs = []
-        for i in range(cfg.num_triggers):
-            parts = []
-            if not cfg.no_is:
-                parts.append(inputs.c_is[i])
-            if not cfg.no_eg:
-                parts.append(inputs.v_eg[i])
-            pseudo = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
-            xs.append(self.encode_embedded(pseudo))
-        return xs
+        c_emb = self.embed_matrix(ctx_ids)
+        selections = []  # per path, one (B, channels, emb) tensor per trigger
+        if not cfg.no_is:
+            selections.append(self.internal_separation(c_emb, ctx_ids == PAD_ID, rng, noise))
+        if not cfg.no_eg:
+            selections.append(self.external_guidance(c_emb, rng, noise))
+        return [self.encode_embedded(parts[0] if len(parts) == 1 else ad.concat(parts, axis=1))
+                for parts in zip(*selections)]
 
     # -- latent heads and decoding ---------------------------------------
     def recognition(self, r_e: Tensor, x: Tensor) -> tuple[Tensor, Tensor]:
@@ -313,12 +238,16 @@ class SegCVAE:
         return {"elbo": elbo, "recon": recon, "kl": kl, "generated": generated}
 
     def forward_losses(self, ctx_ids: np.ndarray, resp_ids: np.ndarray,
-                       kl_weight: float, rng: Rng, gs_noise: bool = True) -> dict:
+                       kl_weight: float, rng: Rng, gs_noise: bool = True,
+                       r_gt: np.ndarray = None) -> dict:
         """All training quantities for one batch.
 
         The positive branch is picked per example; only its bound reaches
         the loss (the other branches are multiplied by an exact zero, so
         their exclusive parameters get exactly zero gradient from it).
+        The distillation target is the detached response encoding unless a
+        frozen ``r_gt`` array is given, which a finite-difference check
+        needs so that the target stays put while the parameters move.
         """
         cfg = self.config
         ctx_ids, resp_ids = np.atleast_2d(ctx_ids), np.atleast_2d(resp_ids)
@@ -329,7 +258,8 @@ class SegCVAE:
         branches = [self.elbo(resp_ids, x, r_e, kl_weight, rng, want_generated)
                     for x in xs]
 
-        positive = np.atleast_1d(select_positive([b["elbo"] for b in branches]))
+        branch_elbos = np.stack([b["elbo"].values for b in branches])
+        positive = np.atleast_1d(select_positive(branch_elbos))
         one_hot = np.zeros((cfg.num_triggers, batch))
         one_hot[positive, np.arange(batch)] = 1.0
 
@@ -352,11 +282,12 @@ class SegCVAE:
             generated = Tensor(np.zeros((batch, cfg.hidden_dim)))
             for i, b in enumerate(branches):
                 generated = ad.add(generated, ad.mul(b["generated"], Tensor(one_hot[i][:, None])))
-            sdn_v = sdn(r_e.detach(), generated)
+            sdn_v = sdn(r_e.detach() if r_gt is None else Tensor(r_gt), generated)
 
         return {
             "elbo_plus": elbo_plus, "san": san_v, "scn": scn_v, "sdn": sdn_v,
             "semantics": ProminentSemantics(xs, ad.stack_rows(xs), positive),
+            "branch_elbos": branch_elbos,
             "recon_mean": float(recon_sel.mean()), "kl_mean": float(kl_sel.mean()),
         }
 

@@ -20,62 +20,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Rng, Tensor
+from .config import ModelConfig, TrainingConfig
 from .corpus import PAD_ID, DialoguePair, Vocabulary, encode_pairs
 from .errors import DomainError, EmptyCorpus, NonFiniteLoss
-from .model import ModelConfig, SegCVAE, select_positive, total_loss
+from .model import SegCVAE, select_positive, total_loss
 from .parallel import worker_count
 
 CHECKPOINT_NAME = "checkpoint.bin"
 LOG_NAME = "train_log.txt"
-
-
-@dataclass
-class TrainingConfig:
-    """Every knob of a run: optimizer, schedules, model dimensions, ablations."""
-
-    learning_rate: float = 0.001
-    batch_size: int = 64
-    epochs: int = 50
-    grad_clip: float = 5.0
-    snorm_step: int = 20000
-    lambda_constant: float | None = None
-    kl_anneal_steps: int = 10000
-    seed: int = 123456
-    vocab_cap: int = 20000
-    max_len: int = 25
-    emb_dim: int = 300
-    hidden_dim: int = 300
-    latent_dim: int = 300
-    kernel_width: int = 3
-    conv_channels: int = 3
-    num_triggers: int = 8
-    tau: float = 0.1
-    gs_noise: bool = True
-    no_is: bool = False
-    no_eg: bool = False
-    no_san: bool = False
-    no_scn: bool = False
-    no_sdn: bool = False
-
-    def validate(self):
-        positive = ("learning_rate", "batch_size", "epochs", "grad_clip",
-                    "snorm_step", "kl_anneal_steps", "vocab_cap", "max_len",
-                    "emb_dim", "hidden_dim", "latent_dim", "kernel_width",
-                    "conv_channels", "num_triggers", "tau")
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.lambda_constant is not None and not 0.0 <= self.lambda_constant <= 1.0:
-            raise DomainError(f"lambda_constant must lie in [0, 1], got {self.lambda_constant}")
-
-    def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size, max_len=self.max_len, emb_dim=self.emb_dim,
-            hidden_dim=self.hidden_dim, latent_dim=self.latent_dim,
-            kernel_width=self.kernel_width, conv_channels=self.conv_channels,
-            num_triggers=self.num_triggers, tau=self.tau,
-            no_is=self.no_is, no_eg=self.no_eg, no_san=self.no_san,
-            no_scn=self.no_scn, no_sdn=self.no_sdn)
 
 
 def lambda_schedule(step: int, cfg: TrainingConfig) -> float:
@@ -271,17 +223,29 @@ def save_state(state: TrainState, cfg: TrainingConfig, path):
     ad.save_checkpoint(path, arrays, meta)
 
 
-def load_state(path, cfg: TrainingConfig) -> TrainState:
+def load_model(path) -> tuple[SegCVAE, dict[str, np.ndarray]]:
+    """Rebuild the network stored in a checkpoint; also returns every array
+    the checkpoint holds."""
     arrays, meta = ad.load_checkpoint(path)
-    config = ModelConfig.from_meta(meta)
+    try:
+        config = ModelConfig.from_meta(meta)
+    except KeyError as err:
+        raise DomainError(f"{path}: checkpoint meta lacks {err}")
+    except ValueError as err:
+        raise DomainError(f"{path}: malformed checkpoint meta: {err}")
     model = SegCVAE(config, np.zeros((config.vocab_size, config.emb_dim)), Rng(0))
     model.load_state({k[len("param."):]: v for k, v in arrays.items()
                       if k.startswith("param.")})
+    return model, arrays
+
+
+def load_state(path, cfg: TrainingConfig) -> TrainState:
+    model, arrays = load_model(path)
     optimizer = Adam(model.params, lr=cfg.learning_rate)
     optimizer.t = int(arrays["opt.t"])
     for name in model.params:
-        optimizer.m[name] = np.array(arrays[f"adam.m.{name}"])
-        optimizer.v[name] = np.array(arrays[f"adam.v.{name}"])
+        optimizer.m[name] = arrays[f"adam.m.{name}"]
+        optimizer.v[name] = arrays[f"adam.v.{name}"]
     rng, data_rng = Rng(0), Rng(0)
     rng.set_state(arrays["rng.noise"])
     data_rng.set_state(arrays["rng.data"])

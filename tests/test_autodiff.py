@@ -357,6 +357,12 @@ class TestRng:
         with pytest.raises(DomainError):
             ad.Rng(0).set_state(np.zeros(5, dtype=np.uint64))
 
+    def test_state_format_checked_without_assert(self):
+        rng = ad.Rng(0)
+        rng.STATE_WORDS = 12  # the captured state no longer matches the format
+        with pytest.raises(DomainError):
+            rng.get_state()
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
@@ -387,6 +393,32 @@ class TestCheckpoint:
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"not-a-checkpoint\n\nxx")
         with pytest.raises(SegcvaeError):
+            ad.load_checkpoint(path)
+
+    @pytest.mark.parametrize("line, why", [
+        ("array w float64 2,3 8", "past the end"),          # offset + size > body
+        ("array w float64 2,3", "malformed index line 2"),  # missing offset
+        ("array w float64 2,x 0", "malformed index line 2"),
+        ("array w float64 2,3 -8", "past the end"),
+        ("array w float64 -2,3 0", "past the end"),
+        ("array w complex_float 2,3 0", "unknown dtype"),
+        ("array w object 1 0", "unknown dtype"),
+        ("meta lonely", "malformed index line 2"),
+        ("blob w float64 2,3 0", "malformed index line 2"),
+    ])
+    def test_malformed_index_names_the_file(self, tmp_path, line, why):
+        path = tmp_path / "broken.ckpt"
+        body = np.arange(6, dtype=np.float64).tobytes()
+        path.write_bytes(f"{ad.CHECKPOINT_TAG}\n{line}\n\n".encode() + body)
+        with pytest.raises(SegcvaeError, match=why) as info:
+            ad.load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_truncated_body_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        ad.save_checkpoint(path, {"a": np.arange(6, dtype=np.float64)})
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(SegcvaeError, match="past the end"):
             ad.load_checkpoint(path)
 
 

@@ -207,6 +207,26 @@ class TestTrainGenerateEvaluate:
         assert (tmp_path / "metrics" / "metrics.txt").exists()
         assert (run_dir / "checkpoint.bin").read_bytes() == ckpt_before
 
+    def _generate(self, run_dir, data_dir, tmp_path):
+        return cli.dispatch(["generate", "--run", str(run_dir),
+                             "--data", str(data_dir / "test.tsv"),
+                             "--out", str(tmp_path / "gen")])
+
+    def test_truncated_checkpoint_exits_one(self, run_dir, data_dir, tmp_path, capsys):
+        path = run_dir / "checkpoint.bin"
+        path.write_bytes(path.read_bytes()[:-100])
+        capsys.readouterr()
+        assert self._generate(run_dir, data_dir, tmp_path) == 1
+        assert "checkpoint.bin" in capsys.readouterr().err
+
+    def test_missing_meta_key_exits_one(self, run_dir, data_dir, tmp_path, capsys):
+        path = run_dir / "checkpoint.bin"
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"\nmeta d_z 4\n", b"\n", 1))
+        capsys.readouterr()
+        assert self._generate(run_dir, data_dir, tmp_path) == 1
+        assert "d_z" in capsys.readouterr().err
+
     def test_ablate_sets_flag(self, config_file, data_dir, tmp_path):
         out = tmp_path / "ablate_run"
         code = cli.dispatch(["ablate", "--config", str(config_file),

@@ -188,6 +188,24 @@ class TestGenerateN:
         with pytest.raises(DomainError):
             ev.generate_n(model, vocab, ("see", "you"), 0, Rng(1))
 
+    def test_semantics_computed_once_per_context(self, setup, monkeypatch):
+        model, vocab = setup
+        calls = []
+        inner = model.prominent_semantics
+        monkeypatch.setattr(model, "prominent_semantics",
+                            lambda *a, **k: calls.append(1) or inner(*a, **k))
+        ev.generate_n(model, vocab, ("how", "are", "you"), 8, Rng(1))
+        assert len(calls) == 1
+
+    def test_matches_greedy_decode_per_response(self, setup):
+        model, vocab = setup
+        context = ("how", "are", "you")
+        record = ev.generate_n(model, vocab, context, 4, Rng(3))
+        ctx_ids = encode_context(context, vocab, model.config.max_len)[None]
+        for branch, z, tokens in zip(record.branch_indices, record.z_samples,
+                                     record.responses):
+            assert vocab.tokens_of(ev.greedy_decode(model, ctx_ids, branch, z)) == tokens
+
 
 class TestAggregation:
     def test_report_and_roundtrip(self, tmp_path, flat_vocab):

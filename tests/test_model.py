@@ -152,6 +152,26 @@ class TestSdn:
         assert ad.grad_check(lambda t: m.sdn(r_gt, t), [r_gen]) < 1e-4
 
 
+class TestForwardLosses:
+    def test_frozen_target_at_base_point_changes_nothing(self):
+        net, _, ctx, resp = _tiny_setup()
+        with ad.no_grad():
+            r_gt = net.encode_ids(resp).values.copy()
+        plain = net.forward_losses(ctx, resp, 0.5, Rng(5))
+        frozen = net.forward_losses(ctx, resp, 0.5, Rng(5), r_gt=r_gt)
+        for key in ("elbo_plus", "san", "scn", "sdn"):
+            assert frozen[key].values.tobytes() == plain[key].values.tobytes()
+
+    def test_frozen_target_is_the_distillation_target(self):
+        net, _, ctx, resp = _tiny_setup()
+        with ad.no_grad():
+            r_gt = net.encode_ids(resp).values
+        plain = net.forward_losses(ctx, resp, 0.5, Rng(5))
+        moved = net.forward_losses(ctx, resp, 0.5, Rng(5), r_gt=r_gt * 3.0)
+        assert moved["elbo_plus"].item() == plain["elbo_plus"].item()
+        assert moved["sdn"].item() != plain["sdn"].item()
+
+
 class TestTotalLoss:
     def test_lambda_zero_is_identity(self):
         out = m.total_loss(Tensor(np.array(-4.2)), Tensor(np.array(9.0)),
