@@ -5,6 +5,12 @@ Every operation records a backward closure on the output tensor; calling
 topological order and accumulates gradients into ``.grad`` of every
 tensor that requires them.  All math is float64 by default so that the
 finite-difference checker in :func:`grad_check` is meaningful.
+
+A tensor's first gradient contribution is kept as given, and may alias
+another node's buffer; the second allocates a buffer the tensor owns, and
+every later one adds into it in place.  Row gathers scatter straight into
+that owned buffer.  ``backward()`` frees the graph as it goes, so a
+finished step's intermediates are released as soon as its output is.
 """
 
 from __future__ import annotations
@@ -48,10 +54,16 @@ def _as_array(values, dtype=None):
     return arr.astype(np.float64)
 
 
+def _freed():
+    raise DomainError("backward() already ran through this graph; build it again "
+                      "to differentiate it again")
+
+
 class Tensor:
     """A dense nd-array plus an optional gradient accumulator."""
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("values", "_grad", "_owns_grad", "requires_grad", "_parents",
+                 "_backward", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = _as_array(values)
@@ -90,9 +102,39 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
+    @property
+    def grad(self):
+        return self._grad
+
+    @grad.setter
+    def grad(self, g):
+        self._grad = g
+        self._owns_grad = False  # an assigned array is never written in place
+
     # -- autograd ------------------------------------------------------
     def _accum(self, g):
-        self.grad = g if self.grad is None else self.grad + g
+        if self._grad is None:
+            self._grad = g  # may alias another node's buffer: not owned
+        elif self._owns_grad:
+            self._grad += g
+        else:
+            self._grad = self._grad + g
+            self._owns_grad = True
+
+    def _owned_grad(self) -> np.ndarray:
+        """The gradient as a buffer this tensor owns, for in-place adds."""
+        if not self._owns_grad:
+            self._grad = (np.zeros_like(self.values) if self._grad is None
+                          else np.array(self._grad, dtype=self.values.dtype))
+            self._owns_grad = True
+        return self._grad
+
+    def _accum_at(self, index, g):
+        """Scatter-add ``g`` into ``index`` of the gradient, in place."""
+        if _is_basic(index):
+            self._owned_grad()[index] += g
+        else:
+            np.add.at(self._owned_grad(), index, g)
 
     def backward(self, grad=None):
         if grad is None:
@@ -116,8 +158,13 @@ class Tensor:
                     stack.append((p, False))
         self._accum(np.asarray(grad, dtype=self.values.dtype))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+            if node._backward is not None and node._grad is not None:
                 node._backward()
+            if node._backward is not None:
+                # each closure holds its own output: drop it and the parent
+                # links so the graph dies with its last outside reference
+                node._backward = _freed
+                node._parents = ()
 
     # -- operators -----------------------------------------------------
     def __add__(self, other):
@@ -183,6 +230,14 @@ def _node(values, parents: Iterable[Tensor], make_backward) -> Tensor:
             out._parents = parents
             out._backward = make_backward(out)
     return out
+
+
+def _is_basic(index) -> bool:
+    """Whether ``index`` selects without integer arrays (so no position
+    repeats and ``buf[index] += g`` is a correct scatter)."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(isinstance(i, (int, np.integer, slice)) or i is None or i is Ellipsis
+               for i in parts)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -449,42 +504,37 @@ def take(a, index) -> Tensor:
 
     def make(out):
         def bw():
-            g = np.zeros_like(a.values)
-            np.add.at(g, index, out.grad)
-            a._accum(g)
+            a._accum_at(index, out.grad)
         return bw
 
     return _node(values, (a,), make)
 
 
 def take_rows(a, ids) -> Tensor:
-    """Row gather, e.g. embedding lookup: a[(V, E)], ids (B,) -> (B, E)."""
+    """Row gather, e.g. embedding lookup: a (V, E), ids (...) -> (..., E).
+    The gradient is scattered into the touched rows only."""
     a = as_tensor(a)
     ids = np.asarray(ids)
     values = a.values[ids]
 
     def make(out):
         def bw():
-            g = np.zeros_like(a.values)
-            np.add.at(g, ids, out.grad)
-            a._accum(g)
+            a._accum_at(ids, out.grad)
         return bw
 
     return _node(values, (a,), make)
 
 
 def gather_last(a, ids) -> Tensor:
-    """Pick one entry per row: a (B, V), ids (B,) -> (B,)."""
+    """Pick one entry per row along the last axis: a (..., V), ids (...) -> (...)."""
     a = as_tensor(a)
     ids = np.asarray(ids)
-    rows = np.arange(a.values.shape[0])
-    values = a.values[rows, ids]
+    index = np.ix_(*(np.arange(n) for n in ids.shape)) + (ids,)
+    values = a.values[index]
 
     def make(out):
         def bw():
-            g = np.zeros_like(a.values)
-            np.add.at(g, (rows, ids), out.grad)
-            a._accum(g)
+            a._accum_at(index, out.grad)
         return bw
 
     return _node(values, (a,), make)
@@ -500,6 +550,8 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    if a.ndim > 2 and b.ndim == 2:
+        return _matmul_rows(a, b)
     values = np.matmul(a.values, b.values)
 
     def make(out):
@@ -510,6 +562,27 @@ def matmul(a, b) -> Tensor:
             if b.requires_grad or b._backward:
                 gb = np.matmul(a.values.swapaxes(-1, -2), out.grad)
                 b._accum(_unbroadcast(gb, b.values.shape))
+        return bw
+
+    return _node(values, (a, b), make)
+
+
+def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
+    """A (..., K) stack times a (K, N) matrix as one GEMM over the flattened
+    rows, forward and backward.  (A stacked ``np.matmul`` re-reads ``b``
+    once per stack entry, and its weight gradient would be a (..., K, N)
+    stack to sum.)"""
+    k, n = b.shape
+    lead = a.shape[:-1]
+    values = (a.values.reshape(-1, k) @ b.values).reshape(lead + (n,))
+
+    def make(out):
+        def bw():
+            g = out.grad.reshape(-1, n)
+            if a.requires_grad or a._backward:
+                a._accum((g @ b.values.T).reshape(lead + (k,)))
+            if b.requires_grad or b._backward:
+                b._accum(a.values.reshape(-1, k).T @ g)
         return bw
 
     return _node(values, (a, b), make)
@@ -632,10 +705,6 @@ class GruParams:
     def hidden_dim(self) -> int:
         return self.wh.shape[0]
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.wx": self.wx, f"{prefix}.wh": self.wh,
-                f"{prefix}.bx": self.bx, f"{prefix}.bh": self.bh}
-
 
 def gru_params(in_dim: int, hidden_dim: int, rng: "Rng") -> GruParams:
     return GruParams(
@@ -646,9 +715,9 @@ def gru_params(in_dim: int, hidden_dim: int, rng: "Rng") -> GruParams:
     )
 
 
-def gru_cell(params: GruParams, x: Tensor, h: Tensor) -> Tensor:
+def _gru_update(params: GruParams, gx: Tensor, h: Tensor) -> Tensor:
+    """The cell's next state from its input projection ``gx = x @ wx + bx``."""
     hd = params.hidden_dim
-    gx = add(matmul(x, params.wx), params.bx)
     gh = add(matmul(h, params.wh), params.bh)
     r = sigmoid(add(gx[:, :hd], gh[:, :hd]))
     u = sigmoid(add(gx[:, hd:2 * hd], gh[:, hd:2 * hd]))
@@ -656,25 +725,50 @@ def gru_cell(params: GruParams, x: Tensor, h: Tensor) -> Tensor:
     return add(mul(sub(1.0, u), n), mul(u, h))
 
 
-def gru_encode(params: GruParams, steps: Sequence[Tensor], mask: np.ndarray = None) -> Tensor:
-    """Scan a sequence of (B, in_dim) steps; return the final (B, hidden) state.
+def gru_cell(params: GruParams, x: Tensor, h: Tensor) -> Tensor:
+    return _gru_update(params, add(matmul(x, params.wx), params.bx), h)
 
-    ``mask`` is (B, T) with zeros on positions whose step must not update the
-    state (padding); omitted means every step counts.
+
+def gru_scan(params: GruParams, seq: Tensor | Sequence[Tensor], h: Tensor,
+             mask: np.ndarray = None) -> list[Tensor]:
+    """The (B, hidden) state after each step of ``seq``, starting from ``h``.
+
+    ``seq`` is a (B, T, in_dim) tensor, whose input projection for all T
+    steps is one GEMM before the recurrence so that only ``h @ wh`` stays
+    sequential, or a sequence of T (B, in_dim) steps, projected one at a
+    time.  ``mask`` is (B, T) with zeros on positions whose step must not
+    update the state (padding); omitted means every step counts.
     """
-    steps = list(steps)
-    if not steps:
-        raise DomainError("cannot encode an empty sequence")
-    batch = steps[0].shape[0]
-    h = Tensor(np.zeros((batch, params.hidden_dim)))
-    for t, x in enumerate(steps):
-        h_next = gru_cell(params, x, h)
+    if isinstance(seq, Tensor):
+        gx = add(matmul(seq, params.wx), params.bx)
+        projected = [gx[:, t] for t in range(seq.shape[1])]
+    else:
+        projected = [add(matmul(x, params.wx), params.bx) for x in seq]
+    states = []
+    for t, gx_t in enumerate(projected):
+        h_next = _gru_update(params, gx_t, h)
         if mask is not None:
             keep = mask[:, t:t + 1].astype(h.values.dtype)
             h = add(mul(h_next, Tensor(keep)), mul(h, Tensor(1.0 - keep)))
         else:
             h = h_next
-    return h
+        states.append(h)
+    return states
+
+
+def gru_encode(params: GruParams, steps: Tensor | Sequence[Tensor],
+               mask: np.ndarray = None) -> Tensor:
+    """Scan ``steps`` (as in :func:`gru_scan`) from a zero state; return the
+    final (B, hidden) state."""
+    if isinstance(steps, Tensor):
+        batch, length = steps.shape[0], steps.shape[1]
+    else:
+        steps = list(steps)
+        batch, length = (steps[0].shape[0] if steps else 0), len(steps)
+    if length == 0:
+        raise DomainError("cannot encode an empty sequence")
+    h = Tensor(np.zeros((batch, params.hidden_dim)))
+    return gru_scan(params, steps, h, mask)[-1]
 
 
 def gru_decode_step(params: GruParams, out_w: Tensor, out_b: Tensor,

@@ -335,12 +335,20 @@ def write_pairs(path, pairs: Sequence[DialoguePair]):
 
 
 def read_pairs(path) -> list[DialoguePair]:
+    """One pair per non-blank ``context<TAB>response`` line; a line whose
+    context or response holds no token is a DomainError naming file:line."""
     pairs = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            context, _, response = line.partition("\t")
-            pairs.append(DialoguePair(tuple(context.split()), tuple(response.split())))
+            context, tab, response = line.partition("\t")
+            pair = DialoguePair(tuple(context.split()), tuple(response.split()))
+            if not pair.context:
+                raise DomainError(f"{path}:{lineno}: empty context")
+            if not pair.response:
+                raise DomainError(f"{path}:{lineno}: empty response" if tab else
+                                  f"{path}:{lineno}: no TAB between context and response")
+            pairs.append(pair)
     return pairs

@@ -1,9 +1,10 @@
 """Decoding and the automatic metric suite.
 
 Greedy decoding starts from the begin marker and stops at the end marker or
-the length cap.  N-response generation cycles through the semantics
-branches and draws a fresh latent from each branch's prior.  The metrics
-are plain functions over token sequences; special tokens never count.
+the length cap; it never emits the padding, unknown-word or begin markers.
+N-response generation cycles through the semantics branches and draws a
+fresh latent from each branch's prior.  The metrics are plain functions
+over token sequences; special tokens never count.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Rng, Tensor
-from .corpus import BOS_ID, EOS_ID, SPECIALS, Vocabulary, encode_context
+from .corpus import BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID, Vocabulary, encode_context
 from .errors import DegenerateVector, DomainError
 from .model import SegCVAE
 
 EPS_NORM = 1e-8
+NEVER_EMITTED = [PAD_ID, UNK_ID, BOS_ID]  # greedy decoding skips these; EOS ends a response
 
 
 @dataclass
@@ -36,8 +38,9 @@ class GenerationRecord:
 
 def greedy_decode(model: SegCVAE, ctx_ids: np.ndarray, branch: int,
                   z: np.ndarray) -> list[int]:
-    """Argmax tokens from the given branch and latent until the end marker
-    or the length cap; returns token ids without the markers."""
+    """Argmax tokens (special markers excluded) from the given branch and
+    latent until the end marker or the length cap; returns token ids without
+    the markers."""
     cfg = model.config
     if not 0 <= branch < cfg.num_triggers:
         raise DomainError(f"branch must lie in [0, {cfg.num_triggers}), got {branch}")
@@ -54,7 +57,9 @@ def _decode_from(model: SegCVAE, x: Tensor, z: np.ndarray) -> list[int]:
         out: list[int] = []
         for _ in range(model.config.max_len):
             logits, state = model.decode_step(state, np.array([token]))
-            token = int(np.argmax(logits.values[0]))
+            scores = logits.values[0]
+            scores[NEVER_EMITTED] = -np.inf
+            token = int(np.argmax(scores))
             if token == EOS_ID:
                 break
             out.append(token)

@@ -26,6 +26,7 @@ from .corpus import PAD_ID, SPECIALS
 from .errors import DomainError, ShapeError
 
 LOGVAR_CLIP = 10.0
+TF_BLOCK_BYTES = 4 << 20  # teacher forcing: bytes per (rows, vocab) float64 array of a block
 
 
 @dataclass
@@ -52,48 +53,81 @@ class SegCVAE:
     """Holds all parameters and the forward computations."""
 
     def __init__(self, config: ModelConfig, embedding: np.ndarray, rng: Rng):
+        """A fresh network: Glorot weights drawn from ``rng``, zero biases and
+        a copy of ``embedding``."""
         config.validate()
         if embedding.shape != (config.vocab_size, config.emb_dim):
             raise ShapeError(f"embedding shape {embedding.shape} does not match "
                              f"({config.vocab_size}, {config.emb_dim})")
-        self.config = config
-        c = config
+
+        def fresh(name: str, shape: tuple[int, ...], init: str) -> np.ndarray:
+            if init == "emb":
+                return np.array(embedding, dtype=np.float64)
+            if init == "zeros":
+                return np.zeros(shape)
+            return ad.glorot(shape, rng).values
+
+        self._build(config, fresh)
+
+    @classmethod
+    def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "SegCVAE":
+        """The network whose parameters are ``arrays``, keyed by parameter
+        name (a checkpoint's): no random draws, and float64 arrays are used
+        without a copy."""
+        config.validate()
+
+        def stored(name: str, shape: tuple[int, ...], init: str) -> np.ndarray:
+            _check_stored(arrays, name, shape)
+            return np.asarray(arrays[name], dtype=np.float64)
+
+        model = cls.__new__(cls)
+        model._build(config, stored)
+        return model
+
+    def _build(self, config: ModelConfig, make):
+        """Create every parameter, in a fixed order, from ``make(name, shape,
+        init)``; ``init`` is "glorot", "zeros" or "emb"."""
+        self.config = c = config
         self.params: dict[str, Tensor] = {}
 
-        self.emb = self._add("emb", Tensor(np.array(embedding, dtype=np.float64),
-                                           requires_grad=True))
-        self.enc = ad.gru_params(c.emb_dim, c.hidden_dim, rng)
-        self.params.update(self.enc.named("enc"))
+        def param(name: str, shape: tuple[int, ...], init: str = "glorot") -> Tensor:
+            return self._add(name, Tensor(make(name, shape, init), requires_grad=True))
+
+        def gru(prefix: str) -> ad.GruParams:
+            gates = 3 * c.hidden_dim
+            return ad.GruParams(wx=param(f"{prefix}.wx", (c.emb_dim, gates)),
+                                wh=param(f"{prefix}.wh", (c.hidden_dim, gates)),
+                                bx=param(f"{prefix}.bx", (gates,), "zeros"),
+                                bh=param(f"{prefix}.bh", (gates,), "zeros"))
+
+        self.emb = param("emb", (c.vocab_size, c.emb_dim), "emb")
+        self.enc = gru("enc")
 
         conv_len = c.max_len - c.kernel_width + 1
+        kernel_shape = (c.kernel_width, c.emb_dim, 1, c.conv_channels)
         self.is_triggers: list[TriggerNetwork] = []
         self.eg_triggers: list[TriggerNetwork] = []
         if not c.no_is:
             for i in range(c.num_triggers):
-                kernel = ad.glorot((c.kernel_width, c.emb_dim, 1, c.conv_channels), rng)
-                dense = ad.glorot((conv_len, c.max_len), rng)
-                self._add(f"is{i}.kernel", kernel)
-                self._add(f"is{i}.dense", dense)
-                self.is_triggers.append(TriggerNetwork(kernel, dense, c.tau))
+                self.is_triggers.append(TriggerNetwork(
+                    param(f"is{i}.kernel", kernel_shape),
+                    param(f"is{i}.dense", (conv_len, c.max_len)), c.tau))
         if not c.no_eg:
             for i in range(c.num_triggers):
-                kernel = ad.glorot((c.kernel_width, c.emb_dim, 1, c.conv_channels), rng)
-                dense = ad.glorot((conv_len, c.vocab_size), rng)
-                self._add(f"eg{i}.kernel", kernel)
-                self._add(f"eg{i}.dense", dense)
-                self.eg_triggers.append(TriggerNetwork(kernel, dense, c.tau))
+                self.eg_triggers.append(TriggerNetwork(
+                    param(f"eg{i}.kernel", kernel_shape),
+                    param(f"eg{i}.dense", (conv_len, c.vocab_size)), c.tau))
 
-        self.rec_w = self._add("rec.w", ad.glorot((2 * c.hidden_dim, 2 * c.latent_dim), rng))
-        self.rec_b = self._add("rec.b", Tensor(np.zeros(2 * c.latent_dim), requires_grad=True))
-        self.pri_w = self._add("pri.w", ad.glorot((c.hidden_dim, 2 * c.latent_dim), rng))
-        self.pri_b = self._add("pri.b", Tensor(np.zeros(2 * c.latent_dim), requires_grad=True))
-        self.init_w = self._add("init.w", ad.glorot((c.latent_dim + c.hidden_dim, c.hidden_dim), rng))
-        self.init_b = self._add("init.b", Tensor(np.zeros(c.hidden_dim), requires_grad=True))
+        self.rec_w = param("rec.w", (2 * c.hidden_dim, 2 * c.latent_dim))
+        self.rec_b = param("rec.b", (2 * c.latent_dim,), "zeros")
+        self.pri_w = param("pri.w", (c.hidden_dim, 2 * c.latent_dim))
+        self.pri_b = param("pri.b", (2 * c.latent_dim,), "zeros")
+        self.init_w = param("init.w", (c.latent_dim + c.hidden_dim, c.hidden_dim))
+        self.init_b = param("init.b", (c.hidden_dim,), "zeros")
 
-        self.dec = ad.gru_params(c.emb_dim, c.hidden_dim, rng)
-        self.params.update(self.dec.named("dec"))
-        self.out_w = self._add("out.w", ad.glorot((c.hidden_dim, c.vocab_size), rng))
-        self.out_b = self._add("out.b", Tensor(np.zeros(c.vocab_size), requires_grad=True))
+        self.dec = gru("dec")
+        self.out_w = param("out.w", (c.hidden_dim, c.vocab_size))
+        self.out_b = param("out.b", (c.vocab_size,), "zeros")
 
     def _add(self, name: str, tensor: Tensor) -> Tensor:
         self.params[name] = tensor
@@ -119,14 +153,12 @@ class SegCVAE:
         lengths = (ids != PAD_ID).sum(axis=1)
         if np.any(lengths == 0):
             raise DomainError("cannot encode an all-padding sequence")
-        t_eff = int(lengths.max())
-        steps = [ad.take_rows(self.emb, ids[:, t]) for t in range(t_eff)]
-        return ad.gru_encode(self.enc, steps, mask=(ids[:, :t_eff] != PAD_ID))
+        ids = ids[:, :int(lengths.max())]
+        return ad.gru_encode(self.enc, self.embed_matrix(ids), mask=(ids != PAD_ID))
 
     def encode_embedded(self, seq: Tensor, mask: np.ndarray = None) -> Tensor:
         """Encode a (B, T, emb) tensor of already-embedded rows."""
-        steps = [seq[:, t, :] for t in range(seq.shape[1])]
-        return ad.gru_encode(self.enc, steps, mask=mask)
+        return ad.gru_encode(self.enc, seq, mask=mask)
 
     # -- word selection --------------------------------------------------
     def _selection(self, trigger: TriggerNetwork, c_emb: Tensor,
@@ -200,23 +232,36 @@ class SegCVAE:
                         want_generated: bool) -> tuple[Tensor, Tensor | None]:
         """Sum log-likelihood of each response (non-padding targets only);
         optionally also encode the probability-weighted embedding sequence
-        the decoder implies, for the distillation norm."""
+        the decoder implies, for the distillation norm.
+
+        The inputs are known up front, so the recurrence runs first and the
+        vocabulary-sized work (out-projection, log-softmax, target gather,
+        expected embedding) runs afterwards, one GEMM per block of time
+        steps; a block's (rows, vocab) arrays stay within TF_BLOCK_BYTES.
+        """
         inputs, targets = resp_ids[:, :-1], resp_ids[:, 1:]
         live = targets != PAD_ID
         t_eff = int(live.any(axis=0).sum())
         batch = resp_ids.shape[0]
+        if want_generated and t_eff == 0:
+            raise DomainError("cannot encode an empty sequence")
+        states = ad.gru_scan(self.dec, self.embed_matrix(inputs[:, :t_eff]), state)
+        span = max(1, TF_BLOCK_BYTES // (8 * batch * self.config.vocab_size))
         recon = Tensor(np.zeros(batch))
-        expected_steps = []
-        for t in range(t_eff):
-            logits, state = self.decode_step(state, inputs[:, t])
-            logp = ad.log_softmax(logits)
-            picked = ad.gather_last(logp, targets[:, t])
-            recon = ad.add(recon, ad.mul(picked, Tensor(live[:, t].astype(np.float64))))
+        expected = []
+        for t0 in range(0, t_eff, span):
+            t1 = min(t0 + span, t_eff)
+            hidden = ad.stack_rows(states[t0:t1])  # (B, steps, hidden)
+            logp = ad.log_softmax(ad.add(ad.matmul(hidden, self.out_w), self.out_b))
+            picked = ad.gather_last(logp, targets[:, t0:t1])
+            weights = Tensor(live[:, t0:t1].astype(np.float64))
+            recon = ad.add(recon, ad.tsum(ad.mul(picked, weights), axis=1))
             if want_generated:
-                expected_steps.append(ad.matmul(ad.exp(logp), self.emb))
+                expected.append(ad.matmul(ad.exp(logp), self.emb))
         generated = None
         if want_generated:
-            generated = ad.gru_encode(self.enc, expected_steps, mask=live[:, :t_eff])
+            generated = ad.gru_encode(self.enc, ad.concat(expected, axis=1),
+                                      mask=live[:, :t_eff])
         return recon, generated
 
     def elbo(self, resp_ids: np.ndarray, x: Tensor, r_e: Tensor,
@@ -297,12 +342,15 @@ class SegCVAE:
 
     def load_state(self, arrays: dict[str, np.ndarray]):
         for name, p in self.params.items():
-            if name not in arrays:
-                raise DomainError(f"checkpoint is missing parameter '{name}'")
-            if arrays[name].shape != p.values.shape:
-                raise ShapeError(f"parameter '{name}' has shape {arrays[name].shape}, "
-                                 f"want {p.values.shape}")
+            _check_stored(arrays, name, p.values.shape)
             p.values = np.array(arrays[name], dtype=np.float64)
+
+
+def _check_stored(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]):
+    if name not in arrays:
+        raise DomainError(f"checkpoint is missing parameter '{name}'")
+    if arrays[name].shape != shape:
+        raise ShapeError(f"parameter '{name}' has shape {arrays[name].shape}, want {shape}")
 
 
 # ---------------------------------------------------------------------------

@@ -233,9 +233,8 @@ def load_model(path) -> tuple[SegCVAE, dict[str, np.ndarray]]:
         raise DomainError(f"{path}: checkpoint meta lacks {err}")
     except ValueError as err:
         raise DomainError(f"{path}: malformed checkpoint meta: {err}")
-    model = SegCVAE(config, np.zeros((config.vocab_size, config.emb_dim)), Rng(0))
-    model.load_state({k[len("param."):]: v for k, v in arrays.items()
-                      if k.startswith("param.")})
+    model = SegCVAE.from_arrays(config, {k[len("param."):]: v for k, v in arrays.items()
+                                         if k.startswith("param.")})
     return model, arrays
 
 

@@ -1,5 +1,8 @@
 """Unit tests for the differentiable tensor substrate."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,93 @@ class TestMatmul:
         out = ad.matmul(_t(a), _t(b))
         expected = np.stack([a[i] @ b for i in range(4)])
         np.testing.assert_allclose(out.values, expected)
+
+
+class TestStackedMatmul:
+    """A (B, T, K) stack times a (K, N) matrix runs as one 2-D GEMM."""
+
+    def test_grad_check_both_operands(self):
+        r = np.random.default_rng(8)
+        a, b = _t(r.normal(size=(2, 3, 4))), _t(r.normal(size=(4, 5)))
+        err = ad.grad_check(lambda a, b: ad.tsum(ad.power(ad.matmul(a, b), 2.0)), [a, b])
+        assert err < 1e-6
+
+    def test_gradients_match_the_per_entry_products(self):
+        r = np.random.default_rng(9)
+        a, b = _t(r.normal(size=(3, 2, 4))), _t(r.normal(size=(4, 5)))
+        g = r.normal(size=(3, 2, 5))
+        ad.matmul(a, b).backward(g)
+        np.testing.assert_allclose(a.grad, np.stack([g[i] @ b.values.T for i in range(3)]))
+        np.testing.assert_allclose(b.grad, sum(a.values[i].T @ g[i] for i in range(3)))
+        assert b.grad.shape == (4, 5)
+
+
+class TestInPlaceAccumulation:
+    def test_slices_and_repeated_row_gathers_keep_aliased_buffers_intact(self):
+        """x reaches the loss whole, through a row slice and through a gather
+        with repeated ids; x and y first receive aliases of the sum's
+        gradient, so writing x's later contributions in place would corrupt
+        y's gradient and every intermediate that shares the buffer."""
+        r = np.random.default_rng(10)
+        x, y = _t(r.normal(size=(4, 3))), _t(r.normal(size=(4, 3)))
+        w = r.normal(size=(4, 3))
+        ids = np.array([2, 0, 2, 2])
+        s = ad.add(x, y)
+        t = ad.add(s, x[1])
+        u = ad.add(t, ad.take_rows(x, ids))
+        ad.tsum(ad.mul(u, ad.Tensor(w))).backward()
+        for node in (u, t, s, y):
+            np.testing.assert_array_equal(node.grad, w)
+        want = w.copy()
+        want[1] += w.sum(axis=0)
+        np.add.at(want, ids, w)
+        np.testing.assert_allclose(x.grad, want, rtol=1e-14)
+
+    def test_grad_check_through_slices_and_gathers(self):
+        r = np.random.default_rng(11)
+        ids = np.array([[1, 1], [3, 1]])
+
+        def f(x):
+            mixed = ad.add(ad.add(x, x[2]), ad.mul(x[:, 1:2], x))
+            rows = ad.take_rows(x, ids)  # (2, 2, 3)
+            return ad.add(ad.tsum(ad.power(mixed, 2.0)), ad.tsum(ad.power(rows, 3.0)))
+
+        assert ad.grad_check(f, [_t(r.normal(size=(4, 3)))]) < 1e-6
+
+    def test_assigned_gradient_is_not_written_in_place(self):
+        x = _t(np.ones(3))
+        mine = np.zeros(3)
+        x.grad = mine
+        ad.tsum(ad.add(x, x)).backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(mine, 0.0)
+
+
+class TestGraphRelease:
+    def test_intermediates_die_with_the_loss_without_a_collector_pass(self):
+        x = _t(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            h = ad.tanh(ad.matmul(x, _t(np.ones((4, 2)))))
+            ref = weakref.ref(h)
+            loss = ad.tsum(ad.mul(h, h))
+            del h
+            assert ref() is not None  # reachable through the loss
+            loss.backward()
+            del loss
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert x.grad is not None
+
+    def test_second_backward_through_a_freed_graph_is_rejected(self):
+        x = _t(np.ones(3))
+        h = ad.tanh(x)
+        ad.tsum(h).backward()
+        with pytest.raises(DomainError, match="already ran"):
+            ad.tsum(ad.mul(h, 2.0)).backward()
 
 
 class TestSoftmax:

@@ -117,6 +117,15 @@ class TestDispatchBasics:
     def test_missing_required_flag_is_usage_error(self):
         assert cli.dispatch(["generate"]) == 2
 
+    def test_empty_context_in_pair_file_exits_one(self, config_file, data_dir, tmp_path,
+                                                  capsys):
+        train = data_dir / "train.tsv"
+        train.write_text(train.read_text(encoding="utf-8") + "\tsure\n", encoding="utf-8")
+        code = cli.dispatch(["train", "--config", str(config_file),
+                             "--in", str(data_dir), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "train.tsv:13: empty context" in capsys.readouterr().err
+
     def test_domain_error_exits_one(self, tmp_path, capsys):
         code = cli.dispatch(["train", "--in", str(tmp_path / "nope"),
                              "--out", str(tmp_path / "out")])

@@ -68,6 +68,19 @@ class TestReadCorpus:
                [(p.context, p.response) for p in pairs]
 
 
+    @pytest.mark.parametrize("bad_line, problem", [
+        ("\tsure\n", "empty context"),
+        ("   \tsure\n", "empty context"),
+        ("how are you\n", "no TAB"),
+        ("how are you\t \n", "empty response"),
+    ])
+    def test_pair_file_rejects_empty_fields_with_file_and_line(self, tmp_path, bad_line, problem):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("a b\tc\n\n" + bad_line + "d\te\n", encoding="utf-8")
+        with pytest.raises(DomainError, match=f"pairs.tsv:3: {problem}"):
+            corpus.read_pairs(path)
+
+
 class TestBuildVocab:
     def test_counts_specials_plus_content(self):
         pairs = [_pair("a b c", "d e"), _pair("a b", "c")]

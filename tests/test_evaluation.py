@@ -5,7 +5,8 @@ import pytest
 
 from segcvae import evaluation as ev
 from segcvae.autodiff import Rng
-from segcvae.corpus import EOS_ID, DialoguePair, build_vocab, encode_context
+from segcvae.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialoguePair, build_vocab,
+                            encode_context)
 from segcvae.errors import DegenerateVector, DomainError
 from segcvae.model import ModelConfig, SegCVAE
 
@@ -137,6 +138,16 @@ class TestGreedyDecode:
         ids = ev.greedy_decode(model, np.array([[4, 5, 0, 0, 0, 0]]), 0,
                                np.zeros(model.config.latent_dim))
         assert ids == []
+
+    def test_special_tokens_are_never_emitted(self):
+        """<unk>, <pad> and <bos> outscore every word, yet the response is
+        made of the best real word."""
+        model = self._rigged(5)
+        bias = model.params["out.b"].values
+        bias[UNK_ID], bias[PAD_ID], bias[BOS_ID] = 30.0, 20.0, 20.0
+        ids = ev.greedy_decode(model, np.array([[4, 5, 0, 0, 0, 0]]), 0,
+                               np.zeros(model.config.latent_dim))
+        assert ids == [5] * model.config.max_len
 
     def test_never_ending_decoder_hits_length_cap(self):
         model = self._rigged(5)

@@ -6,7 +6,7 @@ import pytest
 from segcvae import autodiff as ad
 from segcvae import model as m
 from segcvae.autodiff import Rng, Tensor
-from segcvae.corpus import DialoguePair, build_vocab, encode_pairs
+from segcvae.corpus import PAD_ID, DialoguePair, build_vocab, encode_pairs
 from segcvae.errors import DomainError, ShapeError
 
 
@@ -350,6 +350,74 @@ class TestElbo:
                      kl_weight=1.5, rng=Rng(0))
 
 
+def _ablation_shape_setup():
+    """The model and a batch at the shape of the ablation acceptance test
+    (V=80, D=H=Z=16, M=4, B=9, max_len=8), with responses of spread lengths."""
+    r = np.random.default_rng(17)
+
+    def words(n):
+        return tuple(f"w{i}" for i in r.integers(0, 120, n))
+
+    pairs = [DialoguePair(words(int(r.integers(1, 9))), words(int(r.integers(1, 9))))
+             for _ in range(9)]
+    vocab = build_vocab(pairs, max_size=80, emb_dim=16, seed=5)
+    config = m.ModelConfig(vocab_size=vocab.size, max_len=8, emb_dim=16, hidden_dim=16,
+                           latent_dim=16, kernel_width=3, conv_channels=2,
+                           num_triggers=4, tau=0.1)
+    net = m.SegCVAE(config, vocab.embedding, Rng(6))
+    _, resp = encode_pairs(pairs, vocab, config.max_len)
+    state = Tensor(np.random.default_rng(18).normal(size=(9, 16)) * 0.5)
+    return net, resp, state
+
+
+def _per_step_teacher_forcing(net, resp, state):
+    """Reference: decode_step and log_softmax one time step at a time."""
+    inputs, targets = resp[:, :-1], resp[:, 1:]
+    live = targets != PAD_ID
+    steps = int(live.any(axis=0).sum())
+    recon = Tensor(np.zeros(resp.shape[0]))
+    expected = []
+    for t in range(steps):
+        logits, state = net.decode_step(state, inputs[:, t])
+        logp = ad.log_softmax(logits)
+        picked = ad.gather_last(logp, targets[:, t])
+        recon = ad.add(recon, ad.mul(picked, Tensor(live[:, t].astype(np.float64))))
+        expected.append(ad.matmul(ad.exp(logp), net.emb))
+    return recon, ad.gru_encode(net.enc, expected, mask=live[:, :steps])
+
+
+class TestTeacherForcedBlocks:
+    @pytest.mark.parametrize("block_steps", [None, 1, 3])
+    def test_matches_per_step_decoding(self, block_steps, monkeypatch):
+        """None keeps the byte budget (one block at this shape); 1 and 3
+        shrink it so that the block loop runs several times."""
+        net, resp, state = _ablation_shape_setup()
+        if block_steps is not None:
+            monkeypatch.setattr(m, "TF_BLOCK_BYTES",
+                                8 * resp.shape[0] * net.config.vocab_size * block_steps)
+        with ad.no_grad():
+            want_recon, want_generated = _per_step_teacher_forcing(net, resp, state)
+            recon, generated = net._teacher_forced(resp, state, want_generated=True)
+        assert (resp[:, 1:] != PAD_ID).any(axis=0).sum() > 3
+        np.testing.assert_allclose(recon.values, want_recon.values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(generated.values, want_generated.values,
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_gradients_match_per_step_decoding(self, monkeypatch):
+        monkeypatch.setattr(m, "TF_BLOCK_BYTES", 1)  # one time step per block
+        grads = []
+        for forward in (_per_step_teacher_forcing,
+                        lambda net, resp, state: net._teacher_forced(resp, state, True)):
+            net, resp, state = _ablation_shape_setup()
+            recon, generated = forward(net, resp, state)
+            net.zero_grad()
+            ad.add(ad.tsum(recon), ad.tsum(generated)).backward()
+            grads.append({k: p.grad for k, p in net.params.items() if p.grad is not None})
+        assert grads[0].keys() == grads[1].keys()
+        for name, g in grads[0].items():
+            np.testing.assert_allclose(grads[1][name], g, rtol=1e-10, atol=1e-13, err_msg=name)
+
+
 class TestForwardLosses:
     def test_deterministic_given_seed(self):
         net, _, ctx, resp = _tiny_setup()
@@ -419,3 +487,27 @@ class TestModelState:
         clone = m.SegCVAE(net.config, vocab.embedding, Rng(0))
         with pytest.raises(DomainError):
             clone.load_state(arrays)
+
+    def test_from_arrays_draws_nothing_and_copies_nothing(self, monkeypatch):
+        net, vocab, ctx, resp = _tiny_setup()
+        arrays = {k: v.copy() for k, v in net.state_arrays().items()}
+        monkeypatch.setattr(ad, "glorot", lambda *a, **k: pytest.fail("random draw"))
+        clone = m.SegCVAE.from_arrays(net.config, arrays)
+        assert list(clone.params) == list(net.params)
+        for name, p in clone.params.items():
+            assert p.values is arrays[name]
+        with ad.no_grad():
+            a = net.forward_losses(ctx, resp, 0.5, Rng(1))
+            b = clone.forward_losses(ctx, resp, 0.5, Rng(1))
+        np.testing.assert_array_equal(a["elbo_plus"].values, b["elbo_plus"].values)
+
+    def test_from_arrays_checks_names_and_shapes(self):
+        net, _, _, _ = _tiny_setup()
+        arrays = net.state_arrays()
+        arrays.pop("dec.bh")
+        with pytest.raises(DomainError, match="missing parameter 'dec.bh'"):
+            m.SegCVAE.from_arrays(net.config, arrays)
+        arrays = net.state_arrays()
+        arrays["out.w"] = arrays["out.w"][:, :-1]
+        with pytest.raises(ShapeError, match="'out.w'"):
+            m.SegCVAE.from_arrays(net.config, arrays)
