@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -930,7 +931,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] = 
     Layout: the version tag line, ``meta <key> <value>`` lines, one
     ``array <name> <dtype> <shape> <offset>`` line per array, a blank line,
     then the concatenated raw bytes.  Entries are sorted so identical inputs
-    produce identical bytes.
+    produce identical bytes.  The file is written beside ``path`` and then
+    renamed over it, so a write that fails midway leaves ``path`` as it was.
     """
     lines = [CHECKPOINT_TAG]
     for key in sorted(meta or {}):
@@ -945,10 +947,17 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] = 
         blobs.append(raw)
         offset += len(raw)
     header = ("\n".join(lines) + "\n\n").encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for raw in blobs:
-            fh.write(raw)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            for raw in blobs:
+                fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:

@@ -29,6 +29,10 @@ class NonFiniteLoss(SegcvaeError):
         self.batch_id = batch_id
 
 
+class NonFiniteGradient(DomainError):
+    """A gradient holds a NaN/Inf, so no update can be made from it."""
+
+
 class ConfigError(SegcvaeError):
     """A run configuration file is malformed."""
 

@@ -49,6 +49,19 @@ class ProminentSemantics:
     positive_index: np.ndarray  # (B,) ints
 
 
+class FixedNoise:
+    """Pre-drawn standard-normal noise in place of an ``Rng``: ``normal``
+    returns the stored array, which must have exactly the asked shape."""
+
+    def __init__(self, eps: np.ndarray):
+        self.eps = eps
+
+    def normal(self, shape=()) -> np.ndarray:
+        if tuple(shape) != self.eps.shape:
+            raise ShapeError(f"fixed noise has shape {self.eps.shape}, asked for {tuple(shape)}")
+        return self.eps
+
+
 class SegCVAE:
     """Holds all parameters and the forward computations."""
 
@@ -269,7 +282,8 @@ class SegCVAE:
         """Evidence lower bound of one branch, per example.
 
         Returns tensors keyed ``elbo``/``recon``/``kl`` of shape (B,) plus
-        ``generated`` (B, hidden) when requested.
+        ``generated`` (B, hidden) when requested.  The latent noise comes
+        from ``rng.normal``: an ``Rng`` or a ``FixedNoise``.
         """
         if not 0.0 <= kl_weight <= 1.0:
             raise DomainError(f"kl_weight must lie in [0, 1], got {kl_weight}")
@@ -287,9 +301,12 @@ class SegCVAE:
                        r_gt: np.ndarray = None) -> dict:
         """All training quantities for one batch.
 
-        The positive branch is picked per example; only its bound reaches
-        the loss (the other branches are multiplied by an exact zero, so
-        their exclusive parameters get exactly zero gradient from it).
+        Every branch's bound is first scored without a graph; the positive
+        branch is picked per example, and only the winners' bounds are
+        computed again with a graph, as one B-row pass.  A losing branch
+        reaches the loss only through the norms, so its exclusive parameters
+        get exactly zero gradient from the bound.  The latent noise is drawn
+        once for all branches, and the winner pass reuses each row's draw.
         The distillation target is the detached response encoding unless a
         frozen ``r_gt`` array is given, which a finite-difference check
         needs so that the target stays put while the parameters move.
@@ -297,43 +314,37 @@ class SegCVAE:
         cfg = self.config
         ctx_ids, resp_ids = np.atleast_2d(ctx_ids), np.atleast_2d(resp_ids)
         batch = ctx_ids.shape[0]
+        rows = np.arange(batch)
         r_e = self.encode_ids(resp_ids)
         xs = self.prominent_semantics(ctx_ids, rng, noise=gs_noise)
-        want_generated = not cfg.no_sdn and batch >= 2
-        branches = [self.elbo(resp_ids, x, r_e, kl_weight, rng, want_generated)
-                    for x in xs]
+        stacked = ad.stack_rows(xs)  # (B, num_triggers, hidden)
+        eps = rng.normal((cfg.num_triggers, batch, cfg.latent_dim))
 
-        branch_elbos = np.stack([b["elbo"].values for b in branches])
+        with ad.no_grad():
+            branch_elbos = np.stack([
+                self.elbo(resp_ids, x, r_e, kl_weight, FixedNoise(eps[i]), False)["elbo"].values
+                for i, x in enumerate(xs)])
         positive = np.atleast_1d(select_positive(branch_elbos))
-        one_hot = np.zeros((cfg.num_triggers, batch))
-        one_hot[positive, np.arange(batch)] = 1.0
 
-        elbo_plus = Tensor(np.zeros(batch))
-        for i, b in enumerate(branches):
-            elbo_plus = ad.add(elbo_plus, ad.mul(b["elbo"], Tensor(one_hot[i])))
-        elbo_plus = ad.tmean(elbo_plus)
-
-        rows = np.arange(batch)
-        recon_sel = np.stack([b["recon"].values for b in branches])[positive, rows]
-        kl_sel = np.stack([b["kl"].values for b in branches])[positive, rows]
+        want_generated = not cfg.no_sdn and batch >= 2
+        winner = self.elbo(resp_ids, ad.take(stacked, (rows, positive)), r_e, kl_weight,
+                           FixedNoise(eps[positive, rows]), want_generated)
 
         zero = Tensor(np.zeros(()))
         san_v = scn_v = sdn_v = zero
         if not cfg.no_san:
-            san_v = san(ad.stack_rows(xs))
+            san_v = san(stacked)
         if not cfg.no_scn:
             scn_v = scn(self.encode_ids(ctx_ids), xs)
         if want_generated:
-            generated = Tensor(np.zeros((batch, cfg.hidden_dim)))
-            for i, b in enumerate(branches):
-                generated = ad.add(generated, ad.mul(b["generated"], Tensor(one_hot[i][:, None])))
-            sdn_v = sdn(r_e.detach() if r_gt is None else Tensor(r_gt), generated)
+            sdn_v = sdn(r_e.detach() if r_gt is None else Tensor(r_gt), winner["generated"])
 
         return {
-            "elbo_plus": elbo_plus, "san": san_v, "scn": scn_v, "sdn": sdn_v,
-            "semantics": ProminentSemantics(xs, ad.stack_rows(xs), positive),
+            "elbo_plus": ad.tmean(winner["elbo"]), "san": san_v, "scn": scn_v, "sdn": sdn_v,
+            "semantics": ProminentSemantics(xs, stacked, positive),
             "branch_elbos": branch_elbos,
-            "recon_mean": float(recon_sel.mean()), "kl_mean": float(kl_sel.mean()),
+            "recon_mean": float(winner["recon"].values.mean()),
+            "kl_mean": float(winner["kl"].values.mean()),
         }
 
     # -- persistence -----------------------------------------------------

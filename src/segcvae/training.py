@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Rng, Tensor
 from .config import ModelConfig, TrainingConfig
 from .corpus import PAD_ID, DialoguePair, Vocabulary, encode_pairs
-from .errors import DomainError, EmptyCorpus, NonFiniteLoss
+from .errors import DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss
 from .model import SegCVAE, select_positive, total_loss
 from .parallel import worker_count
 
@@ -51,7 +51,8 @@ class Adam:
     """Adaptive-moment updates with global-norm gradient clipping.
 
     Parameters whose gradient is absent are left untouched, moments
-    included.
+    included.  A non-finite global gradient norm raises NonFiniteGradient
+    before any parameter or moment changes.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
@@ -64,12 +65,13 @@ class Adam:
 
     def step(self, clip: float = None):
         names = [k for k in sorted(self.params) if self.params[k].grad is not None]
-        scale = 1.0
-        if clip is not None:
-            total = math.fsum(float((self.params[k].grad ** 2).sum()) for k in names)
-            norm = math.sqrt(total)
-            if norm > clip:
-                scale = clip / norm
+        try:
+            norm = math.sqrt(math.fsum(float((self.params[k].grad ** 2).sum()) for k in names))
+        except OverflowError:
+            norm = math.inf
+        if not math.isfinite(norm):
+            raise NonFiniteGradient(f"gradient norm is {norm}")
+        scale = clip / norm if clip is not None and norm > clip else 1.0
         self.t += 1
         correct1 = 1.0 - self.beta1 ** self.t
         correct2 = 1.0 - self.beta2 ** self.t
@@ -92,6 +94,8 @@ class TrainState:
     data_rng: Rng    # batch-order stream
     step: int = 0
     best_ppl: float = math.inf
+    # examples won per branch in the last step; a diagnostic, not saved
+    branch_wins: np.ndarray | None = None
 
 
 def init_state(cfg: TrainingConfig, vocab: Vocabulary) -> TrainState:
@@ -106,7 +110,8 @@ def init_state(cfg: TrainingConfig, vocab: Vocabulary) -> TrainState:
 
 def train_step(batch: tuple[np.ndarray, np.ndarray], state: TrainState,
                cfg: TrainingConfig) -> dict:
-    """One optimization step; returns the logged statistics."""
+    """One optimization step; returns the logged statistics, all finite
+    scalars, and leaves the step's wins per branch in ``state.branch_wins``."""
     ctx_ids, resp_ids = batch
     lam = lambda_schedule(state.step, cfg)
     klw = kl_anneal(state.step, cfg)
@@ -120,7 +125,10 @@ def train_step(batch: tuple[np.ndarray, np.ndarray], state: TrainState,
         raise NonFiniteLoss(state.step)
     state.model.zero_grad()
     loss.backward()
-    state.optimizer.step(clip=cfg.grad_clip)
+    try:
+        state.optimizer.step(clip=cfg.grad_clip)
+    except NonFiniteGradient:
+        raise NonFiniteLoss(state.step, "non-finite gradient norm") from None
     stats = {
         "step": state.step,
         "elbo": float(parts["elbo_plus"].values),
@@ -131,6 +139,8 @@ def train_step(batch: tuple[np.ndarray, np.ndarray], state: TrainState,
         "sdn": float(parts["sdn"].values),
         "loss": float(loss.values),
     }
+    state.branch_wins = np.bincount(parts["semantics"].positive_index,
+                                    minlength=state.model.config.num_triggers)
     state.step += 1
     return stats
 

@@ -479,6 +479,38 @@ class TestCheckpoint:
         ad.save_checkpoint(p2, dict(reversed(list(arrays.items()))), {"k": "v"})
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        ad.save_checkpoint(path, {"a": np.arange(4.0)}, {"k": "old"})
+        old = path.read_bytes()
+
+        def open_failing_after_header(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            write = fh.write
+
+            def write_header_only(data):
+                if fh.tell() > 0:
+                    raise OSError("disk full")
+                return write(data)
+
+            fh.write = write_header_only
+            return fh
+
+        monkeypatch.setattr(ad, "open", open_failing_after_header, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            ad.save_checkpoint(path, {"a": np.arange(8.0)}, {"k": "new"})
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    def test_save_replaces_a_longer_file(self, tmp_path):
+        path, fresh = tmp_path / "model.ckpt", tmp_path / "fresh.ckpt"
+        ad.save_checkpoint(path, {"a": np.arange(64.0)})
+        ad.save_checkpoint(path, {"a": np.arange(2.0)})
+        ad.save_checkpoint(fresh, {"a": np.arange(2.0)})
+        assert path.read_bytes() == fresh.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.ckpt", "model.ckpt"]
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"not-a-checkpoint\n\nxx")

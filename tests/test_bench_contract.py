@@ -1,0 +1,56 @@
+"""The traced benchmark run still sees the package.
+
+``perfbench/spans.py`` subclasses ``SegCVAE`` and ``Adam`` and forwards to
+their methods positionally, so a signature change in the package would
+silently drop a layer from the benchmark's per-layer split, and the train
+workload rejects any statistic that is not a finite scalar.  One traced
+train step at a tiny shape must record every span the split reads, compute
+what the untraced step computes and pass the workload's check.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from segcvae import training as tr
+from segcvae.corpus import DialoguePair, build_vocab, encode_pairs
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+
+def _tiny_state():
+    pairs = [DialoguePair((f"q{i}", "and", "you"), (f"a{i}", "sure", f"b{i % 3}"))
+             for i in range(9)]
+    cfg = tr.TrainingConfig(batch_size=9, lambda_constant=1.0, vocab_cap=40, max_len=8,
+                            emb_dim=8, hidden_dim=8, latent_dim=4, kernel_width=3,
+                            conv_channels=2, num_triggers=4, tau=0.1)
+    vocab = build_vocab(pairs, cfg.vocab_cap, emb_dim=cfg.emb_dim, seed=cfg.seed)
+    return cfg, vocab, encode_pairs(pairs, vocab, cfg.max_len)
+
+
+def test_traced_step_records_every_layer_and_computes_the_same():
+    cfg, vocab, batch = _tiny_state()
+    plain_state = tr.init_state(cfg, vocab)
+    plain = tr.train_step(batch, plain_state, cfg)
+
+    recorder = spans.Recorder()
+    traced_state = spans.instrument(tr.init_state(cfg, vocab), cfg.learning_rate, recorder)
+    recorder.enabled = True
+    with recorder.probing():
+        traced = tr.train_step(batch, traced_state, cfg)
+    recorder.enabled = False
+
+    names = {s.name for s in recorder.spans}
+    for wanted in ("model.forward_losses", "model.elbo", "model.prominent_semantics",
+                   "model.encode_ids", "training.adam"):
+        assert wanted in names, wanted
+    assert all(s.seconds > 0 for s in recorder.spans if s.name == "model.elbo")
+    assert traced["loss"] == plain["loss"]
+    np.testing.assert_array_equal(traced_state.branch_wins, plain_state.branch_wins)
+    assert workloads._loss_check(traced) is None  # every statistic a finite scalar
+    for key in ("autodiff.graph_nodes", "autodiff.grad_bytes",
+                "autodiff.backward_peak_alloc_bytes"):
+        assert recorder.probe[key] > 0, key

@@ -152,7 +152,7 @@ class TestSdn:
         assert ad.grad_check(lambda t: m.sdn(r_gt, t), [r_gen]) < 1e-4
 
 
-class TestForwardLosses:
+class TestFrozenTarget:
     def test_frozen_target_at_base_point_changes_nothing(self):
         net, _, ctx, resp = _tiny_setup()
         with ad.no_grad():
@@ -350,22 +350,32 @@ class TestElbo:
                      kl_weight=1.5, rng=Rng(0))
 
 
-def _ablation_shape_setup():
-    """The model and a batch at the shape of the ablation acceptance test
-    (V=80, D=H=Z=16, M=4, B=9, max_len=8), with responses of spread lengths."""
-    r = np.random.default_rng(17)
+def _ablation_batch(seed, batch=9, vocab_seed=None, net_seed=None, **overrides):
+    """A fresh model and a batch at the ablation acceptance test's shape
+    (V=80, D=H=Z=16, M=4, B=9, max_len=8), contexts and responses of spread
+    lengths; ``overrides`` change the model configuration."""
+    r = np.random.default_rng(seed)
 
     def words(n):
         return tuple(f"w{i}" for i in r.integers(0, 120, n))
 
     pairs = [DialoguePair(words(int(r.integers(1, 9))), words(int(r.integers(1, 9))))
-             for _ in range(9)]
-    vocab = build_vocab(pairs, max_size=80, emb_dim=16, seed=5)
-    config = m.ModelConfig(vocab_size=vocab.size, max_len=8, emb_dim=16, hidden_dim=16,
-                           latent_dim=16, kernel_width=3, conv_channels=2,
-                           num_triggers=4, tau=0.1)
-    net = m.SegCVAE(config, vocab.embedding, Rng(6))
-    _, resp = encode_pairs(pairs, vocab, config.max_len)
+             for _ in range(batch)]
+    vocab = build_vocab(pairs, max_size=80, emb_dim=16,
+                        seed=seed if vocab_seed is None else vocab_seed)
+    cfg = dict(vocab_size=vocab.size, max_len=8, emb_dim=16, hidden_dim=16,
+               latent_dim=16, kernel_width=3, conv_channels=2, num_triggers=4, tau=0.1)
+    cfg.update(overrides)
+    net = m.SegCVAE(m.ModelConfig(**cfg), vocab.embedding,
+                    Rng(seed + 1 if net_seed is None else net_seed))
+    ctx, resp = encode_pairs(pairs, vocab, net.config.max_len)
+    return net, ctx, resp
+
+
+def _ablation_shape_setup():
+    """The model and a batch at the shape of the ablation acceptance test
+    (V=80, D=H=Z=16, M=4, B=9, max_len=8), with responses of spread lengths."""
+    net, _, resp = _ablation_batch(17, vocab_seed=5, net_seed=6)
     state = Tensor(np.random.default_rng(18).normal(size=(9, 16)) * 0.5)
     return net, resp, state
 
@@ -463,6 +473,108 @@ class TestForwardLosses:
         net, _, ctx, resp = _tiny_setup()
         parts = net.forward_losses(ctx[:1], resp[:1], 0.5, Rng(5))
         assert parts["sdn"].values == 0.0
+
+
+def _one_hot_reference(net, ctx, resp, kl_weight, rng):
+    """The all-branch forward pass: every branch decoded with a graph, each
+    bound and distillation encoding mixed by an exact-zero one-hot."""
+    cfg = net.config
+    batch = ctx.shape[0]
+    r_e = net.encode_ids(resp)
+    xs = net.prominent_semantics(ctx, rng, noise=True)
+    want_generated = not cfg.no_sdn and batch >= 2
+    branches = [net.elbo(resp, x, r_e, kl_weight, rng, want_generated) for x in xs]
+    positive = np.atleast_1d(m.select_positive(np.stack([b["elbo"].values for b in branches])))
+    one_hot = np.zeros((cfg.num_triggers, batch))
+    one_hot[positive, np.arange(batch)] = 1.0
+    elbo_plus = Tensor(np.zeros(batch))
+    for i, b in enumerate(branches):
+        elbo_plus = ad.add(elbo_plus, ad.mul(b["elbo"], Tensor(one_hot[i])))
+    sdn_v = Tensor(np.zeros(()))
+    if want_generated:
+        generated = Tensor(np.zeros((batch, cfg.hidden_dim)))
+        for i, b in enumerate(branches):
+            generated = ad.add(generated, ad.mul(b["generated"], Tensor(one_hot[i][:, None])))
+        sdn_v = m.sdn(r_e.detach(), generated)
+    loss = m.total_loss(ad.tmean(elbo_plus), m.san(ad.stack_rows(xs)),
+                        m.scn(net.encode_ids(ctx), xs), sdn_v, lambda_w=1.0)
+    return loss, positive
+
+
+def _loss_and_grads(net, forward):
+    net.zero_grad()
+    loss, positive = forward()
+    loss.backward()
+    return loss.item(), positive, {k: p.grad for k, p in net.params.items()}
+
+
+def _graph_nodes(roots):
+    seen, stack, nodes = set(), list(roots), []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+class TestTwoPassForward:
+    """forward_losses scores every branch without a graph and differentiates
+    only the winners; it must train exactly like the all-branch pass."""
+
+    @pytest.mark.parametrize("seed, batch, overrides", [
+        (21, 9, {}), (22, 9, {}), (23, 9, {}),
+        (24, 1, {}),                              # no distillation
+        (25, 9, {"no_is": True, "no_eg": True}),  # every branch is the context encoding
+    ])
+    def test_matches_the_one_hot_reference(self, seed, batch, overrides):
+        net, ctx, resp = _ablation_batch(seed, batch, **overrides)
+
+        def two_pass():
+            parts = net.forward_losses(ctx, resp, 0.5, Rng(seed))
+            loss = m.total_loss(parts["elbo_plus"], parts["san"], parts["scn"],
+                                parts["sdn"], lambda_w=1.0)
+            return loss, parts["semantics"].positive_index
+
+        want_loss, want_positive, want = _loss_and_grads(
+            net, lambda: _one_hot_reference(net, ctx, resp, 0.5, Rng(seed)))
+        loss, positive, got = _loss_and_grads(net, two_pass)
+        assert loss == want_loss
+        np.testing.assert_array_equal(positive, want_positive)
+        for name, g in want.items():
+            assert (got[name] is None) == (g is None), name
+            if g is not None:
+                assert np.abs(got[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+    def test_draws_the_noise_of_one_draw_per_branch(self):
+        net, ctx, resp = _ablation_batch(26)
+        rng = Rng(7)
+        net.forward_losses(ctx, resp, 0.5, rng)
+        want = Rng(7)
+        with ad.no_grad():
+            net.prominent_semantics(ctx, want, noise=True)
+        for _ in range(net.config.num_triggers):
+            want.normal((ctx.shape[0], net.config.latent_dim))
+        np.testing.assert_array_equal(rng.get_state(), want.get_state())
+
+    def test_graph_holds_one_branch_decode(self):
+        # without vocabulary selection only the decoder makes (..., V) nodes
+        counts = []
+        for num_triggers in (2, 4):
+            net, ctx, resp = _ablation_batch(27, num_triggers=num_triggers, no_eg=True)
+            parts = net.forward_losses(ctx, resp, 0.5, Rng(3))
+            roots = [parts[k] for k in ("elbo_plus", "san", "scn", "sdn")]
+            vocab = net.config.vocab_size
+            counts.append(sum(1 for t in _graph_nodes(roots)
+                              if t._parents and t.shape[-1:] == (vocab,)))
+        assert counts[0] == counts[1] > 0
+
+    def test_fixed_noise_rejects_a_wrong_shape(self):
+        noise = m.FixedNoise(np.zeros((3, 4)))
+        assert noise.normal((3, 4)) is noise.eps
+        with pytest.raises(ShapeError):
+            noise.normal((4, 3))
 
 
 class TestModelState:

@@ -7,7 +7,7 @@ from segcvae import autodiff as ad
 from segcvae import training as tr
 from segcvae.autodiff import Rng, Tensor
 from segcvae.corpus import DialoguePair, build_vocab, encode_pairs
-from segcvae.errors import DomainError, EmptyCorpus, NonFiniteLoss
+from segcvae.errors import DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss
 
 
 def _toy_corpus(n=16):
@@ -99,6 +99,17 @@ class TestAdam:
         assert np.all(opt.m["u"] == 0.0)
         assert np.any(w.values != 1.0)
 
+    @pytest.mark.parametrize("clip", [None, 1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_changes_nothing(self, clip, bad):
+        w = Tensor(np.ones(3), requires_grad=True)
+        opt = tr.Adam({"w": w}, lr=0.1)
+        w.grad = np.array([0.5, bad, 0.5])
+        with pytest.raises(NonFiniteGradient):
+            opt.step(clip=clip)
+        assert opt.t == 0 and np.all(w.values == 1.0)
+        assert np.all(opt.m["w"] == 0.0) and np.all(opt.v["w"] == 0.0)
+
 
 class TestTrainStep:
     def test_bitwise_deterministic(self):
@@ -148,6 +159,43 @@ class TestTrainStep:
         with pytest.raises(NonFiniteLoss) as err:
             tr.train_step(data, state, cfg)
         assert err.value.batch_id == 41
+
+    def test_non_finite_gradient_aborts_before_the_update(self, monkeypatch):
+        cfg, pairs, vocab, data = _setup()
+        state = tr.init_state(cfg, vocab)
+        tr.train_step(data, state, cfg)  # moments are non-zero from here on
+        before = {k: (p.values.copy(), state.optimizer.m[k].copy(), state.optimizer.v[k].copy())
+                  for k, p in state.model.params.items()}
+        backward = ad.Tensor.backward
+
+        def planted(loss, grad=None):
+            backward(loss, grad)
+            out_b = state.model.params["out.b"]
+            out_b.grad = out_b.grad.copy()
+            out_b.grad[5] = np.inf
+
+        monkeypatch.setattr(ad.Tensor, "backward", planted)
+        with pytest.raises(NonFiniteLoss, match="non-finite gradient norm") as err:
+            tr.train_step(data, state, cfg)
+        assert err.value.batch_id == 1 and state.step == 1 and state.optimizer.t == 1
+        for k, p in state.model.params.items():
+            values, m1, m2 = before[k]
+            assert np.array_equal(p.values, values), k
+            assert np.array_equal(state.optimizer.m[k], m1), k
+            assert np.array_equal(state.optimizer.v[k], m2), k
+
+    def test_branch_wins_name_the_branches_that_get_gradient(self):
+        # four rows and six branches: at least two branches lose everywhere
+        cfg, pairs, vocab, data = _setup(num_triggers=6)
+        state = tr.init_state(cfg, vocab)
+        assert tr.lambda_schedule(state.step, cfg) == 0.0  # the norms reach no branch
+        tr.train_step((data[0][:4], data[1][:4]), state, cfg)
+        wins = state.branch_wins
+        assert wins.shape == (6,) and wins.sum() == 4
+        for i in range(6):
+            grads = [state.model.params[n].grad for n in state.model.branch_param_names(i)]
+            got_gradient = any(g is not None and np.any(g != 0) for g in grads)
+            assert got_gradient == (wins[i] > 0), i
 
     def test_log_line_format(self):
         cfg, pairs, vocab, data = _setup()
