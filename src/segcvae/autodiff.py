@@ -100,9 +100,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.values, requires_grad=False)
 
-    def zero_grad(self):
-        self.grad = None
-
     @property
     def grad(self):
         return self._grad
@@ -167,54 +164,9 @@ class Tensor:
                 node._backward = _freed
                 node._parents = ()
 
-    # -- operators -----------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
+    # -- indexing ------------------------------------------------------
     def __getitem__(self, index):
         return take(self, index)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis, keepdims)
 
 
 def as_tensor(x) -> Tensor:
@@ -500,27 +452,15 @@ def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def take(a, index) -> Tensor:
+    """``a[index]`` for any numpy index; an id array gathers rows (an
+    embedding lookup), and the gradient is scattered into the touched
+    entries only."""
     a = as_tensor(a)
     values = a.values[index]
 
     def make(out):
         def bw():
             a._accum_at(index, out.grad)
-        return bw
-
-    return _node(values, (a,), make)
-
-
-def take_rows(a, ids) -> Tensor:
-    """Row gather, e.g. embedding lookup: a (V, E), ids (...) -> (..., E).
-    The gradient is scattered into the touched rows only."""
-    a = as_tensor(a)
-    ids = np.asarray(ids)
-    values = a.values[ids]
-
-    def make(out):
-        def bw():
-            a._accum_at(ids, out.grad)
         return bw
 
     return _node(values, (a,), make)
@@ -528,17 +468,8 @@ def take_rows(a, ids) -> Tensor:
 
 def gather_last(a, ids) -> Tensor:
     """Pick one entry per row along the last axis: a (..., V), ids (...) -> (...)."""
-    a = as_tensor(a)
     ids = np.asarray(ids)
-    index = np.ix_(*(np.arange(n) for n in ids.shape)) + (ids,)
-    values = a.values[index]
-
-    def make(out):
-        def bw():
-            a._accum_at(index, out.grad)
-        return bw
-
-    return _node(values, (a,), make)
+    return take(a, np.ix_(*(np.arange(n) for n in ids.shape)) + (ids,))
 
 
 # ---------------------------------------------------------------------------
@@ -641,41 +572,34 @@ def gumbel_softmax(logits, tau: float, rng: "Rng" = None, noise: bool = False) -
 def conv_seq(c, kernel) -> Tensor:
     """Valid 1-d convolution over the sequence axis, full embedding width.
 
-    ``c`` is (seq_len, emb) or batched (B, seq_len, emb); ``kernel`` is
-    (width, emb, 1, channels).  The result is squeezed and transposed to
-    (channels, seq_len - width + 1), batched accordingly.
+    ``c`` is (B, seq_len, emb) and ``kernel`` (width, emb, 1, channels); the
+    result is (B, channels, seq_len - width + 1).
     """
     c, kernel = as_tensor(c), as_tensor(kernel)
     if kernel.ndim != 4 or kernel.shape[2] != 1:
         raise ShapeError(f"kernel must be (width, emb, 1, channels), got {kernel.shape}")
-    squeeze = c.ndim == 2
-    cv = c.values[None] if squeeze else c.values
-    if cv.ndim != 3:
-        raise ShapeError(f"input must be (seq, emb) or (batch, seq, emb), got {c.shape}")
+    if c.ndim != 3:
+        raise ShapeError(f"input must be (batch, seq, emb), got {c.shape}")
     width, emb, _, channels = kernel.shape
-    if cv.shape[-1] != emb:
-        raise ShapeError(f"embedding width mismatch: input {cv.shape[-1]}, kernel {emb}")
-    seq_len = cv.shape[1]
+    if c.shape[-1] != emb:
+        raise ShapeError(f"embedding width mismatch: input {c.shape[-1]}, kernel {emb}")
+    seq_len = c.shape[1]
     if seq_len < width:
         raise ShapeError(f"sequence length {seq_len} shorter than kernel width {width}")
     out_len = seq_len - width + 1
-    km = kernel.values[:, :, 0, :]
+    cv, km = c.values, kernel.values[:, :, 0, :]
     acc = np.zeros((cv.shape[0], out_len, channels), dtype=cv.dtype)
     for i in range(width):
         acc += np.matmul(cv[:, i:i + out_len, :], km[i])
-    values = acc.swapaxes(-1, -2)
-    if squeeze:
-        values = values[0]
 
     def make(out):
         def bw():
-            g = out.grad[None] if squeeze else out.grad
-            gt = g.swapaxes(-1, -2)  # (B, out_len, channels)
+            gt = out.grad.swapaxes(-1, -2)  # (B, out_len, channels)
             if c.requires_grad or c._backward:
                 gc = np.zeros_like(cv)
                 for i in range(width):
                     gc[:, i:i + out_len, :] += np.matmul(gt, km[i].T)
-                c._accum(gc[0] if squeeze else gc)
+                c._accum(gc)
             if kernel.requires_grad or kernel._backward:
                 gk = np.zeros_like(kernel.values)
                 for i in range(width):
@@ -683,7 +607,7 @@ def conv_seq(c, kernel) -> Tensor:
                 kernel._accum(gk)
         return bw
 
-    return _node(values, (c, kernel), make)
+    return _node(acc.swapaxes(-1, -2), (c, kernel), make)
 
 
 # ---------------------------------------------------------------------------
@@ -726,28 +650,18 @@ def _gru_update(params: GruParams, gx: Tensor, h: Tensor) -> Tensor:
     return add(mul(sub(1.0, u), n), mul(u, h))
 
 
-def gru_cell(params: GruParams, x: Tensor, h: Tensor) -> Tensor:
-    return _gru_update(params, add(matmul(x, params.wx), params.bx), h)
-
-
-def gru_scan(params: GruParams, seq: Tensor | Sequence[Tensor], h: Tensor,
+def gru_scan(params: GruParams, seq: Tensor, h: Tensor,
              mask: np.ndarray = None) -> list[Tensor]:
-    """The (B, hidden) state after each step of ``seq``, starting from ``h``.
-
-    ``seq`` is a (B, T, in_dim) tensor, whose input projection for all T
-    steps is one GEMM before the recurrence so that only ``h @ wh`` stays
-    sequential, or a sequence of T (B, in_dim) steps, projected one at a
-    time.  ``mask`` is (B, T) with zeros on positions whose step must not
-    update the state (padding); omitted means every step counts.
+    """The (B, hidden) state after each step of the (B, T, in_dim) ``seq``,
+    starting from ``h``.  The input projection for all T steps is one GEMM
+    before the recurrence, so only ``h @ wh`` stays sequential.  ``mask`` is
+    (B, T) with zeros on positions whose step must not update the state
+    (padding); omitted means every step counts.
     """
-    if isinstance(seq, Tensor):
-        gx = add(matmul(seq, params.wx), params.bx)
-        projected = [gx[:, t] for t in range(seq.shape[1])]
-    else:
-        projected = [add(matmul(x, params.wx), params.bx) for x in seq]
+    gx = add(matmul(seq, params.wx), params.bx)
     states = []
-    for t, gx_t in enumerate(projected):
-        h_next = _gru_update(params, gx_t, h)
+    for t in range(seq.shape[1]):
+        h_next = _gru_update(params, gx[:, t], h)
         if mask is not None:
             keep = mask[:, t:t + 1].astype(h.values.dtype)
             h = add(mul(h_next, Tensor(keep)), mul(h, Tensor(1.0 - keep)))
@@ -757,19 +671,13 @@ def gru_scan(params: GruParams, seq: Tensor | Sequence[Tensor], h: Tensor,
     return states
 
 
-def gru_encode(params: GruParams, steps: Tensor | Sequence[Tensor],
-               mask: np.ndarray = None) -> Tensor:
-    """Scan ``steps`` (as in :func:`gru_scan`) from a zero state; return the
-    final (B, hidden) state."""
-    if isinstance(steps, Tensor):
-        batch, length = steps.shape[0], steps.shape[1]
-    else:
-        steps = list(steps)
-        batch, length = (steps[0].shape[0] if steps else 0), len(steps)
-    if length == 0:
+def gru_encode(params: GruParams, seq: Tensor, mask: np.ndarray = None) -> Tensor:
+    """Scan the (B, T, in_dim) ``seq`` (as in :func:`gru_scan`) from a zero
+    state; return the final (B, hidden) state."""
+    if seq.shape[1] == 0:
         raise DomainError("cannot encode an empty sequence")
-    h = Tensor(np.zeros((batch, params.hidden_dim)))
-    return gru_scan(params, steps, h, mask)[-1]
+    h = Tensor(np.zeros((seq.shape[0], params.hidden_dim)))
+    return gru_scan(params, seq, h, mask)[-1]
 
 
 def gru_decode_step(params: GruParams, out_w: Tensor, out_b: Tensor,
@@ -777,7 +685,7 @@ def gru_decode_step(params: GruParams, out_w: Tensor, out_b: Tensor,
     """One recurrent step plus the projection to vocabulary logits."""
     if state.ndim != 2 or state.shape[1] != params.hidden_dim:
         raise ShapeError(f"state must be (batch, {params.hidden_dim}), got {state.shape}")
-    next_state = gru_cell(params, x, state)
+    next_state = _gru_update(params, add(matmul(x, params.wx), params.bx), state)
     logits = add(matmul(next_state, out_w), out_b)
     return logits, next_state
 
@@ -961,11 +869,14 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] = 
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Read a ``save_checkpoint`` file; any malformed index line, unknown
-    dtype or array reaching past the end of the body is a SegcvaeError
-    naming the file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Read a ``save_checkpoint`` file; an unreadable file, a malformed
+    index line, an unknown dtype or an array reaching past the end of the
+    body is a SegcvaeError naming the file."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as err:
+        raise SegcvaeError(f"{path}: cannot read: {err.strerror}") from None
     split = data.find(b"\n\n")
     if split < 0:
         raise SegcvaeError(f"{path}: missing checkpoint header terminator")
@@ -1003,5 +914,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             raise SegcvaeError(f"{path}: array '{name}' reaches past the end of the "
                                f"{len(body)}-byte body")
         flat = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
-        arrays[name] = flat.reshape(shape).copy()
+        try:
+            arrays[name] = flat.reshape(shape).copy()
+        except ValueError:  # too many or too large dimensions for numpy
+            raise SegcvaeError(f"{path}: array '{name}' has an impossible shape '{shape_s}'")
     return arrays, meta

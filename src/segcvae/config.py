@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
 
+from .corpus import text_lines
 from .errors import ConfigError, DomainError, ShapeError
 
 POSITIVE = ("must be positive", lambda v: v > 0)
@@ -140,36 +141,36 @@ PATH_KEYS = ("data_dir", "corpus")
 def parse_config(path) -> tuple[TrainingConfig, dict[str, str]]:
     """Read line-oriented ``key = value`` text into a full configuration.
 
-    Unknown keys, wrong types and out-of-range values are reported with
-    their line number; absent keys keep their documented defaults.
+    Unknown keys, wrong types, out-of-range values and non-UTF-8 text are
+    reported with their line number, an unreadable file by its name; absent
+    keys keep their documented defaults.
     """
     by_key = {key_of(f): f for f in fields(TrainingConfig)}
     values: dict[str, object] = {}
     paths: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
-            key, _, text = line.partition("=")
-            key, text = key.strip(), text.strip()
-            if key in PATH_KEYS:
-                paths[key] = text
-                continue
-            if key not in by_key:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            f = by_key[key]
-            try:
-                value = parse_value(f, text)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: '{key}' needs a "
-                                  f"{f.metadata['kind'].__name__} value, got '{text}'")
-            why = range_error(f, value)
-            if why:
-                raise ConfigError(f"{path}:{lineno}: '{key}' {why}, got {text}")
-            values[f.name] = value
+    for lineno, raw in text_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
+        key, _, text = line.partition("=")
+        key, text = key.strip(), text.strip()
+        if key in PATH_KEYS:
+            paths[key] = text
+            continue
+        if key not in by_key:
+            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        f = by_key[key]
+        try:
+            value = parse_value(f, text)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: '{key}' needs a "
+                              f"{f.metadata['kind'].__name__} value, got '{text}'")
+        why = range_error(f, value)
+        if why:
+            raise ConfigError(f"{path}:{lineno}: '{key}' {why}, got {text}")
+        values[f.name] = value
     return TrainingConfig(**values), paths
 
 

@@ -69,8 +69,7 @@ def read_corpus(lines: Iterable[str]) -> list[list[Utterance]]:
 
 
 def read_corpus_file(path) -> list[list[Utterance]]:
-    with open(path, encoding="utf-8") as fh:
-        return read_corpus(fh)
+    return read_corpus(line for _, line in text_lines(path))
 
 
 def extract_single_turn_pairs(dialogue: Sequence[Utterance]) -> list[DialoguePair]:
@@ -123,8 +122,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path, embedding: np.ndarray) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+        tokens = [line.rstrip("\n") for _, line in text_lines(path) if line.rstrip("\n")]
         if tokens[:4] != list(SPECIALS):
             raise DomainError(f"{path}: vocabulary file must start with {SPECIALS}")
         if embedding.shape[0] != len(tokens):
@@ -328,6 +326,23 @@ def encode_pairs(pairs: Sequence[DialoguePair], vocab: Vocabulary, max_clen: int
     return (np.stack([c for c, _ in encoded]), np.stack([r for _, r in encoded]))
 
 
+def text_lines(path):
+    """(line number, line) for each line of a UTF-8 text file.  A file that
+    cannot be opened is a DomainError naming it, a line that is not UTF-8
+    one naming file:line."""
+    try:
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
+    except OSError as err:
+        raise DomainError(f"{path}: cannot read: {err.strerror}") from None
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")  # undecodable bytes were kept as lone surrogates
+            except UnicodeEncodeError:
+                raise DomainError(f"{path}:{lineno}: not UTF-8 text") from None
+            yield lineno, line
+
+
 def write_pairs(path, pairs: Sequence[DialoguePair]):
     with open(path, "w", encoding="utf-8") as fh:
         for pair in pairs:
@@ -336,19 +351,19 @@ def write_pairs(path, pairs: Sequence[DialoguePair]):
 
 def read_pairs(path) -> list[DialoguePair]:
     """One pair per non-blank ``context<TAB>response`` line; a line whose
-    context or response holds no token is a DomainError naming file:line."""
+    context or response holds no token, or that is not UTF-8, is a
+    DomainError naming file:line."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            context, tab, response = line.partition("\t")
-            pair = DialoguePair(tuple(context.split()), tuple(response.split()))
-            if not pair.context:
-                raise DomainError(f"{path}:{lineno}: empty context")
-            if not pair.response:
-                raise DomainError(f"{path}:{lineno}: empty response" if tab else
-                                  f"{path}:{lineno}: no TAB between context and response")
-            pairs.append(pair)
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        context, tab, response = line.partition("\t")
+        pair = DialoguePair(tuple(context.split()), tuple(response.split()))
+        if not pair.context:
+            raise DomainError(f"{path}:{lineno}: empty context")
+        if not pair.response:
+            raise DomainError(f"{path}:{lineno}: empty response" if tab else
+                              f"{path}:{lineno}: no TAB between context and response")
+        pairs.append(pair)
     return pairs

@@ -79,11 +79,10 @@ def generate_n(model: SegCVAE, vocab: Vocabulary, context: Sequence[str],
                               [tuple(gt) for gt in ground_truths])
     with ad.no_grad():
         xs = model.prominent_semantics(ctx_ids, noise=False)
-        priors = [model.prior(x) for x in xs]
+        mu, logvar = model.prior(ad.concat(xs))  # row k is branch k's prior
     for k in range(n):
         branch = k % cfg.num_triggers
-        mu, logvar = priors[branch]
-        z = mu.values[0] + np.exp(logvar.values[0] / 2.0) * rng.normal(cfg.latent_dim)
+        z = mu.values[branch] + np.exp(logvar.values[branch] / 2.0) * rng.normal(cfg.latent_dim)
         ids = _decode_from(model, xs[branch], z)
         record.responses.append(vocab.tokens_of(ids))
         record.branch_indices.append(branch)

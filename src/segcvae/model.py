@@ -31,21 +31,18 @@ TF_BLOCK_BYTES = 4 << 20  # teacher forcing: bytes per (rows, vocab) float64 arr
 
 @dataclass
 class TriggerNetwork:
-    """One word-selection unit: convolution kernel, dense projection, and
-    the softmax temperature.  ``dense`` is (max_len-kernel_width+1, max_len)
-    for in-context selection or (..., vocab_size) for vocabulary selection."""
+    """One word-selection unit: convolution kernel and dense projection.
+    ``dense`` is (max_len-kernel_width+1, max_len) for in-context selection
+    or (..., vocab_size) for vocabulary selection."""
 
     kernel: Tensor
     dense: Tensor
-    tau: float
 
 
 @dataclass
 class ProminentSemantics:
-    """The segmented semantics vectors of a batch plus the selected branch."""
+    """The branch selected for each example of a batch."""
 
-    x: list[Tensor]            # num_triggers tensors of shape (B, hidden)
-    stacked: Tensor            # (B, num_triggers, hidden)
     positive_index: np.ndarray  # (B,) ints
 
 
@@ -124,12 +121,12 @@ class SegCVAE:
             for i in range(c.num_triggers):
                 self.is_triggers.append(TriggerNetwork(
                     param(f"is{i}.kernel", kernel_shape),
-                    param(f"is{i}.dense", (conv_len, c.max_len)), c.tau))
+                    param(f"is{i}.dense", (conv_len, c.max_len))))
         if not c.no_eg:
             for i in range(c.num_triggers):
                 self.eg_triggers.append(TriggerNetwork(
                     param(f"eg{i}.kernel", kernel_shape),
-                    param(f"eg{i}.dense", (conv_len, c.vocab_size)), c.tau))
+                    param(f"eg{i}.dense", (conv_len, c.vocab_size))))
 
         self.rec_w = param("rec.w", (2 * c.hidden_dim, 2 * c.latent_dim))
         self.rec_b = param("rec.b", (2 * c.latent_dim,), "zeros")
@@ -158,7 +155,7 @@ class SegCVAE:
     # -- encoding ------------------------------------------------------
     def embed_matrix(self, ids: np.ndarray) -> Tensor:
         """(B, T) ids to one (B, T, emb) tensor."""
-        return ad.take_rows(self.emb, ids)
+        return ad.take(self.emb, ids)
 
     def encode_ids(self, ids: np.ndarray) -> Tensor:
         """Run the shared encoder over token ids; padding keeps the state."""
@@ -180,7 +177,7 @@ class SegCVAE:
         f_c = ad.conv_seq(c_emb, trigger.kernel)
         logits = ad.matmul(f_c, trigger.dense)
         logits = ad.add(logits, Tensor(mask_row))
-        return ad.gumbel_softmax(logits, trigger.tau, rng=rng, noise=noise)
+        return ad.gumbel_softmax(logits, self.config.tau, rng=rng, noise=noise)
 
     def internal_separation(self, c_emb: Tensor, pad_mask: np.ndarray,
                             rng: Rng = None, noise: bool = False) -> list[Tensor]:
@@ -205,23 +202,24 @@ class SegCVAE:
 
     def prominent_semantics(self, ctx_ids: np.ndarray, rng: Rng = None,
                             noise: bool = False) -> list[Tensor]:
-        """Encode each trigger's selected rows (in-context part first, then
-        the vocabulary part along the sequence axis) into one vector.  With
-        both selection paths ablated every branch is the raw context
-        encoding."""
+        """One (B, hidden) vector per trigger: its selected rows (in-context
+        part first, then the vocabulary part along the sequence axis), all
+        triggers encoded at once as one branch-major (M*B, steps, emb)
+        batch.  With both selection paths ablated every branch is the raw
+        context encoding."""
         ctx_ids = np.atleast_2d(ctx_ids)
         cfg = self.config
         if cfg.no_is and cfg.no_eg:
-            x = self.encode_ids(ctx_ids)
-            return [x] * cfg.num_triggers
+            return [self.encode_ids(ctx_ids)] * cfg.num_triggers
         c_emb = self.embed_matrix(ctx_ids)
-        selections = []  # per path, one (B, channels, emb) tensor per trigger
+        paths = []  # per path, every trigger's (B, channels, emb) selection, branch-major
         if not cfg.no_is:
-            selections.append(self.internal_separation(c_emb, ctx_ids == PAD_ID, rng, noise))
+            paths.append(ad.concat(self.internal_separation(c_emb, ctx_ids == PAD_ID, rng, noise)))
         if not cfg.no_eg:
-            selections.append(self.external_guidance(c_emb, rng, noise))
-        return [self.encode_embedded(parts[0] if len(parts) == 1 else ad.concat(parts, axis=1))
-                for parts in zip(*selections)]
+            paths.append(ad.concat(self.external_guidance(c_emb, rng, noise)))
+        encoded = self.encode_embedded(paths[0] if len(paths) == 1 else ad.concat(paths, axis=1))
+        batch = ctx_ids.shape[0]
+        return [encoded[i * batch:(i + 1) * batch] for i in range(cfg.num_triggers)]
 
     # -- latent heads and decoding ---------------------------------------
     def recognition(self, r_e: Tensor, x: Tensor) -> tuple[Tensor, Tensor]:
@@ -238,7 +236,7 @@ class SegCVAE:
         return ad.add(ad.matmul(ad.concat([z, x], axis=1), self.init_w), self.init_b)
 
     def decode_step(self, state: Tensor, token_ids: np.ndarray) -> tuple[Tensor, Tensor]:
-        x = ad.take_rows(self.emb, token_ids)
+        x = ad.take(self.emb, token_ids)
         return ad.gru_decode_step(self.dec, self.out_w, self.out_b, state, x)
 
     def _teacher_forced(self, resp_ids: np.ndarray, state: Tensor,
@@ -301,30 +299,32 @@ class SegCVAE:
                        r_gt: np.ndarray = None) -> dict:
         """All training quantities for one batch.
 
-        Every branch's bound is first scored without a graph; the positive
-        branch is picked per example, and only the winners' bounds are
-        computed again with a graph, as one B-row pass.  A losing branch
-        reaches the loss only through the norms, so its exclusive parameters
-        get exactly zero gradient from the bound.  The latent noise is drawn
-        once for all branches, and the winner pass reuses each row's draw.
-        The distillation target is the detached response encoding unless a
-        frozen ``r_gt`` array is given, which a finite-difference check
-        needs so that the target stays put while the parameters move.
+        Every branch's bound is first scored without a graph, all branches
+        as one (M*B)-row pass; the positive branch is picked per example, and
+        only the winners' bounds are computed again with a graph, as one
+        B-row pass.  A losing branch reaches the loss only through the norms,
+        so its exclusive parameters get exactly zero gradient from the bound.
+        The latent noise is drawn once for all branches, and the winner pass
+        reuses each row's draw.  The distillation target is the detached
+        response encoding unless a frozen ``r_gt`` array is given, which a
+        finite-difference check needs so that the target stays put while the
+        parameters move.
         """
         cfg = self.config
         ctx_ids, resp_ids = np.atleast_2d(ctx_ids), np.atleast_2d(resp_ids)
-        batch = ctx_ids.shape[0]
+        m, batch = cfg.num_triggers, ctx_ids.shape[0]
         rows = np.arange(batch)
         r_e = self.encode_ids(resp_ids)
         xs = self.prominent_semantics(ctx_ids, rng, noise=gs_noise)
         stacked = ad.stack_rows(xs)  # (B, num_triggers, hidden)
-        eps = rng.normal((cfg.num_triggers, batch, cfg.latent_dim))
+        eps = rng.normal((m, batch, cfg.latent_dim))
 
         with ad.no_grad():
-            branch_elbos = np.stack([
-                self.elbo(resp_ids, x, r_e, kl_weight, FixedNoise(eps[i]), False)["elbo"].values
-                for i, x in enumerate(xs)])
-        positive = np.atleast_1d(select_positive(branch_elbos))
+            scored = self.elbo(np.tile(resp_ids, (m, 1)), ad.concat(xs),
+                               Tensor(np.tile(r_e.values, (m, 1))), kl_weight,
+                               FixedNoise(eps.reshape(m * batch, cfg.latent_dim)), False)
+        branch_elbos = scored["elbo"].values.reshape(m, batch)
+        positive = select_positive(branch_elbos)
 
         want_generated = not cfg.no_sdn and batch >= 2
         winner = self.elbo(resp_ids, ad.take(stacked, (rows, positive)), r_e, kl_weight,
@@ -341,7 +341,7 @@ class SegCVAE:
 
         return {
             "elbo_plus": ad.tmean(winner["elbo"]), "san": san_v, "scn": scn_v, "sdn": sdn_v,
-            "semantics": ProminentSemantics(xs, stacked, positive),
+            "semantics": ProminentSemantics(positive),
             "branch_elbos": branch_elbos,
             "recon_mean": float(winner["recon"].values.mean()),
             "kl_mean": float(winner["kl"].values.mean()),
@@ -368,21 +368,14 @@ def _check_stored(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ..
 # branch selection and the semantic norms
 # ---------------------------------------------------------------------------
 
-def select_positive(elbos: Sequence) -> np.ndarray | int:
-    """Index of the largest bound; ties resolve to the lowest index.  The
-    selection itself carries no gradient.  Scalar inputs give one int,
-    per-example vectors give an (B,) index array."""
-    if len(elbos) == 0:
+def select_positive(elbos: np.ndarray) -> np.ndarray:
+    """Index of the largest bound along axis 0, the branch axis; ties
+    resolve to the lowest index.  (M, B) bounds give a (B,) index array, M
+    scalar bounds one index.  The selection carries no gradient."""
+    elbos = np.asarray(elbos, dtype=np.float64)
+    if elbos.ndim == 0 or elbos.shape[0] == 0:
         raise DomainError("cannot select from an empty branch list")
-    rows = []
-    scalar = True
-    for e in elbos:
-        v = np.atleast_1d(np.asarray(e.values if isinstance(e, Tensor) else e, dtype=np.float64))
-        scalar = scalar and v.size == 1
-        rows.append(v)
-    stacked = np.stack(rows)
-    idx = np.argmax(stacked, axis=0)
-    return int(idx[0]) if scalar else idx
+    return np.argmax(elbos, axis=0)
 
 
 def san(x_stacked: Tensor) -> Tensor:
@@ -429,21 +422,10 @@ def sdn(r_gt: Tensor, r_gen_plus: Tensor) -> Tensor:
     return ad.tmean(ad.sub(Tensor(entropy_rows), cross))
 
 
-def total_loss(elbo_plus: Tensor, san_v, scn_v, sdn_v, lambda_w: float,
-               no_san: bool = False, no_scn: bool = False, no_sdn: bool = False) -> Tensor:
+def total_loss(elbo_plus: Tensor, san_v, scn_v, sdn_v, lambda_w: float) -> Tensor:
     """The quantity to maximize: the positive bound minus the weighted sum
-    of the enabled norms."""
+    of the norms (``forward_losses`` gives a disabled norm as an exact zero)."""
     if not 0.0 <= lambda_w <= 1.0:
         raise DomainError(f"lambda must lie in [0, 1], got {lambda_w}")
-    zero = Tensor(np.zeros(()))
-    terms = [zero]
-    if not no_san:
-        terms.append(ad.as_tensor(san_v))
-    if not no_scn:
-        terms.append(ad.as_tensor(scn_v))
-    if not no_sdn:
-        terms.append(ad.as_tensor(sdn_v))
-    norms = terms[0]
-    for t in terms[1:]:
-        norms = ad.add(norms, t)
+    norms = ad.add(ad.add(san_v, scn_v), sdn_v)
     return ad.sub(elbo_plus, ad.mul(norms, lambda_w))

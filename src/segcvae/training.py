@@ -11,6 +11,7 @@ run exactly.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +25,6 @@ from .config import ModelConfig, TrainingConfig
 from .corpus import PAD_ID, DialoguePair, Vocabulary, encode_pairs
 from .errors import DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss
 from .model import SegCVAE, select_positive, total_loss
-from .parallel import worker_count
 
 CHECKPOINT_NAME = "checkpoint.bin"
 LOG_NAME = "train_log.txt"
@@ -117,9 +117,7 @@ def train_step(batch: tuple[np.ndarray, np.ndarray], state: TrainState,
     klw = kl_anneal(state.step, cfg)
     parts = state.model.forward_losses(ctx_ids, resp_ids, klw, state.rng,
                                        gs_noise=cfg.gs_noise)
-    objective = total_loss(parts["elbo_plus"], parts["san"], parts["scn"],
-                           parts["sdn"], lam, no_san=cfg.no_san,
-                           no_scn=cfg.no_scn, no_sdn=cfg.no_sdn)
+    objective = total_loss(parts["elbo_plus"], parts["san"], parts["scn"], parts["sdn"], lam)
     loss = ad.mul(objective, -1.0)
     if not np.isfinite(loss.values):
         raise NonFiniteLoss(state.step)
@@ -185,10 +183,19 @@ def _ppl_shard(model: SegCVAE, ctx_ids, resp_ids, batch_size: int) -> tuple[floa
             ctx = ctx_ids[start:start + batch_size]
             resp = resp_ids[start:start + batch_size]
             recons, counts = _branch_recon(model, ctx, resp)
-            best = np.atleast_1d(select_positive([Tensor(r) for r in recons]))
+            best = select_positive(recons)
             nll -= float(recons[best, np.arange(ctx.shape[0])].sum())
             tokens += int(counts.sum())
     return nll, tokens
+
+
+def worker_count() -> int:
+    """Threads for perplexity: the SEGCVAE_THREADS cap, or 1 when it is
+    unset or unparseable."""
+    try:
+        return max(1, int(os.environ.get("SEGCVAE_THREADS", "")))
+    except ValueError:
+        return 1
 
 
 def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],

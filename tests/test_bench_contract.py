@@ -5,7 +5,11 @@ their methods positionally, so a signature change in the package would
 silently drop a layer from the benchmark's per-layer split, and the train
 workload rejects any statistic that is not a finite scalar.  One traced
 train step at a tiny shape must record every span the split reads, compute
-what the untraced step computes and pass the workload's check.
+what the untraced step computes and pass the workload's check.  The eval
+workload's set-up (``end_early``) and its two operations, ``generate_n``
+and ``perplexity``, must run on the package and pass their checks too, so
+that a change to what ``prominent_semantics`` or ``prior`` return fails
+here rather than in the benchmark.
 """
 
 import sys
@@ -14,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from segcvae import training as tr
-from segcvae.corpus import DialoguePair, build_vocab, encode_pairs
+from segcvae.autodiff import Rng
+from segcvae.corpus import EOS_ID, DialoguePair, build_vocab, encode_pairs
+from segcvae.evaluation import generate_n
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402
@@ -29,6 +35,10 @@ def _tiny_state():
                             conv_channels=2, num_triggers=4, tau=0.1)
     vocab = build_vocab(pairs, cfg.vocab_cap, emb_dim=cfg.emb_dim, seed=cfg.seed)
     return cfg, vocab, encode_pairs(pairs, vocab, cfg.max_len)
+
+
+def _context():
+    return ("q1", "and", "you")
 
 
 def test_traced_step_records_every_layer_and_computes_the_same():
@@ -54,3 +64,29 @@ def test_traced_step_records_every_layer_and_computes_the_same():
     for key in ("autodiff.graph_nodes", "autodiff.grad_bytes",
                 "autodiff.backward_peak_alloc_bytes"):
         assert recorder.probe[key] > 0, key
+
+
+def test_end_early_then_traced_generate_and_perplexity_pass_their_checks():
+    cfg, vocab, data = _tiny_state()
+    state = tr.init_state(cfg, vocab)
+    bias = state.model.params["out.b"].values[EOS_ID]
+    workloads.end_early(state.model, vocab, _context())
+    assert state.model.params["out.b"].values[EOS_ID] > bias
+    plain_ppl = tr.perplexity(state.model, data)
+
+    recorder = spans.Recorder()
+    traced = spans.instrument(state, cfg.learning_rate, recorder)
+    recorder.enabled = True
+    with recorder.span("generate_n", op=True):
+        record = generate_n(traced.model, vocab, _context(), workloads.GEN_N, Rng(1))
+    with recorder.span("perplexity", op=True):
+        ppl = tr.perplexity(traced.model, data)
+    recorder.enabled = False
+
+    assert workloads._record_check(cfg, vocab)(record) is None
+    assert workloads._ppl_check(ppl) is None
+    assert ppl == plain_ppl
+    generated = recorder.counts(recorder.ops("generate_n"))
+    assert generated["model.prominent_semantics"] == 1  # once per context
+    assert generated["model.prior"] >= 1 and generated["model.decode_step"] >= workloads.GEN_N
+    assert recorder.counts(recorder.ops("perplexity"))["model.prominent_semantics"] >= 1

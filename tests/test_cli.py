@@ -126,6 +126,35 @@ class TestDispatchBasics:
         assert code == 1
         assert "train.tsv:13: empty context" in capsys.readouterr().err
 
+    def test_missing_config_file_exits_one(self, data_dir, tmp_path, capsys):
+        code = cli.dispatch(["train", "--config", str(tmp_path / "absent.cfg"),
+                             "--in", str(data_dir), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "absent.cfg" in capsys.readouterr().err
+
+    def test_run_without_checkpoint_exits_one(self, data_dir, tmp_path, capsys):
+        empty_run = tmp_path / "empty_run"
+        empty_run.mkdir()
+        code = cli.dispatch(["generate", "--run", str(empty_run),
+                             "--data", str(data_dir / "test.tsv"), "--out", str(tmp_path / "gen")])
+        assert code == 1
+        assert "checkpoint.bin" in capsys.readouterr().err
+
+    def test_non_utf8_corpus_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"hello there\nhi \xff\xfe\n")
+        code = cli.dispatch(["prepare-data", "--in", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "corpus.txt:2: not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_pair_line_exits_one(self, config_file, data_dir, tmp_path, capsys):
+        train = data_dir / "train.tsv"
+        train.write_bytes(train.read_bytes() + b"q\xc3 x\tsure\n")
+        code = cli.dispatch(["train", "--config", str(config_file),
+                             "--in", str(data_dir), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "train.tsv:13: not UTF-8" in capsys.readouterr().err
+
     def test_domain_error_exits_one(self, tmp_path, capsys):
         code = cli.dispatch(["train", "--in", str(tmp_path / "nope"),
                              "--out", str(tmp_path / "out")])
@@ -235,6 +264,12 @@ class TestTrainGenerateEvaluate:
         capsys.readouterr()
         assert self._generate(run_dir, data_dir, tmp_path) == 1
         assert "d_z" in capsys.readouterr().err
+
+    def test_run_without_vocabulary_exits_one(self, run_dir, data_dir, tmp_path, capsys):
+        (run_dir / "vocab.txt").unlink()
+        capsys.readouterr()
+        assert self._generate(run_dir, data_dir, tmp_path) == 1
+        assert "vocab.txt" in capsys.readouterr().err
 
     def test_ablate_sets_flag(self, config_file, data_dir, tmp_path):
         out = tmp_path / "ablate_run"

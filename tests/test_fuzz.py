@@ -1,0 +1,131 @@
+"""Fuzzing of everything that reads outside input: whatever the bytes or
+tokens, a reader either returns a well-formed result or raises a
+SegcvaeError, which the command line turns into exit code 1.
+
+Examples are derandomized and few, so the suite stays fast and repeatable.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from segcvae import autodiff as ad
+from segcvae.config import parse_config
+from segcvae.corpus import (BOS_ID, EOS_ID, DialoguePair, build_vocab, encode_pair,
+                            read_pairs)
+from segcvae.errors import SegcvaeError
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# byte soup biased towards the separators the readers split on
+CHUNKS = st.one_of(st.binary(max_size=12),
+                   st.sampled_from([b"\t", b"\n", b"\r\n", b"\r", b" ", b"=", b"#", b"a b",
+                                    b"\xff", b"\xc3", b"\xed\xa0\x80", "é".encode()]))
+SOUP = st.lists(CHUNKS, max_size=24).map(b"".join)
+
+
+def _returns_or_segcvae_error(fn):
+    try:
+        return fn()
+    except SegcvaeError:
+        return None
+
+
+@FUZZ
+@given(data=SOUP)
+def test_read_pairs(tmp_path, data):
+    path = tmp_path / "pairs.tsv"
+    path.write_bytes(data)
+    pairs = _returns_or_segcvae_error(lambda: read_pairs(path))
+    for pair in pairs or ():
+        assert pair.context and pair.response
+
+
+CONFIG_KEYS = ["learning_rate", "batch_size", "max_clen", "N_emb", "m", "M", "tau",
+               "lambda_constant", "gs_noise", "no_is", "seed", "data_dir", "bogus"]
+CONFIG_VALUES = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["1", "0", "-3", "0.5", "nan", "inf", "-inf", "1e400", "true", "off",
+                     "1_0", "٣", "9" * 5000]))
+CONFIG_LINES = st.lists(st.tuples(st.sampled_from(CONFIG_KEYS),
+                                  st.sampled_from([" = ", "=", " ", ""]), CONFIG_VALUES)
+                        .map(lambda t: "".join(t).encode("utf-8", "surrogatepass")),
+                        max_size=8).map(b"\n".join)
+
+
+@FUZZ
+@given(data=st.one_of(CONFIG_LINES, SOUP))
+def test_parse_config(tmp_path, data):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(data)
+
+    def parse():
+        cfg, paths = parse_config(path)
+        cfg.validate()
+        return cfg, paths
+
+    parsed = _returns_or_segcvae_error(parse)
+    if parsed is not None:
+        assert set(parsed[1]) <= {"data_dir", "corpus"}
+
+
+def _valid_checkpoint(path):
+    arrays = {"w": np.arange(6, dtype=np.float64).reshape(2, 3),
+              "step": np.array(3, dtype=np.uint64)}
+    ad.save_checkpoint(path, arrays, {"M": "2"})
+    return path.read_bytes()
+
+
+SHAPES = st.one_of(
+    st.just("-"),
+    st.lists(st.sampled_from([-1, 0, 1, 2, 2 ** 70]), min_size=1, max_size=3)
+    .map(lambda dims: ",".join(map(str, dims))),
+    st.integers(60, 70).map(lambda n: ",".join(["1"] * n)))  # numpy allows 64 dimensions
+INDEX_LINE = st.builds(
+    "array {} {} {} {}".format, st.sampled_from(["w", "b"]),
+    st.sampled_from(["float64", "int8", "uint64", "bool", "float16"])
+    | st.sampled_from(["complex128", "object", "U3", "M8", "V8", "(2,)f8", "f8,f8", "", "x"]),
+    SHAPES, st.sampled_from([0, 8, -1, 2 ** 70])) | st.sampled_from(["meta k v", "meta", "junk"])
+
+
+def _load_or_segcvae_error(path, data):
+    path.write_bytes(data)
+    loaded = _returns_or_segcvae_error(lambda: ad.load_checkpoint(path))
+    if loaded is not None:
+        arrays, meta = loaded
+        assert all(isinstance(a, np.ndarray) for a in arrays.values())
+
+
+@FUZZ
+@given(truncate=st.booleans(), at=st.integers(0, 400), byte=st.integers(0, 255))
+def test_load_damaged_checkpoint(tmp_path, truncate, at, byte):
+    path = tmp_path / "model.ckpt"
+    data = _valid_checkpoint(path)
+    at %= len(data)
+    data = data[:at] if truncate else data[:at] + bytes([byte]) + data[at + 1:]
+    _load_or_segcvae_error(path, data)
+
+
+@settings(FUZZ, max_examples=100)
+@given(line=INDEX_LINE)
+def test_load_checkpoint_with_any_index_line(tmp_path, line):
+    data = f"{ad.CHECKPOINT_TAG}\narray a float64 2 0\n{line}".encode() + b"\n\n" + bytes(64)
+    _load_or_segcvae_error(tmp_path / "model.ckpt", data)
+
+
+VOCAB = build_vocab([DialoguePair(("a", "b", "c"), ("d", "e"))], max_size=10, emb_dim=3, seed=1)
+TOKENS = st.lists(st.one_of(st.sampled_from(["a", "b", "d", "<pad>", "<eos>", ""]),
+                            st.text(max_size=4)), max_size=12).map(tuple)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(context=TOKENS, response=TOKENS, max_clen=st.integers(-3, 30))
+def test_encode_pair(context, response, max_clen):
+    encoded = _returns_or_segcvae_error(
+        lambda: encode_pair(DialoguePair(context, response), VOCAB, max_clen))
+    if encoded is not None:
+        ctx, resp = encoded
+        assert ctx.shape == resp.shape == (max_clen,)
+        assert resp[0] == BOS_ID and EOS_ID in resp
+        assert ctx.max(initial=0) < VOCAB.size and resp.max() < VOCAB.size

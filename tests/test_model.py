@@ -37,7 +37,7 @@ class TestSelectPositive:
         assert m.select_positive([-3.2, -1.1, -7.0]) == 1
 
     def test_single_branch(self):
-        assert m.select_positive([Tensor(np.array(-4.0))]) == 0
+        assert m.select_positive(np.array([-4.0])) == 0
 
     def test_tie_takes_lowest_index(self):
         assert m.select_positive([-2.0, -2.0]) == 0
@@ -47,14 +47,17 @@ class TestSelectPositive:
             m.select_positive([])
 
     def test_batched_per_example(self):
-        a = Tensor(np.array([-1.0, -9.0]))
-        b = Tensor(np.array([-5.0, -2.0]))
-        np.testing.assert_array_equal(m.select_positive([a, b]), [0, 1])
+        elbos = np.array([[-1.0, -9.0], [-5.0, -2.0]])  # (branches, examples)
+        np.testing.assert_array_equal(m.select_positive(elbos), [0, 1])
+
+    def test_batched_tie_takes_lowest_index(self):
+        elbos = np.array([[-3.0, 0.5], [-3.0, 0.9], [-4.0, 0.9]])
+        np.testing.assert_array_equal(m.select_positive(elbos), [0, 1])
 
     def test_invariant_under_common_shift(self):
-        values = [np.array([-3.0, 0.5]), np.array([-1.0, 0.2]), np.array([-2.0, 0.9])]
-        base = m.select_positive([Tensor(v) for v in values])
-        shifted = m.select_positive([Tensor(v + 17.5) for v in values])
+        values = np.array([[-3.0, 0.5], [-1.0, 0.2], [-2.0, 0.9]])
+        base = m.select_positive(values)
+        shifted = m.select_positive(values + 17.5)
         np.testing.assert_array_equal(base, shifted)
 
 
@@ -183,11 +186,18 @@ class TestTotalLoss:
                            Tensor(np.array(0.1)), Tensor(np.array(0.2)), 1.0)
         assert out.item() == pytest.approx(-5.8)
 
-    def test_flag_drops_term(self):
-        out = m.total_loss(Tensor(np.array(-5.0)), Tensor(np.array(0.5)),
-                           Tensor(np.array(0.1)), Tensor(np.array(0.2)), 1.0,
-                           no_san=True)
-        assert out.item() == pytest.approx(-5.3)
+    @pytest.mark.parametrize("norm", ["san", "scn", "sdn"])
+    def test_disabled_norm_is_an_exact_zero(self, norm):
+        """A switched-off norm drops out of the loss: forward_losses gives
+        it as an exact zero, the others as they are."""
+        net, ctx, resp = _ablation_batch(38, **{f"no_{norm}": True})
+        parts = net.forward_losses(ctx, resp, 0.5, Rng(2))
+        for name in ("san", "scn", "sdn"):
+            value = parts[name].item()
+            assert (value == 0.0) if name == norm else (value != 0.0), name
+        want = parts["elbo_plus"].item() - 0.5 * sum(parts[k].item() for k in ("san", "scn", "sdn"))
+        got = m.total_loss(parts["elbo_plus"], parts["san"], parts["scn"], parts["sdn"], 0.5)
+        assert got.item() == pytest.approx(want, rel=1e-14)
 
     def test_lambda_out_of_range(self):
         with pytest.raises(DomainError):
@@ -393,7 +403,7 @@ def _per_step_teacher_forcing(net, resp, state):
         picked = ad.gather_last(logp, targets[:, t])
         recon = ad.add(recon, ad.mul(picked, Tensor(live[:, t].astype(np.float64))))
         expected.append(ad.matmul(ad.exp(logp), net.emb))
-    return recon, ad.gru_encode(net.enc, expected, mask=live[:, :steps])
+    return recon, ad.gru_encode(net.enc, ad.stack_rows(expected), mask=live[:, :steps])
 
 
 class TestTeacherForcedBlocks:
@@ -575,6 +585,62 @@ class TestTwoPassForward:
         assert noise.normal((3, 4)) is noise.eps
         with pytest.raises(ShapeError):
             noise.normal((4, 3))
+
+
+class TestBatchedBranches:
+    """The M branches run as one branch-major batch of M*B rows; each must
+    compute what it computes alone."""
+
+    @pytest.mark.parametrize("seed, batch, overrides", [
+        (31, 9, {}), (32, 9, {}), (33, 9, {}),
+        (34, 1, {}),
+        (35, 9, {"no_is": True, "no_eg": True}),
+    ])
+    def test_branch_elbos_match_a_per_branch_loop(self, seed, batch, overrides):
+        net, ctx, resp = _ablation_batch(seed, batch, **overrides)
+        parts = net.forward_losses(ctx, resp, 0.5, Rng(seed))
+        rng = Rng(seed)
+        with ad.no_grad():
+            r_e = net.encode_ids(resp)
+            xs = net.prominent_semantics(ctx, rng, noise=True)
+            eps = rng.normal((net.config.num_triggers, batch, net.config.latent_dim))
+            want = np.stack([net.elbo(resp, x, r_e, 0.5, m.FixedNoise(eps[i]))["elbo"].values
+                             for i, x in enumerate(xs)])
+        assert parts["branch_elbos"].shape == want.shape
+        np.testing.assert_allclose(parts["branch_elbos"], want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("overrides", [{}, {"no_is": True}, {"no_eg": True}])
+    def test_semantics_match_encoding_each_selection_alone(self, overrides):
+        net, ctx, _ = _ablation_batch(36, **overrides)
+        with ad.no_grad():
+            xs = net.prominent_semantics(ctx, Rng(4), noise=True)
+            rng = Rng(4)
+            c_emb = net.embed_matrix(ctx)
+            paths = []
+            if not net.config.no_is:
+                paths.append(net.internal_separation(c_emb, ctx == PAD_ID, rng, noise=True))
+            if not net.config.no_eg:
+                paths.append(net.external_guidance(c_emb, rng, noise=True))
+            want = [net.encode_embedded(ad.concat(parts, axis=1)) for parts in zip(*paths)]
+        assert len(xs) == len(want) == net.config.num_triggers
+        for x, w in zip(xs, want):
+            assert x.shape == (ctx.shape[0], net.config.hidden_dim)
+            np.testing.assert_allclose(x.values, w.values, rtol=1e-12, atol=1e-15)
+
+    def test_one_encoder_pass_and_one_scoring_pass(self, monkeypatch):
+        net, ctx, resp = _ablation_batch(37, num_triggers=4)
+        encodes, elbo_rows = [], []
+        gru_encode, elbo = ad.gru_encode, net.elbo
+        monkeypatch.setattr(ad, "gru_encode",
+                            lambda p, seq, mask=None: encodes.append(seq.shape) or
+                            gru_encode(p, seq, mask))
+        monkeypatch.setattr(net, "elbo",
+                            lambda resp_ids, *a: elbo_rows.append(resp_ids.shape[0]) or
+                            elbo(resp_ids, *a))
+        net.prominent_semantics(ctx, Rng(1), noise=True)
+        assert len(encodes) == 1 and encodes[0][0] == 4 * ctx.shape[0]
+        net.forward_losses(ctx, resp, 0.5, Rng(1))
+        assert elbo_rows == [4 * ctx.shape[0], ctx.shape[0]]  # scoring, then the winners
 
 
 class TestModelState:
