@@ -15,8 +15,7 @@ from .corpus import (CdmReport, DialoguePair, Utterance, Vocabulary,
                      extract_single_turn_pairs, filter_by_vocab, mine_cdm,
                      tokenize)
 from .evaluation import (GenerationRecord, bleu_n, coherence, distinct_n,
-                         embedding_average, generate_n, greedy_decode,
-                         length_avg)
+                         embedding_average, generate_n, length_avg)
 from .model import (ModelConfig, ProminentSemantics, SegCVAE, TriggerNetwork,
                     san, scn, sdn, select_positive, total_loss)
 from .training import (TrainingConfig, TrainState, fit, kl_anneal,
@@ -28,7 +27,7 @@ __all__ = [
     "build_cdm_dataset", "build_vocab", "encode_pair",
     "extract_single_turn_pairs", "filter_by_vocab", "mine_cdm", "tokenize",
     "GenerationRecord", "bleu_n", "coherence", "distinct_n",
-    "embedding_average", "generate_n", "greedy_decode", "length_avg",
+    "embedding_average", "generate_n", "length_avg",
     "ModelConfig", "ProminentSemantics", "SegCVAE", "TriggerNetwork",
     "san", "scn", "sdn", "select_positive", "total_loss",
     "TrainingConfig", "TrainState", "fit", "kl_anneal", "lambda_schedule",

@@ -640,28 +640,24 @@ def gru_params(in_dim: int, hidden_dim: int, rng: "Rng") -> GruParams:
     )
 
 
-def _gru_update(params: GruParams, gx: Tensor, h: Tensor) -> Tensor:
-    """The cell's next state from its input projection ``gx = x @ wx + bx``."""
-    hd = params.hidden_dim
-    gh = add(matmul(h, params.wh), params.bh)
-    r = sigmoid(add(gx[:, :hd], gh[:, :hd]))
-    u = sigmoid(add(gx[:, hd:2 * hd], gh[:, hd:2 * hd]))
-    n = tanh(add(gx[:, 2 * hd:], mul(r, gh[:, 2 * hd:])))
-    return add(mul(sub(1.0, u), n), mul(u, h))
-
-
 def gru_scan(params: GruParams, seq: Tensor, h: Tensor,
              mask: np.ndarray = None) -> list[Tensor]:
     """The (B, hidden) state after each step of the (B, T, in_dim) ``seq``,
     starting from ``h``.  The input projection for all T steps is one GEMM
     before the recurrence, so only ``h @ wh`` stays sequential.  ``mask`` is
     (B, T) with zeros on positions whose step must not update the state
-    (padding); omitted means every step counts.
+    (padding); omitted means every step counts.  This is the only cell
+    implementation: encoding, teacher forcing and generation all scan.
     """
+    hd = params.hidden_dim
     gx = add(matmul(seq, params.wx), params.bx)
     states = []
     for t in range(seq.shape[1]):
-        h_next = _gru_update(params, gx[:, t], h)
+        gh = add(matmul(h, params.wh), params.bh)
+        r = sigmoid(add(gx[:, t, :hd], gh[:, :hd]))
+        u = sigmoid(add(gx[:, t, hd:2 * hd], gh[:, hd:2 * hd]))
+        n = tanh(add(gx[:, t, 2 * hd:], mul(r, gh[:, 2 * hd:])))
+        h_next = add(mul(sub(1.0, u), n), mul(u, h))
         if mask is not None:
             keep = mask[:, t:t + 1].astype(h.values.dtype)
             h = add(mul(h_next, Tensor(keep)), mul(h, Tensor(1.0 - keep)))
@@ -682,10 +678,11 @@ def gru_encode(params: GruParams, seq: Tensor, mask: np.ndarray = None) -> Tenso
 
 def gru_decode_step(params: GruParams, out_w: Tensor, out_b: Tensor,
                     state: Tensor, x: Tensor) -> tuple[Tensor, Tensor]:
-    """One recurrent step plus the projection to vocabulary logits."""
+    """One recurrent step (a length-1 scan of the (B, in_dim) ``x``) plus
+    the projection to vocabulary logits."""
     if state.ndim != 2 or state.shape[1] != params.hidden_dim:
         raise ShapeError(f"state must be (batch, {params.hidden_dim}), got {state.shape}")
-    next_state = _gru_update(params, add(matmul(x, params.wx), params.bx), state)
+    next_state = gru_scan(params, reshape(x, (x.shape[0], 1, x.shape[1])), state)[-1]
     logits = add(matmul(next_state, out_w), out_b)
     return logits, next_state
 

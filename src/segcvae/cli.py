@@ -61,12 +61,6 @@ def _load_config(args) -> tuple[tr.TrainingConfig, dict[str, str]]:
     return cfg, paths
 
 
-def _read_pairs_file(path: Path) -> list[cp.DialoguePair]:
-    if not Path(path).exists():
-        raise MissingKey(f"required data file '{path}' does not exist")
-    return cp.read_pairs(path)
-
-
 def _load_run(run_dir: Path) -> tuple[SegCVAE, cp.Vocabulary]:
     model, _ = tr.load_model(Path(run_dir) / tr.CHECKPOINT_NAME)
     return model, cp.Vocabulary.load(Path(run_dir) / "vocab.txt", model.emb.values)
@@ -120,7 +114,7 @@ def _train_like(args, command: str) -> int:
     data_dir = Path(args.infile or paths.get("data_dir", ""))
     if not str(data_dir):
         raise MissingKey(f"{command} needs --in or a 'data_dir' config entry")
-    train_pairs = _read_pairs_file(data_dir / "train.tsv")
+    train_pairs = cp.read_pairs(data_dir / "train.tsv")
     valid_path = data_dir / "valid.tsv"
     valid_pairs = cp.read_pairs(valid_path) if valid_path.exists() else []
     vocab = cp.build_vocab(train_pairs, max_size=cfg.vocab_cap,
@@ -161,7 +155,7 @@ def _grouped_records(pairs):
 
 def _cmd_generate(args) -> int:
     model, vocab = _load_run(args.run)
-    pairs = _read_pairs_file(args.data)
+    pairs = cp.read_pairs(args.data)
     grouped = _grouped_records(pairs)
     if args.limit:
         grouped = grouped[:args.limit]
@@ -184,7 +178,7 @@ def _cmd_generate(args) -> int:
 def _cmd_evaluate(args) -> int:
     model, vocab = _load_run(args.run)
     records = ev.read_generation(args.infile)
-    pairs = _read_pairs_file(args.data)
+    pairs = cp.read_pairs(args.data)
     truths = {}
     for pair in pairs:
         truths.setdefault(pair.context, []).append(pair.response)
@@ -218,6 +212,13 @@ def _cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 # parser and dispatch
 # ---------------------------------------------------------------------------
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -258,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", required=True, help="training output directory")
     p.add_argument("--data", required=True, help="pair file with test contexts")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-responses", type=int, default=8)
+    p.add_argument("--n-responses", type=_positive_int, default=8)
     p.add_argument("--seed", type=int)
-    p.add_argument("--limit", type=int, help="cap the number of contexts")
+    p.add_argument("--limit", type=_positive_int, help="cap the number of contexts")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("evaluate", help="score a generation dump against references")

@@ -1,10 +1,11 @@
 """Decoding and the automatic metric suite.
 
-Greedy decoding starts from the begin marker and stops at the end marker or
-the length cap; it never emits the padding, unknown-word or begin markers.
-N-response generation cycles through the semantics branches and draws a
-fresh latent from each branch's prior.  The metrics are plain functions
-over token sequences; special tokens never count.
+N-response generation cycles through the semantics branches, draws a fresh
+latent from each branch's prior and decodes all responses greedily as one
+batch: each starts from the begin marker and stops at the end marker or the
+length cap, and none emits the padding, unknown-word or begin markers.  The
+metrics are plain functions over token sequences; special tokens never
+count.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Rng, Tensor
-from .corpus import BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID, Vocabulary, encode_context
+from .corpus import (BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID, Vocabulary, encode_context,
+                     text_lines)
 from .errors import DegenerateVector, DomainError
 from .model import SegCVAE
 
@@ -36,58 +38,40 @@ class GenerationRecord:
     z_samples: list[np.ndarray] = field(default_factory=list)
 
 
-def greedy_decode(model: SegCVAE, ctx_ids: np.ndarray, branch: int,
-                  z: np.ndarray) -> list[int]:
-    """Argmax tokens (special markers excluded) from the given branch and
-    latent until the end marker or the length cap; returns token ids without
-    the markers."""
-    cfg = model.config
-    if not 0 <= branch < cfg.num_triggers:
-        raise DomainError(f"branch must lie in [0, {cfg.num_triggers}), got {branch}")
-    with ad.no_grad():
-        x = model.prominent_semantics(np.atleast_2d(ctx_ids), noise=False)[branch]
-    return _decode_from(model, x, z)
-
-
-def _decode_from(model: SegCVAE, x: Tensor, z: np.ndarray) -> list[int]:
-    """Greedy decoding from one (1, hidden) semantics vector and latent."""
-    with ad.no_grad():
-        state = model.decoder_initial(Tensor(np.asarray(z, dtype=np.float64)[None]), x)
-        token = BOS_ID
-        out: list[int] = []
-        for _ in range(model.config.max_len):
-            logits, state = model.decode_step(state, np.array([token]))
-            scores = logits.values[0]
-            scores[NEVER_EMITTED] = -np.inf
-            token = int(np.argmax(scores))
-            if token == EOS_ID:
-                break
-            out.append(token)
-    return out
-
-
 def generate_n(model: SegCVAE, vocab: Vocabulary, context: Sequence[str],
                n: int, rng: Rng,
                ground_truths: Sequence[Sequence[str]] = ()) -> GenerationRecord:
     """Exactly ``n`` responses: branch k % num_triggers with a fresh prior
-    draw per response.  The semantics are computed once for all of them."""
+    draw per response.  The semantics are computed once for all of them, and
+    the n responses decode greedily as one n-row batch; a row stops growing
+    at its first end marker, and decoding stops when every row has ended or
+    at the length cap."""
     if n < 1:
         raise DomainError(f"need at least one response, got n={n}")
     cfg = model.config
     ctx_ids = encode_context(tuple(context), vocab, cfg.max_len)[None]
-    record = GenerationRecord(tuple(context), [],
-                              [tuple(gt) for gt in ground_truths])
+    branches = np.arange(n) % cfg.num_triggers
+    responses: list[list[int]] = [[] for _ in range(n)]
     with ad.no_grad():
-        xs = model.prominent_semantics(ctx_ids, noise=False)
-        mu, logvar = model.prior(ad.concat(xs))  # row k is branch k's prior
-    for k in range(n):
-        branch = k % cfg.num_triggers
-        z = mu.values[branch] + np.exp(logvar.values[branch] / 2.0) * rng.normal(cfg.latent_dim)
-        ids = _decode_from(model, xs[branch], z)
-        record.responses.append(vocab.tokens_of(ids))
-        record.branch_indices.append(branch)
-        record.z_samples.append(z)
-    return record
+        xs = ad.concat(model.prominent_semantics(ctx_ids, noise=False))
+        mu, logvar = model.prior(xs)  # row k is branch k's prior
+        z = (mu.values[branches]
+             + np.exp(logvar.values[branches] / 2.0) * rng.normal((n, cfg.latent_dim)))
+        state = model.decoder_initial(Tensor(z), ad.take(xs, branches))
+        tokens = np.full(n, BOS_ID)
+        live = np.ones(n, dtype=bool)
+        for _ in range(cfg.max_len):
+            logits, state = model.decode_step(state, tokens)
+            scores = logits.values
+            scores[:, NEVER_EMITTED] = -np.inf
+            tokens = np.argmax(scores, axis=1)
+            live &= tokens != EOS_ID
+            if not live.any():
+                break
+            for k in np.flatnonzero(live):
+                responses[k].append(int(tokens[k]))
+    return GenerationRecord(tuple(context), [vocab.tokens_of(ids) for ids in responses],
+                            [tuple(gt) for gt in ground_truths], branches.tolist(), list(z))
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +224,14 @@ def write_generation(path, records: Sequence[GenerationRecord]):
 
 
 def read_generation(path) -> list[GenerationRecord]:
+    """The records of a :func:`write_generation` file; an unreadable or
+    non-UTF-8 file is a DomainError naming it."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            records.append(GenerationRecord(
-                tuple(cells[0].split()), [c.split() for c in cells[1:]]))
+    for _, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        cells = line.split("\t")
+        records.append(GenerationRecord(
+            tuple(cells[0].split()), [c.split() for c in cells[1:]]))
     return records

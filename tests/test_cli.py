@@ -117,6 +117,17 @@ class TestDispatchBasics:
     def test_missing_required_flag_is_usage_error(self):
         assert cli.dispatch(["generate"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--limit", "--n-responses"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_generate_count_is_usage_error(self, data_dir, tmp_path, capsys,
+                                                         flag, value):
+        code = cli.dispatch(["generate", "--run", str(tmp_path / "run"),
+                             "--data", str(data_dir / "test.tsv"),
+                             "--out", str(tmp_path / "gen"), flag, value])
+        assert code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "gen").exists()
+
     def test_empty_context_in_pair_file_exits_one(self, config_file, data_dir, tmp_path,
                                                   capsys):
         train = data_dir / "train.tsv"
@@ -249,6 +260,22 @@ class TestTrainGenerateEvaluate:
         return cli.dispatch(["generate", "--run", str(run_dir),
                              "--data", str(data_dir / "test.tsv"),
                              "--out", str(tmp_path / "gen")])
+
+    def _evaluate(self, dump, run_dir, data_dir):
+        return cli.dispatch(["evaluate", "--in", str(dump),
+                             "--data", str(data_dir / "test.tsv"), "--run", str(run_dir)])
+
+    def test_evaluate_missing_dump_exits_one(self, run_dir, data_dir, tmp_path, capsys):
+        capsys.readouterr()
+        assert self._evaluate(tmp_path / "absent.tsv", run_dir, data_dir) == 1
+        assert "absent.tsv: cannot read" in capsys.readouterr().err
+
+    def test_evaluate_non_utf8_dump_exits_one(self, run_dir, data_dir, tmp_path, capsys):
+        dump = tmp_path / "generated.tsv"
+        dump.write_bytes(b"q0 and you\ta0 sure\nq1 \xff\ta1\n")
+        capsys.readouterr()
+        assert self._evaluate(dump, run_dir, data_dir) == 1
+        assert "generated.tsv:2: not UTF-8" in capsys.readouterr().err
 
     def test_truncated_checkpoint_exits_one(self, run_dir, data_dir, tmp_path, capsys):
         path = run_dir / "checkpoint.bin"

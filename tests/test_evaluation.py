@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segcvae import evaluation as ev
-from segcvae.autodiff import Rng
+from segcvae.autodiff import Rng, Tensor, no_grad
 from segcvae.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialoguePair, build_vocab,
                             encode_context)
 from segcvae.errors import DegenerateVector, DomainError
@@ -123,62 +123,97 @@ class TestLengthAvg:
             ev.length_avg([])
 
 
+def _one_row_reference(model, ctx_ids, branch, z):
+    """Greedy decoding of one response, one single-row decode_step call per
+    token, from the branch's semantics vector and the latent ``z``."""
+    with no_grad():
+        x = model.prominent_semantics(ctx_ids, noise=False)[branch]
+        state = model.decoder_initial(Tensor(z[None]), x)
+        token, out = BOS_ID, []
+        for _ in range(model.config.max_len):
+            logits, state = model.decode_step(state, np.array([token]))
+            scores = logits.values[0]
+            scores[ev.NEVER_EMITTED] = -np.inf
+            token = int(np.argmax(scores))
+            if token == EOS_ID:
+                break
+            out.append(token)
+    return out
+
+
+CONTEXT = ("how", "are", "you")
+
+
+@pytest.fixture
+def setup():
+    pairs = [DialoguePair(("how", "are", "you"), ("fine", "thanks")),
+             DialoguePair(("see", "you"), ("bye",))]
+    vocab = build_vocab(pairs, max_size=12, emb_dim=5)
+    model = _model(vocab_size=vocab.size)
+    return model, vocab
+
+
+def _count_steps(model, monkeypatch):
+    """Record the row count of every decode_step call."""
+    calls = []
+    inner = model.decode_step
+    monkeypatch.setattr(model, "decode_step", lambda *a: calls.append(len(a[1])) or inner(*a))
+    return calls
+
+
 class TestGreedyDecode:
-    def _rigged(self, favorite):
-        model = _model()
+    """generate_n's n-row greedy loop."""
+
+    @staticmethod
+    def _rig(model, favorite):
+        """Zero the decoder so every row's logits are the output bias, with
+        ``favorite`` far ahead."""
         for name in ("dec.wx", "dec.wh", "dec.bx", "dec.bh", "out.w",
                      "init.w", "init.b"):
             model.params[name].values[:] = 0.0
         model.params["out.b"].values[:] = 0.0
         model.params["out.b"].values[favorite] = 10.0
-        return model
 
-    def test_immediate_end_marker_gives_empty_response(self):
-        model = self._rigged(EOS_ID)
-        ids = ev.greedy_decode(model, np.array([[4, 5, 0, 0, 0, 0]]), 0,
-                               np.zeros(model.config.latent_dim))
-        assert ids == []
+    def test_immediate_end_marker_gives_empty_response(self, setup, monkeypatch):
+        model, vocab = setup
+        self._rig(model, EOS_ID)
+        steps = _count_steps(model, monkeypatch)
+        record = ev.generate_n(model, vocab, CONTEXT, 4, Rng(1))
+        assert record.responses == [[]] * 4
+        assert steps == [4]  # one 4-row step, then every row has ended
 
-    def test_special_tokens_are_never_emitted(self):
-        """<unk>, <pad> and <bos> outscore every word, yet the response is
+    def test_special_tokens_are_never_emitted(self, setup):
+        """<unk>, <pad> and <bos> outscore every word, yet every response is
         made of the best real word."""
-        model = self._rigged(5)
+        model, vocab = setup
+        self._rig(model, 5)
         bias = model.params["out.b"].values
         bias[UNK_ID], bias[PAD_ID], bias[BOS_ID] = 30.0, 20.0, 20.0
-        ids = ev.greedy_decode(model, np.array([[4, 5, 0, 0, 0, 0]]), 0,
-                               np.zeros(model.config.latent_dim))
-        assert ids == [5] * model.config.max_len
+        record = ev.generate_n(model, vocab, CONTEXT, 4, Rng(1))
+        assert record.responses == [vocab.tokens_of([5] * model.config.max_len)] * 4
 
-    def test_never_ending_decoder_hits_length_cap(self):
-        model = self._rigged(5)
-        ids = ev.greedy_decode(model, np.array([[4, 5, 0, 0, 0, 0]]), 0,
-                               np.zeros(model.config.latent_dim))
-        assert ids == [5] * model.config.max_len
+    def test_never_ending_decoder_hits_length_cap(self, setup, monkeypatch):
+        model, vocab = setup
+        self._rig(model, 5)
+        steps = _count_steps(model, monkeypatch)
+        record = ev.generate_n(model, vocab, CONTEXT, 3, Rng(1))
+        assert [len(r) for r in record.responses] == [model.config.max_len] * 3
+        assert steps == [3] * model.config.max_len
 
-    def test_deterministic(self):
-        model = _model()
-        ctx = np.array([[4, 5, 6, 0, 0, 0]])
-        z = np.full(model.config.latent_dim, 0.3)
-        assert ev.greedy_decode(model, ctx, 1, z) == ev.greedy_decode(model, ctx, 1, z)
-
-    def test_branch_bounds_checked(self):
-        model = _model()
-        with pytest.raises(DomainError):
-            ev.greedy_decode(model, np.zeros((1, 6), dtype=np.int64), 7, np.zeros(3))
+    def test_deterministic(self, setup):
+        """A response depends only on its own branch and latent: the first
+        of eight equals the only one of one drawn from the same seed."""
+        model, vocab = setup
+        alone = ev.generate_n(model, vocab, CONTEXT, 1, Rng(5))
+        batch = ev.generate_n(model, vocab, CONTEXT, 8, Rng(5))
+        assert np.array_equal(alone.z_samples[0], batch.z_samples[0])
+        assert alone.responses[0] == batch.responses[0]
 
 
 class TestGenerateN:
-    @pytest.fixture
-    def setup(self):
-        pairs = [DialoguePair(("how", "are", "you"), ("fine", "thanks")),
-                 DialoguePair(("see", "you"), ("bye",))]
-        vocab = build_vocab(pairs, max_size=12, emb_dim=5)
-        model = _model(vocab_size=vocab.size)
-        return model, vocab
-
     def test_branches_cycle(self, setup):
         model, vocab = setup
-        record = ev.generate_n(model, vocab, ("how", "are", "you"), 8, Rng(1))
+        record = ev.generate_n(model, vocab, CONTEXT, 8, Rng(1))
         assert record.branch_indices == [0, 1] * 4
         assert len(record.responses) == 8
 
@@ -205,17 +240,23 @@ class TestGenerateN:
         inner = model.prominent_semantics
         monkeypatch.setattr(model, "prominent_semantics",
                             lambda *a, **k: calls.append(1) or inner(*a, **k))
-        ev.generate_n(model, vocab, ("how", "are", "you"), 8, Rng(1))
+        ev.generate_n(model, vocab, CONTEXT, 8, Rng(1))
         assert len(calls) == 1
 
-    def test_matches_greedy_decode_per_response(self, setup):
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_one_row_reference(self, setup, seed):
+        """The n-row batch gives each response the tokens that decoding it
+        alone gives, while its rows end at different steps."""
         model, vocab = setup
-        context = ("how", "are", "you")
-        record = ev.generate_n(model, vocab, context, 4, Rng(3))
-        ctx_ids = encode_context(context, vocab, model.config.max_len)[None]
+        model.params["init.w"].values[:] *= 3.0  # spread the latents' effect
+        model.params["out.b"].values[EOS_ID] = 0.75
+        record = ev.generate_n(model, vocab, CONTEXT, 8, Rng(seed))
+        lengths = [len(r) for r in record.responses]
+        assert min(lengths) == 0 and max(lengths) == model.config.max_len, lengths
+        ctx_ids = encode_context(CONTEXT, vocab, model.config.max_len)[None]
         for branch, z, tokens in zip(record.branch_indices, record.z_samples,
                                      record.responses):
-            assert vocab.tokens_of(ev.greedy_decode(model, ctx_ids, branch, z)) == tokens
+            assert vocab.tokens_of(_one_row_reference(model, ctx_ids, branch, z)) == tokens
 
 
 class TestAggregation:

@@ -14,6 +14,7 @@ from segcvae.config import parse_config
 from segcvae.corpus import (BOS_ID, EOS_ID, DialoguePair, build_vocab, encode_pair,
                             read_pairs)
 from segcvae.errors import SegcvaeError
+from segcvae.evaluation import read_generation
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -40,6 +41,17 @@ def test_read_pairs(tmp_path, data):
     pairs = _returns_or_segcvae_error(lambda: read_pairs(path))
     for pair in pairs or ():
         assert pair.context and pair.response
+
+
+@FUZZ
+@given(data=SOUP)
+def test_read_generation(tmp_path, data):
+    path = tmp_path / "generated.tsv"
+    path.write_bytes(data)
+    records = _returns_or_segcvae_error(lambda: read_generation(path))
+    for record in records or ():
+        assert all(isinstance(t, str) for t in record.context)
+        assert all(isinstance(t, str) for r in record.responses for t in r)
 
 
 CONFIG_KEYS = ["learning_rate", "batch_size", "max_clen", "N_emb", "m", "M", "tau",
