@@ -10,7 +10,8 @@ A tensor's first gradient contribution is kept as given, and may alias
 another node's buffer; the second allocates a buffer the tensor owns, and
 every later one adds into it in place.  Row gathers scatter straight into
 that owned buffer.  ``backward()`` frees the graph as it goes, so a
-finished step's intermediates are released as soon as its output is.
+finished step's intermediates are released as soon as its output is.  The
+GRU recurrence is one node that goes back through time in its backward.
 """
 
 from __future__ import annotations
@@ -309,33 +310,6 @@ def sqrt(a) -> Tensor:
     def make(out):
         def bw():
             a._accum(out.grad * 0.5 / out.values)
-        return bw
-
-    return _node(values, (a,), make)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    values = np.tanh(a.values)
-
-    def make(out):
-        def bw():
-            a._accum(out.grad * (1.0 - out.values * out.values))
-        return bw
-
-    return _node(values, (a,), make)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    # exp form is stable on both tails
-    values = np.where(a.values >= 0,
-                      1.0 / (1.0 + np.exp(-np.abs(a.values))),
-                      np.exp(-np.abs(a.values)) / (1.0 + np.exp(-np.abs(a.values))))
-
-    def make(out):
-        def bw():
-            a._accum(out.grad * out.values * (1.0 - out.values))
         return bw
 
     return _node(values, (a,), make)
@@ -641,30 +615,53 @@ def gru_params(in_dim: int, hidden_dim: int, rng: "Rng") -> GruParams:
 
 
 def gru_scan(params: GruParams, seq: Tensor, h: Tensor,
-             mask: np.ndarray = None) -> list[Tensor]:
-    """The (B, hidden) state after each step of the (B, T, in_dim) ``seq``,
-    starting from ``h``.  The input projection for all T steps is one GEMM
-    before the recurrence, so only ``h @ wh`` stays sequential.  ``mask`` is
-    (B, T) with zeros on positions whose step must not update the state
-    (padding); omitted means every step counts.  This is the only cell
-    implementation: encoding, teacher forcing and generation all scan.
-    """
-    hd = params.hidden_dim
+             mask: np.ndarray = None) -> Tensor:
+    """The (B, T, hidden) states after each step of the (B, T, in_dim) ``seq``
+    from the (B, hidden) ``h``: one node after the input projection GEMM, with
+    a back-through-time backward.  ``mask`` is (B, T) with zeros on the steps
+    that copy the state exactly (padding); omitted, every step counts."""
+    hd, wh, bh = params.hidden_dim, params.wh, params.bh
     gx = add(matmul(seq, params.wx), params.bx)
-    states = []
-    for t in range(seq.shape[1]):
-        gh = add(matmul(h, params.wh), params.bh)
-        r = sigmoid(add(gx[:, t, :hd], gh[:, :hd]))
-        u = sigmoid(add(gx[:, t, hd:2 * hd], gh[:, hd:2 * hd]))
-        n = tanh(add(gx[:, t, 2 * hd:], mul(r, gh[:, 2 * hd:])))
-        h_next = add(mul(sub(1.0, u), n), mul(u, h))
-        if mask is not None:
-            keep = mask[:, t:t + 1].astype(h.values.dtype)
-            h = add(mul(h_next, Tensor(keep)), mul(h, Tensor(1.0 - keep)))
-        else:
-            h = h_next
-        states.append(h)
-    return states
+    batch, steps = gx.shape[:2]
+    keep = None if mask is None else mask.astype(h.values.dtype)
+    hs = np.empty((batch, steps + 1, hd))  # h, then the state after each step
+    slots = steps if _grad_enabled() else 1  # only a backward reads earlier steps' gates
+    ru, n, ghs = (np.empty((batch, slots, k * hd)) for k in (2, 1, 3))
+    r, u = ru[..., :hd], ru[..., hd:]  # reset and update gates
+    hs[:, 0] = state = h.values
+    for t in range(steps):
+        gh = ghs[:, t % slots] = state @ wh.values + bh.values
+        a = gx.values[:, t, :2 * hd] + gh[:, :2 * hd]
+        e = np.exp(-np.abs(a))  # the sigmoid's exp form is stable on both tails
+        ru_t = ru[:, t % slots] = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        n_t = n[:, t % slots] = np.tanh(gx.values[:, t, 2 * hd:] + ru_t[:, :hd] * gh[:, 2 * hd:])
+        nxt = (1.0 - ru_t[:, hd:]) * n_t + ru_t[:, hd:] * state
+        if keep is not None:
+            nxt = nxt * keep[:, t:t + 1] + state * (1.0 - keep[:, t:t + 1])
+        hs[:, t + 1] = state = nxt
+
+    def make(out):
+        def bw():
+            f_n = (1.0 - u) * (1.0 - n * n)  # factors of the incoming gradient
+            f_r, f_u = ghs[..., 2 * hd:] * r * (1.0 - r), (hs[:, :-1] - n) * u * (1.0 - u)
+            d_gx, d_gh = np.empty_like(gx.values), np.empty_like(gx.values)
+            carry = np.zeros((batch, hd))  # gradient of the state entering step t
+            for t in reversed(range(steps)):
+                dh, carry = out.grad[:, t] + carry, 0.0
+                if keep is not None:
+                    dh, carry = dh * keep[:, t:t + 1], dh * (1.0 - keep[:, t:t + 1])
+                d_an = d_gx[:, t, 2 * hd:] = dh * f_n[:, t]
+                d_gh_t = d_gh[:, t] = np.concatenate(
+                    (d_an * f_r[:, t], dh * f_u[:, t], d_an * r[:, t]), axis=1)
+                carry = carry + dh * u[:, t] + d_gh_t @ wh.values.T
+            d_gx[..., :2 * hd] = d_gh[..., :2 * hd]
+            d_wh = hs[:, :-1].reshape(-1, hd).T @ d_gh.reshape(-1, 3 * hd)
+            for p, g in ((gx, d_gx), (h, carry), (wh, d_wh), (bh, d_gh.sum(axis=(0, 1)))):
+                if p.requires_grad or p._backward:
+                    p._accum(g)
+        return bw
+
+    return _node(hs[:, 1:], (gx, h, wh, bh), make)
 
 
 def gru_encode(params: GruParams, seq: Tensor, mask: np.ndarray = None) -> Tensor:
@@ -672,8 +669,7 @@ def gru_encode(params: GruParams, seq: Tensor, mask: np.ndarray = None) -> Tenso
     state; return the final (B, hidden) state."""
     if seq.shape[1] == 0:
         raise DomainError("cannot encode an empty sequence")
-    h = Tensor(np.zeros((seq.shape[0], params.hidden_dim)))
-    return gru_scan(params, seq, h, mask)[-1]
+    return gru_scan(params, seq, Tensor(np.zeros((seq.shape[0], params.hidden_dim))), mask)[:, -1]
 
 
 def gru_decode_step(params: GruParams, out_w: Tensor, out_b: Tensor,
@@ -682,7 +678,7 @@ def gru_decode_step(params: GruParams, out_w: Tensor, out_b: Tensor,
     the projection to vocabulary logits."""
     if state.ndim != 2 or state.shape[1] != params.hidden_dim:
         raise ShapeError(f"state must be (batch, {params.hidden_dim}), got {state.shape}")
-    next_state = gru_scan(params, reshape(x, (x.shape[0], 1, x.shape[1])), state)[-1]
+    next_state = gru_scan(params, reshape(x, (x.shape[0], 1, x.shape[1])), state)[:, -1]
     logits = add(matmul(next_state, out_w), out_b)
     return logits, next_state
 

@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
-    p.add_argument("--rounds", type=int, default=3)
+    p.add_argument("--rounds", type=_positive_int, default=3)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

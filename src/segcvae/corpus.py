@@ -122,7 +122,12 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path, embedding: np.ndarray) -> "Vocabulary":
-        tokens = [line.rstrip("\n") for _, line in text_lines(path) if line.rstrip("\n")]
+        first: dict[str, int] = {}  # token -> the line it first appears on
+        for lineno, line in text_lines(path):
+            token = line.rstrip("\n")
+            if token and first.setdefault(token, lineno) != lineno:
+                raise DomainError(f"{path}:{lineno}: token '{token}' repeats line {first[token]}")
+        tokens = list(first)
         if tokens[:4] != list(SPECIALS):
             raise DomainError(f"{path}: vocabulary file must start with {SPECIALS}")
         if embedding.shape[0] != len(tokens):

@@ -262,8 +262,7 @@ class SegCVAE:
         expected = []
         for t0 in range(0, t_eff, span):
             t1 = min(t0 + span, t_eff)
-            hidden = ad.stack_rows(states[t0:t1])  # (B, steps, hidden)
-            logp = ad.log_softmax(ad.add(ad.matmul(hidden, self.out_w), self.out_b))
+            logp = ad.log_softmax(ad.add(ad.matmul(states[:, t0:t1], self.out_w), self.out_b))
             picked = ad.gather_last(logp, targets[:, t0:t1])
             weights = Tensor(live[:, t0:t1].astype(np.float64))
             recon = ad.add(recon, ad.tsum(ad.mul(picked, weights), axis=1))

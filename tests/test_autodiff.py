@@ -103,7 +103,7 @@ class TestGraphRelease:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            h = ad.tanh(ad.matmul(x, _t(np.ones((4, 2)))))
+            h = ad.exp(ad.matmul(x, _t(np.ones((4, 2)))))
             ref = weakref.ref(h)
             loss = ad.tsum(ad.mul(h, h))
             del h
@@ -118,7 +118,7 @@ class TestGraphRelease:
 
     def test_second_backward_through_a_freed_graph_is_rejected(self):
         x = _t(np.ones(3))
-        h = ad.tanh(x)
+        h = ad.exp(x)
         ad.tsum(h).backward()
         with pytest.raises(DomainError, match="already ran"):
             ad.tsum(ad.mul(h, 2.0)).backward()
@@ -219,12 +219,73 @@ class TestGru:
         params = ad.gru_params(3, 5, ad.Rng(2))
         seq = _t(rng.normal(size=(1, 2, 3)))
         states = ad.gru_scan(params, seq, _t(np.zeros((1, 5))), mask=np.array([[1, 0]]))
-        np.testing.assert_array_equal(states[1].values, states[0].values)
+        assert states.shape == (1, 2, 5)
+        np.testing.assert_array_equal(states.values[:, 1], states.values[:, 0])
         # the padded encoding is the prefix's, up to the rounding of a
         # different GEMM shape for the hoisted input projection
         h_one = ad.gru_encode(params, seq[:, :1], mask=np.array([[1]]))
         h_two = ad.gru_encode(params, seq, mask=np.array([[1, 0]]))
         np.testing.assert_allclose(h_two.values, h_one.values, rtol=1e-14, atol=0)
+
+    @staticmethod
+    def _graph_size(out):
+        seen, stack = set(), [out]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        return len(seen)
+
+    def test_scan_is_one_node_whatever_the_length(self):
+        params = ad.gru_params(3, 5, ad.Rng(4))
+        rng = np.random.default_rng(4)
+        sizes = []
+        for steps in (2, 8):
+            states = ad.gru_scan(params, _t(rng.normal(size=(2, steps, 3))),
+                                 _t(rng.normal(size=(2, 5))), mask=np.ones((2, steps)))
+            assert states.shape == (2, steps, 5)
+            sizes.append(self._graph_size(states))
+        # seq, wx, bx, the projection's matmul and add, h, wh, bh and the scan
+        assert sizes == [9, 9]
+
+    def test_scan_keeps_no_graph_under_no_grad(self):
+        params = ad.gru_params(3, 5, ad.Rng(5))
+        seq = np.random.default_rng(5).normal(size=(2, 4, 3))
+        with ad.no_grad():
+            states = ad.gru_scan(params, _t(seq), _t(np.ones((2, 5))))
+        assert states._parents == () and states._backward is None
+        assert not states.requires_grad
+        recorded = ad.gru_scan(params, _t(seq), _t(np.ones((2, 5))))
+        np.testing.assert_array_equal(states.values, recorded.values)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_scan_equals_the_per_step_formulas(self, masked):
+        """The fused forward does the per-step arithmetic of a plain numpy
+        cell in the same order, so the states agree bit for bit."""
+        rng = np.random.default_rng(6)
+        params = ad.gru_params(3, 5, ad.Rng(6))
+        seq, h = rng.normal(size=(3, 6, 3)), rng.normal(size=(3, 5))
+        mask = (rng.uniform(size=(3, 6)) > 0.4) if masked else None
+        states = ad.gru_scan(params, _t(seq), _t(h), mask=mask).values
+
+        def sigmoid(a):
+            return np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
+                            np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a))))
+
+        wx, wh, bx, bh = (p.values for p in (params.wx, params.wh, params.bx, params.bh))
+        gx = (seq.reshape(-1, 3) @ wx).reshape(3, 6, 15) + bx
+        for t in range(6):
+            gh = h @ wh + bh
+            r = sigmoid(gx[:, t, :5] + gh[:, :5])
+            u = sigmoid(gx[:, t, 5:10] + gh[:, 5:10])
+            n = np.tanh(gx[:, t, 10:] + r * gh[:, 10:])
+            nxt = (1.0 - u) * n + u * h
+            if mask is not None:
+                keep = mask[:, t:t + 1].astype(np.float64)
+                nxt = nxt * keep + h * (1.0 - keep)
+            h = nxt
+            np.testing.assert_array_equal(states[:, t], h)
 
     def test_empty_sequence_rejected(self):
         params = ad.gru_params(3, 5, ad.Rng(2))
@@ -353,6 +414,31 @@ class TestGradCheck:
         assert ad.grad_check(f, [logits]) < 1e-5
 
 
+def _gru_case(r):
+    params = ad.gru_params(3, 4, ad.Rng(int(r.integers(0, 2 ** 31))))
+    seq = _t(r.normal(size=(2, 3, 3)))
+    tensors = [params.wx, params.wh, params.bx, params.bh, seq]
+
+    def f(wx, wh, bx, bh, seq):
+        p = ad.GruParams(wx=wx, wh=wh, bx=bx, bh=bh)
+        return ad.tsum(ad.power(ad.gru_encode(p, seq, mask=np.array([[1, 1, 0], [1, 1, 1]])), 2.0))
+
+    return f, tensors
+
+
+def _gru_scan_case(r):
+    """All T states from a non-zero h0 that needs a gradient, with padding."""
+    params = ad.gru_params(3, 4, ad.Rng(int(r.integers(0, 2 ** 31))))
+    seq, h0 = _t(r.normal(size=(2, 4, 3))), _t(r.normal(size=(2, 4)))
+    mask = np.array([[1, 0, 1, 0], [1, 1, 1, 1]])
+
+    def f(wx, wh, bx, bh, seq, h0):
+        p = ad.GruParams(wx=wx, wh=wh, bx=bx, bh=bh)
+        return ad.tsum(ad.power(ad.gru_scan(p, seq, h0, mask=mask), 2.0))
+
+    return f, [params.wx, params.wh, params.bx, params.bh, seq, h0]
+
+
 PRIMITIVE_CASES = {
     "add": lambda r: (lambda a, b: ad.tsum(ad.add(a, b)),
                       [_t(r.normal(size=(3, 4))), _t(r.normal(size=(3, 4)))]),
@@ -371,8 +457,6 @@ PRIMITIVE_CASES = {
     "exp": lambda r: (lambda a: ad.tsum(ad.exp(a)), [_t(r.normal(size=(3, 3)))]),
     "log": lambda r: (lambda a: ad.tsum(ad.log(a)), [_t(r.uniform(0.5, 2.0, size=(3, 3)))]),
     "sqrt": lambda r: (lambda a: ad.tsum(ad.sqrt(a)), [_t(r.uniform(0.5, 2.0, size=(4,)))]),
-    "tanh": lambda r: (lambda a: ad.tsum(ad.tanh(a)), [_t(r.normal(size=(2, 6)))]),
-    "sigmoid": lambda r: (lambda a: ad.tsum(ad.sigmoid(a)), [_t(r.normal(size=(2, 6)))]),
     "abs": lambda r: (lambda a: ad.tsum(ad.absolute(a)), [_t(r.normal(size=(3, 4)) + 2.0)]),
     "power": lambda r: (lambda a: ad.tsum(ad.power(a, 3.0)), [_t(r.uniform(0.5, 1.5, size=(3,)))]),
     "mean": lambda r: (lambda a: ad.tmean(a), [_t(r.normal(size=(4, 5)))]),
@@ -399,7 +483,8 @@ PRIMITIVE_CASES = {
                            [_t(r.normal(size=(1, 6, 3))), _t(r.normal(size=(2, 3, 1, 2)))]),
     "conv_seq_batched": lambda r: (lambda c, k: ad.tsum(ad.power(ad.conv_seq(c, k), 2.0)),
                                    [_t(r.normal(size=(2, 5, 3))), _t(r.normal(size=(2, 3, 1, 2)))]),
-    "gru": lambda r: (None, None),  # built below, needs params
+    "gru": _gru_case,
+    "gru_scan": _gru_scan_case,
     "gaussian_kl": lambda r: (lambda *a: ad.tsum(ad.gaussian_kl(*a)),
                               [_t(r.normal(size=(2, 3))) for _ in range(4)]),
     "cosine": lambda r: (lambda u, v: ad.tsum(ad.cosine(u, v)),
@@ -407,27 +492,12 @@ PRIMITIVE_CASES = {
 }
 
 
-def _gru_case(r):
-    params = ad.gru_params(3, 4, ad.Rng(int(r.integers(0, 2 ** 31))))
-    seq = _t(r.normal(size=(2, 3, 3)))
-    tensors = [params.wx, params.wh, params.bx, params.bh, seq]
-
-    def f(wx, wh, bx, bh, seq):
-        p = ad.GruParams(wx=wx, wh=wh, bx=bx, bh=bh)
-        return ad.tsum(ad.power(ad.gru_encode(p, seq, mask=np.array([[1, 1, 0], [1, 1, 1]])), 2.0))
-
-    return f, tensors
-
-
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
 def test_primitive_gradients(name):
     """Every primitive passes the central-difference check on random shapes."""
     for seed in range(4):
         r = np.random.default_rng(hash(name) % 10_000 + seed)
-        if name == "gru":
-            f, tensors = _gru_case(r)
-        else:
-            f, tensors = PRIMITIVE_CASES[name](r)
+        f, tensors = PRIMITIVE_CASES[name](r)
         assert ad.grad_check(f, tensors) < 1e-4, f"{name} seed {seed}"
 
 

@@ -298,6 +298,15 @@ class TestTrainGenerateEvaluate:
         assert self._generate(run_dir, data_dir, tmp_path) == 1
         assert "vocab.txt" in capsys.readouterr().err
 
+    def test_repeated_vocabulary_token_exits_one(self, run_dir, data_dir, tmp_path, capsys):
+        path = run_dir / "vocab.txt"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[6] = lines[5]  # line 7 repeats the token on line 6
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert self._generate(run_dir, data_dir, tmp_path) == 1
+        assert f"vocab.txt:7: token '{lines[5].strip()}' repeats line 6" in capsys.readouterr().err
+
     def test_ablate_sets_flag(self, config_file, data_dir, tmp_path):
         out = tmp_path / "ablate_run"
         code = cli.dispatch(["ablate", "--config", str(config_file),
@@ -316,3 +325,9 @@ class TestGradcheckCommand:
         assert cli.dispatch(["gradcheck", "--rounds", "1"]) == 0
         out = capsys.readouterr().out
         assert "loss_total" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("rounds", ["0", "-2"])
+    def test_non_positive_rounds_is_usage_error(self, rounds, capsys):
+        assert cli.dispatch(["gradcheck", "--rounds", rounds]) == 2
+        err = capsys.readouterr().err
+        assert "must be a positive integer" in err
