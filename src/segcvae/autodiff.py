@@ -624,20 +624,30 @@ def gru_scan(params: GruParams, seq: Tensor, h: Tensor,
     gx = add(matmul(seq, params.wx), params.bx)
     batch, steps = gx.shape[:2]
     keep = None if mask is None else mask.astype(h.values.dtype)
+    drop = None if mask is None else 1.0 - keep
     hs = np.empty((batch, steps + 1, hd))  # h, then the state after each step
     slots = steps if _grad_enabled() else 1  # only a backward reads earlier steps' gates
     ru, n, ghs = (np.empty((batch, slots, k * hd)) for k in (2, 1, 3))
     r, u = ru[..., :hd], ru[..., hd:]  # reset and update gates
+    # per-step scratch, so that the loop allocates nothing
+    a, e, gh_wh, tmp = (np.empty((batch, k * hd)) for k in (2, 2, 3, 1))
+    nonneg, nxts = np.empty((batch, 2 * hd), dtype=bool), np.empty((2, batch, hd))
+    gxv, whv, bhv = gx.values, wh.values, bh.values
     hs[:, 0] = state = h.values
     for t in range(steps):
-        gh = ghs[:, t % slots] = state @ wh.values + bh.values
-        a = gx.values[:, t, :2 * hd] + gh[:, :2 * hd]
-        e = np.exp(-np.abs(a))  # the sigmoid's exp form is stable on both tails
-        ru_t = ru[:, t % slots] = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        n_t = n[:, t % slots] = np.tanh(gx.values[:, t, 2 * hd:] + ru_t[:, :hd] * gh[:, 2 * hd:])
-        nxt = (1.0 - ru_t[:, hd:]) * n_t + ru_t[:, hd:] * state
+        gh = np.add(np.matmul(state, whv, out=gh_wh), bhv, out=ghs[:, t % slots])
+        np.add(gxv[:, t, :2 * hd], gh[:, :2 * hd], out=a)
+        np.exp(np.negative(np.abs(a, out=e), out=e), out=e)  # stable on both tails
+        # the sigmoid is 1/(1+e) where a >= 0 and e/(1+e) elsewhere (NaN stays NaN)
+        np.maximum(e, np.greater_equal(a, 0.0, out=nonneg), out=a)
+        ru_t = np.divide(a, np.add(e, 1.0, out=e), out=ru[:, t % slots])
+        np.multiply(ru_t[:, :hd], gh[:, 2 * hd:], out=tmp)
+        n_t = np.tanh(np.add(gxv[:, t, 2 * hd:], tmp, out=tmp), out=n[:, t % slots])
+        nxt = np.multiply(np.subtract(1.0, ru_t[:, hd:], out=nxts[t % 2]), n_t, out=nxts[t % 2])
+        np.add(nxt, np.multiply(ru_t[:, hd:], state, out=tmp), out=nxt)
         if keep is not None:
-            nxt = nxt * keep[:, t:t + 1] + state * (1.0 - keep[:, t:t + 1])
+            np.multiply(nxt, keep[:, t:t + 1], out=nxt)
+            np.add(nxt, np.multiply(state, drop[:, t:t + 1], out=tmp), out=nxt)
         hs[:, t + 1] = state = nxt
 
     def make(out):
@@ -646,14 +656,22 @@ def gru_scan(params: GruParams, seq: Tensor, h: Tensor,
             f_r, f_u = ghs[..., 2 * hd:] * r * (1.0 - r), (hs[:, :-1] - n) * u * (1.0 - u)
             d_gx, d_gh = np.empty_like(gx.values), np.empty_like(gx.values)
             carry = np.zeros((batch, hd))  # gradient of the state entering step t
+            dh, d_g, du, dw = (np.empty((batch, k)) for k in (hd, 3 * hd, hd, hd))
+            wh_t = wh.values.T
             for t in reversed(range(steps)):
-                dh, carry = out.grad[:, t] + carry, 0.0
-                if keep is not None:
-                    dh, carry = dh * keep[:, t:t + 1], dh * (1.0 - keep[:, t:t + 1])
-                d_an = d_gx[:, t, 2 * hd:] = dh * f_n[:, t]
-                d_gh_t = d_gh[:, t] = np.concatenate(
-                    (d_an * f_r[:, t], dh * f_u[:, t], d_an * r[:, t]), axis=1)
-                carry = carry + dh * u[:, t] + d_gh_t @ wh.values.T
+                np.add(out.grad[:, t], carry, out=dh)
+                if keep is None:
+                    carry.fill(0.0)
+                else:  # a padded step passes its gradient to the state it copied
+                    np.multiply(dh, drop[:, t:t + 1], out=carry)
+                    np.multiply(dh, keep[:, t:t + 1], out=dh)
+                d_an = np.multiply(dh, f_n[:, t], out=d_gx[:, t, 2 * hd:])
+                np.multiply(d_an, f_r[:, t], out=d_g[:, :hd])
+                np.multiply(dh, f_u[:, t], out=d_g[:, hd:2 * hd])
+                np.multiply(d_an, r[:, t], out=d_g[:, 2 * hd:])
+                d_gh[:, t] = d_g
+                np.add(carry, np.multiply(dh, u[:, t], out=du), out=carry)
+                np.add(carry, np.matmul(d_g, wh_t, out=dw), out=carry)
             d_gx[..., :2 * hd] = d_gh[..., :2 * hd]
             d_wh = hs[:, :-1].reshape(-1, hd).T @ d_gh.reshape(-1, 3 * hd)
             for p, g in ((gx, d_gx), (h, carry), (wh, d_wh), (bh, d_gh.sum(axis=(0, 1)))):

@@ -192,13 +192,23 @@ class SegCVAE:
     def external_guidance(self, c_emb: Tensor, rng: Rng = None,
                           noise: bool = False) -> list[Tensor]:
         """Per trigger, mix vocabulary embedding rows by the selection
-        weights; the four special-token columns are excluded."""
-        if self.config.vocab_size <= len(SPECIALS):
+        weights; the four special-token columns are excluded.  The stacked
+        selections of as many triggers as fit in TF_BLOCK_BYTES (at least
+        one) are multiplied with the embedding matrix as one GEMM."""
+        cfg = self.config
+        if cfg.vocab_size <= len(SPECIALS):
             raise DomainError("vocabulary holds only special tokens; nothing to select")
-        mask_row = np.zeros((1, 1, self.config.vocab_size))
+        mask_row = np.zeros((1, 1, cfg.vocab_size))
         mask_row[..., :len(SPECIALS)] = -np.inf
-        return [ad.matmul(self._selection(t, c_emb, mask_row, rng, noise), self.emb)
-                for t in self.eg_triggers]
+        batch = c_emb.shape[0]
+        per_group = max(1, TF_BLOCK_BYTES // (8 * batch * cfg.conv_channels * cfg.vocab_size))
+        mixed = []
+        for g0 in range(0, len(self.eg_triggers), per_group):
+            group = [self._selection(t, c_emb, mask_row, rng, noise)
+                     for t in self.eg_triggers[g0:g0 + per_group]]
+            stacked = ad.matmul(ad.concat(group), self.emb)
+            mixed += [stacked[i * batch:(i + 1) * batch] for i in range(len(group))]
+        return mixed
 
     def prominent_semantics(self, ctx_ids: np.ndarray, rng: Rng = None,
                             noise: bool = False) -> list[Tensor]:
@@ -249,6 +259,8 @@ class SegCVAE:
         vocabulary-sized work (out-projection, log-softmax, target gather,
         expected embedding) runs afterwards, one GEMM per block of time
         steps; a block's (rows, vocab) arrays stay within TF_BLOCK_BYTES.
+        With no graph recorded and no distillation input wanted (scoring
+        and perplexity), only the target entries are computed.
         """
         inputs, targets = resp_ids[:, :-1], resp_ids[:, 1:]
         live = targets != PAD_ID
@@ -262,8 +274,11 @@ class SegCVAE:
         expected = []
         for t0 in range(0, t_eff, span):
             t1 = min(t0 + span, t_eff)
-            logp = ad.log_softmax(ad.add(ad.matmul(states[:, t0:t1], self.out_w), self.out_b))
-            picked = ad.gather_last(logp, targets[:, t0:t1])
+            if want_generated or states.requires_grad:
+                logp = ad.log_softmax(ad.add(ad.matmul(states[:, t0:t1], self.out_w), self.out_b))
+                picked = ad.gather_last(logp, targets[:, t0:t1])
+            else:  # scoring only: nothing reads the distribution
+                picked = Tensor(self._target_log_probs(states.values[:, t0:t1], targets[:, t0:t1]))
             weights = Tensor(live[:, t0:t1].astype(np.float64))
             recon = ad.add(recon, ad.tsum(ad.mul(picked, weights), axis=1))
             if want_generated:
@@ -273,6 +288,17 @@ class SegCVAE:
             generated = ad.gru_encode(self.enc, ad.concat(expected, axis=1),
                                       mask=live[:, :t_eff])
         return recon, generated
+
+    def _target_log_probs(self, states: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """The log-softmax of ``states @ out.w + out.b`` at ``targets`` only,
+        by an in-place log-sum-exp over one (rows, vocab) buffer: the graph
+        path's operations on the same blocks, so the same bits."""
+        z = states.reshape(-1, states.shape[-1]) @ self.out_w.values
+        z += self.out_b.values
+        z = z.reshape(targets.shape + (-1,))
+        z -= z.max(axis=-1, keepdims=True)
+        picked = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
+        return picked - np.log(np.exp(z, out=z).sum(axis=-1))
 
     def elbo(self, resp_ids: np.ndarray, x: Tensor, r_e: Tensor,
              kl_weight: float, rng: Rng, want_generated: bool = False) -> dict:
@@ -348,6 +374,8 @@ class SegCVAE:
 
     # -- persistence -----------------------------------------------------
     def state_arrays(self) -> dict[str, np.ndarray]:
+        """The live parameter arrays by name: Adam updates them in place, so
+        a snapshot must copy them."""
         return {name: p.values for name, p in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]):

@@ -28,6 +28,7 @@ from .model import SegCVAE, select_positive, total_loss
 
 CHECKPOINT_NAME = "checkpoint.bin"
 LOG_NAME = "train_log.txt"
+ADAM_BLOCK = 1 << 15  # elements per Adam block: the block's arrays and scratch stay in L2
 
 
 def lambda_schedule(step: int, cfg: TrainingConfig) -> float:
@@ -63,7 +64,15 @@ class Adam:
         self.m = {k: np.zeros_like(p.values) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.values) for k, p in params.items()}
 
-    def step(self, clip: float = None):
+    def step(self, clip: float = None) -> float:
+        """One update; returns the global gradient norm before clipping.
+
+        Parameter values and moments are updated in place, walked in blocks
+        of about ADAM_BLOCK elements through two scratch blocks, with the
+        same elementwise operations in the same order as the plain formula
+        ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        p = p - lr*(m/c1) / (sqrt(v/c2) + eps)``, so the bits are the same.
+        """
         names = [k for k in sorted(self.params) if self.params[k].grad is not None]
         try:
             norm = math.sqrt(math.fsum(float((self.params[k].grad ** 2).sum()) for k in names))
@@ -73,15 +82,27 @@ class Adam:
             raise NonFiniteGradient(f"gradient norm is {norm}")
         scale = clip / norm if clip is not None and norm > clip else 1.0
         self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
+        b1, b2 = self.beta1, self.beta2
+        correct1 = 1.0 - b1 ** self.t
+        correct2 = 1.0 - b2 ** self.t
+        scratch = np.empty((2, ADAM_BLOCK))
         for k in names:
-            g = self.params[k].grad * scale
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[k] / correct1
-            v_hat = self.v[k] / correct2
-            self.params[k].values = self.params[k].values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p = self.params[k]
+            arrays = [np.atleast_1d(x) for x in (p.grad, self.m[k], self.v[k], p.values)]
+            rows = max(1, ADAM_BLOCK * len(arrays[0]) // max(1, arrays[0].size))
+            for i in range(0, len(arrays[0]), rows):  # a block of whole leading-axis rows
+                g, m, v, w = (a[i:i + rows] for a in arrays)
+                a, b = (s[:g.size].reshape(g.shape) for s in scratch)
+                np.multiply(g, scale, out=a)
+                np.multiply(m, b1, out=m)
+                np.add(m, np.multiply(a, 1.0 - b1, out=b), out=m)
+                np.multiply(v, b2, out=v)
+                np.multiply(np.multiply(a, 1.0 - b2, out=b), a, out=b)
+                np.add(v, b, out=v)
+                np.multiply(np.divide(m, correct1, out=a), self.lr, out=a)
+                np.add(np.sqrt(np.divide(v, correct2, out=b), out=b), self.eps, out=b)
+                np.subtract(w, np.divide(a, b, out=a), out=w)
+        return norm
 
 
 @dataclass
@@ -94,8 +115,11 @@ class TrainState:
     data_rng: Rng    # batch-order stream
     step: int = 0
     best_ppl: float = math.inf
-    # examples won per branch in the last step; a diagnostic, not saved
+    # diagnostics of the last step, not saved: examples won per branch, the
+    # global gradient norm before clipping and whether clipping fired
     branch_wins: np.ndarray | None = None
+    grad_norm: float | None = None
+    grad_clipped: bool | None = None
 
 
 def init_state(cfg: TrainingConfig, vocab: Vocabulary) -> TrainState:
@@ -111,7 +135,8 @@ def init_state(cfg: TrainingConfig, vocab: Vocabulary) -> TrainState:
 def train_step(batch: tuple[np.ndarray, np.ndarray], state: TrainState,
                cfg: TrainingConfig) -> dict:
     """One optimization step; returns the logged statistics, all finite
-    scalars, and leaves the step's wins per branch in ``state.branch_wins``."""
+    scalars, and leaves the step's wins per branch, its pre-clip gradient
+    norm and whether that norm was clipped on ``state``."""
     ctx_ids, resp_ids = batch
     lam = lambda_schedule(state.step, cfg)
     klw = kl_anneal(state.step, cfg)
@@ -124,7 +149,7 @@ def train_step(batch: tuple[np.ndarray, np.ndarray], state: TrainState,
     state.model.zero_grad()
     loss.backward()
     try:
-        state.optimizer.step(clip=cfg.grad_clip)
+        norm = state.optimizer.step(clip=cfg.grad_clip)
     except NonFiniteGradient:
         raise NonFiniteLoss(state.step, "non-finite gradient norm") from None
     stats = {
@@ -139,6 +164,9 @@ def train_step(batch: tuple[np.ndarray, np.ndarray], state: TrainState,
     }
     state.branch_wins = np.bincount(parts["semantics"].positive_index,
                                     minlength=state.model.config.num_triggers)
+    state.grad_norm = norm  # None from an Adam subclass whose step returns nothing
+    state.grad_clipped = (None if norm is None
+                          else cfg.grad_clip is not None and norm > cfg.grad_clip)
     state.step += 1
     return stats
 

@@ -307,6 +307,80 @@ class TestTriggerSelection:
             np.testing.assert_array_equal(x.values, direct.values)
 
 
+class TestTriggerGroups:
+    """external_guidance multiplies the stacked selections of a group of
+    triggers with ``emb`` at once; a group's selections fit in TF_BLOCK_BYTES
+    unless one trigger's selection alone exceeds it."""
+
+    @staticmethod
+    def _emb_products(net, monkeypatch) -> list[int]:
+        rows = []
+        matmul = ad.matmul
+
+        def counting(a, b):
+            if b is net.emb:
+                rows.append(a.shape[0])
+            return matmul(a, b)
+
+        monkeypatch.setattr(ad, "matmul", counting)
+        return rows
+
+    @staticmethod
+    def _selection_bytes(net, batch) -> int:
+        return 8 * batch * net.config.conv_channels * net.config.vocab_size
+
+    def test_one_product_for_one_context(self, monkeypatch):
+        net, _, ctx, _ = _tiny_setup(num_triggers=8)
+        rows = self._emb_products(net, monkeypatch)
+        with ad.no_grad():
+            net.prominent_semantics(ctx[:1])
+        assert rows == [8]
+
+    @pytest.mark.parametrize("budget_triggers", [None, 0, 0.5, 1, 2.5, 7, 8, 100])
+    def test_groups_keep_to_the_budget(self, budget_triggers, monkeypatch):
+        """None: the byte budget left as it is; otherwise the budget in
+        selections of one trigger (0 means a budget of one byte)."""
+        net, _, ctx, _ = _tiny_setup(num_triggers=8)
+        batch, one = ctx.shape[0], self._selection_bytes(net, ctx.shape[0])
+        budget = m.TF_BLOCK_BYTES if budget_triggers is None else max(1, int(budget_triggers * one))
+        monkeypatch.setattr(m, "TF_BLOCK_BYTES", budget)
+        rows = self._emb_products(net, monkeypatch)
+        with ad.no_grad():
+            net.prominent_semantics(ctx)
+        assert sum(rows) == 8 * batch
+        assert all(r == batch or r // batch * one <= budget for r in rows)
+        if budget < one:
+            assert rows == [batch] * 8
+        elif 8 * one > budget:
+            assert len(rows) > 1
+
+    @pytest.mark.parametrize("budget_triggers", [100, 3, 0])
+    def test_outputs_and_emb_gradient_match_per_trigger_products(self, budget_triggers,
+                                                                 monkeypatch):
+        net, _, ctx, _ = _tiny_setup(num_triggers=8)
+        monkeypatch.setattr(m, "TF_BLOCK_BYTES",
+                            max(1, budget_triggers * self._selection_bytes(net, ctx.shape[0])))
+        mask_row = np.zeros((1, 1, net.config.vocab_size))
+        mask_row[..., :4] = -np.inf
+        weights = np.random.default_rng(7).normal(size=(8, ctx.shape[0], 2, 5))
+        results = []
+        for grouped in (True, False):
+            net.zero_grad()
+            rng, c_emb = Rng(5), net.embed_matrix(ctx)
+            if grouped:
+                mixed = net.external_guidance(c_emb, rng, noise=True)
+            else:
+                mixed = [ad.matmul(net._selection(t, c_emb, mask_row, rng, noise=True), net.emb)
+                         for t in net.eg_triggers]
+            loss = ad.tsum(ad.concat([ad.mul(x, Tensor(w)) for x, w in zip(mixed, weights)]))
+            loss.backward()
+            results.append(([x.values for x in mixed], net.emb.grad))
+        (got, got_grad), (want, want_grad) = results
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+        assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+
 class TestElbo:
     def test_matched_heads_give_zero_kl(self):
         net, _, ctx, resp = _tiny_setup()
@@ -422,6 +496,22 @@ class TestTeacherForcedBlocks:
         np.testing.assert_allclose(recon.values, want_recon.values, rtol=1e-12, atol=0)
         np.testing.assert_allclose(generated.values, want_generated.values,
                                    rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("block_steps", [None, 1, 3])
+    def test_scoring_pass_equals_the_graph_chain(self, block_steps, monkeypatch):
+        """Without a graph and without the distillation input, only the
+        target entries are computed, in place; the bits are the graph's."""
+        net, resp, state = _ablation_shape_setup()
+        if block_steps is not None:
+            monkeypatch.setattr(m, "TF_BLOCK_BYTES",
+                                8 * resp.shape[0] * net.config.vocab_size * block_steps)
+        assert (resp[:, 1:] == PAD_ID).any(axis=1).sum() > 1  # padded rows
+        graph, _ = net._teacher_forced(resp, state, want_generated=False)
+        assert graph._backward is not None
+        with ad.no_grad():
+            scored, generated = net._teacher_forced(resp, state, want_generated=False)
+        assert generated is None and scored._backward is None
+        assert scored.values.tobytes() == graph.values.tobytes()
 
     def test_gradients_match_per_step_decoding(self, monkeypatch):
         monkeypatch.setattr(m, "TF_BLOCK_BYTES", 1)  # one time step per block

@@ -1,5 +1,8 @@
 """Unit tests for schedules, the optimizer, and the training loop."""
 
+import contextlib
+import math
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,70 @@ class TestAdam:
         assert np.all(opt.m["w"] == 0.0) and np.all(opt.v["w"] == 0.0)
 
 
+class _PlainAdam:
+    """Reference: the out-of-place update, one whole-array expression per
+    line (the optimizer must reproduce its bits)."""
+
+    def __init__(self, values: dict, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.values = {k: v.copy() for k, v in values.items()}
+        self.m = {k: np.zeros_like(v) for k, v in values.items()}
+        self.v = {k: np.zeros_like(v) for k, v in values.items()}
+        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
+
+    def step(self, grads: dict, clip=None) -> float:
+        names = sorted(grads)
+        norm = math.sqrt(math.fsum(float((grads[k] ** 2).sum()) for k in names))
+        scale = clip / norm if clip is not None and norm > clip else 1.0
+        self.t += 1
+        correct1 = 1.0 - self.beta1 ** self.t
+        correct2 = 1.0 - self.beta2 ** self.t
+        for k in names:
+            g = grads[k] * scale
+            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
+            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[k] / correct1
+            v_hat = self.v[k] / correct2
+            self.values[k] = self.values[k] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return norm
+
+
+class TestInPlaceAdam:
+    SHAPES = {"one": (1,), "below": (tr.ADAM_BLOCK - 1,), "above": (tr.ADAM_BLOCK + 1,),
+              "rows": (5, tr.ADAM_BLOCK // 2 + 3), "matrix": (200, 300), "idle": (7,)}
+
+    @pytest.mark.parametrize("clip", [None, 0.5])
+    def test_equals_the_out_of_place_formula_bit_for_bit(self, clip):
+        rng = np.random.default_rng(31)
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in self.SHAPES.items()}
+        opt = tr.Adam(params, lr=0.01)
+        plain = _PlainAdam({k: p.values for k, p in params.items()}, lr=0.01)
+        for _ in range(5):
+            grads = {k: rng.normal(size=p.shape) for k, p in params.items() if k != "idle"}
+            for k, p in params.items():
+                p.grad = grads.get(k)
+            norm = opt.step(clip=clip)
+            assert norm == plain.step(grads, clip=clip)
+            assert clip is None or norm > clip  # the clip is active on every step
+        for k, p in params.items():
+            for got, want in ((p.values, plain.values[k]), (opt.m[k], plain.m[k]),
+                              (opt.v[k], plain.v[k])):
+                assert got.tobytes() == want.tobytes(), k
+        assert np.all(opt.m["idle"] == 0.0) and np.all(opt.v["idle"] == 0.0)
+
+    def test_updates_values_and_moments_in_place(self):
+        rng = np.random.default_rng(32)
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in self.SHAPES.items()}
+        opt = tr.Adam(params, lr=0.01)
+        arrays = {k: (p.values, opt.m[k], opt.v[k]) for k, p in params.items()}
+        before = {k: p.values.copy() for k, p in params.items()}
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
+        opt.step(clip=1.0)
+        for k, p in params.items():
+            assert p.values is arrays[k][0] and opt.m[k] is arrays[k][1] and opt.v[k] is arrays[k][2]
+            assert not np.array_equal(p.values, before[k]), k
+
+
 class TestTrainStep:
     def test_bitwise_deterministic(self):
         def run():
@@ -197,6 +264,17 @@ class TestTrainStep:
             got_gradient = any(g is not None and np.any(g != 0) for g in grads)
             assert got_gradient == (wins[i] > 0), i
 
+    @pytest.mark.parametrize("clip", [1e-3, 1e6, None])
+    def test_leaves_the_pre_clip_gradient_norm_and_clip_flag(self, clip):
+        cfg, pairs, vocab, data = _setup(grad_clip=clip)
+        state = tr.init_state(cfg, vocab)
+        stats = tr.train_step(data, state, cfg)
+        grads = [p.grad.ravel() for p in state.model.params.values() if p.grad is not None]
+        assert state.grad_norm == pytest.approx(np.linalg.norm(np.concatenate(grads)), rel=1e-12)
+        assert state.grad_clipped == (clip is not None and state.grad_norm > clip)
+        assert state.grad_clipped == (clip == 1e-3)
+        assert "grad_norm" not in stats and "grad_clipped" not in stats
+
     def test_log_line_format(self):
         cfg, pairs, vocab, data = _setup()
         state = tr.init_state(cfg, vocab)
@@ -241,6 +319,21 @@ class TestPerplexity:
         base = tr.perplexity(state.model, data)
         monkeypatch.setenv("SEGCVAE_THREADS", "3")
         assert tr.perplexity(state.model, data) == pytest.approx(base, rel=1e-12)
+
+    def test_scoring_pass_equals_the_node_path(self, monkeypatch):
+        """At the test_09 configuration, after a few steps, perplexity is the
+        same number whether the targets are scored in place or through
+        log_softmax nodes (recorded when ``no_grad`` does not switch the
+        graph off)."""
+        cfg, pairs, vocab, data = _setup(batch_size=4, snorm_step=100, kl_anneal_steps=200)
+        state = tr.init_state(cfg, vocab)
+        for index in tr.iterate_batches(len(pairs), cfg.batch_size, state.data_rng):
+            tr.train_step((data[0][index], data[1][index]), state, cfg)
+        scored = tr.perplexity(state.model, data, batch_size=cfg.batch_size)
+        monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+        monkeypatch.setattr(tr.SegCVAE, "_target_log_probs",
+                            lambda *a: pytest.fail("the in-place scorer ran"))
+        assert tr.perplexity(state.model, data, batch_size=cfg.batch_size) == scored
 
 
 class TestResumability:
