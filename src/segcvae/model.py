@@ -83,7 +83,8 @@ class SegCVAE:
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "SegCVAE":
         """The network whose parameters are ``arrays``, keyed by parameter
         name (a checkpoint's): no random draws, and float64 arrays are used
-        without a copy."""
+        without a copy, so they become the live parameters and an optimizer
+        step updates them in place."""
         config.validate()
 
         def stored(name: str, shape: tuple[int, ...], init: str) -> np.ndarray:

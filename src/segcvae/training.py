@@ -68,8 +68,9 @@ class Adam:
         """One update; returns the global gradient norm before clipping.
 
         Parameter values and moments are updated in place, walked in blocks
-        of about ADAM_BLOCK elements through two scratch blocks, with the
-        same elementwise operations in the same order as the plain formula
+        of whole leading-axis rows, about ADAM_BLOCK elements or one row if
+        wider, through two scratch blocks, with the same elementwise
+        operations in the same order as the plain formula
         ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
         p = p - lr*(m/c1) / (sqrt(v/c2) + eps)``, so the bits are the same.
         """
@@ -85,12 +86,15 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         correct1 = 1.0 - b1 ** self.t
         correct2 = 1.0 - b2 ** self.t
-        scratch = np.empty((2, ADAM_BLOCK))
+        # a block is at least one leading-axis row, so the scratch must also
+        # hold the widest row (out.w's is the vocabulary wide)
+        width = max([ADAM_BLOCK] + [np.atleast_1d(self.params[k].values)[:1].size for k in names])
+        scratch = np.empty((2, width))
         for k in names:
             p = self.params[k]
             arrays = [np.atleast_1d(x) for x in (p.grad, self.m[k], self.v[k], p.values)]
             rows = max(1, ADAM_BLOCK * len(arrays[0]) // max(1, arrays[0].size))
-            for i in range(0, len(arrays[0]), rows):  # a block of whole leading-axis rows
+            for i in range(0, len(arrays[0]), rows):
                 g, m, v, w = (a[i:i + rows] for a in arrays)
                 a, b = (s[:g.size].reshape(g.shape) for s in scratch)
                 np.multiply(g, scale, out=a)

@@ -143,7 +143,8 @@ class _PlainAdam:
 
 class TestInPlaceAdam:
     SHAPES = {"one": (1,), "below": (tr.ADAM_BLOCK - 1,), "above": (tr.ADAM_BLOCK + 1,),
-              "rows": (5, tr.ADAM_BLOCK // 2 + 3), "matrix": (200, 300), "idle": (7,)}
+              "rows": (5, tr.ADAM_BLOCK // 2 + 3), "wide": (2, tr.ADAM_BLOCK + 1),
+              "matrix": (200, 300), "idle": (7,)}
 
     @pytest.mark.parametrize("clip", [None, 0.5])
     def test_equals_the_out_of_place_formula_bit_for_bit(self, clip):
