@@ -616,33 +616,44 @@ def gru_params(in_dim: int, hidden_dim: int, rng: "Rng") -> GruParams:
 
 def gru_scan(params: GruParams, seq: Tensor, h: Tensor,
              mask: np.ndarray = None) -> Tensor:
-    """The (B, T, hidden) states after each step of the (B, T, in_dim) ``seq``
-    from the (B, hidden) ``h``: one node after the input projection GEMM, with
-    a back-through-time backward.  ``mask`` is (B, T) with zeros on the steps
-    that copy the state exactly (padding); omitted, every step counts."""
+    """The (k*B, T, hidden) states after each step of the (B, T, in_dim)
+    ``seq`` from the (k*B, hidden) ``h``: one node after the input projection
+    GEMM, with a back-through-time backward.  With k > 1, ``h`` holds k
+    branch-major copies of the batch that all read the same ``seq``: its
+    projection is computed once and broadcast over the copies, and its
+    gradient is the sum over them.  ``mask`` is (k*B, T) with zeros on the
+    steps that copy the state exactly (padding); omitted, every step counts."""
     hd, wh, bh = params.hidden_dim, params.wh, params.bh
+    batch, steps = seq.shape[:2]
+    rows = h.shape[0] if h.ndim == 2 else -1
+    k = rows // batch if batch else 1
+    if k < 1 or rows != k * batch:
+        raise ShapeError(f"state rows must be a positive multiple of the sequence rows: "
+                         f"state {h.shape}, sequence {seq.shape}")
     gx = add(matmul(seq, params.wx), params.bx)
-    batch, steps = gx.shape[:2]
     keep = None if mask is None else mask.astype(h.values.dtype)
     drop = None if mask is None else 1.0 - keep
-    hs = np.empty((batch, steps + 1, hd))  # h, then the state after each step
+    hs = np.empty((rows, steps + 1, hd))  # h, then the state after each step
     slots = steps if _grad_enabled() else 1  # only a backward reads earlier steps' gates
-    ru, n, ghs = (np.empty((batch, slots, k * hd)) for k in (2, 1, 3))
+    ru, n, ghs = (np.empty((rows, slots, w * hd)) for w in (2, 1, 3))
     r, u = ru[..., :hd], ru[..., hd:]  # reset and update gates
     # per-step scratch, so that the loop allocates nothing
-    a, e, gh_wh, tmp = (np.empty((batch, k * hd)) for k in (2, 2, 3, 1))
-    nonneg, nxts = np.empty((batch, 2 * hd), dtype=bool), np.empty((2, batch, hd))
+    a, e, gh_wh, tmp = (np.empty((rows, w * hd)) for w in (2, 2, 3, 1))
+    nonneg, nxts = np.empty((rows, 2 * hd), dtype=bool), np.empty((2, rows, hd))
+    # copy-major views, through which the (B, ...) projection broadcasts
+    a_k, tmp_k, ghs_k = (x.reshape((k, batch) + x.shape[1:]) for x in (a, tmp, ghs))
     gxv, whv, bhv = gx.values, wh.values, bh.values
     hs[:, 0] = state = h.values
     for t in range(steps):
         gh = np.add(np.matmul(state, whv, out=gh_wh), bhv, out=ghs[:, t % slots])
-        np.add(gxv[:, t, :2 * hd], gh[:, :2 * hd], out=a)
+        np.add(gxv[:, t, :2 * hd], ghs_k[:, :, t % slots, :2 * hd], out=a_k)
         np.exp(np.negative(np.abs(a, out=e), out=e), out=e)  # stable on both tails
         # the sigmoid is 1/(1+e) where a >= 0 and e/(1+e) elsewhere (NaN stays NaN)
         np.maximum(e, np.greater_equal(a, 0.0, out=nonneg), out=a)
         ru_t = np.divide(a, np.add(e, 1.0, out=e), out=ru[:, t % slots])
         np.multiply(ru_t[:, :hd], gh[:, 2 * hd:], out=tmp)
-        n_t = np.tanh(np.add(gxv[:, t, 2 * hd:], tmp, out=tmp), out=n[:, t % slots])
+        np.add(gxv[:, t, 2 * hd:], tmp_k, out=tmp_k)
+        n_t = np.tanh(tmp, out=n[:, t % slots])
         nxt = np.multiply(np.subtract(1.0, ru_t[:, hd:], out=nxts[t % 2]), n_t, out=nxts[t % 2])
         np.add(nxt, np.multiply(ru_t[:, hd:], state, out=tmp), out=nxt)
         if keep is not None:
@@ -654,9 +665,9 @@ def gru_scan(params: GruParams, seq: Tensor, h: Tensor,
         def bw():
             f_n = (1.0 - u) * (1.0 - n * n)  # factors of the incoming gradient
             f_r, f_u = ghs[..., 2 * hd:] * r * (1.0 - r), (hs[:, :-1] - n) * u * (1.0 - u)
-            d_gx, d_gh = np.empty_like(gx.values), np.empty_like(gx.values)
-            carry = np.zeros((batch, hd))  # gradient of the state entering step t
-            dh, d_g, du, dw = (np.empty((batch, k)) for k in (hd, 3 * hd, hd, hd))
+            d_gx, d_gh = (np.empty((rows, steps, 3 * hd)) for _ in range(2))
+            carry = np.zeros((rows, hd))  # gradient of the state entering step t
+            dh, d_g, du, dw = (np.empty((rows, w)) for w in (hd, 3 * hd, hd, hd))
             wh_t = wh.values.T
             for t in reversed(range(steps)):
                 np.add(out.grad[:, t], carry, out=dh)
@@ -673,6 +684,8 @@ def gru_scan(params: GruParams, seq: Tensor, h: Tensor,
                 np.add(carry, np.multiply(dh, u[:, t], out=du), out=carry)
                 np.add(carry, np.matmul(d_g, wh_t, out=dw), out=carry)
             d_gx[..., :2 * hd] = d_gh[..., :2 * hd]
+            if k > 1:  # every copy read the same projection
+                d_gx = d_gx.reshape((k,) + gxv.shape).sum(axis=0)
             d_wh = hs[:, :-1].reshape(-1, hd).T @ d_gh.reshape(-1, 3 * hd)
             for p, g in ((gx, d_gx), (h, carry), (wh, d_wh), (bh, d_gh.sum(axis=(0, 1)))):
                 if p.requires_grad or p._backward:

@@ -43,7 +43,9 @@ def primitive_cases(seed: int):
         return ad.tsum(ad.power(ad.gru_encode(ad.GruParams(wx, wh, bx, bh), seq, mask=mask), 2.0))
 
     def scan_case(wx, wh, bx, bh, seq, h0):  # every state, from an h0 that needs a gradient
-        return ad.tsum(ad.power(ad.gru_scan(ad.GruParams(wx, wh, bx, bh), seq, h0, mask), 2.0))
+        copies = h0.shape[0] // seq.shape[0]  # h0 may hold k copies of the batch
+        return ad.tsum(ad.power(ad.gru_scan(ad.GruParams(wx, wh, bx, bh), seq, h0,
+                                            np.tile(mask, (copies, 1))), 2.0))
 
     out_w, out_b = ad.glorot((4, 5), Rng(seed * 7 + 2)), _t(np.zeros(5))
     dec_state, dec_x = rand(2, 4), rand(2, 3)
@@ -84,6 +86,7 @@ def primitive_cases(seed: int):
          [rand(2, 6, 3), rand(2, 3, 1, 2)]),
         ("gru_encode", gru_case, [gru.wx, gru.wh, gru.bx, gru.bh, gru_seq]),
         ("gru_scan", scan_case, [gru.wx, gru.wh, gru.bx, gru.bh, gru_seq, rand(2, 4)]),
+        ("gru_scan_broadcast", scan_case, [gru.wx, gru.wh, gru.bx, gru.bh, gru_seq, rand(4, 4)]),
         ("gru_decode_step", decode_case,
          [gru.wx, gru.wh, gru.bx, gru.bh, out_w, out_b, dec_state, dec_x]),
         ("gaussian_kl", lambda *a: ad.tsum(ad.gaussian_kl(*a)),

@@ -254,59 +254,71 @@ class SegCVAE:
                         want_generated: bool) -> tuple[Tensor, Tensor | None]:
         """Sum log-likelihood of each response (non-padding targets only);
         optionally also encode the probability-weighted embedding sequence
-        the decoder implies, for the distillation norm.
+        the decoder implies, for the distillation norm.  ``state`` may hold
+        k branch-major copies of the B responses' initial states (k*B rows);
+        the decoder's input projection is then shared by all copies.
 
-        The inputs are known up front, so the recurrence runs first and the
+        The inputs are known up front, so the recurrence runs first.  The
         vocabulary-sized work (out-projection, log-softmax, target gather,
-        expected embedding) runs afterwards, one GEMM per block of time
-        steps; a block's (rows, vocab) arrays stay within TF_BLOCK_BYTES.
-        With no graph recorded and no distillation input wanted (scoring
-        and perplexity), only the target entries are computed.
+        expected embedding) runs afterwards on the live positions only, those
+        whose target is not padding, packed into one list and cut into blocks
+        whose (positions, vocab) arrays stay within TF_BLOCK_BYTES (or one
+        position's).  The per-position results are scattered back to (rows,
+        steps), padding reading an appended zero.  With no graph recorded and
+        no distillation input wanted (scoring and perplexity), only the
+        target entries are computed.
         """
         inputs, targets = resp_ids[:, :-1], resp_ids[:, 1:]
-        live = targets != PAD_ID
-        t_eff = int(live.any(axis=0).sum())
-        batch = resp_ids.shape[0]
+        t_eff = int((targets != PAD_ID).any(axis=0).sum())
         if want_generated and t_eff == 0:
             raise DomainError("cannot encode an empty sequence")
         states = ad.gru_scan(self.dec, self.embed_matrix(inputs[:, :t_eff]), state)
-        span = max(1, TF_BLOCK_BYTES // (8 * batch * self.config.vocab_size))
-        recon = Tensor(np.zeros(batch))
-        expected = []
-        for t0 in range(0, t_eff, span):
-            t1 = min(t0 + span, t_eff)
-            if want_generated or states.requires_grad:
-                logp = ad.log_softmax(ad.add(ad.matmul(states[:, t0:t1], self.out_w), self.out_b))
-                picked = ad.gather_last(logp, targets[:, t0:t1])
+        targets = np.tile(targets[:, :t_eff], (state.shape[0] // resp_ids.shape[0], 1))
+        live = targets != PAD_ID
+        where = np.nonzero(live)
+        packed_targets = targets[where]
+        index = np.full(live.shape, len(packed_targets))  # padding reads the appended zero
+        index[where] = np.arange(len(packed_targets))
+        graph = want_generated or states.requires_grad
+        packed = ad.take(states, where) if graph else states.values[where]
+        span = max(1, TF_BLOCK_BYTES // (8 * self.config.vocab_size))
+        picked, expected = [], []
+        for p0 in range(0, len(packed_targets), span):
+            block, block_targets = packed[p0:p0 + span], packed_targets[p0:p0 + span]
+            if graph:
+                logp = ad.log_softmax(ad.add(ad.matmul(block, self.out_w), self.out_b))
+                picked.append(ad.gather_last(logp, block_targets))
+                if want_generated:
+                    expected.append(ad.matmul(ad.exp(logp), self.emb))
             else:  # scoring only: nothing reads the distribution
-                picked = Tensor(self._target_log_probs(states.values[:, t0:t1], targets[:, t0:t1]))
-            weights = Tensor(live[:, t0:t1].astype(np.float64))
-            recon = ad.add(recon, ad.tsum(ad.mul(picked, weights), axis=1))
-            if want_generated:
-                expected.append(ad.matmul(ad.exp(logp), self.emb))
+                picked.append(Tensor(self._target_log_probs(block, block_targets)))
+        recon = ad.tsum(ad.take(ad.concat(picked + [Tensor(np.zeros(1))]), index), axis=1)
         generated = None
         if want_generated:
-            generated = ad.gru_encode(self.enc, ad.concat(expected, axis=1),
-                                      mask=live[:, :t_eff])
+            pad = Tensor(np.zeros((1, self.config.emb_dim)))
+            generated = ad.gru_encode(self.enc, ad.take(ad.concat(expected + [pad]), index),
+                                      mask=live)
         return recon, generated
 
     def _target_log_probs(self, states: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """The log-softmax of ``states @ out.w + out.b`` at ``targets`` only,
-        by an in-place log-sum-exp over one (rows, vocab) buffer: the graph
-        path's operations on the same blocks, so the same bits."""
-        z = states.reshape(-1, states.shape[-1]) @ self.out_w.values
+        for (n, hidden) states and (n,) targets, by an in-place log-sum-exp
+        over one (n, vocab) buffer: the graph path's operations on the same
+        blocks, so the same bits."""
+        z = states @ self.out_w.values
         z += self.out_b.values
-        z = z.reshape(targets.shape + (-1,))
         z -= z.max(axis=-1, keepdims=True)
-        picked = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
+        picked = z[np.arange(len(targets)), targets]
         return picked - np.log(np.exp(z, out=z).sum(axis=-1))
 
     def elbo(self, resp_ids: np.ndarray, x: Tensor, r_e: Tensor,
              kl_weight: float, rng: Rng, want_generated: bool = False) -> dict:
-        """Evidence lower bound of one branch, per example.
+        """Evidence lower bound of one branch, per example, or of k branches
+        at once: ``x`` and ``r_e`` may hold k branch-major copies of the B
+        responses' rows (k*B rows), all scored against the same ``resp_ids``.
 
-        Returns tensors keyed ``elbo``/``recon``/``kl`` of shape (B,) plus
-        ``generated`` (B, hidden) when requested.  The latent noise comes
+        Returns tensors keyed ``elbo``/``recon``/``kl`` of shape (k*B,) plus
+        ``generated`` (k*B, hidden) when requested.  The latent noise comes
         from ``rng.normal``: an ``Rng`` or a ``FixedNoise``.
         """
         if not 0.0 <= kl_weight <= 1.0:
@@ -346,7 +358,7 @@ class SegCVAE:
         eps = rng.normal((m, batch, cfg.latent_dim))
 
         with ad.no_grad():
-            scored = self.elbo(np.tile(resp_ids, (m, 1)), ad.concat(xs),
+            scored = self.elbo(resp_ids, ad.concat(xs),
                                Tensor(np.tile(r_e.values, (m, 1))), kl_weight,
                                FixedNoise(eps.reshape(m * batch, cfg.latent_dim)), False)
         branch_elbos = scored["elbo"].values.reshape(m, batch)

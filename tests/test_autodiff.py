@@ -288,6 +288,34 @@ class TestGru:
             h = nxt
             np.testing.assert_array_equal(states[:, t], h)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_broadcast_scan_equals_the_scan_of_tiled_rows(self, copies, masked):
+        """A B-row seq read by k*B state rows (k branch-major copies) gives the
+        states and every gradient of the scan over the seq tiled k times."""
+        rng = np.random.default_rng(8)
+        seq, h = rng.normal(size=(2, 5, 3)), rng.normal(size=(2 * copies, 4))
+        mask = (rng.uniform(size=(2 * copies, 5)) > 0.4) if masked else None
+        weights = ad.Tensor(rng.normal(size=(2 * copies, 5, 4)))
+        results = []
+        for tiled in (False, True):
+            params = ad.gru_params(3, 4, ad.Rng(8))
+            x, h0 = _t(np.tile(seq, (copies, 1, 1)) if tiled else seq), _t(h)
+            states = ad.gru_scan(params, x, h0, mask=mask)
+            ad.tsum(ad.mul(states, weights)).backward()
+            d_seq = x.grad.reshape((copies,) + seq.shape).sum(axis=0) if tiled else x.grad
+            results.append({"states": states.values, "seq": d_seq, "h": h0.grad,
+                            **{k: getattr(params, k).grad for k in ("wx", "bx", "wh", "bh")}})
+        got, want = results
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("rows", [0, 3, 5])
+    def test_state_rows_must_be_a_multiple_of_the_sequence_rows(self, rows):
+        params = ad.gru_params(3, 4, ad.Rng(9))
+        with pytest.raises(ShapeError, match=rf"state \({rows}, 4\), sequence \(2, 5, 3\)"):
+            ad.gru_scan(params, _t(np.zeros((2, 5, 3))), _t(np.zeros((rows, 4))))
+
     def test_empty_sequence_rejected(self):
         params = ad.gru_params(3, 5, ad.Rng(2))
         with pytest.raises(DomainError):

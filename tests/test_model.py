@@ -1,5 +1,7 @@
 """Unit tests for trigger selection, latent heads, and the semantic norms."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -484,7 +486,8 @@ class TestTeacherForcedBlocks:
     @pytest.mark.parametrize("block_steps", [None, 1, 3])
     def test_matches_per_step_decoding(self, block_steps, monkeypatch):
         """None keeps the byte budget (one block at this shape); 1 and 3
-        shrink it so that the block loop runs several times."""
+        shrink it to one and three rows' worth of positions, so that the
+        block loop runs several times."""
         net, resp, state = _ablation_shape_setup()
         if block_steps is not None:
             monkeypatch.setattr(m, "TF_BLOCK_BYTES",
@@ -526,6 +529,81 @@ class TestTeacherForcedBlocks:
         assert grads[0].keys() == grads[1].keys()
         for name, g in grads[0].items():
             np.testing.assert_allclose(grads[1][name], g, rtol=1e-10, atol=1e-13, err_msg=name)
+
+
+class TestPackedPositions:
+    """_teacher_forced runs the vocabulary work on the live (row, step)
+    positions only, packed into blocks, and scatters the results back."""
+
+    @staticmethod
+    def _block_rows(net, monkeypatch) -> tuple[list[int], list[int]]:
+        """Rows of each out-projection block: the in-place scorer's and the
+        graph path's."""
+        scorer, graph = [], []
+        target_log_probs, matmul = net._target_log_probs, ad.matmul
+        monkeypatch.setattr(net, "_target_log_probs", lambda states, targets: (
+            scorer.append(states.shape[0]) or target_log_probs(states, targets)))
+        monkeypatch.setattr(ad, "matmul", lambda a, b: (
+            graph.append(a.shape[0]) if b is net.out_w else None) or matmul(a, b))
+        return scorer, graph
+
+    @pytest.mark.parametrize("budget_positions", [0, 1, 5, 16])
+    def test_blocks_keep_to_the_budget_whatever_the_row_count(self, budget_positions,
+                                                              monkeypatch):
+        """72 rows, so that one time step alone is over the budget; 0 means
+        a budget of one byte."""
+        net, resp, state = _ablation_shape_setup()
+        resp, state = np.tile(resp, (8, 1)), Tensor(np.tile(state.values, (8, 1)))
+        one = 8 * net.config.vocab_size  # bytes of one position's (1, vocab) array
+        budget = max(1, budget_positions * one)
+        monkeypatch.setattr(m, "TF_BLOCK_BYTES", budget)
+        scorer, graph = self._block_rows(net, monkeypatch)
+        with ad.no_grad():
+            net._teacher_forced(resp, state, want_generated=False)
+            net._teacher_forced(resp, state, want_generated=True)
+        live = int((resp[:, 1:] != PAD_ID).sum())
+        assert one * resp.shape[0] > budget
+        for rows in (scorer, graph):
+            assert sum(rows) == live
+            assert all(r * one <= max(budget, one) for r in rows)
+
+    def test_row_without_a_target_scores_zero_and_gets_no_gradient(self):
+        net, resp, state = _ablation_shape_setup()
+        resp[2, 1:] = PAD_ID  # only the start marker: no target to score
+        state = Tensor(state.values, requires_grad=True)
+        recon, generated = net._teacher_forced(resp, state, want_generated=True)
+        assert recon.values[2] == 0.0 and np.all(recon.values[resp[:, 1] != PAD_ID] < 0)
+        ad.add(ad.tsum(recon), ad.tsum(generated)).backward()
+        assert np.all(state.grad[2] == 0.0)
+        assert np.all(np.any(np.delete(state.grad, 2, axis=0) != 0.0, axis=1))
+
+    @pytest.mark.parametrize("block_positions", [None, 1, 4])
+    def test_one_full_row_among_one_target_rows(self, block_positions, monkeypatch):
+        net, resp, state = _ablation_shape_setup()
+        resp[1:, 2:] = PAD_ID  # one target each
+        resp[0, 1:] = np.arange(4, 4 + resp.shape[1] - 1)  # a target at every step
+        if block_positions is not None:
+            monkeypatch.setattr(m, "TF_BLOCK_BYTES", 8 * net.config.vocab_size * block_positions)
+        with ad.no_grad():
+            want_recon, want_generated = _per_step_teacher_forcing(net, resp, state)
+            recon, generated = net._teacher_forced(resp, state, want_generated=True)
+            scored, _ = net._teacher_forced(resp, state, want_generated=False)
+        np.testing.assert_allclose(recon.values, want_recon.values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(generated.values, want_generated.values,
+                                   rtol=1e-12, atol=1e-14)
+        assert scored.values.tobytes() == recon.values.tobytes()
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_no_target_at_all_scores_zeros(self, recorded):
+        net, resp, state = _ablation_shape_setup()
+        resp[:, 1:] = PAD_ID
+        state = Tensor(state.values, requires_grad=recorded)
+        with contextlib.nullcontext() if recorded else ad.no_grad():
+            recon, generated = net._teacher_forced(resp, state, want_generated=False)
+        assert generated is None
+        assert recon.values.tobytes() == np.zeros(resp.shape[0]).tobytes()
+        with pytest.raises(DomainError, match="empty sequence"):
+            net._teacher_forced(resp, state, want_generated=True)
 
 
 class TestForwardLosses:
@@ -725,8 +803,8 @@ class TestBatchedBranches:
                             lambda p, seq, mask=None: encodes.append(seq.shape) or
                             gru_encode(p, seq, mask))
         monkeypatch.setattr(net, "elbo",
-                            lambda resp_ids, *a: elbo_rows.append(resp_ids.shape[0]) or
-                            elbo(resp_ids, *a))
+                            lambda resp_ids, x, *a: elbo_rows.append(x.shape[0]) or
+                            elbo(resp_ids, x, *a))
         net.prominent_semantics(ctx, Rng(1), noise=True)
         assert len(encodes) == 1 and encodes[0][0] == 4 * ctx.shape[0]
         net.forward_losses(ctx, resp, 0.5, Rng(1))
