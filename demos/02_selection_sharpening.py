@@ -35,9 +35,10 @@ model = SegCVAE(config, vocab.embedding, Rng(3))
 ctx, _ = encode_pairs(pairs, vocab, config.max_len)
 
 c_emb = model.embed_matrix(ctx)
-for i, selected in enumerate(model.internal_separation(c_emb, ctx == 0)):
+# one context, so entry i of the branch-major batch is trigger i's selection
+for i, selected in enumerate(model.internal_separation(c_emb, ctx == 0).values):
     for ch in range(config.conv_channels):
-        row = selected.values[0, ch]
+        row = selected[ch]
         nearest = min(range(4, vocab.size),
                       key=lambda t: np.linalg.norm(vocab.embedding[t] - row))
         print(f"trigger {i} channel {ch} picked ~'{vocab.id_to_token[nearest]}'")

@@ -419,12 +419,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _node(values, tensors, make)
 
 
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack M tensors of shape (..., H) into (..., M, H)."""
-    expanded = [reshape(t, t.shape[:-1] + (1, t.shape[-1])) for t in tensors]
-    return concat(expanded, axis=-2)
-
-
 def take(a, index) -> Tensor:
     """``a[index]`` for any numpy index; an id array gathers rows (an
     embedding lookup), and the gradient is scattered into the touched

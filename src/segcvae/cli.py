@@ -213,11 +213,16 @@ def _cmd_gradcheck(args) -> int:
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _integer(low: int, what: str):
+    """An argument type: an integer of at least ``low``, ``what`` in the message."""
+    def integer(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text}")
+        return value
+    return integer
+
+
+_positive_int, _seed = _integer(1, "positive"), _integer(0, "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         if infile:
             p.add_argument("--in", dest="infile", help="input path")
         p.add_argument("--out", required=out_required, help="output directory")
-        p.add_argument("--seed", type=int, help="override the configured seed")
+        p.add_argument("--seed", type=_seed, help="override the configured seed")
 
     p = sub.add_parser("prepare-data", help="build datasets from a raw corpus")
     common(p)
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="pair file with test contexts")
     p.add_argument("--out", required=True)
     p.add_argument("--n-responses", type=_positive_int, default=8)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--limit", type=_positive_int, help="cap the number of contexts")
     p.set_defaults(func=_cmd_generate)
 

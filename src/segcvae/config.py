@@ -126,7 +126,7 @@ class TrainingConfig(Architecture):
     snorm_step: int = hp(20000, POSITIVE)
     lambda_constant: float | None = hp(None, UNIT, kind=float)
     kl_anneal_steps: int = hp(10000, POSITIVE)
-    seed: int = hp(123456)
+    seed: int = hp(123456, at_least(0))
     vocab_cap: int = hp(20000, at_least(4))
     gs_noise: bool = hp(True)
 

@@ -53,7 +53,7 @@ def generate_n(model: SegCVAE, vocab: Vocabulary, context: Sequence[str],
     branches = np.arange(n) % cfg.num_triggers
     responses: list[list[int]] = [[] for _ in range(n)]
     with ad.no_grad():
-        xs = ad.concat(model.prominent_semantics(ctx_ids, noise=False))
+        xs = ad.reshape(model.prominent_semantics(ctx_ids, noise=False), (cfg.num_triggers, -1))
         mu, logvar = model.prior(xs)  # row k is branch k's prior
         z = (mu.values[branches]
              + np.exp(logvar.values[branches] / 2.0) * rng.normal((n, cfg.latent_dim)))

@@ -15,7 +15,6 @@ other inside a batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,16 +26,6 @@ from .errors import DomainError, ShapeError
 
 LOGVAR_CLIP = 10.0
 TF_BLOCK_BYTES = 4 << 20  # teacher forcing: bytes per (rows, vocab) float64 array of a block
-
-
-@dataclass
-class TriggerNetwork:
-    """One word-selection unit: convolution kernel and dense projection.
-    ``dense`` is (max_len-kernel_width+1, max_len) for in-context selection
-    or (..., vocab_size) for vocabulary selection."""
-
-    kernel: Tensor
-    dense: Tensor
 
 
 @dataclass
@@ -81,14 +70,17 @@ class SegCVAE:
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "SegCVAE":
-        """The network whose parameters are ``arrays``, keyed by parameter
-        name (a checkpoint's): no random draws, and float64 arrays are used
-        without a copy, so they become the live parameters and an optimizer
-        step updates them in place."""
+        """The network whose parameters are ``arrays``, keyed by checkpoint
+        name: no random draws, and float64 arrays are used without a copy, so
+        they become the live parameters that an optimizer updates in place;
+        the per-trigger arrays are stacked into their family, one copy."""
         config.validate()
 
         def stored(name: str, shape: tuple[int, ...], init: str) -> np.ndarray:
-            _check_stored(arrays, name, shape)
+            if name not in arrays:
+                raise DomainError(f"checkpoint is missing parameter '{name}'")
+            if arrays[name].shape != shape:
+                raise ShapeError(f"parameter '{name}' has shape {arrays[name].shape}, want {shape}")
             return np.asarray(arrays[name], dtype=np.float64)
 
         model = cls.__new__(cls)
@@ -97,12 +89,28 @@ class SegCVAE:
 
     def _build(self, config: ModelConfig, make):
         """Create every parameter, in a fixed order, from ``make(name, shape,
-        init)``; ``init`` is "glorot", "zeros" or "emb"."""
+        init)`` by checkpoint name; ``init`` is "glorot", "zeros" or "emb".  A
+        trigger family is asked for per trigger and held as ``<path>.kernel``
+        (the kernels along the channel axis) and ``<path>.dense`` (stacked)."""
         self.config = c = config
         self.params: dict[str, Tensor] = {}
+        self.layout: list[tuple[str, str, object]] = []  # (checkpoint name, parameter, its slice)
 
         def param(name: str, shape: tuple[int, ...], init: str = "glorot") -> Tensor:
-            return self._add(name, Tensor(make(name, shape, init), requires_grad=True))
+            self.layout.append((name, name, ...))
+            return self._add(name, make(name, shape, init))
+
+        def family(path: str, width: int) -> tuple[Tensor, Tensor]:
+            chan, kernels, denses = c.conv_channels, [], []
+            for i in range(c.num_triggers):
+                kernels.append(make(f"{path}{i}.kernel", (c.kernel_width, c.emb_dim, 1, chan),
+                                    "glorot"))
+                denses.append(make(f"{path}{i}.dense", (conv_len, width), "glorot"))
+                self.layout += [(f"{path}{i}.kernel", f"{path}.kernel",
+                                 np.s_[..., i * chan:(i + 1) * chan]),
+                                (f"{path}{i}.dense", f"{path}.dense", i)]
+            return (self._add(f"{path}.kernel", np.concatenate(kernels, axis=-1)),
+                    self._add(f"{path}.dense", np.stack(denses)))
 
         def gru(prefix: str) -> ad.GruParams:
             gates = 3 * c.hidden_dim
@@ -115,19 +123,8 @@ class SegCVAE:
         self.enc = gru("enc")
 
         conv_len = c.max_len - c.kernel_width + 1
-        kernel_shape = (c.kernel_width, c.emb_dim, 1, c.conv_channels)
-        self.is_triggers: list[TriggerNetwork] = []
-        self.eg_triggers: list[TriggerNetwork] = []
-        if not c.no_is:
-            for i in range(c.num_triggers):
-                self.is_triggers.append(TriggerNetwork(
-                    param(f"is{i}.kernel", kernel_shape),
-                    param(f"is{i}.dense", (conv_len, c.max_len))))
-        if not c.no_eg:
-            for i in range(c.num_triggers):
-                self.eg_triggers.append(TriggerNetwork(
-                    param(f"eg{i}.kernel", kernel_shape),
-                    param(f"eg{i}.dense", (conv_len, c.vocab_size))))
+        self.is_kernel, self.is_dense = (None, None) if c.no_is else family("is", c.max_len)
+        self.eg_kernel, self.eg_dense = (None, None) if c.no_eg else family("eg", c.vocab_size)
 
         self.rec_w = param("rec.w", (2 * c.hidden_dim, 2 * c.latent_dim))
         self.rec_b = param("rec.b", (2 * c.latent_dim,), "zeros")
@@ -140,17 +137,18 @@ class SegCVAE:
         self.out_w = param("out.w", (c.hidden_dim, c.vocab_size))
         self.out_b = param("out.b", (c.vocab_size,), "zeros")
 
-    def _add(self, name: str, tensor: Tensor) -> Tensor:
-        self.params[name] = tensor
+    def _add(self, name: str, values: np.ndarray) -> Tensor:
+        self.params[name] = tensor = Tensor(values, requires_grad=True)
         return tensor
 
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
 
-    def branch_param_names(self, index: int) -> list[str]:
-        """Parameters used by no other branch than ``index``."""
-        return [name for name in self.params
+    def branch_slices(self, index: int) -> list[tuple[str, object]]:
+        """(parameter name, numpy index) of every parameter slice used by no
+        other branch than ``index``: its trigger in each family."""
+        return [(param, where) for name, param, where in self.layout
                 if name.startswith((f"is{index}.", f"eg{index}."))]
 
     # -- encoding ------------------------------------------------------
@@ -167,70 +165,74 @@ class SegCVAE:
         ids = ids[:, :int(lengths.max())]
         return ad.gru_encode(self.enc, self.embed_matrix(ids), mask=(ids != PAD_ID))
 
-    def encode_embedded(self, seq: Tensor, mask: np.ndarray = None) -> Tensor:
-        """Encode a (B, T, emb) tensor of already-embedded rows."""
-        return ad.gru_encode(self.enc, seq, mask=mask)
-
     # -- word selection --------------------------------------------------
-    def _selection(self, trigger: TriggerNetwork, c_emb: Tensor,
-                   mask_row: np.ndarray, rng: Rng, noise: bool) -> Tensor:
-        """Soft selection weights (B, channels, width) of one trigger."""
-        f_c = ad.conv_seq(c_emb, trigger.kernel)
-        logits = ad.matmul(f_c, trigger.dense)
-        logits = ad.add(logits, Tensor(mask_row))
+    def _selection(self, c_emb: Tensor, kernel: Tensor, dense: Tensor, mask: np.ndarray,
+                   rng: Rng, noise: bool) -> Tensor:
+        """Soft selection weights (k, B*channels, width) of k triggers from
+        their kernels (side by side along the channel axis) and (k, conv_len,
+        width) projections; ``mask`` holds -inf at the excluded columns."""
+        f_c = ad.conv_seq(c_emb, kernel)  # (B, k*channels, conv_len)
+        (batch, _, conv_len), k = f_c.shape, dense.shape[0]
+        f_c = ad.transpose(ad.reshape(f_c, (batch, k, -1, conv_len)), (1, 0, 2, 3))
+        logits = ad.add(ad.matmul(ad.reshape(f_c, (k, -1, conv_len)), dense), Tensor(mask))
         return ad.gumbel_softmax(logits, self.config.tau, rng=rng, noise=noise)
 
     def internal_separation(self, c_emb: Tensor, pad_mask: np.ndarray,
-                            rng: Rng = None, noise: bool = False) -> list[Tensor]:
+                            rng: Rng = None, noise: bool = False) -> Tensor:
         """Per trigger, mix context rows by the selection weights; padding
-        positions are excluded via additive -inf logits."""
-        if c_emb.ndim != 3 or c_emb.shape[1] != self.config.max_len:
-            raise ShapeError(f"context must be (B, {self.config.max_len}, emb), got {c_emb.shape}")
-        mask_row = np.where(pad_mask, -np.inf, 0.0)[:, None, :]  # (B, 1, max_len)
-        return [ad.matmul(self._selection(t, c_emb, mask_row, rng, noise), c_emb)
-                for t in self.is_triggers]
+        positions are excluded via additive -inf logits.  Returns the
+        branch-major (M*B, channels, emb) batch."""
+        cfg = self.config
+        if c_emb.ndim != 3 or c_emb.shape[1] != cfg.max_len:
+            raise ShapeError(f"context must be (B, {cfg.max_len}, emb), got {c_emb.shape}")
+        mask = np.repeat(np.where(pad_mask, -np.inf, 0.0), cfg.conv_channels, axis=0)
+        weights = self._selection(c_emb, self.is_kernel, self.is_dense, mask, rng, noise)
+        weights = ad.reshape(weights, (cfg.num_triggers, c_emb.shape[0], cfg.conv_channels, -1))
+        return ad.reshape(ad.matmul(weights, c_emb), (-1, cfg.conv_channels, cfg.emb_dim))
 
     def external_guidance(self, c_emb: Tensor, rng: Rng = None,
-                          noise: bool = False) -> list[Tensor]:
+                          noise: bool = False) -> Tensor:
         """Per trigger, mix vocabulary embedding rows by the selection
-        weights; the four special-token columns are excluded.  The stacked
-        selections of as many triggers as fit in TF_BLOCK_BYTES (at least
-        one) are multiplied with the embedding matrix as one GEMM."""
+        weights; the four special-token columns are excluded.  Returns the
+        branch-major (M*B, channels, emb) batch, computed for groups of as
+        many triggers as fit in TF_BLOCK_BYTES (at least one), each on its
+        slice of the family and its own noise block."""
         cfg = self.config
         if cfg.vocab_size <= len(SPECIALS):
             raise DomainError("vocabulary holds only special tokens; nothing to select")
-        mask_row = np.zeros((1, 1, cfg.vocab_size))
-        mask_row[..., :len(SPECIALS)] = -np.inf
-        batch = c_emb.shape[0]
-        per_group = max(1, TF_BLOCK_BYTES // (8 * batch * cfg.conv_channels * cfg.vocab_size))
+        mask = np.where(np.arange(cfg.vocab_size) < len(SPECIALS), -np.inf, 0.0)
+        m, chan = cfg.num_triggers, cfg.conv_channels
+        per_group = max(1, TF_BLOCK_BYTES // (8 * c_emb.shape[0] * chan * cfg.vocab_size))
         mixed = []
-        for g0 in range(0, len(self.eg_triggers), per_group):
-            group = [self._selection(t, c_emb, mask_row, rng, noise)
-                     for t in self.eg_triggers[g0:g0 + per_group]]
-            stacked = ad.matmul(ad.concat(group), self.emb)
-            mixed += [stacked[i * batch:(i + 1) * batch] for i in range(len(group))]
-        return mixed
+        for g in (slice(g0, g0 + per_group) for g0 in range(0, m, per_group)):
+            kernel, dense = self.eg_kernel, self.eg_dense
+            if per_group < m:  # one group reads the parameters whole, without slice nodes
+                kernel, dense = kernel[..., g.start * chan:g.stop * chan], dense[g]
+            weights = self._selection(c_emb, kernel, dense, mask, rng, noise)
+            mixed.append(ad.reshape(ad.matmul(weights, self.emb), (-1, chan, cfg.emb_dim)))
+        return mixed[0] if len(mixed) == 1 else ad.concat(mixed)
 
     def prominent_semantics(self, ctx_ids: np.ndarray, rng: Rng = None,
-                            noise: bool = False) -> list[Tensor]:
-        """One (B, hidden) vector per trigger: its selected rows (in-context
-        part first, then the vocabulary part along the sequence axis), all
-        triggers encoded at once as one branch-major (M*B, steps, emb)
-        batch.  With both selection paths ablated every branch is the raw
-        context encoding."""
+                            noise: bool = False) -> Tensor:
+        """One (B, hidden) vector per trigger, as one (M, B, hidden) tensor:
+        each trigger's selected rows (in-context part first, then the
+        vocabulary part along the sequence axis), all triggers encoded at
+        once as one branch-major (M*B, steps, emb) batch.  With both
+        selection paths ablated every branch is the raw context encoding."""
         ctx_ids = np.atleast_2d(ctx_ids)
         cfg = self.config
+        m, batch = cfg.num_triggers, ctx_ids.shape[0]
         if cfg.no_is and cfg.no_eg:
-            return [self.encode_ids(ctx_ids)] * cfg.num_triggers
-        c_emb = self.embed_matrix(ctx_ids)
-        paths = []  # per path, every trigger's (B, channels, emb) selection, branch-major
-        if not cfg.no_is:
-            paths.append(ad.concat(self.internal_separation(c_emb, ctx_ids == PAD_ID, rng, noise)))
-        if not cfg.no_eg:
-            paths.append(ad.concat(self.external_guidance(c_emb, rng, noise)))
-        encoded = self.encode_embedded(paths[0] if len(paths) == 1 else ad.concat(paths, axis=1))
-        batch = ctx_ids.shape[0]
-        return [encoded[i * batch:(i + 1) * batch] for i in range(cfg.num_triggers)]
+            encoded = ad.take(self.encode_ids(ctx_ids), np.tile(np.arange(batch), m))
+        else:
+            c_emb = self.embed_matrix(ctx_ids)
+            paths = []
+            if not cfg.no_is:
+                paths.append(self.internal_separation(c_emb, ctx_ids == PAD_ID, rng, noise))
+            if not cfg.no_eg:
+                paths.append(self.external_guidance(c_emb, rng, noise))
+            encoded = ad.gru_encode(self.enc, ad.concat(paths, axis=1) if len(paths) > 1 else paths[0])
+        return ad.reshape(encoded, (m, batch, cfg.hidden_dim))
 
     # -- latent heads and decoding ---------------------------------------
     def recognition(self, r_e: Tensor, x: Tensor) -> tuple[Tensor, Tensor]:
@@ -353,25 +355,23 @@ class SegCVAE:
         m, batch = cfg.num_triggers, ctx_ids.shape[0]
         rows = np.arange(batch)
         r_e = self.encode_ids(resp_ids)
-        xs = self.prominent_semantics(ctx_ids, rng, noise=gs_noise)
-        stacked = ad.stack_rows(xs)  # (B, num_triggers, hidden)
+        xs = self.prominent_semantics(ctx_ids, rng, noise=gs_noise)  # (M, B, hidden)
         eps = rng.normal((m, batch, cfg.latent_dim))
 
         with ad.no_grad():
-            scored = self.elbo(resp_ids, ad.concat(xs),
+            scored = self.elbo(resp_ids, ad.reshape(xs, (m * batch, cfg.hidden_dim)),
                                Tensor(np.tile(r_e.values, (m, 1))), kl_weight,
                                FixedNoise(eps.reshape(m * batch, cfg.latent_dim)), False)
         branch_elbos = scored["elbo"].values.reshape(m, batch)
         positive = select_positive(branch_elbos)
 
         want_generated = not cfg.no_sdn and batch >= 2
-        winner = self.elbo(resp_ids, ad.take(stacked, (rows, positive)), r_e, kl_weight,
+        winner = self.elbo(resp_ids, ad.take(xs, (positive, rows)), r_e, kl_weight,
                            FixedNoise(eps[positive, rows]), want_generated)
 
-        zero = Tensor(np.zeros(()))
-        san_v = scn_v = sdn_v = zero
+        san_v = scn_v = sdn_v = Tensor(np.zeros(()))
         if not cfg.no_san:
-            san_v = san(stacked)
+            san_v = san(ad.transpose(xs, (1, 0, 2)))
         if not cfg.no_scn:
             scn_v = scn(self.encode_ids(ctx_ids), xs)
         if want_generated:
@@ -386,22 +386,24 @@ class SegCVAE:
         }
 
     # -- persistence -----------------------------------------------------
+    def stored_views(self, by_param: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Arrays shaped like the parameters (their values, an optimizer
+        moment) as views under the checkpoint names, in checkpoint order."""
+        return {name: by_param[param][where] for name, param, where in self.layout}
+
+    def stacked(self, stored: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """The inverse of ``stored_views``, checked and stacked by ``from_arrays``."""
+        return {name: p.values for name, p in SegCVAE.from_arrays(self.config, stored).params.items()}
+
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """The live parameter arrays by name: Adam updates them in place, so
-        a snapshot must copy them."""
-        return {name: p.values for name, p in self.params.items()}
+        """The live parameter arrays by checkpoint name (per-trigger views of
+        the families): Adam updates them in place, so a snapshot must copy."""
+        return self.stored_views({name: p.values for name, p in self.params.items()})
 
     def load_state(self, arrays: dict[str, np.ndarray]):
-        for name, p in self.params.items():
-            _check_stored(arrays, name, p.values.shape)
-            p.values = np.array(arrays[name], dtype=np.float64)
-
-
-def _check_stored(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]):
-    if name not in arrays:
-        raise DomainError(f"checkpoint is missing parameter '{name}'")
-    if arrays[name].shape != shape:
-        raise ShapeError(f"parameter '{name}' has shape {arrays[name].shape}, want {shape}")
+        """Copy in the parameters of ``arrays``, keyed by checkpoint name."""
+        for name, values in self.stacked(arrays).items():
+            self.params[name].values = np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +435,13 @@ def san(x_stacked: Tensor) -> Tensor:
     return ad.tmean(ad.absolute(ad.sub(eye, ad.softmax_rows(gram))))
 
 
-def scn(enc_c: Tensor, x: Sequence[Tensor]) -> Tensor:
+def scn(enc_c: Tensor, x: Tensor) -> Tensor:
     """One minus the cosine between the context encoding and the sum of the
-    semantics vectors, averaged over the batch; lies in [0, 2]."""
-    if len(x) == 0:
-        raise DomainError("need at least one semantics vector")
-    total = x[0]
-    for xi in x[1:]:
-        total = ad.add(total, xi)
-    return ad.sub(1.0, ad.tmean(ad.cosine(enc_c, total)))
+    semantics vectors, stacked along axis 0 of ``x`` (M, ..., H), averaged
+    over the batch; lies in [0, 2]."""
+    if x.ndim < 2 or x.shape[0] == 0:
+        raise DomainError(f"need a stack of at least one semantics vector, got {x.shape}")
+    return ad.sub(1.0, ad.tmean(ad.cosine(enc_c, ad.tsum(x, axis=0))))
 
 
 def sdn(r_gt: Tensor, r_gen_plus: Tensor) -> Tensor:

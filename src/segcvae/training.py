@@ -3,9 +3,9 @@
 The objective is maximized, so each step minimizes its negation.  Both the
 norm weight and the KL weight ramp linearly from zero; the norm weight can
 instead be pinned to a constant.  A checkpoint is persisted every time the
-validation perplexity reaches a new minimum, and the serialized state
-(parameters, optimizer moments, step counter, generator states) resumes a
-run exactly.
+validation perplexity reaches a new minimum.  The serialized state
+(parameters, optimizer moments, step counter, generator states) holds
+everything an exact resume needs, though no entry point resumes a run yet.
 """
 
 from __future__ import annotations
@@ -257,17 +257,17 @@ def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],
 # ---------------------------------------------------------------------------
 
 def save_state(state: TrainState, cfg: TrainingConfig, path):
+    model, opt = state.model, state.optimizer
     arrays: dict[str, np.ndarray] = {}
-    for name, p in state.model.params.items():
-        arrays[f"param.{name}"] = p.values
-        arrays[f"adam.m.{name}"] = state.optimizer.m[name]
-        arrays[f"adam.v.{name}"] = state.optimizer.v[name]
+    for prefix, stored in (("param.", model.state_arrays()), ("adam.m.", model.stored_views(opt.m)),
+                           ("adam.v.", model.stored_views(opt.v))):
+        arrays.update((prefix + name, a) for name, a in stored.items())
     arrays["opt.t"] = np.array(state.optimizer.t, dtype=np.uint64)
     arrays["train.step"] = np.array(state.step, dtype=np.uint64)
     arrays["train.best_ppl"] = np.array(state.best_ppl, dtype=np.float64)
     arrays["rng.noise"] = state.rng.get_state()
     arrays["rng.data"] = state.data_rng.get_state()
-    meta = state.model.config.meta()
+    meta = model.config.meta()
     meta["seed"] = str(cfg.seed)
     ad.save_checkpoint(path, arrays, meta)
 
@@ -289,11 +289,12 @@ def load_model(path) -> tuple[SegCVAE, dict[str, np.ndarray]]:
 
 def load_state(path, cfg: TrainingConfig) -> TrainState:
     model, arrays = load_model(path)
+    # stacked before Adam's zero moments, so that dropping those frees the top of the heap
+    moments = [model.stacked({k[len(p):]: v for k, v in arrays.items() if k.startswith(p)})
+               for p in ("adam.m.", "adam.v.")]
     optimizer = Adam(model.params, lr=cfg.learning_rate)
     optimizer.t = int(arrays["opt.t"])
-    for name in model.params:
-        optimizer.m[name] = arrays[f"adam.m.{name}"]
-        optimizer.v[name] = arrays[f"adam.v.{name}"]
+    optimizer.m, optimizer.v = moments
     rng, data_rng = Rng(0), Rng(0)
     rng.set_state(arrays["rng.noise"])
     data_rng.set_state(arrays["rng.data"])

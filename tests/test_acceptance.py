@@ -59,9 +59,8 @@ def _scaled_trigger_model():
                              hidden_dim=5, latent_dim=4, kernel_width=2,
                              conv_channels=2, num_triggers=2, tau=0.01)
     net = mod.SegCVAE(config, vocab.embedding, Rng(7))
-    for trig in net.is_triggers + net.eg_triggers:
-        trig.kernel.values *= 12.0
-        trig.dense.values *= 12.0
+    for name in ("is.kernel", "is.dense", "eg.kernel", "eg.dense"):
+        net.params[name].values *= 12.0
     ctx, _ = encode_pairs(pairs, vocab, config.max_len)
     return net, vocab, ctx[:1]
 
@@ -93,20 +92,22 @@ def test_02_gumbel_softmax_limit():
             c_emb = net.embed_matrix(ctx)
             c_is = net.internal_separation(c_emb, ctx == 0, noise=False)
             v_eg = net.external_guidance(c_emb, noise=False)
-        for trig, got in zip(net.is_triggers, c_is):
-            logits = _np_conv(emb_rows, trig.kernel.values) @ trig.dense.values
+        assert c_is.shape[0] == v_eg.shape[0] == net.config.num_triggers
+        arrays = net.state_arrays()  # per-trigger slices under their checkpoint names
+        for i, got in enumerate(c_is.values):  # one context: entry i is trigger i's
+            logits = _np_conv(emb_rows, arrays[f"is{i}.kernel"]) @ arrays[f"is{i}.dense"]
             logits[:, row == 0] = -np.inf
             ranked = np.sort(logits, axis=1)
             assert np.all(ranked[:, -1] - ranked[:, -2] >= 0.5), "gap premise"
             expected = emb_rows[np.argmax(logits, axis=1)]
-            np.testing.assert_allclose(got.values[0], expected, atol=1e-3)
-        for trig, got in zip(net.eg_triggers, v_eg):
-            logits = _np_conv(emb_rows, trig.kernel.values) @ trig.dense.values
+            np.testing.assert_allclose(got, expected, atol=1e-3)
+        for i, got in enumerate(v_eg.values):
+            logits = _np_conv(emb_rows, arrays[f"eg{i}.kernel"]) @ arrays[f"eg{i}.dense"]
             logits[:, :4] = -np.inf
             ranked = np.sort(logits, axis=1)
             assert np.all(ranked[:, -1] - ranked[:, -2] >= 0.5), "gap premise"
             expected = vocab.embedding[np.argmax(logits, axis=1)]
-            np.testing.assert_allclose(got.values[0], expected, atol=1e-3)
+            np.testing.assert_allclose(got, expected, atol=1e-3)
 
 
 def test_03_gradient_blocking():
@@ -130,16 +131,16 @@ def test_03_gradient_blocking():
         selected = set(parts["semantics"].positive_index.tolist())
         assert selected and selected != set(range(3)), "need unselected branches"
         for i in range(3):
-            names = net.branch_param_names(i)
-            assert names
-            grads = [net.params[n].grad for n in names]
+            slices = net.branch_slices(i)
+            assert len(slices) == 4, "a kernel and a dense slice in each trigger family"
+            grads = [net.params[name].grad[where] for name, where in slices]
             if i in selected:
-                assert any(g is not None and np.any(g != 0.0) for g in grads), \
+                assert any(np.any(g != 0.0) for g in grads), \
                     f"selected branch {i} got no gradient"
             else:
-                for name, g in zip(names, grads):
-                    assert g is None or not np.any(g != 0.0), \
-                        f"{name} leaked gradient from a non-selected branch"
+                for (name, _), g in zip(slices, grads):
+                    assert not np.any(g != 0.0), \
+                        f"branch {i}'s slice of {name} leaked gradient from a non-selected branch"
 
 
 def test_04_norm_identities():
@@ -150,8 +151,8 @@ def test_04_norm_identities():
         np.fill_diagonal(scaled, 10.0)
         assert mod.san(Tensor(scaled)).item() < 1e-6
         enc_c = Tensor(rng.normal(size=(4,)))
-        assert abs(mod.scn(enc_c, [Tensor(0.25 * enc_c.values),
-                                   Tensor(0.5 * enc_c.values)]).item()) < 1e-12
+        assert abs(mod.scn(enc_c, Tensor(np.stack([0.25 * enc_c.values,
+                                                   0.5 * enc_c.values]))).item()) < 1e-12
         r = Tensor(rng.normal(size=(5, 4)))
         assert abs(mod.sdn(r, Tensor(r.values.copy())).item()) < 1e-12
 

@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line surface."""
 
+import shutil
+
 import numpy as np
 import pytest
 
+from segcvae import autodiff as ad
 from segcvae import cli, corpus
+from segcvae import training as tr
 from segcvae.corpus import DialoguePair
 from segcvae.errors import ConfigError, MissingKey
 
@@ -127,6 +131,29 @@ class TestDispatchBasics:
         assert code == 2
         assert "must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize("command", ["train", "generate"])
+    def test_negative_seed_argument_is_usage_error(self, command, config_file, data_dir,
+                                                   tmp_path, capsys):
+        where = (["--config", str(config_file), "--in", str(data_dir)] if command == "train"
+                 else ["--run", str(tmp_path / "run"), "--data", str(data_dir / "test.tsv")])
+        code = cli.dispatch([command, *where, "--out", str(tmp_path / "out"), "--seed", "-5"])
+        assert code == 2
+        assert "must be a non-negative integer, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_in_config_file_exits_one(self, config_file, data_dir, tmp_path,
+                                                    capsys):
+        config_file.write_text(CONFIG_TEXT + "seed = -3\n", encoding="utf-8")
+        code = cli.dispatch(["train", "--config", str(config_file), "--in", str(data_dir),
+                             "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "'seed' must be at least 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_seed_is_accepted(self, config_file, data_dir, tmp_path):
+        assert cli.dispatch(["train", "--config", str(config_file), "--in", str(data_dir),
+                             "--out", str(tmp_path / "out"), "--seed", "0"]) == 0
 
     def test_empty_context_in_pair_file_exits_one(self, config_file, data_dir, tmp_path,
                                                   capsys):
@@ -255,6 +282,47 @@ class TestTrainGenerateEvaluate:
         assert "distinct-1:" in out and "ppl:" in out and "bleu-1:" in out
         assert (tmp_path / "metrics" / "metrics.txt").exists()
         assert (run_dir / "checkpoint.bin").read_bytes() == ckpt_before
+
+    def test_per_trigger_checkpoint_loads_and_generates_the_same_bytes(self, run_dir, data_dir,
+                                                                       tmp_path):
+        """A checkpoint whose trigger arrays are standalone per-trigger arrays,
+        the layout a model held before its trigger families were stacked,
+        loads, and ``generate`` writes the same bytes from it."""
+        state = tr.load_state(run_dir / "checkpoint.bin", tr.TrainingConfig())
+        cfg = state.model.config
+
+        def per_trigger(by_param):
+            out = {}
+            for name, a in by_param.items():
+                path, _, part = name.partition(".")
+                if path not in ("is", "eg"):
+                    out[name] = a
+                    continue
+                chan = cfg.conv_channels
+                for i in range(cfg.num_triggers):
+                    out[f"{path}{i}.{part}"] = np.array(a[..., i * chan:(i + 1) * chan]
+                                                        if part == "kernel" else a[i])
+            return out
+
+        arrays = {}
+        for prefix, by_param in (("param.", {k: p.values for k, p in state.model.params.items()}),
+                                 ("adam.m.", state.optimizer.m), ("adam.v.", state.optimizer.v)):
+            arrays.update((prefix + k, a) for k, a in per_trigger(by_param).items())
+        saved, meta = ad.load_checkpoint(run_dir / "checkpoint.bin")
+        arrays.update((k, saved[k]) for k in ("opt.t", "train.step", "train.best_ppl",
+                                              "rng.noise", "rng.data"))
+        assert sorted(arrays) == sorted(saved)
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        ad.save_checkpoint(legacy / "checkpoint.bin", arrays, meta)
+        shutil.copy(run_dir / "vocab.txt", legacy / "vocab.txt")
+        assert (legacy / "checkpoint.bin").read_bytes() == (run_dir / "checkpoint.bin").read_bytes()
+
+        for run in (run_dir, legacy):
+            assert cli.dispatch(["generate", "--run", str(run), "--data", str(data_dir / "test.tsv"),
+                                 "--out", str(tmp_path / f"gen-{run.name}"), "--seed", "3"]) == 0
+        assert ((tmp_path / "gen-legacy" / "generated.tsv").read_bytes()
+                == (tmp_path / "gen-run" / "generated.tsv").read_bytes())
 
     def _generate(self, run_dir, data_dir, tmp_path):
         return cli.dispatch(["generate", "--run", str(run_dir),

@@ -94,28 +94,35 @@ class TestSan:
 
 
 class TestScn:
+    @staticmethod
+    def _stack(*vectors):
+        return Tensor(np.stack(vectors))
+
     def test_aligned_sum_is_zero(self):
-        v = Tensor(np.array([1.0, 2.0, 0.5]))
-        assert m.scn(v, [v]).item() == pytest.approx(0.0)
+        v = np.array([1.0, 2.0, 0.5])
+        assert m.scn(Tensor(v), self._stack(v)).item() == pytest.approx(0.0)
 
     def test_opposed_sum_is_two(self):
         v = np.array([1.0, 2.0, 0.5])
-        assert m.scn(Tensor(v), [Tensor(-v)]).item() == pytest.approx(2.0)
+        assert m.scn(Tensor(v), self._stack(-v)).item() == pytest.approx(2.0)
 
     def test_orthogonal_sum_is_one(self):
         assert m.scn(Tensor(np.array([1.0, 0.0])),
-                     [Tensor(np.array([0.0, 3.0]))]).item() == pytest.approx(1.0)
+                     self._stack(np.array([0.0, 3.0]))).item() == pytest.approx(1.0)
 
     def test_sums_the_branch_vectors(self):
         v = np.array([2.0, -1.0, 0.0])
-        halves = [Tensor(0.5 * v), Tensor(0.5 * v)]
-        assert m.scn(Tensor(v), halves).item() == pytest.approx(0.0)
+        assert m.scn(Tensor(v), self._stack(0.5 * v, 0.5 * v)).item() == pytest.approx(0.0)
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(DomainError):
+            m.scn(Tensor(np.ones(3)), Tensor(np.ones((0, 3))))
 
     def test_gradient(self):
         rng = np.random.default_rng(4)
         enc_c = Tensor(rng.normal(size=(2, 5)) + 0.5, requires_grad=True)
-        xs = [Tensor(rng.normal(size=(2, 5)) + 0.5, requires_grad=True) for _ in range(3)]
-        err = ad.grad_check(lambda c, a, b, d: m.scn(c, [a, b, d]), [enc_c] + xs)
+        xs = Tensor(rng.normal(size=(3, 2, 5)) + 0.5, requires_grad=True)
+        err = ad.grad_check(lambda c, x: m.scn(c, x), [enc_c, xs])
         assert err < 1e-4
 
 
@@ -206,6 +213,13 @@ class TestTotalLoss:
             m.total_loss(Tensor(np.array(0.0)), 0.0, 0.0, 0.0, 1.5)
 
 
+def _trigger(net, path, i):
+    """Trigger ``i`` of a family as (kernel, dense) views of its stacked
+    parameters: writes go through to the live parameters."""
+    arrays = net.state_arrays()
+    return arrays[f"{path}{i}.kernel"], arrays[f"{path}{i}.dense"]
+
+
 class TestTriggerSelection:
     def test_paper_config_shapes(self):
         rng = np.random.default_rng(9)
@@ -220,38 +234,41 @@ class TestTriggerSelection:
             c_is = net.internal_separation(c_emb, ctx == 0)
             v_eg = net.external_guidance(c_emb)
             xs = net.prominent_semantics(ctx)
-        assert len(c_is) == 8 and all(t.shape == (1, 3, 300) for t in c_is)
-        assert len(v_eg) == 8 and all(t.shape == (1, 3, 300) for t in v_eg)
-        assert len(xs) == 8 and all(t.shape == (1, 300) for t in xs)
+        assert c_is.shape == v_eg.shape == (8, 3, 300)
+        assert net.is_kernel.shape == net.eg_kernel.shape == (3, 300, 1, 24)
+        assert net.is_dense.shape == (8, 23, 25) and net.eg_dense.shape == (8, 23, 40)
+        assert xs.shape == (8, 1, 300)
+        assert len(list(xs)) == 8 and all(x.shape == (1, 300) for x in xs)
 
     def test_single_token_context_gets_all_mass(self):
         net, vocab, _, _ = _tiny_setup()
         ctx = np.zeros((1, net.config.max_len), dtype=np.int64)
         ctx[0, 0] = 4
+        chan = net.config.conv_channels
         with ad.no_grad():
             c_emb = net.embed_matrix(ctx)
-            weights = net._selection(net.is_triggers[0], c_emb,
-                                     np.where(ctx == 0, -np.inf, 0.0)[:, None, :],
+            weights = net._selection(c_emb, net.is_kernel, net.is_dense,
+                                     np.repeat(np.where(ctx == 0, -np.inf, 0.0), chan, axis=0),
                                      rng=None, noise=False)
-            c_is = ad.matmul(weights, c_emb)
-        np.testing.assert_allclose(weights.values[0, :, 0], 1.0)
-        for ch in range(net.config.conv_channels):
-            np.testing.assert_allclose(c_is.values[0, ch], vocab.embedding[4], atol=1e-12)
+            c_is = net.internal_separation(c_emb, ctx == 0)
+        np.testing.assert_allclose(weights.values[..., 0], 1.0)  # every trigger and channel
+        for i in range(net.config.num_triggers):
+            for ch in range(chan):
+                np.testing.assert_allclose(c_is.values[i, ch], vocab.embedding[4], atol=1e-12)
 
     def test_low_temperature_matches_argmax_oracle(self):
         net, vocab, ctx, _ = _tiny_setup(tau=0.01)
         # enlarge the weights so logit gaps clear the sharpening premise
-        for trig in net.is_triggers:
-            trig.kernel.values *= 10.0
-            trig.dense.values *= 10.0
+        net.is_kernel.values *= 10.0
+        net.is_dense.values *= 10.0
         row = ctx[:1]
         with ad.no_grad():
             c_emb = net.embed_matrix(row)
             c_is = net.internal_separation(c_emb, row == 0, noise=False)
 
         # independent selection oracle: explicit convolution and argmax pick
-        def oracle(trigger):
-            kern = trigger.kernel.values[:, :, 0, :]
+        def oracle(kernel, dense):
+            kern = kernel[:, :, 0, :]
             emb_rows = vocab.embedding[row[0]]
             width = kern.shape[0]
             out_len = row.shape[1] - width + 1
@@ -259,31 +276,30 @@ class TestTriggerSelection:
             for ch in range(kern.shape[2]):
                 for t in range(out_len):
                     f_c[ch, t] = (emb_rows[t:t + width] * kern[:, :, ch]).sum()
-            logits = f_c @ trigger.dense.values
+            logits = f_c @ dense
             logits[:, row[0] == 0] = -np.inf
             return emb_rows[np.argmax(logits, axis=1)]
 
-        for i, trigger in enumerate(net.is_triggers):
-            np.testing.assert_allclose(c_is[i].values[0], oracle(trigger), atol=1e-3)
+        for i in range(net.config.num_triggers):
+            np.testing.assert_allclose(c_is.values[i], oracle(*_trigger(net, "is", i)), atol=1e-3)
 
     def test_zero_conv_features_give_mean_unmasked_embedding(self):
         net, vocab, ctx, _ = _tiny_setup()
-        for trig in net.eg_triggers:
-            _zero(trig.kernel)
+        _zero(net.eg_kernel)
         with ad.no_grad():
             v_eg = net.external_guidance(net.embed_matrix(ctx[:1]), noise=False)
         expected = vocab.embedding[4:].mean(axis=0)
-        for ch in range(net.config.conv_channels):
-            np.testing.assert_allclose(v_eg[0].values[0, ch], expected, atol=1e-12)
+        for i in range(net.config.num_triggers):
+            for ch in range(net.config.conv_channels):
+                np.testing.assert_allclose(v_eg.values[i, ch], expected, atol=1e-12)
 
     def test_identical_triggers_give_identical_semantics(self):
         net, _, ctx, _ = _tiny_setup(num_triggers=3)
-        for trig in net.is_triggers[1:]:
-            trig.kernel.values = net.is_triggers[0].kernel.values.copy()
-            trig.dense.values = net.is_triggers[0].dense.values.copy()
-        for trig in net.eg_triggers[1:]:
-            trig.kernel.values = net.eg_triggers[0].kernel.values.copy()
-            trig.dense.values = net.eg_triggers[0].dense.values.copy()
+        for path in ("is", "eg"):
+            kernel, dense = _trigger(net, path, 0)
+            for i in (1, 2):
+                other_kernel, other_dense = _trigger(net, path, i)
+                other_kernel[...], other_dense[...] = kernel, dense
         with ad.no_grad():
             xs = net.prominent_semantics(ctx[:2], noise=False)
         for x in xs[1:]:
@@ -291,12 +307,16 @@ class TestTriggerSelection:
 
     def test_no_is_uses_vocabulary_selection_only(self):
         net, _, ctx, _ = _tiny_setup(no_is=True)
-        assert net.is_triggers == [] and "is0.kernel" not in net.params
+        assert net.is_kernel is None and net.is_dense is None
+        assert not any(name.startswith("is") for name in net.params)
+        assert not any(name.startswith("is") for name in net.state_arrays())
+        batch = ctx.shape[0]
         with ad.no_grad():
             xs = net.prominent_semantics(ctx, noise=False)
             v_eg = net.external_guidance(net.embed_matrix(ctx), noise=False)
-            direct = [net.encode_embedded(v) for v in v_eg]
-        assert len(xs) == net.config.num_triggers
+            direct = [ad.gru_encode(net.enc, v_eg[i * batch:(i + 1) * batch])
+                      for i in range(net.config.num_triggers)]
+        assert xs.shape[0] == net.config.num_triggers
         for x, d in zip(xs, direct):
             np.testing.assert_array_equal(x.values, d.values)
 
@@ -305,27 +325,35 @@ class TestTriggerSelection:
         with ad.no_grad():
             xs = net.prominent_semantics(ctx, noise=False)
             direct = net.encode_ids(ctx)
+        assert xs.shape[0] == net.config.num_triggers
         for x in xs:
             np.testing.assert_array_equal(x.values, direct.values)
 
 
 class TestTriggerGroups:
-    """external_guidance multiplies the stacked selections of a group of
-    triggers with ``emb`` at once; a group's selections fit in TF_BLOCK_BYTES
-    unless one trigger's selection alone exceeds it."""
+    """external_guidance runs the vocabulary-wide work of a group of
+    triggers at once, up to the product with ``emb``; a group's selections
+    fit in TF_BLOCK_BYTES unless one trigger's selection alone exceeds it."""
 
     @staticmethod
-    def _emb_products(net, monkeypatch) -> list[int]:
-        rows = []
-        matmul = ad.matmul
+    def _emb_products(net, monkeypatch) -> tuple[list[int], list[tuple]]:
+        """Triggers in each product with ``emb``, and the shapes of every
+        tensor that is concatenated."""
+        triggers, joined = [], []
+        matmul, concat = ad.matmul, ad.concat
 
         def counting(a, b):
             if b is net.emb:
-                rows.append(a.shape[0])
+                triggers.append(a.shape[0])
             return matmul(a, b)
 
+        def recording(tensors, axis=0):
+            joined.extend(t.shape for t in tensors)
+            return concat(tensors, axis)
+
         monkeypatch.setattr(ad, "matmul", counting)
-        return rows
+        monkeypatch.setattr(ad, "concat", recording)
+        return triggers, joined
 
     @staticmethod
     def _selection_bytes(net, batch) -> int:
@@ -333,54 +361,73 @@ class TestTriggerGroups:
 
     def test_one_product_for_one_context(self, monkeypatch):
         net, _, ctx, _ = _tiny_setup(num_triggers=8)
-        rows = self._emb_products(net, monkeypatch)
+        triggers, _ = self._emb_products(net, monkeypatch)
         with ad.no_grad():
             net.prominent_semantics(ctx[:1])
-        assert rows == [8]
+        assert triggers == [8]
 
     @pytest.mark.parametrize("budget_triggers", [None, 0, 0.5, 1, 2.5, 7, 8, 100])
     def test_groups_keep_to_the_budget(self, budget_triggers, monkeypatch):
         """None: the byte budget left as it is; otherwise the budget in
         selections of one trigger (0 means a budget of one byte)."""
         net, _, ctx, _ = _tiny_setup(num_triggers=8)
-        batch, one = ctx.shape[0], self._selection_bytes(net, ctx.shape[0])
+        one = self._selection_bytes(net, ctx.shape[0])
         budget = m.TF_BLOCK_BYTES if budget_triggers is None else max(1, int(budget_triggers * one))
         monkeypatch.setattr(m, "TF_BLOCK_BYTES", budget)
-        rows = self._emb_products(net, monkeypatch)
+        triggers, joined = self._emb_products(net, monkeypatch)
         with ad.no_grad():
-            net.prominent_semantics(ctx)
-        assert sum(rows) == 8 * batch
-        assert all(r == batch or r // batch * one <= budget for r in rows)
+            v_eg = net.external_guidance(net.embed_matrix(ctx))
+        assert v_eg.shape == (8 * ctx.shape[0], net.config.conv_channels, net.config.emb_dim)
+        assert sum(triggers) == 8
+        assert all(k == 1 or k * one <= budget for k in triggers)
+        assert all(shape[-1] != net.config.vocab_size for shape in joined)  # no V-wide concat
         if budget < one:
-            assert rows == [batch] * 8
+            assert triggers == [1] * 8
         elif 8 * one > budget:
-            assert len(rows) > 1
+            assert len(triggers) > 1
+        else:
+            assert triggers == [8] and joined == []
 
     @pytest.mark.parametrize("budget_triggers", [100, 3, 0])
     def test_outputs_and_emb_gradient_match_per_trigger_products(self, budget_triggers,
-                                                                 monkeypatch):
+                                                            monkeypatch):
+        """The grouped path against one conv/dense/mask/noise/softmax chain
+        per trigger on that trigger's own arrays, drawing the noise trigger
+        by trigger from the same stream."""
         net, _, ctx, _ = _tiny_setup(num_triggers=8)
+        batch, cfg = ctx.shape[0], net.config
         monkeypatch.setattr(m, "TF_BLOCK_BYTES",
-                            max(1, budget_triggers * self._selection_bytes(net, ctx.shape[0])))
-        mask_row = np.zeros((1, 1, net.config.vocab_size))
+                            max(1, budget_triggers * self._selection_bytes(net, batch)))
+        mask_row = np.zeros((1, 1, cfg.vocab_size))
         mask_row[..., :4] = -np.inf
-        weights = np.random.default_rng(7).normal(size=(8, ctx.shape[0], 2, 5))
-        results = []
-        for grouped in (True, False):
-            net.zero_grad()
-            rng, c_emb = Rng(5), net.embed_matrix(ctx)
-            if grouped:
-                mixed = net.external_guidance(c_emb, rng, noise=True)
-            else:
-                mixed = [ad.matmul(net._selection(t, c_emb, mask_row, rng, noise=True), net.emb)
-                         for t in net.eg_triggers]
-            loss = ad.tsum(ad.concat([ad.mul(x, Tensor(w)) for x, w in zip(mixed, weights)]))
-            loss.backward()
-            results.append(([x.values for x in mixed], net.emb.grad))
-        (got, got_grad), (want, want_grad) = results
-        for g, w in zip(got, want):
-            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
-        assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+        weights = Tensor(np.random.default_rng(7).normal(size=(8 * batch, 2, 5)))
+
+        net.zero_grad()
+        got = net.external_guidance(net.embed_matrix(ctx), Rng(5), noise=True)
+        ad.tsum(ad.mul(got, weights)).backward()
+        got_grads = {k: net.params[k].grad for k in ("emb", "eg.kernel", "eg.dense")}
+
+        net.zero_grad()
+        rng, c_emb = Rng(5), net.embed_matrix(ctx)
+        triggers = [tuple(Tensor(a.copy(), requires_grad=True) for a in _trigger(net, "eg", i))
+                    for i in range(8)]
+        want = []
+        for kernel, dense in triggers:
+            logits = ad.add(ad.matmul(ad.conv_seq(c_emb, kernel), dense), Tensor(mask_row))
+            selection = ad.gumbel_softmax(logits, cfg.tau, rng=rng, noise=True)
+            want.append(ad.matmul(selection, net.emb))
+        want = ad.concat(want)
+        ad.tsum(ad.mul(want, weights)).backward()
+
+        def close(g, w):
+            return np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+        assert close(got.values, want.values)
+        assert close(got_grads["emb"], net.emb.grad)
+        for i, (kernel, dense) in enumerate(triggers):
+            where = dict(net.branch_slices(i))
+            assert close(got_grads["eg.kernel"][where["eg.kernel"]], kernel.grad), i
+            assert close(got_grads["eg.dense"][where["eg.dense"]], dense.grad), i
 
 
 class TestElbo:
@@ -479,7 +526,8 @@ def _per_step_teacher_forcing(net, resp, state):
         picked = ad.gather_last(logp, targets[:, t])
         recon = ad.add(recon, ad.mul(picked, Tensor(live[:, t].astype(np.float64))))
         expected.append(ad.matmul(ad.exp(logp), net.emb))
-    return recon, ad.gru_encode(net.enc, ad.stack_rows(expected), mask=live[:, :steps])
+    rows = [ad.reshape(e, (e.shape[0], 1, e.shape[1])) for e in expected]
+    return recon, ad.gru_encode(net.enc, ad.concat(rows, axis=1), mask=live[:, :steps])
 
 
 class TestTeacherForcedBlocks:
@@ -627,14 +675,14 @@ class TestForwardLosses:
         selected = set(parts["semantics"].positive_index.tolist())
         assert len(selected) == 1
         for i in range(3):
-            names = net.branch_param_names(i)
-            assert names, "branch has exclusive parameters"
-            grads = [net.params[n].grad for n in names]
+            slices = net.branch_slices(i)
+            assert len(slices) == 4, "a kernel and a dense slice per family"
+            grads = [net.params[name].grad[where] for name, where in slices]
             if i in selected:
-                assert any(g is not None and np.any(g != 0) for g in grads)
+                assert any(np.any(g != 0) for g in grads)
             else:
                 for g in grads:
-                    assert g is None or not np.any(g != 0)
+                    assert not np.any(g != 0)
 
     def test_norms_reach_all_branches(self):
         net, _, ctx, resp = _tiny_setup(num_triggers=2)
@@ -644,8 +692,8 @@ class TestForwardLosses:
         net.zero_grad()
         loss.backward()
         for i in range(2):
-            grads = [net.params[n].grad for n in net.branch_param_names(i)]
-            assert any(g is not None and np.any(g != 0) for g in grads)
+            for name, where in net.branch_slices(i):
+                assert np.any(net.params[name].grad[where] != 0), (i, name)
 
     def test_sdn_skipped_for_singleton_batch(self):
         net, _, ctx, resp = _tiny_setup()
@@ -674,7 +722,7 @@ def _one_hot_reference(net, ctx, resp, kl_weight, rng):
         for i, b in enumerate(branches):
             generated = ad.add(generated, ad.mul(b["generated"], Tensor(one_hot[i][:, None])))
         sdn_v = m.sdn(r_e.detach(), generated)
-    loss = m.total_loss(ad.tmean(elbo_plus), m.san(ad.stack_rows(xs)),
+    loss = m.total_loss(ad.tmean(elbo_plus), m.san(ad.transpose(xs, (1, 0, 2))),
                         m.scn(net.encode_ids(ctx), xs), sdn_v, lambda_w=1.0)
     return loss, positive
 
@@ -748,6 +796,26 @@ class TestTwoPassForward:
                               if t._parents and t.shape[-1:] == (vocab,)))
         assert counts[0] == counts[1] > 0
 
+    def test_semantics_graph_does_not_grow_with_the_trigger_count(self):
+        """One chain per selection path whatever M: at the ablation test's
+        shape, where one guidance group holds every trigger, the tensors
+        reachable from the semantics (leaves included) number the same for
+        M=2 and M=4."""
+        counts = []
+        for num_triggers in (2, 4):
+            net, ctx, _ = _ablation_batch(28, num_triggers=num_triggers)
+            batch = ctx.shape[0]
+            assert m.TF_BLOCK_BYTES >= 8 * num_triggers * batch * 2 * net.config.vocab_size
+            xs = net.prominent_semantics(ctx, Rng(3), noise=True)
+            counts.append(len(_graph_nodes([xs])))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("num_triggers", [1, 2, 8])
+    def test_one_parameter_per_trigger_family_array(self, num_triggers):
+        net, _, _ = _ablation_batch(29, num_triggers=num_triggers)
+        assert len(net.params) == 21
+        assert len(net.state_arrays()) == 17 + 4 * num_triggers
+
     def test_fixed_noise_rejects_a_wrong_shape(self):
         noise = m.FixedNoise(np.zeros((3, 4)))
         assert noise.normal((3, 4)) is noise.eps
@@ -789,8 +857,11 @@ class TestBatchedBranches:
                 paths.append(net.internal_separation(c_emb, ctx == PAD_ID, rng, noise=True))
             if not net.config.no_eg:
                 paths.append(net.external_guidance(c_emb, rng, noise=True))
-            want = [net.encode_embedded(ad.concat(parts, axis=1)) for parts in zip(*paths)]
-        assert len(xs) == len(want) == net.config.num_triggers
+            batch = ctx.shape[0]
+            want = [ad.gru_encode(net.enc, ad.concat([p[i * batch:(i + 1) * batch] for p in paths],
+                                                     axis=1))
+                    for i in range(net.config.num_triggers)]
+        assert xs.shape[0] == len(want) == net.config.num_triggers
         for x, w in zip(xs, want):
             assert x.shape == (ctx.shape[0], net.config.hidden_dim)
             np.testing.assert_allclose(x.values, w.values, rtol=1e-12, atol=1e-15)
@@ -834,14 +905,23 @@ class TestModelState:
         with pytest.raises(DomainError):
             clone.load_state(arrays)
 
-    def test_from_arrays_draws_nothing_and_copies_nothing(self, monkeypatch):
+    def test_from_arrays_draws_nothing_and_copies_only_trigger_arrays(self, monkeypatch):
+        """Every array but the per-trigger ones becomes a live parameter as
+        it is; those are stacked into their family, once."""
         net, vocab, ctx, resp = _tiny_setup()
         arrays = {k: v.copy() for k, v in net.state_arrays().items()}
         monkeypatch.setattr(ad, "glorot", lambda *a, **k: pytest.fail("random draw"))
         clone = m.SegCVAE.from_arrays(net.config, arrays)
         assert list(clone.params) == list(net.params)
+        stacked = {"is.kernel", "is.dense", "eg.kernel", "eg.dense"}
+        assert stacked <= set(clone.params)
         for name, p in clone.params.items():
-            assert p.values is arrays[name]
+            assert (p.values is arrays[name]) if name not in stacked else not any(
+                np.shares_memory(p.values, a) for a in arrays.values())
+        views = clone.state_arrays()
+        assert list(views) == list(arrays)
+        for name, view in views.items():
+            assert view.tobytes() == arrays[name].tobytes(), name
         with ad.no_grad():
             a = net.forward_losses(ctx, resp, 0.5, Rng(1))
             b = clone.forward_losses(ctx, resp, 0.5, Rng(1))

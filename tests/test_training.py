@@ -261,9 +261,11 @@ class TestTrainStep:
         wins = state.branch_wins
         assert wins.shape == (6,) and wins.sum() == 4
         for i in range(6):
-            grads = [state.model.params[n].grad for n in state.model.branch_param_names(i)]
-            got_gradient = any(g is not None and np.any(g != 0) for g in grads)
-            assert got_gradient == (wins[i] > 0), i
+            slices = state.model.branch_slices(i)
+            assert len(slices) == 4
+            got_gradient = [np.any(state.model.params[name].grad[where] != 0)
+                            for name, where in slices]
+            assert (any(got_gradient) if wins[i] else not any(got_gradient)), i
 
     @pytest.mark.parametrize("clip", [1e-3, 1e6, None])
     def test_leaves_the_pre_clip_gradient_norm_and_clip_flag(self, clip):
@@ -351,6 +353,34 @@ class TestResumability:
         resumed = tr.load_state(tmp_path / "mid.ckpt", cfg)
         tail_resumed = [tr.format_stats(tr.train_step(b, resumed, cfg)) for b in batches[2:]]
         assert tail_direct == tail_resumed
+
+
+    def test_round_trip_restores_stacked_parameters_and_moments_bitwise(self, tmp_path):
+        cfg, pairs, vocab, data = _setup(num_triggers=3)
+        state = tr.init_state(cfg, vocab)
+        for i in range(2):
+            tr.train_step((data[0][i::2], data[1][i::2]), state, cfg)
+        tr.save_state(state, cfg, tmp_path / "state.ckpt")
+        loaded = tr.load_state(tmp_path / "state.ckpt", cfg)
+        assert {"is.kernel", "is.dense", "eg.kernel", "eg.dense"} <= set(state.model.params)
+        assert (loaded.optimizer.t, loaded.step) == (state.optimizer.t, state.step)
+        for name, p in state.model.params.items():
+            for got, want in ((loaded.model.params[name].values, p.values),
+                              (loaded.optimizer.m[name], state.optimizer.m[name]),
+                              (loaded.optimizer.v[name], state.optimizer.v[name])):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    def test_per_trigger_views_stay_live_under_adam(self):
+        cfg, pairs, vocab, data = _setup()
+        state = tr.init_state(cfg, vocab)
+        views = state.model.state_arrays()
+        before = {k: v.copy() for k, v in views.items()}
+        tr.train_step(data, state, cfg)
+        now = state.model.state_arrays()
+        for name, view in views.items():
+            assert view.tobytes() == now[name].tobytes(), name
+        for name in ("is0.kernel", "is1.dense", "eg1.kernel", "eg0.dense"):
+            assert not np.array_equal(views[name], before[name]), name
 
 
 class TestFit:
