@@ -848,7 +848,7 @@ def grad_check(f, inputs: Sequence[Tensor], h: float = 1e-5,
 # parameter checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_TAG = "segcvae-ckpt-1"
+CHECKPOINT_TAG = "segcvae-ckpt-2"
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] = None):

@@ -59,29 +59,34 @@ class SegCVAE:
             raise ShapeError(f"embedding shape {embedding.shape} does not match "
                              f"({config.vocab_size}, {config.emb_dim})")
 
-        def fresh(name: str, shape: tuple[int, ...], init: str) -> np.ndarray:
+        def fresh(name: str, shape, init: str):
             if init == "emb":
                 return np.array(embedding, dtype=np.float64)
             if init == "zeros":
                 return np.zeros(shape)
-            return ad.glorot(shape, rng).values
+            if init == "glorot":
+                return ad.glorot(shape, rng).values
+            # a trigger family, drawn one trigger at a time: kernel, then projection
+            (kernel, dense), m = shape, config.num_triggers
+            kernels, denses = zip(*[(ad.glorot(kernel[:-1] + (kernel[-1] // m,), rng).values,
+                                     ad.glorot(dense[1:], rng).values) for _ in range(m)])
+            return np.concatenate(kernels, axis=-1), np.stack(denses)
 
         self._build(config, fresh)
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "SegCVAE":
-        """The network whose parameters are ``arrays``, keyed by checkpoint
-        name: no random draws, and float64 arrays are used without a copy, so
-        they become the live parameters that an optimizer updates in place;
-        the per-trigger arrays are stacked into their family, one copy."""
+        """The network whose parameters are ``arrays``, keyed by parameter
+        name, trigger families included: no random draws, and float64 arrays
+        are used without a copy, so they become the live parameters that an
+        optimizer updates in place."""
         config.validate()
 
-        def stored(name: str, shape: tuple[int, ...], init: str) -> np.ndarray:
-            if name not in arrays:
-                raise DomainError(f"checkpoint is missing parameter '{name}'")
-            if arrays[name].shape != shape:
-                raise ShapeError(f"parameter '{name}' has shape {arrays[name].shape}, want {shape}")
-            return np.asarray(arrays[name], dtype=np.float64)
+        def stored(name: str, shape, init: str):
+            if init == "triggers":
+                return [stored_array(arrays, f"{name}.{part}", s)
+                        for part, s in zip(("kernel", "dense"), shape)]
+            return stored_array(arrays, name, shape)
 
         model = cls.__new__(cls)
         model._build(config, stored)
@@ -89,28 +94,19 @@ class SegCVAE:
 
     def _build(self, config: ModelConfig, make):
         """Create every parameter, in a fixed order, from ``make(name, shape,
-        init)`` by checkpoint name; ``init`` is "glorot", "zeros" or "emb".  A
-        trigger family is asked for per trigger and held as ``<path>.kernel``
-        (the kernels along the channel axis) and ``<path>.dense`` (stacked)."""
+        init)``; ``init`` is "glorot", "zeros", "emb" or "triggers": one call
+        gets a family's kernels and projections, ``shape`` holding both."""
         self.config = c = config
         self.params: dict[str, Tensor] = {}
-        self.layout: list[tuple[str, str, object]] = []  # (checkpoint name, parameter, its slice)
 
         def param(name: str, shape: tuple[int, ...], init: str = "glorot") -> Tensor:
-            self.layout.append((name, name, ...))
             return self._add(name, make(name, shape, init))
 
         def family(path: str, width: int) -> tuple[Tensor, Tensor]:
-            chan, kernels, denses = c.conv_channels, [], []
-            for i in range(c.num_triggers):
-                kernels.append(make(f"{path}{i}.kernel", (c.kernel_width, c.emb_dim, 1, chan),
-                                    "glorot"))
-                denses.append(make(f"{path}{i}.dense", (conv_len, width), "glorot"))
-                self.layout += [(f"{path}{i}.kernel", f"{path}.kernel",
-                                 np.s_[..., i * chan:(i + 1) * chan]),
-                                (f"{path}{i}.dense", f"{path}.dense", i)]
-            return (self._add(f"{path}.kernel", np.concatenate(kernels, axis=-1)),
-                    self._add(f"{path}.dense", np.stack(denses)))
+            m = c.num_triggers
+            kernel, dense = make(path, ((c.kernel_width, c.emb_dim, 1, m * c.conv_channels),
+                                        (m, conv_len, width)), "triggers")
+            return self._add(f"{path}.kernel", kernel), self._add(f"{path}.dense", dense)
 
         def gru(prefix: str) -> ad.GruParams:
             gates = 3 * c.hidden_dim
@@ -148,8 +144,9 @@ class SegCVAE:
     def branch_slices(self, index: int) -> list[tuple[str, object]]:
         """(parameter name, numpy index) of every parameter slice used by no
         other branch than ``index``: its trigger in each family."""
-        return [(param, where) for name, param, where in self.layout
-                if name.startswith((f"is{index}.", f"eg{index}."))]
+        kernel = np.s_[..., index * self.config.conv_channels:(index + 1) * self.config.conv_channels]
+        return [(f"{path}.{part}", where) for path in ("is", "eg") if f"{path}.dense" in self.params
+                for part, where in (("kernel", kernel), ("dense", index))]
 
     # -- encoding ------------------------------------------------------
     def embed_matrix(self, ids: np.ndarray) -> Tensor:
@@ -386,24 +383,25 @@ class SegCVAE:
         }
 
     # -- persistence -----------------------------------------------------
-    def stored_views(self, by_param: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Arrays shaped like the parameters (their values, an optimizer
-        moment) as views under the checkpoint names, in checkpoint order."""
-        return {name: by_param[param][where] for name, param, where in self.layout}
-
-    def stacked(self, stored: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """The inverse of ``stored_views``, checked and stacked by ``from_arrays``."""
-        return {name: p.values for name, p in SegCVAE.from_arrays(self.config, stored).params.items()}
-
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """The live parameter arrays by checkpoint name (per-trigger views of
-        the families): Adam updates them in place, so a snapshot must copy."""
-        return self.stored_views({name: p.values for name, p in self.params.items()})
+        """The live parameter arrays by name: Adam updates them in place, so
+        a snapshot must copy."""
+        return {name: p.values for name, p in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]):
-        """Copy in the parameters of ``arrays``, keyed by checkpoint name."""
-        for name, values in self.stacked(arrays).items():
-            self.params[name].values = np.array(values)
+        """Copy in the parameters of ``arrays``, keyed by parameter name."""
+        for name, p in SegCVAE.from_arrays(self.config, arrays).params.items():
+            self.params[name].values = np.array(p.values)
+
+
+def stored_array(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``arrays[name]`` as float64, a float64 array as it is; a missing name
+    is a DomainError and another shape a ShapeError."""
+    if name not in arrays:
+        raise DomainError(f"checkpoint is missing parameter '{name}'")
+    if arrays[name].shape != shape:
+        raise ShapeError(f"parameter '{name}' has shape {arrays[name].shape}, want {shape}")
+    return np.asarray(arrays[name], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The objective is maximized, so each step minimizes its negation.  Both the
 norm weight and the KL weight ramp linearly from zero; the norm weight can
 instead be pinned to a constant.  A checkpoint is persisted every time the
-validation perplexity reaches a new minimum.  The serialized state
-(parameters, optimizer moments, step counter, generator states) holds
-everything an exact resume needs, though no entry point resumes a run yet.
+validation perplexity reaches a new minimum.  The serialized state (each
+parameter and its optimizer moments by the parameter's name, step, generator
+states) holds all an exact resume needs, though no entry point resumes yet.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .autodiff import Rng, Tensor
 from .config import ModelConfig, TrainingConfig
 from .corpus import PAD_ID, DialoguePair, Vocabulary, encode_pairs
 from .errors import DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss
-from .model import SegCVAE, select_positive, total_loss
+from .model import SegCVAE, select_positive, stored_array, total_loss
 
 CHECKPOINT_NAME = "checkpoint.bin"
 LOG_NAME = "train_log.txt"
@@ -53,16 +53,17 @@ class Adam:
 
     Parameters whose gradient is absent are left untouched, moments
     included.  A non-finite global gradient norm raises NonFiniteGradient
-    before any parameter or moment changes.
+    before any parameter or moment changes.  The moments start at zero
+    unless ``moments`` holds a saved state's (m, v), updated in place.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8, moments=None):
         self.params = params
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.values) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.values) for k, p in params.items()}
+        self.m, self.v = moments or [{k: np.zeros_like(p.values) for k, p in params.items()}
+                                     for _ in range(2)]
 
     def step(self, clip: float = None) -> float:
         """One update; returns the global gradient norm before clipping.
@@ -249,7 +250,10 @@ def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],
                 shards))
     nll = math.fsum(r[0] for r in results)
     tokens = sum(r[1] for r in results)
-    return math.exp(nll / tokens)
+    try:
+        return math.exp(nll / tokens)
+    except OverflowError:  # a mean negative log-likelihood above ~709.8 nats
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +262,8 @@ def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],
 
 def save_state(state: TrainState, cfg: TrainingConfig, path):
     model, opt = state.model, state.optimizer
-    arrays: dict[str, np.ndarray] = {}
-    for prefix, stored in (("param.", model.state_arrays()), ("adam.m.", model.stored_views(opt.m)),
-                           ("adam.v.", model.stored_views(opt.v))):
-        arrays.update((prefix + name, a) for name, a in stored.items())
+    arrays = {prefix + name: a for prefix, by_name in (("param.", model.state_arrays()),
+              ("adam.m.", opt.m), ("adam.v.", opt.v)) for name, a in by_name.items()}
     arrays["opt.t"] = np.array(state.optimizer.t, dtype=np.uint64)
     arrays["train.step"] = np.array(state.step, dtype=np.uint64)
     arrays["train.best_ppl"] = np.array(state.best_ppl, dtype=np.float64)
@@ -288,13 +290,12 @@ def load_model(path) -> tuple[SegCVAE, dict[str, np.ndarray]]:
 
 
 def load_state(path, cfg: TrainingConfig) -> TrainState:
+    """A ``save_state`` file's state, its parameters and moments the loaded arrays themselves."""
     model, arrays = load_model(path)
-    # stacked before Adam's zero moments, so that dropping those frees the top of the heap
-    moments = [model.stacked({k[len(p):]: v for k, v in arrays.items() if k.startswith(p)})
-               for p in ("adam.m.", "adam.v.")]
-    optimizer = Adam(model.params, lr=cfg.learning_rate)
+    moments = [{name: stored_array(arrays, f"adam.{k}.{name}", p.shape)
+                for name, p in model.params.items()} for k in "mv"]
+    optimizer = Adam(model.params, lr=cfg.learning_rate, moments=moments)
     optimizer.t = int(arrays["opt.t"])
-    optimizer.m, optimizer.v = moments
     rng, data_rng = Rng(0), Rng(0)
     rng.set_state(arrays["rng.noise"])
     data_rng.set_state(arrays["rng.data"])
@@ -347,6 +348,6 @@ def fit(splits: dict[str, Sequence[DialoguePair]], vocab: Vocabulary,
             if val_ppl < state.best_ppl:
                 state.best_ppl = val_ppl
                 save_state(state, cfg, ckpt_path)
-    if not ckpt_path.exists():  # non-finite ppl throughout; keep the last state
+    if state.best_ppl == math.inf:  # no finite ppl in this run; keep its last state
         save_state(state, cfg, ckpt_path)
     return result

@@ -93,16 +93,23 @@ def test_02_gumbel_softmax_limit():
             c_is = net.internal_separation(c_emb, ctx == 0, noise=False)
             v_eg = net.external_guidance(c_emb, noise=False)
         assert c_is.shape[0] == v_eg.shape[0] == net.config.num_triggers
-        arrays = net.state_arrays()  # per-trigger slices under their checkpoint names
+
+        def trigger(path, i):  # trigger i's slices of a family
+            where = dict(net.branch_slices(i))
+            return [net.params[f"{path}.{part}"].values[where[f"{path}.{part}"]]
+                    for part in ("kernel", "dense")]
+
         for i, got in enumerate(c_is.values):  # one context: entry i is trigger i's
-            logits = _np_conv(emb_rows, arrays[f"is{i}.kernel"]) @ arrays[f"is{i}.dense"]
+            kernel, dense = trigger("is", i)
+            logits = _np_conv(emb_rows, kernel) @ dense
             logits[:, row == 0] = -np.inf
             ranked = np.sort(logits, axis=1)
             assert np.all(ranked[:, -1] - ranked[:, -2] >= 0.5), "gap premise"
             expected = emb_rows[np.argmax(logits, axis=1)]
             np.testing.assert_allclose(got, expected, atol=1e-3)
         for i, got in enumerate(v_eg.values):
-            logits = _np_conv(emb_rows, arrays[f"eg{i}.kernel"]) @ arrays[f"eg{i}.dense"]
+            kernel, dense = trigger("eg", i)
+            logits = _np_conv(emb_rows, kernel) @ dense
             logits[:, :4] = -np.inf
             ranked = np.sort(logits, axis=1)
             assert np.all(ranked[:, -1] - ranked[:, -2] >= 0.5), "gap premise"

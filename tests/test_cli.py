@@ -283,11 +283,11 @@ class TestTrainGenerateEvaluate:
         assert (tmp_path / "metrics" / "metrics.txt").exists()
         assert (run_dir / "checkpoint.bin").read_bytes() == ckpt_before
 
-    def test_per_trigger_checkpoint_loads_and_generates_the_same_bytes(self, run_dir, data_dir,
-                                                                       tmp_path):
-        """A checkpoint whose trigger arrays are standalone per-trigger arrays,
-        the layout a model held before its trigger families were stacked,
-        loads, and ``generate`` writes the same bytes from it."""
+    def test_per_trigger_checkpoint_is_refused(self, run_dir, data_dir, tmp_path,
+                                               monkeypatch, capsys):
+        """A segcvae-ckpt-1 checkpoint, whose trigger arrays and their moments
+        are standalone per-trigger arrays, is refused with exit 1 and a
+        message that names the file."""
         state = tr.load_state(run_dir / "checkpoint.bin", tr.TrainingConfig())
         cfg = state.model.config
 
@@ -305,24 +305,37 @@ class TestTrainGenerateEvaluate:
             return out
 
         arrays = {}
-        for prefix, by_param in (("param.", {k: p.values for k, p in state.model.params.items()}),
+        for prefix, by_param in (("param.", state.model.state_arrays()),
                                  ("adam.m.", state.optimizer.m), ("adam.v.", state.optimizer.v)):
             arrays.update((prefix + k, a) for k, a in per_trigger(by_param).items())
         saved, meta = ad.load_checkpoint(run_dir / "checkpoint.bin")
         arrays.update((k, saved[k]) for k in ("opt.t", "train.step", "train.best_ppl",
                                               "rng.noise", "rng.data"))
-        assert sorted(arrays) == sorted(saved)
+        assert len(arrays) == len(saved) + 3 * 4 * (cfg.num_triggers - 1)
         legacy = tmp_path / "legacy"
         legacy.mkdir()
+        monkeypatch.setattr(ad, "CHECKPOINT_TAG", "segcvae-ckpt-1")
         ad.save_checkpoint(legacy / "checkpoint.bin", arrays, meta)
+        monkeypatch.undo()
+        assert (legacy / "checkpoint.bin").read_bytes().startswith(b"segcvae-ckpt-1\n")
         shutil.copy(run_dir / "vocab.txt", legacy / "vocab.txt")
-        assert (legacy / "checkpoint.bin").read_bytes() == (run_dir / "checkpoint.bin").read_bytes()
 
-        for run in (run_dir, legacy):
-            assert cli.dispatch(["generate", "--run", str(run), "--data", str(data_dir / "test.tsv"),
-                                 "--out", str(tmp_path / f"gen-{run.name}"), "--seed", "3"]) == 0
-        assert ((tmp_path / "gen-legacy" / "generated.tsv").read_bytes()
-                == (tmp_path / "gen-run" / "generated.tsv").read_bytes())
+        capsys.readouterr()
+        assert self._generate(legacy, data_dir, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert str(legacy / "checkpoint.bin") in err and "segcvae-ckpt-2" in err
+        assert not (tmp_path / "gen" / "generated.tsv").exists()
+
+    def test_evaluate_reports_an_overflowing_perplexity_as_inf(self, run_dir, data_dir,
+                                                               tmp_path, capsys):
+        assert self._generate(run_dir, data_dir, tmp_path) == 0
+        cfg = tr.TrainingConfig()
+        state = tr.load_state(run_dir / "checkpoint.bin", cfg)
+        state.model.params["out.b"].values[4:] = -1e4  # every word far below the specials
+        tr.save_state(state, cfg, run_dir / "checkpoint.bin")
+        capsys.readouterr()
+        assert self._evaluate(tmp_path / "gen" / "generated.tsv", run_dir, data_dir) == 0
+        assert "ppl: inf\n" in capsys.readouterr().out
 
     def _generate(self, run_dir, data_dir, tmp_path):
         return cli.dispatch(["generate", "--run", str(run_dir),

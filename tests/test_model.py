@@ -216,8 +216,9 @@ class TestTotalLoss:
 def _trigger(net, path, i):
     """Trigger ``i`` of a family as (kernel, dense) views of its stacked
     parameters: writes go through to the live parameters."""
-    arrays = net.state_arrays()
-    return arrays[f"{path}{i}.kernel"], arrays[f"{path}{i}.dense"]
+    where = dict(net.branch_slices(i))
+    return tuple(net.params[f"{path}.{part}"].values[where[f"{path}.{part}"]]
+                 for part in ("kernel", "dense"))
 
 
 class TestTriggerSelection:
@@ -814,7 +815,9 @@ class TestTwoPassForward:
     def test_one_parameter_per_trigger_family_array(self, num_triggers):
         net, _, _ = _ablation_batch(29, num_triggers=num_triggers)
         assert len(net.params) == 21
-        assert len(net.state_arrays()) == 17 + 4 * num_triggers
+        arrays = net.state_arrays()
+        assert list(arrays) == list(net.params)
+        assert all(arrays[name] is p.values for name, p in net.params.items())
 
     def test_fixed_noise_rejects_a_wrong_shape(self):
         noise = m.FixedNoise(np.zeros((3, 4)))
@@ -905,27 +908,43 @@ class TestModelState:
         with pytest.raises(DomainError):
             clone.load_state(arrays)
 
-    def test_from_arrays_draws_nothing_and_copies_only_trigger_arrays(self, monkeypatch):
-        """Every array but the per-trigger ones becomes a live parameter as
-        it is; those are stacked into their family, once."""
+    def test_from_arrays_draws_nothing_and_copies_nothing(self, monkeypatch):
+        """Every array, trigger families included, becomes a live parameter
+        as it is."""
         net, vocab, ctx, resp = _tiny_setup()
         arrays = {k: v.copy() for k, v in net.state_arrays().items()}
         monkeypatch.setattr(ad, "glorot", lambda *a, **k: pytest.fail("random draw"))
         clone = m.SegCVAE.from_arrays(net.config, arrays)
-        assert list(clone.params) == list(net.params)
-        stacked = {"is.kernel", "is.dense", "eg.kernel", "eg.dense"}
-        assert stacked <= set(clone.params)
+        assert list(clone.params) == list(net.params) == list(arrays)
+        assert {"is.kernel", "is.dense", "eg.kernel", "eg.dense"} <= set(clone.params)
         for name, p in clone.params.items():
-            assert (p.values is arrays[name]) if name not in stacked else not any(
-                np.shares_memory(p.values, a) for a in arrays.values())
-        views = clone.state_arrays()
-        assert list(views) == list(arrays)
-        for name, view in views.items():
-            assert view.tobytes() == arrays[name].tobytes(), name
+            assert p.values is arrays[name], name
+            assert clone.state_arrays()[name] is arrays[name], name
         with ad.no_grad():
             a = net.forward_losses(ctx, resp, 0.5, Rng(1))
             b = clone.forward_losses(ctx, resp, 0.5, Rng(1))
         np.testing.assert_array_equal(a["elbo_plus"].values, b["elbo_plus"].values)
+
+    @pytest.mark.parametrize("num_triggers, overrides", [(3, {}), (2, {"no_is": True})])
+    def test_fresh_families_are_drawn_one_trigger_at_a_time(self, num_triggers, overrides):
+        """A fresh model's families hold what drawing each trigger alone,
+        kernel then projection, in parameter order gives, byte for byte."""
+        net, _, _, _ = _tiny_setup(num_triggers=num_triggers, **overrides)
+        c, rng = net.config, Rng(11)
+        conv_len = c.max_len - c.kernel_width + 1
+        ad.glorot((c.emb_dim, 3 * c.hidden_dim), rng)  # enc.wx
+        ad.glorot((c.hidden_dim, 3 * c.hidden_dim), rng)  # enc.wh
+        for path, width in (("is", c.max_len), ("eg", c.vocab_size)):
+            if f"{path}.kernel" not in net.params:
+                continue
+            for i in range(num_triggers):
+                kernel = ad.glorot((c.kernel_width, c.emb_dim, 1, c.conv_channels), rng).values
+                dense = ad.glorot((conv_len, width), rng).values
+                got_kernel, got_dense = _trigger(net, path, i)
+                assert got_kernel.tobytes() == kernel.tobytes(), (path, i)
+                assert got_dense.tobytes() == dense.tobytes(), (path, i)
+        rec_w = ad.glorot((2 * c.hidden_dim, 2 * c.latent_dim), rng).values
+        assert net.rec_w.values.tobytes() == rec_w.tobytes()
 
     def test_from_arrays_checks_names_and_shapes(self):
         net, _, _, _ = _tiny_setup()

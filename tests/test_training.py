@@ -1,7 +1,9 @@
 """Unit tests for schedules, the optimizer, and the training loop."""
 
 import contextlib
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +311,14 @@ class TestPerplexity:
         ctx = data[0][:4]
         assert tr.perplexity(state.model, (ctx, resp)) == 1.0
 
+    def test_an_overflowing_mean_nll_gives_infinity(self):
+        """A mean per-token negative log-likelihood above ~709.8 nats is an
+        infinite perplexity, not an OverflowError."""
+        cfg, pairs, vocab, data = _setup()
+        state = tr.init_state(cfg, vocab)
+        state.model.params["out.b"].values[4:] = -1e4  # every word far below the specials
+        assert tr.perplexity(state.model, data) == math.inf
+
     def test_empty_dataset_rejected(self):
         cfg, pairs, vocab, data = _setup()
         state = tr.init_state(cfg, vocab)
@@ -371,16 +381,84 @@ class TestResumability:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_per_trigger_views_stay_live_under_adam(self):
+        """``state_arrays`` are the live parameter arrays themselves, and a
+        trigger's slices of its families are views that Adam's in-place
+        update reaches."""
         cfg, pairs, vocab, data = _setup()
         state = tr.init_state(cfg, vocab)
-        views = state.model.state_arrays()
+        params = state.model.params
+        arrays = state.model.state_arrays()
+        views = {(name, i): params[name].values[where] for i in range(cfg.num_triggers)
+                 for name, where in state.model.branch_slices(i)}
         before = {k: v.copy() for k, v in views.items()}
         tr.train_step(data, state, cfg)
         now = state.model.state_arrays()
-        for name, view in views.items():
-            assert view.tobytes() == now[name].tobytes(), name
-        for name in ("is0.kernel", "is1.dense", "eg1.kernel", "eg0.dense"):
-            assert not np.array_equal(views[name], before[name]), name
+        for name, a in arrays.items():
+            assert a is now[name] is params[name].values, name
+        for (name, i), view in views.items():
+            where = dict(state.model.branch_slices(i))[name]
+            assert view.tobytes() == params[name].values[where].tobytes(), (name, i)
+        for key in (("is.kernel", 0), ("is.dense", 1), ("eg.kernel", 1), ("eg.dense", 0)):
+            assert not np.array_equal(views[key], before[key]), key
+
+    def test_load_state_takes_the_loaded_arrays_as_they_are(self, tmp_path, monkeypatch):
+        """The loaded parameters and Adam moments are the arrays
+        ``load_checkpoint`` returned: nothing is copied or zero-filled."""
+        cfg, pairs, vocab, data = _setup(num_triggers=3)
+        state = tr.init_state(cfg, vocab)
+        tr.train_step(data, state, cfg)
+        tr.save_state(state, cfg, tmp_path / "state.ckpt")
+        returned, load_checkpoint = {}, ad.load_checkpoint
+
+        def recording(path):
+            arrays, meta = load_checkpoint(path)
+            returned.update(arrays)
+            return arrays, meta
+
+        monkeypatch.setattr(ad, "load_checkpoint", recording)
+        monkeypatch.setattr(np, "zeros_like", lambda *a, **k: pytest.fail("zero-filled"))
+        loaded = tr.load_state(tmp_path / "state.ckpt", cfg)
+        monkeypatch.undo()
+        for name, p in loaded.model.params.items():
+            assert p.values is returned[f"param.{name}"], name
+            assert loaded.optimizer.m[name] is returned[f"adam.m.{name}"], name
+            assert loaded.optimizer.v[name] is returned[f"adam.v.{name}"], name
+        before = {k: v.copy() for k, v in loaded.optimizer.m.items()}
+        tr.train_step(data, loaded, cfg)  # the moments are updated in place
+        assert any(not np.array_equal(before[k], returned[f"adam.m.{k}"]) for k in before)
+
+    def test_missing_moment_is_a_domain_error(self, tmp_path):
+        cfg, pairs, vocab, data = _setup()
+        state = tr.init_state(cfg, vocab)
+        tr.save_state(state, cfg, tmp_path / "state.ckpt")
+        arrays, meta = ad.load_checkpoint(tmp_path / "state.ckpt")
+        del arrays["adam.v.eg.dense"]
+        ad.save_checkpoint(tmp_path / "state.ckpt", arrays, meta)
+        with pytest.raises(DomainError, match="'adam.v.eg.dense'"):
+            tr.load_state(tmp_path / "state.ckpt", cfg)
+
+    def test_repeated_loads_keep_traced_memory_flat(self, tmp_path):
+        """With the cyclic collector off, each load's arrays are freed as
+        soon as the state is dropped: no reference cycle holds them."""
+        cfg, pairs, vocab, data = _setup(emb_dim=64, hidden_dim=128)
+        state = tr.init_state(cfg, vocab)
+        tr.save_state(state, cfg, tmp_path / "state.ckpt")
+        state_bytes = (tmp_path / "state.ckpt").stat().st_size
+        del state
+        traced, held = [], None
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                held = None
+                held = tr.load_state(tmp_path / "state.ckpt", cfg)
+                traced.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held is not None and traced[0] >= state_bytes * 0.9
+        assert traced[2] - traced[0] < state_bytes * 0.1, traced
 
 
 class TestFit:
@@ -405,6 +483,23 @@ class TestFit:
         cfg, pairs, vocab, _ = _setup()
         with pytest.raises(EmptyCorpus):
             tr.fit({"train": [], "valid": []}, vocab, cfg, tmp_path)
+
+    @pytest.mark.parametrize("ppl", [math.nan, math.inf])
+    def test_a_run_without_finite_ppl_replaces_an_earlier_checkpoint(self, ppl, tmp_path,
+                                                                     monkeypatch):
+        """The fallback save follows whether this run saved, not whether the
+        directory already holds a checkpoint."""
+        cfg, pairs, vocab, _ = _setup(epochs=1)
+        splits = {"train": pairs, "valid": pairs[:8]}
+        earlier = tr.fit(splits, vocab, cfg, tmp_path / "run").checkpoint_path.read_bytes()
+        monkeypatch.setattr(tr, "perplexity", lambda *a, **k: ppl)
+        rerun = _desk_config(epochs=1, seed=7)
+        result = tr.fit(splits, vocab, rerun, tmp_path / "run")
+        kept_the_earlier = result.checkpoint_path.read_bytes() == earlier
+        assert not kept_the_earlier
+        assert ad.load_checkpoint(result.checkpoint_path)[1]["seed"] == "7"
+        loaded = tr.load_state(result.checkpoint_path, rerun)
+        assert loaded.step == len(result.history) and loaded.best_ppl == math.inf
 
     def test_runs_are_byte_identical(self, tmp_path):
         cfg, pairs, vocab, _ = _setup(epochs=2, batch_size=8)

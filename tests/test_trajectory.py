@@ -2,14 +2,16 @@
 
 Twelve ``train_step`` calls (V about 300, D=32, M=4, B=8) from a fixed
 seed, then one validation perplexity and one ``save_state``.  The recorded
-winners, losses, parameter norms, perplexity and checkpoint index are in
-``trajectory.json``; a refactor that claims to compute the same thing must
-reproduce them.  Parameter norms are keyed by checkpoint name, so they
-survive a change in how the parameters are held in memory.
+winners, losses, parameter norms (keyed by parameter name), perplexity and
+checkpoint index are in ``trajectory.json``; a refactor that claims to
+compute the same thing must reproduce them.
 
 Regenerate the fixture (only when the computation is meant to change) with
 
     PYTHONPATH=src python tests/test_trajectory.py
+
+which first prints each top-level field that changes and the largest
+relative change among the numbers the old and new field share.
 """
 
 import json
@@ -109,10 +111,50 @@ def test_trajectory_matches_fixture(tmp_path):
     _close(got["min_margin"], want["min_margin"], "smallest winner margin")
 
 
+def _numbers(value, path=()):
+    """{path: number} of every number inside a JSON value."""
+    if isinstance(value, dict):
+        return {k: v for key, item in value.items() for k, v in _numbers(item, path + (key,)).items()}
+    if isinstance(value, list):
+        return {k: v for i, item in enumerate(value) for k, v in _numbers(item, path + (i,)).items()}
+    return {path: value} if isinstance(value, (int, float)) and not isinstance(value, bool) else {}
+
+
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per top-level field whose value differs between two records."""
+    lines = []
+    for field in dict.fromkeys([*old, *new]):
+        if old.get(field) == new.get(field):
+            continue
+        before, after = _numbers(old.get(field)), _numbers(new.get(field))
+        shared = [k for k in before if k in after]
+        rel = max((abs(after[k] - before[k]) / abs(before[k]) if before[k] else abs(after[k])
+                   for k in shared), default=0.0)
+        size = {name: len(v) if isinstance(v, (list, dict)) else 1
+                for name, v in (("old", old.get(field)), ("new", new.get(field)))}
+        lines.append(f"{field}: {size['old']} -> {size['new']} entries; largest relative "
+                     f"change {rel:.3g} over {len(shared)} shared numbers")
+    return lines
+
+
+def test_changes_name_each_moved_field_and_its_largest_relative_change():
+    old = {"vocab_size": 300, "losses": [{"elbo": 2.0}, {"elbo": 4.0}],
+           "index": [["param.emb", "float64", "300,32"]], "val_ppl": 187.5}
+    new = {"vocab_size": 300, "losses": [{"elbo": 2.0}, {"elbo": 5.0}], "index": [],
+           "val_ppl": 187.5}
+    assert changes(old, new) == [
+        "losses: 2 -> 2 entries; largest relative change 0.25 over 2 shared numbers",
+        "index: 1 -> 0 entries; largest relative change 0 over 0 shared numbers"]
+    assert changes(new, new) == []
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         record = run_trajectory(tmp)
+    if FIXTURE.exists():
+        committed = json.loads(FIXTURE.read_text(encoding="utf-8"))
+        print("\n".join(changes(committed, record)) or "no field changes")
     FIXTURE.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {FIXTURE}: smallest winner margin {record['min_margin']:.3g}")
