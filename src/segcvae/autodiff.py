@@ -1,7 +1,7 @@
 """Reverse-mode differentiable tensors on top of numpy.
 
-Every operation records a backward closure on the output tensor; calling
-``backward()`` on a scalar result replays the closures in reverse
+Every operation records one backward function of its output tensor;
+calling ``backward()`` on a scalar result calls them in reverse
 topological order and accumulates gradients into ``.grad`` of every
 tensor that requires them.  All math is float64 by default so that the
 finite-difference checker in :func:`grad_check` is meaningful.
@@ -9,9 +9,10 @@ finite-difference checker in :func:`grad_check` is meaningful.
 A tensor's first gradient contribution is kept as given, and may alias
 another node's buffer; the second allocates a buffer the tensor owns, and
 every later one adds into it in place.  Row gathers scatter straight into
-that owned buffer.  ``backward()`` frees the graph as it goes, so a
-finished step's intermediates are released as soon as its output is.  The
-GRU recurrence is one node that goes back through time in its backward.
+that owned buffer.  No backward function holds its own output, so a graph
+dies with its output by reference counting, and ``backward()`` frees it as
+it goes.  The GRU recurrence is one node that goes back through time in
+its backward.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _as_array(values, dtype=None):
     return arr.astype(np.float64)
 
 
-def _freed():
+def _freed(out):
     raise DomainError("backward() already ran through this graph; build it again "
                       "to differentiate it again")
 
@@ -72,7 +73,7 @@ class Tensor:
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
 
     # -- introspection -------------------------------------------------
     @property
@@ -158,10 +159,10 @@ class Tensor:
         self._accum(np.asarray(grad, dtype=self.values.dtype))
         for node in reversed(topo):
             if node._backward is not None and node._grad is not None:
-                node._backward()
+                node._backward(node)
             if node._backward is not None:
-                # each closure holds its own output: drop it and the parent
-                # links so the graph dies with its last outside reference
+                # the backward function holds the parents: drop it and the
+                # parent links so the intermediates die even while the loss lives
                 node._backward = _freed
                 node._parents = ()
 
@@ -174,16 +175,42 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(values, parents: Iterable[Tensor], make_backward) -> Tensor:
-    """Build an output tensor; attach the closure only when grads can flow."""
+def _node(values, parents: Iterable[Tensor], backward) -> Tensor:
+    """Build an output tensor; record ``backward(out)`` only when grads can
+    flow.  Only here is ``_backward`` recorded, always with ``requires_grad``."""
     out = Tensor(values)
     if _grad_enabled():
         parents = tuple(p for p in parents if isinstance(p, Tensor))
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
-            out._backward = make_backward(out)
+            out._backward = backward
     return out
+
+
+def _binary(a: Tensor, b: Tensor, values, grad_a, grad_b) -> Tensor:
+    """A broadcasting two-operand node; ``grad_a``/``grad_b`` map the output
+    gradient ``g`` to each operand's, before the broadcast is summed away."""
+    def bw(out):
+        if a.requires_grad:
+            a._accum(_unbroadcast(grad_a(out.grad), a.values.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(grad_b(out.grad), b.values.shape))
+
+    return _node(values, (a, b), bw)
+
+
+def _unary(a: Tensor, values, grad) -> Tensor:
+    """A one-operand node: ``grad(g, y)`` maps the output gradient ``g`` and
+    the output values ``y`` to the operand's gradient."""
+    return _node(values, (a,), lambda out: a._accum(grad(out.grad, out.values)))
+
+
+def _reduced(g: np.ndarray, axis, keepdims: bool, shape) -> np.ndarray:
+    """A sum's or mean's output gradient ``g``, broadcast back to ``shape``."""
+    if not keepdims and axis is not None:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
 
 
 def _is_basic(index) -> bool:
@@ -209,135 +236,56 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    values = a.values + b.values
-
-    def make(out):
-        def bw():
-            if a.requires_grad or a._backward:
-                a._accum(_unbroadcast(out.grad, a.values.shape))
-            if b.requires_grad or b._backward:
-                b._accum(_unbroadcast(out.grad, b.values.shape))
-        return bw
-
-    return _node(values, (a, b), make)
+    return _binary(a, b, a.values + b.values, lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    values = a.values - b.values
-
-    def make(out):
-        def bw():
-            if a.requires_grad or a._backward:
-                a._accum(_unbroadcast(out.grad, a.values.shape))
-            if b.requires_grad or b._backward:
-                b._accum(_unbroadcast(-out.grad, b.values.shape))
-        return bw
-
-    return _node(values, (a, b), make)
+    return _binary(a, b, a.values - b.values, lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    values = a.values * b.values
-
-    def make(out):
-        def bw():
-            if a.requires_grad or a._backward:
-                a._accum(_unbroadcast(out.grad * b.values, a.values.shape))
-            if b.requires_grad or b._backward:
-                b._accum(_unbroadcast(out.grad * a.values, b.values.shape))
-        return bw
-
-    return _node(values, (a, b), make)
+    return _binary(a, b, a.values * b.values,
+                   lambda g: g * b.values, lambda g: g * a.values)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    values = a.values / b.values
-
-    def make(out):
-        def bw():
-            if a.requires_grad or a._backward:
-                a._accum(_unbroadcast(out.grad / b.values, a.values.shape))
-            if b.requires_grad or b._backward:
-                b._accum(_unbroadcast(-out.grad * a.values / (b.values * b.values), b.values.shape))
-        return bw
-
-    return _node(values, (a, b), make)
+    return _binary(a, b, a.values / b.values, lambda g: g / b.values,
+                   lambda g: -g * a.values / (b.values * b.values))
 
 
 def power(a, exponent: float) -> Tensor:
     a = as_tensor(a)
-    values = a.values ** exponent
-
-    def make(out):
-        def bw():
-            a._accum(out.grad * exponent * a.values ** (exponent - 1))
-        return bw
-
-    return _node(values, (a,), make)
+    return _unary(a, a.values ** exponent,
+                  lambda g, y: g * exponent * a.values ** (exponent - 1))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    values = np.exp(a.values)
-
-    def make(out):
-        def bw():
-            a._accum(out.grad * out.values)
-        return bw
-
-    return _node(values, (a,), make)
+    return _unary(a, np.exp(a.values), lambda g, y: g * y)
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    values = np.log(a.values)
-
-    def make(out):
-        def bw():
-            a._accum(out.grad / a.values)
-        return bw
-
-    return _node(values, (a,), make)
+    return _unary(a, np.log(a.values), lambda g, y: g / a.values)
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
-    values = np.sqrt(a.values)
-
-    def make(out):
-        def bw():
-            a._accum(out.grad * 0.5 / out.values)
-        return bw
-
-    return _node(values, (a,), make)
+    return _unary(a, np.sqrt(a.values), lambda g, y: g * 0.5 / y)
 
 
 def absolute(a) -> Tensor:
     a = as_tensor(a)
-    values = np.abs(a.values)
-
-    def make(out):
-        def bw():
-            a._accum(out.grad * np.sign(a.values))
-        return bw
-
-    return _node(values, (a,), make)
+    return _unary(a, np.abs(a.values), lambda g, y: g * np.sign(a.values))
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
     a = as_tensor(a)
-    values = np.clip(a.values, lo, hi)
-
-    def make(out):
-        def bw():
-            inside = (a.values >= lo) & (a.values <= hi)
-            a._accum(out.grad * inside)
-        return bw
-
-    return _node(values, (a,), make)
+    return _unary(a, np.clip(a.values, lo, hi),
+                  lambda g, y: g * ((a.values >= lo) & (a.values <= hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,58 +294,26 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
-    values = a.values.sum(axis=axis, keepdims=keepdims)
-
-    def make(out):
-        def bw():
-            g = out.grad
-            if not keepdims and axis is not None:
-                g = np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(g, a.values.shape).copy())
-        return bw
-
-    return _node(values, (a,), make)
+    return _unary(a, a.values.sum(axis=axis, keepdims=keepdims),
+                  lambda g, y: _reduced(g, axis, keepdims, a.values.shape).copy())
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
-    values = a.values.mean(axis=axis, keepdims=keepdims)
     count = a.values.size if axis is None else a.values.shape[axis]
-
-    def make(out):
-        def bw():
-            g = out.grad
-            if not keepdims and axis is not None:
-                g = np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(g, a.values.shape) / count)
-        return bw
-
-    return _node(values, (a,), make)
+    return _unary(a, a.values.mean(axis=axis, keepdims=keepdims),
+                  lambda g, y: _reduced(g, axis, keepdims, a.values.shape) / count)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    values = a.values.reshape(shape)
-
-    def make(out):
-        def bw():
-            a._accum(out.grad.reshape(a.values.shape))
-        return bw
-
-    return _node(values, (a,), make)
+    return _unary(a, a.values.reshape(shape), lambda g, y: g.reshape(a.values.shape))
 
 
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
-    values = a.values.transpose(axes)
     inverse = None if axes is None else np.argsort(axes)
-
-    def make(out):
-        def bw():
-            a._accum(out.grad.transpose(inverse))
-        return bw
-
-    return _node(values, (a,), make)
+    return _unary(a, a.values.transpose(axes), lambda g, y: g.transpose(inverse))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -406,17 +322,15 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.values.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def make(out):
-        def bw():
-            for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if not (t.requires_grad or t._backward):
-                    continue
-                index = [slice(None)] * out.grad.ndim
-                index[axis] = slice(start, stop)
-                t._accum(out.grad[tuple(index)])
-        return bw
+    def bw(out):
+        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            if not t.requires_grad:
+                continue
+            index = [slice(None)] * out.grad.ndim
+            index[axis] = slice(start, stop)
+            t._accum(out.grad[tuple(index)])
 
-    return _node(values, tensors, make)
+    return _node(values, tensors, bw)
 
 
 def take(a, index) -> Tensor:
@@ -424,14 +338,7 @@ def take(a, index) -> Tensor:
     embedding lookup), and the gradient is scattered into the touched
     entries only."""
     a = as_tensor(a)
-    values = a.values[index]
-
-    def make(out):
-        def bw():
-            a._accum_at(index, out.grad)
-        return bw
-
-    return _node(values, (a,), make)
+    return _node(a.values[index], (a,), lambda out: a._accum_at(index, out.grad))
 
 
 def gather_last(a, ids) -> Tensor:
@@ -454,17 +361,15 @@ def matmul(a, b) -> Tensor:
         return _matmul_rows(a, b)
     values = np.matmul(a.values, b.values)
 
-    def make(out):
-        def bw():
-            if a.requires_grad or a._backward:
-                ga = np.matmul(out.grad, b.values.swapaxes(-1, -2))
-                a._accum(_unbroadcast(ga, a.values.shape))
-            if b.requires_grad or b._backward:
-                gb = np.matmul(a.values.swapaxes(-1, -2), out.grad)
-                b._accum(_unbroadcast(gb, b.values.shape))
-        return bw
+    def bw(out):
+        if a.requires_grad:
+            ga = np.matmul(out.grad, b.values.swapaxes(-1, -2))
+            a._accum(_unbroadcast(ga, a.values.shape))
+        if b.requires_grad:
+            gb = np.matmul(a.values.swapaxes(-1, -2), out.grad)
+            b._accum(_unbroadcast(gb, b.values.shape))
 
-    return _node(values, (a, b), make)
+    return _node(values, (a, b), bw)
 
 
 def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -476,16 +381,14 @@ def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
     lead = a.shape[:-1]
     values = (a.values.reshape(-1, k) @ b.values).reshape(lead + (n,))
 
-    def make(out):
-        def bw():
-            g = out.grad.reshape(-1, n)
-            if a.requires_grad or a._backward:
-                a._accum((g @ b.values.T).reshape(lead + (k,)))
-            if b.requires_grad or b._backward:
-                b._accum(a.values.reshape(-1, k).T @ g)
-        return bw
+    def bw(out):
+        g = out.grad.reshape(-1, n)
+        if a.requires_grad:
+            a._accum((g @ b.values.T).reshape(lead + (k,)))
+        if b.requires_grad:
+            b._accum(a.values.reshape(-1, k).T @ g)
 
-    return _node(values, (a, b), make)
+    return _node(values, (a, b), bw)
 
 
 def softmax_rows(a) -> Tensor:
@@ -493,31 +396,15 @@ def softmax_rows(a) -> Tensor:
     a = as_tensor(a)
     shifted = a.values - a.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    values = e / e.sum(axis=-1, keepdims=True)
-
-    def make(out):
-        def bw():
-            y = out.values
-            dot = (out.grad * y).sum(axis=-1, keepdims=True)
-            a._accum(y * (out.grad - dot))
-        return bw
-
-    return _node(values, (a,), make)
+    return _unary(a, e / e.sum(axis=-1, keepdims=True),
+                  lambda g, y: y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
 
 def log_softmax(a) -> Tensor:
     a = as_tensor(a)
     shifted = a.values - a.values.max(axis=-1, keepdims=True)
-    values = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-    def make(out):
-        def bw():
-            soft = np.exp(out.values)
-            total = out.grad.sum(axis=-1, keepdims=True)
-            a._accum(out.grad - soft * total)
-        return bw
-
-    return _node(values, (a,), make)
+    return _unary(a, shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)),
+                  lambda g, y: g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
 
 def gumbel_softmax(logits, tau: float, rng: "Rng" = None, noise: bool = False) -> Tensor:
@@ -560,22 +447,20 @@ def conv_seq(c, kernel) -> Tensor:
     for i in range(width):
         acc += np.matmul(cv[:, i:i + out_len, :], km[i])
 
-    def make(out):
-        def bw():
-            gt = out.grad.swapaxes(-1, -2)  # (B, out_len, channels)
-            if c.requires_grad or c._backward:
-                gc = np.zeros_like(cv)
-                for i in range(width):
-                    gc[:, i:i + out_len, :] += np.matmul(gt, km[i].T)
-                c._accum(gc)
-            if kernel.requires_grad or kernel._backward:
-                gk = np.zeros_like(kernel.values)
-                for i in range(width):
-                    gk[i, :, 0, :] = np.matmul(cv[:, i:i + out_len, :].swapaxes(-1, -2), gt).sum(axis=0)
-                kernel._accum(gk)
-        return bw
+    def bw(out):
+        gt = out.grad.swapaxes(-1, -2)  # (B, out_len, channels)
+        if c.requires_grad:
+            gc = np.zeros_like(cv)
+            for i in range(width):
+                gc[:, i:i + out_len, :] += np.matmul(gt, km[i].T)
+            c._accum(gc)
+        if kernel.requires_grad:
+            gk = np.zeros_like(kernel.values)
+            for i in range(width):
+                gk[i, :, 0, :] = np.matmul(cv[:, i:i + out_len, :].swapaxes(-1, -2), gt).sum(axis=0)
+            kernel._accum(gk)
 
-    return _node(acc.swapaxes(-1, -2), (c, kernel), make)
+    return _node(acc.swapaxes(-1, -2), (c, kernel), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -655,38 +540,36 @@ def gru_scan(params: GruParams, seq: Tensor, h: Tensor,
             np.add(nxt, np.multiply(state, drop[:, t:t + 1], out=tmp), out=nxt)
         hs[:, t + 1] = state = nxt
 
-    def make(out):
-        def bw():
-            f_n = (1.0 - u) * (1.0 - n * n)  # factors of the incoming gradient
-            f_r, f_u = ghs[..., 2 * hd:] * r * (1.0 - r), (hs[:, :-1] - n) * u * (1.0 - u)
-            d_gx, d_gh = (np.empty((rows, steps, 3 * hd)) for _ in range(2))
-            carry = np.zeros((rows, hd))  # gradient of the state entering step t
-            dh, d_g, du, dw = (np.empty((rows, w)) for w in (hd, 3 * hd, hd, hd))
-            wh_t = wh.values.T
-            for t in reversed(range(steps)):
-                np.add(out.grad[:, t], carry, out=dh)
-                if keep is None:
-                    carry.fill(0.0)
-                else:  # a padded step passes its gradient to the state it copied
-                    np.multiply(dh, drop[:, t:t + 1], out=carry)
-                    np.multiply(dh, keep[:, t:t + 1], out=dh)
-                d_an = np.multiply(dh, f_n[:, t], out=d_gx[:, t, 2 * hd:])
-                np.multiply(d_an, f_r[:, t], out=d_g[:, :hd])
-                np.multiply(dh, f_u[:, t], out=d_g[:, hd:2 * hd])
-                np.multiply(d_an, r[:, t], out=d_g[:, 2 * hd:])
-                d_gh[:, t] = d_g
-                np.add(carry, np.multiply(dh, u[:, t], out=du), out=carry)
-                np.add(carry, np.matmul(d_g, wh_t, out=dw), out=carry)
-            d_gx[..., :2 * hd] = d_gh[..., :2 * hd]
-            if k > 1:  # every copy read the same projection
-                d_gx = d_gx.reshape((k,) + gxv.shape).sum(axis=0)
-            d_wh = hs[:, :-1].reshape(-1, hd).T @ d_gh.reshape(-1, 3 * hd)
-            for p, g in ((gx, d_gx), (h, carry), (wh, d_wh), (bh, d_gh.sum(axis=(0, 1)))):
-                if p.requires_grad or p._backward:
-                    p._accum(g)
-        return bw
+    def bw(out):
+        f_n = (1.0 - u) * (1.0 - n * n)  # factors of the incoming gradient
+        f_r, f_u = ghs[..., 2 * hd:] * r * (1.0 - r), (hs[:, :-1] - n) * u * (1.0 - u)
+        d_gx, d_gh = (np.empty((rows, steps, 3 * hd)) for _ in range(2))
+        carry = np.zeros((rows, hd))  # gradient of the state entering step t
+        dh, d_g, du, dw = (np.empty((rows, w)) for w in (hd, 3 * hd, hd, hd))
+        wh_t = wh.values.T
+        for t in reversed(range(steps)):
+            np.add(out.grad[:, t], carry, out=dh)
+            if keep is None:
+                carry.fill(0.0)
+            else:  # a padded step passes its gradient to the state it copied
+                np.multiply(dh, drop[:, t:t + 1], out=carry)
+                np.multiply(dh, keep[:, t:t + 1], out=dh)
+            d_an = np.multiply(dh, f_n[:, t], out=d_gx[:, t, 2 * hd:])
+            np.multiply(d_an, f_r[:, t], out=d_g[:, :hd])
+            np.multiply(dh, f_u[:, t], out=d_g[:, hd:2 * hd])
+            np.multiply(d_an, r[:, t], out=d_g[:, 2 * hd:])
+            d_gh[:, t] = d_g
+            np.add(carry, np.multiply(dh, u[:, t], out=du), out=carry)
+            np.add(carry, np.matmul(d_g, wh_t, out=dw), out=carry)
+        d_gx[..., :2 * hd] = d_gh[..., :2 * hd]
+        if k > 1:  # every copy read the same projection
+            d_gx = d_gx.reshape((k,) + gxv.shape).sum(axis=0)
+        d_wh = hs[:, :-1].reshape(-1, hd).T @ d_gh.reshape(-1, 3 * hd)
+        for p, g in ((gx, d_gx), (h, carry), (wh, d_wh), (bh, d_gh.sum(axis=(0, 1)))):
+            if p.requires_grad:
+                p._accum(g)
 
-    return _node(hs[:, 1:], (gx, h, wh, bh), make)
+    return _node(hs[:, 1:], (gx, h, wh, bh), bw)
 
 
 def gru_encode(params: GruParams, seq: Tensor, mask: np.ndarray = None) -> Tensor:
@@ -770,12 +653,14 @@ def glorot(shape: tuple[int, ...], rng: Rng) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 
 
-def reparameterize(mu: Tensor, logvar: Tensor, rng: Rng) -> Tensor:
-    """Draw z = mu + exp(logvar/2) * eps with eps ~ N(0, 1) from ``rng``.
+def reparameterize(mu: Tensor, logvar: Tensor, eps: np.ndarray) -> Tensor:
+    """z = mu + exp(logvar/2) * eps for standard-normal draws ``eps`` of
+    ``mu``'s shape (another shape is a ShapeError).
 
     The noise is a constant of the graph: gradients reach only mu and logvar.
     """
-    eps = Tensor(rng.normal(mu.shape))
+    if np.shape(eps) != mu.shape:
+        raise ShapeError(f"noise has shape {np.shape(eps)}, want {mu.shape}")
     return add(mu, mul(exp(mul(logvar, 0.5)), eps))
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Rng, Tensor
+from .autodiff import Rng
 from .corpus import (BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID, Vocabulary, encode_context,
                      text_lines)
 from .errors import DegenerateVector, DomainError
@@ -55,9 +55,9 @@ def generate_n(model: SegCVAE, vocab: Vocabulary, context: Sequence[str],
     with ad.no_grad():
         xs = ad.reshape(model.prominent_semantics(ctx_ids, noise=False), (cfg.num_triggers, -1))
         mu, logvar = model.prior(xs)  # row k is branch k's prior
-        z = (mu.values[branches]
-             + np.exp(logvar.values[branches] / 2.0) * rng.normal((n, cfg.latent_dim)))
-        state = model.decoder_initial(Tensor(z), ad.take(xs, branches))
+        z = ad.reparameterize(ad.take(mu, branches), ad.take(logvar, branches),
+                              rng.normal((n, cfg.latent_dim)))
+        state = model.decoder_initial(z, ad.take(xs, branches))
         tokens = np.full(n, BOS_ID)
         live = np.ones(n, dtype=bool)
         for _ in range(cfg.max_len):
@@ -71,7 +71,7 @@ def generate_n(model: SegCVAE, vocab: Vocabulary, context: Sequence[str],
             for k in np.flatnonzero(live):
                 responses[k].append(int(tokens[k]))
     return GenerationRecord(tuple(context), [vocab.tokens_of(ids) for ids in responses],
-                            [tuple(gt) for gt in ground_truths], branches.tolist(), list(z))
+                            [tuple(gt) for gt in ground_truths], branches.tolist(), list(z.values))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def primitive_cases(seed: int):
 
     w_soft = Tensor(r.normal(size=(2, 4)))
     w_logsoft = Tensor(r.normal(size=(2, 4)))
-    ids = np.array([0, 2, 1])
+    ids = np.array([0, 2, 2, 1])  # a repeated row scatters through np.add.at
     gather_ids = np.array([3, 0])
     mask = (r.uniform(0, 1, size=(2, 3)) > 0.3).astype(np.int64)
     mask[:, 0] = 1
@@ -55,7 +55,8 @@ def primitive_cases(seed: int):
         return ad.add(ad.tsum(ad.power(logits, 2.0)), ad.tsum(ad.power(nxt, 2.0)))
 
     return [
-        ("add", lambda a, b: ad.tsum(ad.add(a, b)), [rand(3, 4), rand(4)]),
+        ("add", lambda a, b: ad.tsum(ad.add(a, b)), [rand(3, 4), rand(3, 4)]),
+        ("add_broadcast", lambda a, b: ad.tsum(ad.add(a, b)), [rand(3, 4), rand(4)]),
         ("sub", lambda a, b: ad.tsum(ad.sub(a, b)), [rand(2, 3), rand(2, 3)]),
         ("mul", lambda a, b: ad.tsum(ad.mul(a, b)), [rand(2, 3), rand(2, 3)]),
         ("div", lambda a, b: ad.tsum(ad.div(a, b)), [rand(2, 3), rand(2, 3, shift=3.0)]),
@@ -66,9 +67,13 @@ def primitive_cases(seed: int):
         ("abs", lambda a: ad.tsum(ad.absolute(a)), [rand(3, 3, shift=2.0)]),
         ("clamp", lambda a: ad.tsum(ad.power(ad.clamp(a, -0.8, 0.8), 2.0)), [rand(6)]),
         ("sum", lambda a: ad.tsum(ad.power(ad.tsum(a, axis=1), 2.0)), [rand(3, 4)]),
+        ("sum_axis", lambda a: ad.tsum(ad.mul(ad.tsum(a, axis=0), ad.tsum(a, axis=0))),
+         [rand(3, 4)]),
         ("mean", lambda a: ad.tmean(ad.power(a, 2.0)), [rand(3, 4)]),
         ("reshape", lambda a: ad.tsum(ad.power(ad.reshape(a, (2, 6)), 2.0)), [rand(3, 4)]),
         ("transpose", lambda a: ad.tsum(ad.power(ad.transpose(a, (1, 0)), 2.0)), [rand(3, 4)]),
+        ("reshape_transpose", lambda a: ad.tsum(ad.power(ad.transpose(ad.reshape(a, (3, 4))),
+                                                         2.0)), [rand(12)]),
         ("concat", lambda a, b: ad.tsum(ad.power(ad.concat([a, b], axis=1), 2.0)),
          [rand(2, 3), rand(2, 2)]),
         ("take", lambda a: ad.tsum(ad.power(a[1:, :2], 2.0)), [rand(3, 4)]),
@@ -76,13 +81,16 @@ def primitive_cases(seed: int):
         ("gather_last", lambda a: ad.tsum(ad.power(ad.gather_last(a, gather_ids), 2.0)),
          [rand(2, 4)]),
         ("matmul", lambda a, b: ad.tsum(ad.matmul(a, b)), [rand(3, 4), rand(4, 2)]),
+        ("matmul_rows", lambda a, b: ad.tsum(ad.matmul(a, b)), [rand(2, 3, 4), rand(4, 3)]),
         ("matmul_batched", lambda a, b: ad.tsum(ad.matmul(a, b)),
-         [rand(2, 3, 4), rand(4, 3)]),
+         [rand(2, 3, 4), rand(2, 4, 3)]),
         ("softmax_rows", lambda a: ad.tsum(ad.mul(ad.softmax_rows(a), w_soft)), [rand(2, 4)]),
         ("log_softmax", lambda a: ad.tsum(ad.mul(ad.log_softmax(a), w_logsoft)), [rand(2, 4)]),
         ("gumbel_softmax", lambda a: ad.tsum(ad.power(
             ad.gumbel_softmax(a, tau=0.7, noise=False), 2.0)), [rand(2, 4)]),
         ("conv_seq", lambda c, k: ad.tsum(ad.power(ad.conv_seq(c, k), 2.0)),
+         [rand(1, 6, 3), rand(2, 3, 1, 2)]),
+        ("conv_seq_batched", lambda c, k: ad.tsum(ad.power(ad.conv_seq(c, k), 2.0)),
          [rand(2, 6, 3), rand(2, 3, 1, 2)]),
         ("gru_encode", gru_case, [gru.wx, gru.wh, gru.bx, gru.bh, gru_seq]),
         ("gru_scan", scan_case, [gru.wx, gru.wh, gru.bx, gru.bh, gru_seq, rand(2, 4)]),
@@ -92,7 +100,7 @@ def primitive_cases(seed: int):
         ("gaussian_kl", lambda *a: ad.tsum(ad.gaussian_kl(*a)),
          [rand(2, 3) for _ in range(4)]),
         ("reparameterize", lambda mu, lv: ad.tsum(ad.power(
-            ad.reparameterize(mu, lv, Rng(seed)), 2.0)), [rand(2, 3), rand(2, 3)]),
+            ad.reparameterize(mu, lv, Rng(seed).normal(mu.shape)), 2.0)), [rand(2, 3), rand(2, 3)]),
         ("cosine", lambda u, v: ad.tsum(ad.cosine(u, v)),
          [rand(2, 4, shift=1.0), rand(2, 4, shift=1.0)]),
     ]
@@ -150,7 +158,8 @@ def loss_cases(seed: int):
         rng = Rng(seed + 3)
         r_e = net.encode_ids(resp)
         x = net.prominent_semantics(ctx, rng, noise=True)[0]
-        return ad.tmean(net.elbo(resp, x, r_e, 0.5, rng)["elbo"])
+        eps = rng.normal((len(resp), net.config.latent_dim))
+        return ad.tmean(net.elbo(resp, x, r_e, 0.5, eps)["elbo"])
 
     cases.append(("loss_elbo", elbo_case, tensors))
 

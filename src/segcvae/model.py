@@ -35,19 +35,6 @@ class ProminentSemantics:
     positive_index: np.ndarray  # (B,) ints
 
 
-class FixedNoise:
-    """Pre-drawn standard-normal noise in place of an ``Rng``: ``normal``
-    returns the stored array, which must have exactly the asked shape."""
-
-    def __init__(self, eps: np.ndarray):
-        self.eps = eps
-
-    def normal(self, shape=()) -> np.ndarray:
-        if tuple(shape) != self.eps.shape:
-            raise ShapeError(f"fixed noise has shape {self.eps.shape}, asked for {tuple(shape)}")
-        return self.eps
-
-
 class SegCVAE:
     """Holds all parameters and the forward computations."""
 
@@ -311,20 +298,20 @@ class SegCVAE:
         return picked - np.log(np.exp(z, out=z).sum(axis=-1))
 
     def elbo(self, resp_ids: np.ndarray, x: Tensor, r_e: Tensor,
-             kl_weight: float, rng: Rng, want_generated: bool = False) -> dict:
+             kl_weight: float, eps: np.ndarray, want_generated: bool = False) -> dict:
         """Evidence lower bound of one branch, per example, or of k branches
         at once: ``x`` and ``r_e`` may hold k branch-major copies of the B
         responses' rows (k*B rows), all scored against the same ``resp_ids``.
 
         Returns tensors keyed ``elbo``/``recon``/``kl`` of shape (k*B,) plus
-        ``generated`` (k*B, hidden) when requested.  The latent noise comes
-        from ``rng.normal``: an ``Rng`` or a ``FixedNoise``.
+        ``generated`` (k*B, hidden) when requested.  The latent noise is
+        ``eps``, (k*B, latent) standard-normal draws.
         """
         if not 0.0 <= kl_weight <= 1.0:
             raise DomainError(f"kl_weight must lie in [0, 1], got {kl_weight}")
         mu_q, logvar_q = self.recognition(r_e, x)
         mu_p, logvar_p = self.prior(x)
-        z = ad.reparameterize(mu_q, logvar_q, rng)
+        z = ad.reparameterize(mu_q, logvar_q, eps)
         state = self.decoder_initial(z, x)
         recon, generated = self._teacher_forced(resp_ids, state, want_generated)
         kl = ad.gaussian_kl(mu_q, logvar_q, mu_p, logvar_p)
@@ -358,13 +345,13 @@ class SegCVAE:
         with ad.no_grad():
             scored = self.elbo(resp_ids, ad.reshape(xs, (m * batch, cfg.hidden_dim)),
                                Tensor(np.tile(r_e.values, (m, 1))), kl_weight,
-                               FixedNoise(eps.reshape(m * batch, cfg.latent_dim)), False)
+                               eps.reshape(m * batch, cfg.latent_dim), False)
         branch_elbos = scored["elbo"].values.reshape(m, batch)
         positive = select_positive(branch_elbos)
 
         want_generated = not cfg.no_sdn and batch >= 2
         winner = self.elbo(resp_ids, ad.take(xs, (positive, rows)), r_e, kl_weight,
-                           FixedNoise(eps[positive, rows]), want_generated)
+                           eps[positive, rows], want_generated)
 
         san_v = scn_v = sdn_v = Tensor(np.zeros(()))
         if not cfg.no_san:

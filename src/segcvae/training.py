@@ -290,18 +290,27 @@ def load_model(path) -> tuple[SegCVAE, dict[str, np.ndarray]]:
 
 
 def load_state(path, cfg: TrainingConfig) -> TrainState:
-    """A ``save_state`` file's state, its parameters and moments the loaded arrays themselves."""
+    """A ``save_state`` file's state, its parameters and moments the loaded arrays
+    themselves; a missing or misshapen entry is a DomainError naming it and the file."""
     model, arrays = load_model(path)
+
+    def stored(name: str, size: int = 1):  # a number, or an array of size values
+        value = arrays.get(name)
+        if value is None or value.size != size:
+            what = "is missing" if value is None else f"has {value.size} values, want {size}"
+            raise DomainError(f"{path}: checkpoint entry '{name}' {what}")
+        return value.item() if size == 1 else value
+
     moments = [{name: stored_array(arrays, f"adam.{k}.{name}", p.shape)
                 for name, p in model.params.items()} for k in "mv"]
     optimizer = Adam(model.params, lr=cfg.learning_rate, moments=moments)
-    optimizer.t = int(arrays["opt.t"])
+    optimizer.t = int(stored("opt.t"))
     rng, data_rng = Rng(0), Rng(0)
-    rng.set_state(arrays["rng.noise"])
-    data_rng.set_state(arrays["rng.data"])
+    rng.set_state(stored("rng.noise", Rng.STATE_WORDS))
+    data_rng.set_state(stored("rng.data", Rng.STATE_WORDS))
     return TrainState(model=model, optimizer=optimizer, rng=rng,
-                      data_rng=data_rng, step=int(arrays["train.step"]),
-                      best_ppl=float(arrays["train.best_ppl"]))
+                      data_rng=data_rng, step=int(stored("train.step")),
+                      best_ppl=float(stored("train.best_ppl")))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,11 @@ def _tiny_setup(num_triggers=2, **overrides):
     return net, vocab, ctx, resp
 
 
+def _eps(net, resp):
+    """Standard-normal latent noise for one branch's bound over ``resp``."""
+    return Rng(0).normal((len(resp), net.config.latent_dim))
+
+
 def _zero(tensor):
     tensor.values = np.zeros_like(tensor.values)
 
@@ -440,7 +445,7 @@ class TestElbo:
         with ad.no_grad():
             r_e = net.encode_ids(resp)
             xs = net.prominent_semantics(ctx, noise=False)
-            out = net.elbo(resp, xs[0], r_e, kl_weight=1.0, rng=Rng(0))
+            out = net.elbo(resp, xs[0], r_e, kl_weight=1.0, eps=_eps(net, resp))
         np.testing.assert_allclose(out["kl"].values, 0.0, atol=1e-12)
         np.testing.assert_allclose(out["elbo"].values, out["recon"].values)
 
@@ -449,7 +454,7 @@ class TestElbo:
         with ad.no_grad():
             r_e = net.encode_ids(resp)
             xs = net.prominent_semantics(ctx, noise=False)
-            out = net.elbo(resp, xs[0], r_e, kl_weight=0.0, rng=Rng(0))
+            out = net.elbo(resp, xs[0], r_e, kl_weight=0.0, eps=_eps(net, resp))
         assert np.all(out["kl"].values > 0)
         np.testing.assert_allclose(out["elbo"].values, out["recon"].values)
 
@@ -465,7 +470,7 @@ class TestElbo:
         with ad.no_grad():
             r_e = net.encode_ids(resp)
             xs = net.prominent_semantics(ctx, noise=False)
-            out = net.elbo(resp, xs[0], r_e, kl_weight=0.0, rng=Rng(0))
+            out = net.elbo(resp, xs[0], r_e, kl_weight=0.0, eps=_eps(net, resp))
         assert out["recon"].values[0] == pytest.approx(4 * np.log(1 / 10), rel=1e-12)
 
     def test_elbo_never_exceeds_recon_under_positive_kl(self):
@@ -473,7 +478,7 @@ class TestElbo:
         with ad.no_grad():
             r_e = net.encode_ids(resp)
             xs = net.prominent_semantics(ctx, noise=False)
-            out = net.elbo(resp, xs[0], r_e, kl_weight=0.7, rng=Rng(0))
+            out = net.elbo(resp, xs[0], r_e, kl_weight=0.7, eps=_eps(net, resp))
         assert np.all(out["kl"].values > 0)
         assert np.all(out["elbo"].values <= out["recon"].values)
 
@@ -481,7 +486,7 @@ class TestElbo:
         net, _, ctx, resp = _tiny_setup()
         with pytest.raises(DomainError):
             net.elbo(resp, Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))),
-                     kl_weight=1.5, rng=Rng(0))
+                     kl_weight=1.5, eps=_eps(net, resp))
 
 
 def _ablation_batch(seed, batch=9, vocab_seed=None, net_seed=None, **overrides):
@@ -710,7 +715,8 @@ def _one_hot_reference(net, ctx, resp, kl_weight, rng):
     r_e = net.encode_ids(resp)
     xs = net.prominent_semantics(ctx, rng, noise=True)
     want_generated = not cfg.no_sdn and batch >= 2
-    branches = [net.elbo(resp, x, r_e, kl_weight, rng, want_generated) for x in xs]
+    branches = [net.elbo(resp, x, r_e, kl_weight, rng.normal((batch, cfg.latent_dim)),
+                         want_generated) for x in xs]
     positive = np.atleast_1d(m.select_positive(np.stack([b["elbo"].values for b in branches])))
     one_hot = np.zeros((cfg.num_triggers, batch))
     one_hot[positive, np.arange(batch)] = 1.0
@@ -819,11 +825,11 @@ class TestTwoPassForward:
         assert list(arrays) == list(net.params)
         assert all(arrays[name] is p.values for name, p in net.params.items())
 
-    def test_fixed_noise_rejects_a_wrong_shape(self):
-        noise = m.FixedNoise(np.zeros((3, 4)))
-        assert noise.normal((3, 4)) is noise.eps
+    def test_reparameterize_rejects_noise_of_another_shape(self):
+        mu, logvar = Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4)))
+        np.testing.assert_array_equal(ad.reparameterize(mu, logvar, np.ones((3, 4))).values, 1.0)
         with pytest.raises(ShapeError):
-            noise.normal((4, 3))
+            ad.reparameterize(mu, logvar, np.ones((4, 3)))
 
 
 class TestBatchedBranches:
@@ -843,7 +849,7 @@ class TestBatchedBranches:
             r_e = net.encode_ids(resp)
             xs = net.prominent_semantics(ctx, rng, noise=True)
             eps = rng.normal((net.config.num_triggers, batch, net.config.latent_dim))
-            want = np.stack([net.elbo(resp, x, r_e, 0.5, m.FixedNoise(eps[i]))["elbo"].values
+            want = np.stack([net.elbo(resp, x, r_e, 0.5, eps[i])["elbo"].values
                              for i, x in enumerate(xs)])
         assert parts["branch_elbos"].shape == want.shape
         np.testing.assert_allclose(parts["branch_elbos"], want, rtol=1e-12, atol=0)

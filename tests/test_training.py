@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -206,7 +207,8 @@ class TestTrainStep:
         with ad.no_grad():
             r_e = clone.model.encode_ids(data[1])
             x = clone.model.encode_ids(data[0])
-            out = clone.model.elbo(data[1], x, r_e, kl_weight=0.0, rng=clone.rng)
+            eps = clone.rng.normal((len(data[1]), cfg.latent_dim))
+            out = clone.model.elbo(data[1], x, r_e, kl_weight=0.0, eps=eps)
         assert stats["loss"] == -float(out["elbo"].values.mean())
         assert stats["san"] == stats["scn"] == stats["sdn"] == 0.0
 
@@ -436,6 +438,26 @@ class TestResumability:
         ad.save_checkpoint(tmp_path / "state.ckpt", arrays, meta)
         with pytest.raises(DomainError, match="'adam.v.eg.dense'"):
             tr.load_state(tmp_path / "state.ckpt", cfg)
+
+    @pytest.mark.parametrize("name, value, what", [
+        *((name, None, "is missing") for name in
+          ("opt.t", "train.step", "train.best_ppl", "rng.noise", "rng.data")),
+        ("opt.t", np.array([1, 2], dtype=np.uint64), "has 2 values, want 1"),
+        ("train.best_ppl", np.zeros(0), "has 0 values, want 1"),
+        ("rng.noise", np.zeros(3, dtype=np.uint64), "has 3 values, want 13"),
+    ])
+    def test_missing_or_misshapen_entry_is_a_domain_error(self, tmp_path, name, value, what):
+        cfg, pairs, vocab, data = _setup()
+        path = tmp_path / "state.ckpt"
+        tr.save_state(tr.init_state(cfg, vocab), cfg, path)
+        arrays, meta = ad.load_checkpoint(path)
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+        ad.save_checkpoint(path, arrays, meta)
+        with pytest.raises(DomainError, match=re.escape(f"{path}: checkpoint entry '{name}' {what}")):
+            tr.load_state(path, cfg)
 
     def test_repeated_loads_keep_traced_memory_flat(self, tmp_path):
         """With the cyclic collector off, each load's arrays are freed as
