@@ -16,8 +16,8 @@ from .corpus import (CdmReport, DialoguePair, Utterance, Vocabulary,
                      tokenize)
 from .evaluation import (GenerationRecord, bleu_n, coherence, distinct_n,
                          embedding_average, generate_n, length_avg)
-from .model import (ModelConfig, ProminentSemantics, SegCVAE, san, scn, sdn,
-                    select_positive, total_loss)
+from .model import (ModelConfig, SegCVAE, san, scn, sdn, select_positive,
+                    total_loss)
 from .training import (TrainingConfig, TrainState, fit, kl_anneal,
                        lambda_schedule, perplexity, train_step)
 
@@ -28,7 +28,7 @@ __all__ = [
     "extract_single_turn_pairs", "filter_by_vocab", "mine_cdm", "tokenize",
     "GenerationRecord", "bleu_n", "coherence", "distinct_n",
     "embedding_average", "generate_n", "length_avg",
-    "ModelConfig", "ProminentSemantics", "SegCVAE",
+    "ModelConfig", "SegCVAE",
     "san", "scn", "sdn", "select_positive", "total_loss",
     "TrainingConfig", "TrainState", "fit", "kl_anneal", "lambda_schedule",
     "perplexity", "train_step",

@@ -214,8 +214,10 @@ def _reduced(g: np.ndarray, axis, keepdims: bool, shape) -> np.ndarray:
 
 
 def _is_basic(index) -> bool:
-    """Whether ``index`` selects without integer arrays (so no position
-    repeats and ``buf[index] += g`` is a correct scatter)."""
+    """Whether ``index`` selects without integer arrays or is one boolean
+    mask (so no position repeats and ``buf[index] += g`` is a correct scatter)."""
+    if isinstance(index, np.ndarray) and index.dtype == bool:
+        return True
     parts = index if isinstance(index, tuple) else (index,)
     return all(isinstance(i, (int, np.integer, slice)) or i is None or i is Ellipsis
                for i in parts)
@@ -744,26 +746,25 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] = 
     then the concatenated raw bytes.  Entries are sorted so identical inputs
     produce identical bytes.  The file is written beside ``path`` and then
     renamed over it, so a write that fails midway leaves ``path`` as it was.
+    Each array is copied to bytes only as it is written, so a save holds
+    one array's copy at a time, not the whole body.
     """
     lines = [CHECKPOINT_TAG]
     for key in sorted(meta or {}):
         lines.append(f"meta {key} {meta[key]}")
-    blobs = []
+    entries = [(name, np.asarray(arrays[name])) for name in sorted(arrays)]
     offset = 0
-    for name in sorted(arrays):
-        arr = np.asarray(arrays[name])
+    for name, arr in entries:
         shape = ",".join(str(d) for d in arr.shape) or "-"
         lines.append(f"array {name} {arr.dtype.name} {shape} {offset}")
-        raw = arr.tobytes()
-        blobs.append(raw)
-        offset += len(raw)
+        offset += arr.nbytes
     header = ("\n".join(lines) + "\n\n").encode("utf-8")
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
-            for raw in blobs:
-                fh.write(raw)
+            for _, arr in entries:
+                fh.write(arr.tobytes())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -772,22 +773,29 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] = 
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Read a ``save_checkpoint`` file; an unreadable file, a malformed
-    index line, an unknown dtype or an array reaching past the end of the
-    body is a SegcvaeError naming the file."""
+    """Read a ``save_checkpoint`` file, each array into a buffer of its own,
+    so the file is never held whole; an unreadable file, a malformed index
+    line, an unknown dtype or an array reaching past the end of the body is
+    a SegcvaeError naming the file."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return _read_checkpoint(path, fh)
     except OSError as err:
         raise SegcvaeError(f"{path}: cannot read: {err.strerror}") from None
-    split = data.find(b"\n\n")
-    if split < 0:
-        raise SegcvaeError(f"{path}: missing checkpoint header terminator")
+
+
+def _read_checkpoint(path, fh) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    index = []
+    while (line := fh.readline()) != b"\n":  # the index ends at the first blank line
+        if not line.endswith(b"\n"):
+            raise SegcvaeError(f"{path}: missing checkpoint header terminator")
+        index.append(line)
     try:
-        header = data[:split].decode("utf-8").splitlines()
+        header = b"".join(index).decode("utf-8").splitlines()
     except UnicodeDecodeError:
         raise SegcvaeError(f"{path}: checkpoint index is not UTF-8 text")
-    body = memoryview(data)[split + 2:]
+    body_start = fh.tell()
+    body_len = os.fstat(fh.fileno()).st_size - body_start
     if not header or header[0] != CHECKPOINT_TAG:
         raise SegcvaeError(f"{path}: not a {CHECKPOINT_TAG} file")
     arrays: dict[str, np.ndarray] = {}
@@ -813,12 +821,14 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         except ValueError:
             raise SegcvaeError(f"{path}: malformed index line {lineno}: '{line}'")
         count = math.prod(shape)
-        if min(shape, default=0) < 0 or offset < 0 or offset + count * dtype.itemsize > len(body):
+        if min(shape, default=0) < 0 or offset < 0 or offset + count * dtype.itemsize > body_len:
             raise SegcvaeError(f"{path}: array '{name}' reaches past the end of the "
-                               f"{len(body)}-byte body")
-        flat = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
+                               f"{body_len}-byte body")
         try:
-            arrays[name] = flat.reshape(shape).copy()
+            arrays[name] = np.empty(count, dtype=dtype).reshape(shape)
         except ValueError:  # too many or too large dimensions for numpy
             raise SegcvaeError(f"{path}: array '{name}' has an impossible shape '{shape_s}'")
+        fh.seek(body_start + offset)
+        if fh.readinto(arrays[name]) != arrays[name].nbytes:
+            raise SegcvaeError(f"{path}: array '{name}' was cut short while it was read")
     return arrays, meta

@@ -33,6 +33,7 @@ def primitive_cases(seed: int):
     w_logsoft = Tensor(r.normal(size=(2, 4)))
     ids = np.array([0, 2, 2, 1])  # a repeated row scatters through np.add.at
     gather_ids = np.array([3, 0])
+    live = np.array([[True, False, True], [False, True, True]])  # a mask scatters in place
     mask = (r.uniform(0, 1, size=(2, 3)) > 0.3).astype(np.int64)
     mask[:, 0] = 1
 
@@ -103,6 +104,7 @@ def primitive_cases(seed: int):
             ad.reparameterize(mu, lv, Rng(seed).normal(mu.shape)), 2.0)), [rand(2, 3), rand(2, 3)]),
         ("cosine", lambda u, v: ad.tsum(ad.cosine(u, v)),
          [rand(2, 4, shift=1.0), rand(2, 4, shift=1.0)]),
+        ("take_mask", lambda a: ad.tsum(ad.power(ad.take(a, live), 2.0)), [rand(2, 3, 4)]),
     ]
 
 

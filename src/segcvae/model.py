@@ -14,8 +14,6 @@ other inside a batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -26,13 +24,6 @@ from .errors import DomainError, ShapeError
 
 LOGVAR_CLIP = 10.0
 TF_BLOCK_BYTES = 4 << 20  # teacher forcing: bytes per (rows, vocab) float64 array of a block
-
-
-@dataclass
-class ProminentSemantics:
-    """The branch selected for each example of a batch."""
-
-    positive_index: np.ndarray  # (B,) ints
 
 
 class SegCVAE:
@@ -261,12 +252,11 @@ class SegCVAE:
         states = ad.gru_scan(self.dec, self.embed_matrix(inputs[:, :t_eff]), state)
         targets = np.tile(targets[:, :t_eff], (state.shape[0] // resp_ids.shape[0], 1))
         live = targets != PAD_ID
-        where = np.nonzero(live)
-        packed_targets = targets[where]
+        packed_targets = targets[live]
         index = np.full(live.shape, len(packed_targets))  # padding reads the appended zero
-        index[where] = np.arange(len(packed_targets))
+        index[live] = np.arange(len(packed_targets))
         graph = want_generated or states.requires_grad
-        packed = ad.take(states, where) if graph else states.values[where]
+        packed = ad.take(states, live) if graph else states.values[live]
         span = max(1, TF_BLOCK_BYTES // (8 * self.config.vocab_size))
         picked, expected = [], []
         for p0 in range(0, len(packed_targets), span):
@@ -318,17 +308,31 @@ class SegCVAE:
         elbo = ad.sub(recon, ad.mul(kl, kl_weight))
         return {"elbo": elbo, "recon": recon, "kl": kl, "generated": generated}
 
+    def prior_recon(self, ctx_ids: np.ndarray, resp_ids: np.ndarray) -> np.ndarray:
+        """Every branch's teacher-forced log-likelihood of each response, with
+        the latent at the prior mean, as an (M, B) array: all branches decoded
+        as one branch-major (M*B)-row pass that records no graph, sharing the
+        decoder's input projection.  Branch conditioning never reads the
+        response encoding; the response is only the scored target sequence."""
+        with ad.no_grad():
+            xs = ad.reshape(self.prominent_semantics(ctx_ids), (-1, self.config.hidden_dim))
+            mu_p, _ = self.prior(xs)
+            state = self.decoder_initial(mu_p, xs)
+            recon, _ = self._teacher_forced(np.atleast_2d(resp_ids), state, False)
+        return recon.values.reshape(self.config.num_triggers, -1)
+
     def forward_losses(self, ctx_ids: np.ndarray, resp_ids: np.ndarray,
                        kl_weight: float, rng: Rng, gs_noise: bool = True,
                        r_gt: np.ndarray = None) -> dict:
         """All training quantities for one batch.
 
         Every branch's bound is first scored without a graph, all branches
-        as one (M*B)-row pass; the positive branch is picked per example, and
-        only the winners' bounds are computed again with a graph, as one
-        B-row pass.  A losing branch reaches the loss only through the norms,
-        so its exclusive parameters get exactly zero gradient from the bound.
-        The latent noise is drawn once for all branches, and the winner pass
+        as one (M*B)-row pass; the positive branch is picked per example
+        (returned as ``positive``, a (B,) index array), and only the
+        winners' bounds are computed again with a graph, as one B-row pass.
+        A losing branch reaches the loss only through the norms, so its
+        exclusive parameters get exactly zero gradient from the bound.  The
+        latent noise is drawn once for all branches, and the winner pass
         reuses each row's draw.  The distillation target is the detached
         response encoding unless a frozen ``r_gt`` array is given, which a
         finite-difference check needs so that the target stays put while the
@@ -363,7 +367,7 @@ class SegCVAE:
 
         return {
             "elbo_plus": ad.tmean(winner["elbo"]), "san": san_v, "scn": scn_v, "sdn": sdn_v,
-            "semantics": ProminentSemantics(positive),
+            "positive": positive,
             "branch_elbos": branch_elbos,
             "recon_mean": float(winner["recon"].values.mean()),
             "kl_mean": float(winner["kl"].values.mean()),

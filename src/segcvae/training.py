@@ -3,9 +3,11 @@
 The objective is maximized, so each step minimizes its negation.  Both the
 norm weight and the KL weight ramp linearly from zero; the norm weight can
 instead be pinned to a constant.  A checkpoint is persisted every time the
-validation perplexity reaches a new minimum.  The serialized state (each
-parameter and its optimizer moments by the parameter's name, step, generator
-states) holds all an exact resume needs, though no entry point resumes yet.
+validation perplexity reaches a new minimum; perplexity scores all branches
+of a context in one no-graph pass, as the training step's scoring pass
+does.  The serialized state (each parameter and its optimizer moments by
+the parameter's name, step, generator states) holds all an exact resume
+needs, though no entry point resumes yet.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .autodiff import Rng, Tensor
 from .config import ModelConfig, TrainingConfig
 from .corpus import PAD_ID, DialoguePair, Vocabulary, encode_pairs
 from .errors import DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss
-from .model import SegCVAE, select_positive, stored_array, total_loss
+from .model import SegCVAE, stored_array, total_loss
 
 CHECKPOINT_NAME = "checkpoint.bin"
 LOG_NAME = "train_log.txt"
@@ -167,8 +169,7 @@ def train_step(batch: tuple[np.ndarray, np.ndarray], state: TrainState,
         "sdn": float(parts["sdn"].values),
         "loss": float(loss.values),
     }
-    state.branch_wins = np.bincount(parts["semantics"].positive_index,
-                                    minlength=state.model.config.num_triggers)
+    state.branch_wins = np.bincount(parts["positive"], minlength=state.model.config.num_triggers)
     state.grad_norm = norm  # None from an Adam subclass whose step returns nothing
     state.grad_clipped = (None if norm is None
                           else cfg.grad_clip is not None and norm > cfg.grad_clip)
@@ -191,37 +192,6 @@ def iterate_batches(n: int, batch_size: int, data_rng: Rng):
 # evaluation-time likelihood
 # ---------------------------------------------------------------------------
 
-def _branch_recon(model: SegCVAE, ctx_ids, resp_ids) -> tuple[np.ndarray, np.ndarray]:
-    """Per-branch teacher-forced log-likelihoods with z at the prior mean.
-
-    Branch conditioning never reads the response encoding; the response
-    appears only as the scored target sequence.
-    """
-    xs = model.prominent_semantics(ctx_ids, noise=False)
-    recons = []
-    for x in xs:
-        mu_p, _ = model.prior(x)
-        state = model.decoder_initial(mu_p, x)
-        recon, _ = model._teacher_forced(resp_ids, state, want_generated=False)
-        recons.append(recon.values)
-    tokens = (resp_ids[:, 1:] != PAD_ID).sum(axis=1)
-    return np.stack(recons), tokens
-
-
-def _ppl_shard(model: SegCVAE, ctx_ids, resp_ids, batch_size: int) -> tuple[float, int]:
-    nll = 0.0
-    tokens = 0
-    with ad.no_grad():
-        for start in range(0, ctx_ids.shape[0], batch_size):
-            ctx = ctx_ids[start:start + batch_size]
-            resp = resp_ids[start:start + batch_size]
-            recons, counts = _branch_recon(model, ctx, resp)
-            best = select_positive(recons)
-            nll -= float(recons[best, np.arange(ctx.shape[0])].sum())
-            tokens += int(counts.sum())
-    return nll, tokens
-
-
 def worker_count() -> int:
     """Threads for perplexity: the SEGCVAE_THREADS cap, or 1 when it is
     unset or unparseable."""
@@ -235,21 +205,29 @@ def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],
                batch_size: int = 32) -> float:
     """exp of the mean per-token negative log-likelihood under teacher
     forcing, with the latent at the prior mean and the branch chosen by the
-    largest prior-side likelihood."""
+    largest prior-side likelihood.  All M branches of a context are scored
+    in one no-graph pass (``SegCVAE.prior_recon``) of ``max(1, batch_size //
+    M)`` contexts, so ``batch_size`` bounds the rows a pass decodes (M per
+    context), not the contexts.  Worker threads share out the passes; the
+    passes' sums are added exactly, so the result does not depend on the
+    number of threads."""
     ctx_ids, resp_ids = dataset
     if ctx_ids.shape[0] == 0:
         raise EmptyCorpus("cannot evaluate perplexity on an empty dataset")
-    workers = min(worker_count(), ctx_ids.shape[0])
-    shards = np.array_split(np.arange(ctx_ids.shape[0]), workers)
+    step = max(1, batch_size // model.config.num_triggers)
+    passes = [slice(start, start + step) for start in range(0, ctx_ids.shape[0], step)]
+
+    def pass_nll(rows: slice) -> float:  # each response under its best branch
+        return -float(model.prior_recon(ctx_ids[rows], resp_ids[rows]).max(axis=0).sum())
+
+    workers = min(worker_count(), len(passes))
     if workers == 1:
-        results = [_ppl_shard(model, ctx_ids, resp_ids, batch_size)]
+        results = [pass_nll(rows) for rows in passes]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda idx: _ppl_shard(model, ctx_ids[idx], resp_ids[idx], batch_size),
-                shards))
-    nll = math.fsum(r[0] for r in results)
-    tokens = sum(r[1] for r in results)
+            results = list(pool.map(pass_nll, passes))
+    nll = math.fsum(results)
+    tokens = int((resp_ids[:, 1:] != PAD_ID).sum())
     try:
         return math.exp(nll / tokens)
     except OverflowError:  # a mean negative log-likelihood above ~709.8 nats

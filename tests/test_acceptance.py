@@ -135,7 +135,7 @@ def test_03_gradient_blocking():
         net.zero_grad()
         loss.backward()
 
-        selected = set(parts["semantics"].positive_index.tolist())
+        selected = set(parts["positive"].tolist())
         assert selected and selected != set(range(3)), "need unselected branches"
         for i in range(3):
             slices = net.branch_slices(i)

@@ -1,8 +1,11 @@
 """Unit tests for the differentiable tensor substrate."""
 
 import gc
+import os
+import tracemalloc
 import weakref
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,6 +81,29 @@ class TestInPlaceAccumulation:
         want[1] += w.sum(axis=0)
         np.add.at(want, ids, w)
         np.testing.assert_allclose(x.grad, want, rtol=1e-14)
+
+    def test_a_mask_gather_scatters_without_add_at(self, monkeypatch):
+        """A boolean mask selects no position twice, so its backward adds
+        the gradient by plain indexed assignment, never through np.add.at."""
+        add = np.add
+
+        class NoAt:
+            def __call__(self, *args, **kwargs):
+                return add(*args, **kwargs)
+
+            def at(self, *args):
+                pytest.fail("np.add.at ran")
+
+        r = np.random.default_rng(12)
+        x = _t(r.normal(size=(2, 3, 4)))
+        live = np.array([[True, False, True], [False, True, True]])
+        g = r.normal(size=(4, 4))
+        monkeypatch.setattr(np, "add", NoAt())
+        ad.take(x, live).backward(g)
+        monkeypatch.undo()
+        want = np.zeros((2, 3, 4))
+        want[live] = g
+        np.testing.assert_array_equal(x.grad, want)
 
     def test_grad_check_through_slices_and_gathers(self):
         r = np.random.default_rng(11)
@@ -569,6 +595,49 @@ class TestCheckpoint:
         path.write_bytes(f"{ad.CHECKPOINT_TAG}\n{line}\n\n".encode() + body)
         with pytest.raises(SegcvaeError, match=why) as info:
             ad.load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_save_copies_one_array_at_a_time(self, tmp_path):
+        rng = np.random.default_rng(9)
+        arrays = {f"w{i}": rng.normal(size=(256, 512)) for i in range(4)}  # 1 MB each
+        tracemalloc.start()
+        try:
+            ad.save_checkpoint(tmp_path / "big.ckpt", arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * arrays["w0"].nbytes, peak
+
+    def test_load_peaks_at_the_arrays_it_returns(self, tmp_path):
+        """Each array is read into its own buffer: a load never holds the
+        file body beside the arrays."""
+        rng = np.random.default_rng(9)
+        arrays = {f"w{i}": rng.normal(size=(256, 512)) for i in range(4)}  # 4 MB
+        path = tmp_path / "big.ckpt"
+        ad.save_checkpoint(path, arrays)
+        tracemalloc.start()
+        try:
+            loaded, _ = ad.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in loaded.values())
+        assert held == sum(a.nbytes for a in arrays.values())
+        assert peak <= 1.1 * held, (peak, held)
+        for name, a in arrays.items():
+            np.testing.assert_array_equal(loaded[name], a)
+
+    def test_a_body_cut_short_while_read_is_rejected(self, tmp_path, monkeypatch):
+        """A file that shrinks after its size was taken leaves no array
+        holding bytes that were never read."""
+        path = tmp_path / "model.ckpt"
+        ad.save_checkpoint(path, {"a": np.arange(6, dtype=np.float64)})
+        path.write_bytes(path.read_bytes()[:-8])
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 8))
+        with pytest.raises(SegcvaeError, match="'a' was cut short") as info:
+            ad.load_checkpoint(path)
+        monkeypatch.undo()
         assert str(path) in str(info.value)
 
     def test_truncated_body_rejected(self, tmp_path):

@@ -1,0 +1,24 @@
+"""The demo scripts run to completion.
+
+``demos/03_toy_training.py`` is left out: it trains for about 30 s.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script", ["01_corpus_mappings.py", "02_selection_sharpening.py",
+                                    "04_metric_tour.py"])
+def test_demo_exits_zero(script, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / script)], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

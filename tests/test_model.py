@@ -667,8 +667,7 @@ class TestForwardLosses:
         b = net.forward_losses(ctx, resp, 0.5, Rng(21))
         assert a["elbo_plus"].values.tobytes() == b["elbo_plus"].values.tobytes()
         assert a["san"].values.tobytes() == b["san"].values.tobytes()
-        np.testing.assert_array_equal(a["semantics"].positive_index,
-                                      b["semantics"].positive_index)
+        np.testing.assert_array_equal(a["positive"], b["positive"])
 
     def test_gradient_blocking_on_unselected_branches(self):
         net, _, ctx, resp = _tiny_setup(num_triggers=3)
@@ -678,7 +677,7 @@ class TestForwardLosses:
                                    parts["sdn"], lambda_w=0.0), -1.0)
         net.zero_grad()
         loss.backward()
-        selected = set(parts["semantics"].positive_index.tolist())
+        selected = set(parts["positive"].tolist())
         assert len(selected) == 1
         for i in range(3):
             slices = net.branch_slices(i)
@@ -768,7 +767,7 @@ class TestTwoPassForward:
             parts = net.forward_losses(ctx, resp, 0.5, Rng(seed))
             loss = m.total_loss(parts["elbo_plus"], parts["san"], parts["scn"],
                                 parts["sdn"], lambda_w=1.0)
-            return loss, parts["semantics"].positive_index
+            return loss, parts["positive"]
 
         want_loss, want_positive, want = _loss_and_grads(
             net, lambda: _one_hot_reference(net, ctx, resp, 0.5, Rng(seed)))

@@ -12,7 +12,7 @@ import pytest
 from segcvae import autodiff as ad
 from segcvae import training as tr
 from segcvae.autodiff import Rng, Tensor
-from segcvae.corpus import DialoguePair, build_vocab, encode_pairs
+from segcvae.corpus import PAD_ID, DialoguePair, build_vocab, encode_pairs
 from segcvae.errors import DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss
 
 
@@ -290,7 +290,54 @@ class TestTrainStep:
         assert keys == ["step", "elbo", "recon", "kl", "san", "scn", "sdn", "loss"]
 
 
+def _per_branch_perplexity(model, dataset, batch_size):
+    """The reference: batches of ``batch_size`` contexts, each branch
+    decoded as a pass of its own, as perplexity ran before its one-pass
+    branch scorer."""
+    ctx_ids, resp_ids = dataset
+    nll, tokens = 0.0, 0
+    with ad.no_grad():
+        for start in range(0, len(ctx_ids), batch_size):
+            ctx, resp = ctx_ids[start:start + batch_size], resp_ids[start:start + batch_size]
+            recons = []
+            for x in model.prominent_semantics(ctx):
+                mu_p, _ = model.prior(x)
+                recon, _ = model._teacher_forced(resp, model.decoder_initial(mu_p, x), False)
+                recons.append(recon.values)
+            nll -= float(np.max(recons, axis=0).sum())
+            tokens += int((resp[:, 1:] != PAD_ID).sum())
+    return math.exp(nll / tokens)
+
+
+def _trained_three_branch_model():
+    cfg, pairs, vocab, data = _setup(num_triggers=3)
+    state = tr.init_state(cfg, vocab)
+    for i in range(2):
+        tr.train_step((data[0][i::2], data[1][i::2]), state, cfg)
+    return cfg, state.model, data
+
+
 class TestPerplexity:
+    @pytest.mark.parametrize("batch_size", [7, 2, 32])  # M=3: 2, 1 and 10 contexts a pass
+    def test_one_pass_scorer_matches_the_per_branch_loop(self, batch_size):
+        cfg, model, data = _trained_three_branch_model()
+        want = _per_branch_perplexity(model, data, batch_size)
+        assert tr.perplexity(model, data, batch_size=batch_size) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("batch_size", [7, 2, 32])
+    def test_a_pass_decodes_at_most_max_of_batch_size_and_m_rows(self, batch_size, monkeypatch):
+        cfg, model, data = _trained_three_branch_model()
+        rows, decoder_initial = [], tr.SegCVAE.decoder_initial
+
+        def recording(self, z, x):
+            rows.append(z.shape[0])
+            return decoder_initial(self, z, x)
+
+        monkeypatch.setattr(tr.SegCVAE, "decoder_initial", recording)
+        tr.perplexity(model, data, batch_size=batch_size)
+        assert max(rows) <= max(batch_size, cfg.num_triggers), rows
+        assert sum(rows) == cfg.num_triggers * len(data[0])
+
     def test_uniform_model_gives_vocab_size(self):
         cfg, pairs, vocab, data = _setup()
         state = tr.init_state(cfg, vocab)
@@ -329,11 +376,13 @@ class TestPerplexity:
             tr.perplexity(state.model, empty)
 
     def test_sharded_evaluation_matches_single_thread(self, monkeypatch):
+        """Three threads share out eight passes of two contexts; the passes'
+        sums are added exactly, so the result is the same bits."""
         cfg, pairs, vocab, data = _setup()
         state = tr.init_state(cfg, vocab)
-        base = tr.perplexity(state.model, data)
+        base = tr.perplexity(state.model, data, batch_size=4)
         monkeypatch.setenv("SEGCVAE_THREADS", "3")
-        assert tr.perplexity(state.model, data) == pytest.approx(base, rel=1e-12)
+        assert tr.perplexity(state.model, data, batch_size=4) == base
 
     def test_scoring_pass_equals_the_node_path(self, monkeypatch):
         """At the test_09 configuration, after a few steps, perplexity is the

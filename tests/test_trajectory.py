@@ -65,7 +65,7 @@ def run_trajectory(tmp_dir) -> dict:
 
     def recording(*args, **kwargs):
         parts = forward(*args, **kwargs)
-        winners.append(parts["semantics"].positive_index.tolist())
+        winners.append(parts["positive"].tolist())
         top2 = np.sort(parts["branch_elbos"], axis=0)[-2:]
         margins.append(float((top2[1] - top2[0]).min()))
         return parts
