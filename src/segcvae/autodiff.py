@@ -394,12 +394,9 @@ def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
 
 
 def softmax_rows(a) -> Tensor:
-    """Row softmax over the last axis, computed with max subtraction."""
-    a = as_tensor(a)
-    shifted = a.values - a.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return _unary(a, e / e.sum(axis=-1, keepdims=True),
-                  lambda g, y: y * (g - (g * y).sum(axis=-1, keepdims=True)))
+    """Row softmax over the last axis: a Gumbel-softmax at temperature 1
+    without noise."""
+    return gumbel_softmax(a, 1.0)
 
 
 def log_softmax(a) -> Tensor:
@@ -414,16 +411,24 @@ def gumbel_softmax(logits, tau: float, rng: "Rng" = None, noise: bool = False) -
 
     With ``noise`` the logits receive i.i.d. Gumbel(0, 1) samples before the
     division by ``tau``; the relaxation is soft (no hard one-hot pass), so
-    gradients flow through the softmax as usual.
+    gradients flow through the softmax as usual.  One node: the draws, the
+    scaling and the max-shifted softmax run in place on the one buffer it keeps.
     """
     if tau <= 0:
         raise DomainError(f"temperature must be positive, got {tau}")
-    logits = as_tensor(logits)
+    if noise and rng is None:
+        raise DomainError("noise=True needs an Rng")
+    logits, scale = as_tensor(logits), 1.0 / tau
     if noise:
-        if rng is None:
-            raise DomainError("noise=True needs an Rng")
-        logits = add(logits, Tensor(rng.gumbel(logits.shape)))
-    return softmax_rows(mul(logits, 1.0 / tau))
+        z = rng.gumbel(logits.shape)
+        z += logits.values
+        z *= scale
+    else:
+        z = logits.values * scale
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return _unary(logits, z, lambda g, y: (g - (g * y).sum(axis=-1, keepdims=True)) * y * scale)
 
 
 def conv_seq(c, kernel) -> Tensor:

@@ -159,7 +159,7 @@ def _cmd_generate(args) -> int:
     grouped = _grouped_records(pairs)
     if args.limit:
         grouped = grouped[:args.limit]
-    rng = Rng(args.seed if args.seed is not None else 123456)
+    rng = Rng(args.seed)
     records = [ev.generate_n(model, vocab, ctx, args.n_responses, rng,
                              ground_truths=truths)
                for ctx, truths in grouped]
@@ -168,7 +168,7 @@ def _cmd_generate(args) -> int:
                    [Path(args.run) / tr.CHECKPOINT_NAME, Path(args.data)],
                    ["generated.tsv"],
                    {"n_responses": str(args.n_responses),
-                    "seed": str(args.seed if args.seed is not None else 123456)})
+                    "seed": str(args.seed)})
     ev.write_generation(out_dir / "generated.tsv", records)
     print(f"wrote {len(records)} contexts x {args.n_responses} responses "
           f"to {out_dir / 'generated.tsv'}")
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="pair file with test contexts")
     p.add_argument("--out", required=True)
     p.add_argument("--n-responses", type=_positive_int, default=8)
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--seed", type=_seed, default=123456)
     p.add_argument("--limit", type=_positive_int, help="cap the number of contexts")
     p.set_defaults(func=_cmd_generate)
 

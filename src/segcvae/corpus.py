@@ -110,7 +110,10 @@ class Vocabulary:
         return token in self.token_to_id
 
     def id_of(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
+        """The id of a data word: an unknown word, and a special-token
+        string, is UNK, so data never injects padding or sequence markers."""
+        i = self.token_to_id.get(token, UNK_ID)
+        return i if i >= len(SPECIALS) else UNK_ID  # the specials hold the first ids
 
     def tokens_of(self, ids: Iterable[int]) -> list[str]:
         return [self.id_to_token[i] for i in ids]
@@ -139,7 +142,8 @@ def build_vocab(pairs: Sequence[DialoguePair], max_size: int,
                 emb_dim: int = 300, embedding_source: dict[str, np.ndarray] = None,
                 seed: int = 123456) -> Vocabulary:
     """Keep the most frequent tokens (ties broken lexicographically) under
-    ``max_size`` including the four specials.  Tokens without a row in
+    ``max_size`` including the four specials, which the data cannot add a
+    second time (see ``Vocabulary.id_of``).  Tokens without a row in
     ``embedding_source`` get a seeded uniform row in [-0.1, 0.1]."""
     if max_size < len(SPECIALS):
         raise DomainError(f"max_size must be at least {len(SPECIALS)}")
@@ -149,7 +153,7 @@ def build_vocab(pairs: Sequence[DialoguePair], max_size: int,
     for pair in pairs:
         counts.update(pair.context)
         counts.update(pair.response)
-    ranked = sorted(counts, key=lambda tok: (-counts[tok], tok))
+    ranked = sorted(counts.keys() - SPECIALS, key=lambda tok: (-counts[tok], tok))
     kept = ranked[:max_size - len(SPECIALS)]
     id_to_token = list(SPECIALS) + kept
     token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
@@ -253,6 +257,11 @@ def _split_of(key: tuple[str, ...], ratios: tuple[float, float, float]) -> str:
     return "test"
 
 
+def _split_manifest(mode: str, ratios, groups: int, splits: dict[str, list]) -> dict:
+    return {"mode": mode, "ratios": ratios, "groups": groups,
+            "pairs": {name: len(split) for name, split in splits.items()}}
+
+
 def build_cdm_dataset(pairs: Sequence[DialoguePair], mode: str,
                       ratios: tuple[float, float, float] = (0.90, 0.05, 0.05)
                       ) -> tuple[dict[str, list[DialoguePair]], dict]:
@@ -272,13 +281,7 @@ def build_cdm_dataset(pairs: Sequence[DialoguePair], mode: str,
         key = pair.context if mode == "o2m" else pair.response
         if key in keys:
             splits[_split_of(key, ratios)].append(pair)
-    manifest = {
-        "mode": mode,
-        "ratios": ratios,
-        "groups": len(groups),
-        "pairs": {name: len(split) for name, split in splits.items()},
-    }
-    return splits, manifest
+    return splits, _split_manifest(mode, ratios, len(groups), splits)
 
 
 def general_split(pairs: Sequence[DialoguePair],
@@ -290,13 +293,7 @@ def general_split(pairs: Sequence[DialoguePair],
     splits: dict[str, list[DialoguePair]] = {"train": [], "valid": [], "test": []}
     for pair in pairs:
         splits[_split_of(pair.context + ("\t",) + pair.response, ratios)].append(pair)
-    manifest = {
-        "mode": "general",
-        "ratios": ratios,
-        "groups": len(pairs),
-        "pairs": {name: len(split) for name, split in splits.items()},
-    }
-    return splits, manifest
+    return splits, _split_manifest("general", ratios, len(pairs), splits)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +301,8 @@ def general_split(pairs: Sequence[DialoguePair],
 # ---------------------------------------------------------------------------
 
 def encode_context(tokens: Sequence[str], vocab: Vocabulary, max_clen: int) -> np.ndarray:
-    """Truncate and pad a context to exactly ``max_clen`` ids; OOV -> UNK."""
+    """Truncate and pad a context to exactly ``max_clen`` ids; OOV and a
+    literal special -> UNK."""
     ids = [vocab.id_of(t) for t in tokens[:max_clen]]
     ids += [PAD_ID] * (max_clen - len(ids))
     return np.array(ids, dtype=np.int64)
@@ -314,7 +312,7 @@ def encode_pair(pair: DialoguePair, vocab: Vocabulary, max_clen: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-length id arrays: the context is truncated and padded to
     ``max_clen``; the response is framed with BOS/EOS inside the same
-    budget, then padded.  Unknown tokens map to UNK."""
+    budget, then padded.  Unknown tokens and literal specials map to UNK."""
     if max_clen < 2:
         raise DomainError("max_clen must be at least 2 to frame a response")
     resp = [BOS_ID] + [vocab.id_of(t) for t in pair.response[:max_clen - 2]] + [EOS_ID]

@@ -89,6 +89,9 @@ def primitive_cases(seed: int):
         ("log_softmax", lambda a: ad.tsum(ad.mul(ad.log_softmax(a), w_logsoft)), [rand(2, 4)]),
         ("gumbel_softmax", lambda a: ad.tsum(ad.power(
             ad.gumbel_softmax(a, tau=0.7, noise=False), 2.0)), [rand(2, 4)]),
+        # a fresh Rng per call, so every finite-difference evaluation sees the same draws
+        ("gumbel_softmax_noise", lambda a: ad.tsum(ad.power(
+            ad.gumbel_softmax(a, tau=0.7, rng=Rng(seed), noise=True), 2.0)), [rand(2, 4)]),
         ("conv_seq", lambda c, k: ad.tsum(ad.power(ad.conv_seq(c, k), 2.0)),
          [rand(1, 6, 3), rand(2, 3, 1, 2)]),
         ("conv_seq_batched", lambda c, k: ad.tsum(ad.power(ad.conv_seq(c, k), 2.0)),

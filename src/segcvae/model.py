@@ -23,7 +23,7 @@ from .corpus import PAD_ID, SPECIALS
 from .errors import DomainError, ShapeError
 
 LOGVAR_CLIP = 10.0
-TF_BLOCK_BYTES = 4 << 20  # teacher forcing: bytes per (rows, vocab) float64 array of a block
+TF_BLOCK_BYTES = 4 << 20  # bytes per (positions, vocab) float64 array of a teacher-forcing block
 
 
 class SegCVAE:
@@ -169,23 +169,14 @@ class SegCVAE:
                           noise: bool = False) -> Tensor:
         """Per trigger, mix vocabulary embedding rows by the selection
         weights; the four special-token columns are excluded.  Returns the
-        branch-major (M*B, channels, emb) batch, computed for groups of as
-        many triggers as fit in TF_BLOCK_BYTES (at least one), each on its
-        slice of the family and its own noise block."""
+        branch-major (M*B, channels, emb) batch, all triggers as one chain
+        and one product with ``emb``."""
         cfg = self.config
         if cfg.vocab_size <= len(SPECIALS):
             raise DomainError("vocabulary holds only special tokens; nothing to select")
         mask = np.where(np.arange(cfg.vocab_size) < len(SPECIALS), -np.inf, 0.0)
-        m, chan = cfg.num_triggers, cfg.conv_channels
-        per_group = max(1, TF_BLOCK_BYTES // (8 * c_emb.shape[0] * chan * cfg.vocab_size))
-        mixed = []
-        for g in (slice(g0, g0 + per_group) for g0 in range(0, m, per_group)):
-            kernel, dense = self.eg_kernel, self.eg_dense
-            if per_group < m:  # one group reads the parameters whole, without slice nodes
-                kernel, dense = kernel[..., g.start * chan:g.stop * chan], dense[g]
-            weights = self._selection(c_emb, kernel, dense, mask, rng, noise)
-            mixed.append(ad.reshape(ad.matmul(weights, self.emb), (-1, chan, cfg.emb_dim)))
-        return mixed[0] if len(mixed) == 1 else ad.concat(mixed)
+        weights = self._selection(c_emb, self.eg_kernel, self.eg_dense, mask, rng, noise)
+        return ad.reshape(ad.matmul(weights, self.emb), (-1, cfg.conv_channels, cfg.emb_dim))
 
     def prominent_semantics(self, ctx_ids: np.ndarray, rng: Rng = None,
                             noise: bool = False) -> Tensor:
@@ -193,8 +184,12 @@ class SegCVAE:
         each trigger's selected rows (in-context part first, then the
         vocabulary part along the sequence axis), all triggers encoded at
         once as one branch-major (M*B, steps, emb) batch.  With both
-        selection paths ablated every branch is the raw context encoding."""
+        selection paths ablated every branch is the raw context encoding.
+        An all-padding context row is a DomainError."""
         ctx_ids = np.atleast_2d(ctx_ids)
+        padding = ctx_ids == PAD_ID
+        if np.any(padding.all(axis=1)):
+            raise DomainError("cannot select from an all-padding context")
         cfg = self.config
         m, batch = cfg.num_triggers, ctx_ids.shape[0]
         if cfg.no_is and cfg.no_eg:
@@ -203,7 +198,7 @@ class SegCVAE:
             c_emb = self.embed_matrix(ctx_ids)
             paths = []
             if not cfg.no_is:
-                paths.append(self.internal_separation(c_emb, ctx_ids == PAD_ID, rng, noise))
+                paths.append(self.internal_separation(c_emb, padding, rng, noise))
             if not cfg.no_eg:
                 paths.append(self.external_guidance(c_emb, rng, noise))
             encoded = ad.gru_encode(self.enc, ad.concat(paths, axis=1) if len(paths) > 1 else paths[0])
@@ -441,10 +436,7 @@ def sdn(r_gt: Tensor, r_gen_plus: Tensor) -> Tensor:
         raise DomainError("distillation needs a batch of at least 2 responses")
     if r_gt.shape != r_gen_plus.shape:
         raise ShapeError(f"batch mismatch: {r_gt.shape} vs {r_gen_plus.shape}")
-    gram_gt = r_gt.values @ r_gt.values.T
-    shifted = gram_gt - gram_gt.max(axis=-1, keepdims=True)
-    p = np.exp(shifted)
-    p /= p.sum(axis=-1, keepdims=True)
+    p = ad.softmax_rows(r_gt.values @ r_gt.values.T).values
     entropy_rows = (p * np.log(p)).sum(axis=-1)  # constant part of the KL
     q_log = ad.log_softmax(ad.matmul(r_gen_plus, ad.transpose(r_gen_plus)))
     cross = ad.tsum(ad.mul(Tensor(p), q_log), axis=-1)

@@ -166,7 +166,27 @@ class TestGraphRelease:
             ad.tsum(ad.mul(h, 2.0)).backward()
 
 
+def _softmax_rows_node(a):
+    """Reference: the row softmax as its own node, written out separately
+    from the engine's."""
+    shifted = a.values - a.values.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return ad._unary(a, e / e.sum(axis=-1, keepdims=True),
+                     lambda g, y: y * (g - (g * y).sum(axis=-1, keepdims=True)))
+
+
 class TestSoftmax:
+    def test_same_bits_as_the_reference_node(self):
+        r = np.random.default_rng(18)
+        upstream = _t(r.normal(size=(3, 7)), grad=False)
+        a = _t(r.normal(size=(3, 7)) * 5.0)
+        ref = _t(a.values.copy())
+        got, want = ad.softmax_rows(a), _softmax_rows_node(ref)
+        for out in (got, want):
+            ad.tsum(ad.mul(out, upstream)).backward()
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(a.grad, ref.grad)
+
     def test_uniform_on_equal_logits(self):
         out = ad.softmax_rows(_t([0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.values, [1 / 3] * 3)
@@ -210,6 +230,30 @@ class TestGumbelSoftmax:
         a = ad.gumbel_softmax(_t([0.3, 0.7]), tau=0.5, rng=ad.Rng(11), noise=True)
         b = ad.gumbel_softmax(_t([0.3, 0.7]), tau=0.5, rng=ad.Rng(11), noise=True)
         np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("noise", [False, True])
+    @pytest.mark.parametrize("shape", [(7,), (2, 3, 6)])
+    def test_one_node_equals_the_composition(self, noise, shape):
+        """The fused node against add-noise, scale and softmax as three
+        nodes, the same bits in values and in the logits gradient."""
+        r = np.random.default_rng(17)
+        upstream = _t(r.normal(size=shape), grad=False)
+        tau = 0.3
+
+        logits = _t(r.normal(size=shape) * 4.0)
+        got = ad.gumbel_softmax(logits, tau, rng=ad.Rng(5), noise=noise)
+        assert got._parents == (logits,)
+        ad.tsum(ad.mul(got, upstream)).backward()
+
+        ref_logits = _t(logits.values.copy())
+        perturbed = ref_logits
+        if noise:
+            perturbed = ad.add(ref_logits, ad.Tensor(ad.Rng(5).gumbel(shape)))
+        want = _softmax_rows_node(ad.mul(perturbed, 1.0 / tau))
+        ad.tsum(ad.mul(want, upstream)).backward()
+
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(logits.grad, ref_logits.grad)
 
 
 class TestConvSeq:

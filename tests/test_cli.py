@@ -283,6 +283,25 @@ class TestTrainGenerateEvaluate:
         assert (tmp_path / "metrics" / "metrics.txt").exists()
         assert (run_dir / "checkpoint.bin").read_bytes() == ckpt_before
 
+    def test_literal_special_tokens_train_then_generate(self, config_file, data_dir, tmp_path,
+                                                        capsys):
+        """Special-token strings in the data are plain unknown words: the
+        vocabulary holds each special once, so the run loads and generates."""
+        for name in ("train.tsv", "test.tsv"):
+            path = data_dir / name
+            path.write_text(path.read_text(encoding="utf-8")
+                            + "<eos> <pad> and\t<bos> sure <eos>\n<eos>\t<unk>\n",
+                            encoding="utf-8")
+        run = tmp_path / "run"
+        assert cli.dispatch(["train", "--config", str(config_file), "--in", str(data_dir),
+                             "--out", str(run)]) == 0, capsys.readouterr().err
+        tokens = (run / "vocab.txt").read_text(encoding="utf-8").splitlines()
+        assert tokens[:4] == list(corpus.SPECIALS) and len(set(tokens)) == len(tokens)
+        assert self._generate(run, data_dir, tmp_path) == 0, capsys.readouterr().err
+        contexts = [line.split("\t")[0] for line in
+                    (tmp_path / "gen" / "generated.tsv").read_text(encoding="utf-8").splitlines()]
+        assert "<eos> <pad> and" in contexts and "<eos>" in contexts
+
     def test_per_trigger_checkpoint_is_refused(self, run_dir, data_dir, tmp_path,
                                                monkeypatch, capsys):
         """A segcvae-ckpt-1 checkpoint, whose trigger arrays and their moments

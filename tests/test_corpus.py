@@ -246,6 +246,18 @@ class TestEncodePair:
         ctx, _ = encode_pair(_pair("a zzz", "f"), vocab, max_clen=5)
         assert ctx[1] == UNK_ID
 
+    def test_literal_specials_become_unk(self):
+        """A special-token string in the data is a word like any other: it
+        neither joins the vocabulary twice nor encodes to a structure id."""
+        data = [_pair("<eos> <pad> a", "<bos> f <eos>"), _pair("<eos>", "<unk>")]
+        vocab = build_vocab(data, max_size=20, emb_dim=4)
+        assert vocab.id_to_token == list(corpus.SPECIALS) + ["a", "f"]
+        ctx, resp = encode_pair(data[0], vocab, max_clen=6)
+        np.testing.assert_array_equal(ctx, [UNK_ID, UNK_ID, vocab.id_of("a"), PAD_ID, PAD_ID,
+                                            PAD_ID])
+        np.testing.assert_array_equal(resp, [BOS_ID, UNK_ID, vocab.id_of("f"), UNK_ID, EOS_ID,
+                                             PAD_ID])
+
     def test_long_context_truncated(self, vocab):
         long_ctx = " ".join(["a"] * 30)
         ctx, _ = encode_pair(_pair(long_ctx, "f"), vocab, max_clen=25)

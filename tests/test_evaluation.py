@@ -234,6 +234,13 @@ class TestGenerateN:
         with pytest.raises(DomainError):
             ev.generate_n(model, vocab, ("see", "you"), 0, Rng(1))
 
+    def test_empty_context_rejected(self, setup):
+        """An empty context encodes to padding only: an error, not n empty
+        responses."""
+        model, vocab = setup
+        with pytest.raises(DomainError, match="all-padding"):
+            ev.generate_n(model, vocab, (), 3, Rng(1))
+
     def test_semantics_computed_once_per_context(self, setup, monkeypatch):
         model, vocab = setup
         calls = []

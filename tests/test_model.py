@@ -335,11 +335,21 @@ class TestTriggerSelection:
         for x in xs:
             np.testing.assert_array_equal(x.values, direct.values)
 
+    @pytest.mark.parametrize("overrides", [{}, {"no_is": True}, {"no_eg": True},
+                                           {"no_is": True, "no_eg": True}])
+    def test_all_padding_context_row_rejected(self, overrides):
+        """Internal separation would mask every column of such a row (a NaN
+        selection); every ablation rejects it alike."""
+        net, _, ctx, _ = _tiny_setup(**overrides)
+        ctx = ctx.copy()
+        ctx[2] = PAD_ID
+        with pytest.raises(DomainError, match="all-padding"):
+            net.prominent_semantics(ctx)
+
 
 class TestTriggerGroups:
-    """external_guidance runs the vocabulary-wide work of a group of
-    triggers at once, up to the product with ``emb``; a group's selections
-    fit in TF_BLOCK_BYTES unless one trigger's selection alone exceeds it."""
+    """external_guidance runs the vocabulary-wide work of every trigger as
+    one chain, up to one product with ``emb``, whatever the batch size."""
 
     @staticmethod
     def _emb_products(net, monkeypatch) -> tuple[list[int], list[tuple]]:
@@ -361,49 +371,30 @@ class TestTriggerGroups:
         monkeypatch.setattr(ad, "concat", recording)
         return triggers, joined
 
-    @staticmethod
-    def _selection_bytes(net, batch) -> int:
-        return 8 * batch * net.config.conv_channels * net.config.vocab_size
-
     def test_one_product_for_one_context(self, monkeypatch):
+        """One context, and a batch whose selections (8 triggers x rows x
+        channels x vocabulary float64 entries) exceed the 4 MiB budget that
+        used to cut the triggers into groups: one product, no V-wide concat."""
         net, _, ctx, _ = _tiny_setup(num_triggers=8)
-        triggers, _ = self._emb_products(net, monkeypatch)
-        with ad.no_grad():
-            net.prominent_semantics(ctx[:1])
-        assert triggers == [8]
-
-    @pytest.mark.parametrize("budget_triggers", [None, 0, 0.5, 1, 2.5, 7, 8, 100])
-    def test_groups_keep_to_the_budget(self, budget_triggers, monkeypatch):
-        """None: the byte budget left as it is; otherwise the budget in
-        selections of one trigger (0 means a budget of one byte)."""
-        net, _, ctx, _ = _tiny_setup(num_triggers=8)
-        one = self._selection_bytes(net, ctx.shape[0])
-        budget = m.TF_BLOCK_BYTES if budget_triggers is None else max(1, int(budget_triggers * one))
-        monkeypatch.setattr(m, "TF_BLOCK_BYTES", budget)
+        cfg = net.config
+        split = m.TF_BLOCK_BYTES // (8 * 8 * cfg.conv_channels * cfg.vocab_size) + 1
         triggers, joined = self._emb_products(net, monkeypatch)
-        with ad.no_grad():
-            v_eg = net.external_guidance(net.embed_matrix(ctx))
-        assert v_eg.shape == (8 * ctx.shape[0], net.config.conv_channels, net.config.emb_dim)
-        assert sum(triggers) == 8
-        assert all(k == 1 or k * one <= budget for k in triggers)
-        assert all(shape[-1] != net.config.vocab_size for shape in joined)  # no V-wide concat
-        if budget < one:
-            assert triggers == [1] * 8
-        elif 8 * one > budget:
-            assert len(triggers) > 1
-        else:
-            assert triggers == [8] and joined == []
+        for batch in (1, split):
+            triggers.clear()
+            joined.clear()
+            rows = ctx[np.arange(batch) % len(ctx)]
+            with ad.no_grad():
+                xs = net.prominent_semantics(rows)
+            assert xs.shape == (8, batch, cfg.hidden_dim)
+            assert triggers == [8], batch
+            assert all(shape[-1] != cfg.vocab_size for shape in joined), batch
 
-    @pytest.mark.parametrize("budget_triggers", [100, 3, 0])
-    def test_outputs_and_emb_gradient_match_per_trigger_products(self, budget_triggers,
-                                                            monkeypatch):
-        """The grouped path against one conv/dense/mask/noise/softmax chain
-        per trigger on that trigger's own arrays, drawing the noise trigger
-        by trigger from the same stream."""
+    def test_outputs_and_emb_gradient_match_per_trigger_products(self):
+        """The one chain against one conv/dense/mask/noise/softmax chain per
+        trigger on that trigger's own arrays, drawing the noise trigger by
+        trigger from the same stream."""
         net, _, ctx, _ = _tiny_setup(num_triggers=8)
         batch, cfg = ctx.shape[0], net.config
-        monkeypatch.setattr(m, "TF_BLOCK_BYTES",
-                            max(1, budget_triggers * self._selection_bytes(net, batch)))
         mask_row = np.zeros((1, 1, cfg.vocab_size))
         mask_row[..., :4] = -np.inf
         weights = Tensor(np.random.default_rng(7).normal(size=(8 * batch, 2, 5)))
@@ -803,15 +794,11 @@ class TestTwoPassForward:
         assert counts[0] == counts[1] > 0
 
     def test_semantics_graph_does_not_grow_with_the_trigger_count(self):
-        """One chain per selection path whatever M: at the ablation test's
-        shape, where one guidance group holds every trigger, the tensors
-        reachable from the semantics (leaves included) number the same for
-        M=2 and M=4."""
+        """One chain per selection path whatever M: the tensors reachable
+        from the semantics (leaves included) number the same for M=2 and M=4."""
         counts = []
         for num_triggers in (2, 4):
             net, ctx, _ = _ablation_batch(28, num_triggers=num_triggers)
-            batch = ctx.shape[0]
-            assert m.TF_BLOCK_BYTES >= 8 * num_triggers * batch * 2 * net.config.vocab_size
             xs = net.prominent_semantics(ctx, Rng(3), noise=True)
             counts.append(len(_graph_nodes([xs])))
         assert counts[0] == counts[1]

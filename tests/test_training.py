@@ -375,6 +375,15 @@ class TestPerplexity:
         with pytest.raises(EmptyCorpus):
             tr.perplexity(state.model, empty)
 
+    def test_all_padding_context_rejected(self):
+        """Such a row has nothing to select from; it is an error, not a NaN."""
+        cfg, pairs, vocab, (ctx, resp) = _setup()
+        state = tr.init_state(cfg, vocab)
+        ctx = ctx.copy()
+        ctx[1] = PAD_ID
+        with pytest.raises(DomainError, match="all-padding"):
+            tr.perplexity(state.model, (ctx, resp))
+
     def test_sharded_evaluation_matches_single_thread(self, monkeypatch):
         """Three threads share out eight passes of two contexts; the passes'
         sums are added exactly, so the result is the same bits."""
