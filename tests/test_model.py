@@ -389,12 +389,18 @@ class TestTriggerGroups:
             assert triggers == [8], batch
             assert all(shape[-1] != cfg.vocab_size for shape in joined), batch
 
-    def test_outputs_and_emb_gradient_match_per_trigger_products(self):
+    @pytest.mark.parametrize("budget_triggers", [100, 3, 0])
+    def test_outputs_and_emb_gradient_match_per_trigger_products(self, budget_triggers,
+                                                            monkeypatch):
         """The one chain against one conv/dense/mask/noise/softmax chain per
         trigger on that trigger's own arrays, drawing the noise trigger by
-        trigger from the same stream."""
+        trigger from the same stream. TF_BLOCK_BYTES, set to the selections
+        of ``budget_triggers`` triggers (0 means one byte), bounds teacher
+        forcing only and leaves external guidance as it is."""
         net, _, ctx, _ = _tiny_setup(num_triggers=8)
         batch, cfg = ctx.shape[0], net.config
+        one = 8 * batch * cfg.conv_channels * cfg.vocab_size
+        monkeypatch.setattr(m, "TF_BLOCK_BYTES", max(1, budget_triggers * one))
         mask_row = np.zeros((1, 1, cfg.vocab_size))
         mask_row[..., :4] = -np.inf
         weights = Tensor(np.random.default_rng(7).normal(size=(8 * batch, 2, 5)))
