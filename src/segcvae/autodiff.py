@@ -751,8 +751,9 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] = 
     then the concatenated raw bytes.  Entries are sorted so identical inputs
     produce identical bytes.  The file is written beside ``path`` and then
     renamed over it, so a write that fails midway leaves ``path`` as it was.
-    Each array is copied to bytes only as it is written, so a save holds
-    one array's copy at a time, not the whole body.
+    Each array's own C-contiguous buffer is written as it is (a copy is
+    made only of an array that is not C-contiguous), so the bytes equal
+    ``arr.tobytes()`` and a save of contiguous arrays copies none of them.
     """
     lines = [CHECKPOINT_TAG]
     for key in sorted(meta or {}):
@@ -769,7 +770,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] = 
         with open(tmp, "wb") as fh:
             fh.write(header)
             for _, arr in entries:
-                fh.write(arr.tobytes())
+                fh.write(np.ascontiguousarray(arr))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -777,19 +778,20 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] = 
         raise
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+def load_checkpoint(path, prefix: str = "") -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a ``save_checkpoint`` file, each array into a buffer of its own,
-    so the file is never held whole; an unreadable file, a malformed index
-    line, an unknown dtype or an array reaching past the end of the body is
-    a SegcvaeError naming the file."""
+    so the file is never held whole; only the arrays whose name starts with
+    ``prefix`` are read, but every index line is checked.  An unreadable
+    file, a malformed index line, an unknown dtype or an array reaching past
+    the end of the body is a SegcvaeError naming the file."""
     try:
         with open(path, "rb") as fh:
-            return _read_checkpoint(path, fh)
+            return _read_checkpoint(path, fh, prefix)
     except OSError as err:
         raise SegcvaeError(f"{path}: cannot read: {err.strerror}") from None
 
 
-def _read_checkpoint(path, fh) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+def _read_checkpoint(path, fh, prefix: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     index = []
     while (line := fh.readline()) != b"\n":  # the index ends at the first blank line
         if not line.endswith(b"\n"):
@@ -829,10 +831,13 @@ def _read_checkpoint(path, fh) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         if min(shape, default=0) < 0 or offset < 0 or offset + count * dtype.itemsize > body_len:
             raise SegcvaeError(f"{path}: array '{name}' reaches past the end of the "
                                f"{body_len}-byte body")
-        try:
-            arrays[name] = np.empty(count, dtype=dtype).reshape(shape)
+        try:  # a zero-stride view: numpy's shape limits, with nothing allocated
+            np.broadcast_to(np.empty((), dtype=dtype), shape)
         except ValueError:  # too many or too large dimensions for numpy
             raise SegcvaeError(f"{path}: array '{name}' has an impossible shape '{shape_s}'")
+        if not name.startswith(prefix):
+            continue
+        arrays[name] = np.empty(shape, dtype=dtype)
         fh.seek(body_start + offset)
         if fh.readinto(arrays[name]) != arrays[name].nbytes:
             raise SegcvaeError(f"{path}: array '{name}' was cut short while it was read")

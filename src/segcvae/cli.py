@@ -62,7 +62,7 @@ def _load_config(args) -> tuple[tr.TrainingConfig, dict[str, str]]:
 
 
 def _load_run(run_dir: Path) -> tuple[SegCVAE, cp.Vocabulary]:
-    model, _ = tr.load_model(Path(run_dir) / tr.CHECKPOINT_NAME)
+    model = tr.load_model(Path(run_dir) / tr.CHECKPOINT_NAME)
     return model, cp.Vocabulary.load(Path(run_dir) / "vocab.txt", model.emb.values)
 
 

@@ -107,7 +107,9 @@ class Vocabulary:
         return self.embedding.shape[1]
 
     def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
+        """Whether ``id_of`` gives the data word its own id: a special-token
+        string is not in the vocabulary, as it encodes to UNK."""
+        return self.id_of(token) != UNK_ID
 
     def id_of(self, token: str) -> int:
         """The id of a data word: an unknown word, and a special-token

@@ -375,9 +375,13 @@ class SegCVAE:
         return {name: p.values for name, p in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]):
-        """Copy in the parameters of ``arrays``, keyed by parameter name."""
+        """Copy the parameters of ``arrays``, keyed by parameter name, into
+        the live parameter buffers, after ``from_arrays``'s name and shape
+        checks: each parameter keeps its array, so an optimizer's view of it
+        stays valid and no second copy of the model is allocated.  Passing
+        the model's own ``state_arrays()`` leaves it unchanged."""
         for name, p in SegCVAE.from_arrays(self.config, arrays).params.items():
-            self.params[name].values = np.array(p.values)
+            np.copyto(self.params[name].values, p.values)
 
 
 def stored_array(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,6 +58,10 @@ class Adam:
     included.  A non-finite global gradient norm raises NonFiniteGradient
     before any parameter or moment changes.  The moments start at zero
     unless ``moments`` holds a saved state's (m, v), updated in place.
+    Fresh moments come from ``np.zeros``, whose large arrays are untouched
+    zero pages until the first update writes them, so a state that is never
+    stepped (one about to be overwritten by a load) costs no resident memory
+    for them.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
@@ -64,8 +69,8 @@ class Adam:
         self.params = params
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m, self.v = moments or [{k: np.zeros_like(p.values) for k, p in params.items()}
-                                     for _ in range(2)]
+        self.m, self.v = moments or [{k: np.zeros(p.values.shape, p.values.dtype)
+                                      for k, p in params.items()} for _ in range(2)]
 
     def step(self, clip: float = None) -> float:
         """One update; returns the global gradient norm before clipping.
@@ -208,24 +213,38 @@ def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],
     largest prior-side likelihood.  All M branches of a context are scored
     in one no-graph pass (``SegCVAE.prior_recon``) of ``max(1, batch_size //
     M)`` contexts, so ``batch_size`` bounds the rows a pass decodes (M per
-    context), not the contexts.  Worker threads share out the passes; the
-    passes' sums are added exactly, so the result does not depend on the
-    number of threads."""
+    context), not the contexts.  The calling thread and ``worker_count() -
+    1`` pool threads share out the passes, each taking its first pass and
+    then the next one left; the passes' sums are added exactly, so the
+    result does not depend on the number of threads."""
     ctx_ids, resp_ids = dataset
     if ctx_ids.shape[0] == 0:
         raise EmptyCorpus("cannot evaluate perplexity on an empty dataset")
     step = max(1, batch_size // model.config.num_triggers)
     passes = [slice(start, start + step) for start in range(0, ctx_ids.shape[0], step)]
 
+    results = [0.0] * len(passes)
+    workers = min(worker_count(), len(passes))
+    todo = queue.SimpleQueue()  # the passes after each thread's first
+    for i in range(workers, len(passes)):
+        todo.put(i)
+
     def pass_nll(rows: slice) -> float:  # each response under its best branch
         return -float(model.prior_recon(ctx_ids[rows], resp_ids[rows]).max(axis=0).sum())
 
-    workers = min(worker_count(), len(passes))
-    if workers == 1:
-        results = [pass_nll(rows) for rows in passes]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(pass_nll, passes))
+    def drain(i: int):  # pass i, then passes from the queue until it is empty
+        while True:
+            results[i] = pass_nll(passes[i])
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        helpers = [pool.submit(drain, i) for i in range(1, workers)]
+        drain(0)
+        for helper in helpers:
+            helper.result()
     nll = math.fsum(results)
     tokens = int((resp_ids[:, 1:] != PAD_ID).sum())
     try:
@@ -252,25 +271,29 @@ def save_state(state: TrainState, cfg: TrainingConfig, path):
     ad.save_checkpoint(path, arrays, meta)
 
 
-def load_model(path) -> tuple[SegCVAE, dict[str, np.ndarray]]:
-    """Rebuild the network stored in a checkpoint; also returns every array
-    the checkpoint holds."""
-    arrays, meta = ad.load_checkpoint(path)
+def load_model(path) -> SegCVAE:
+    """Rebuild the network stored in a checkpoint, reading only its
+    ``param.*`` arrays (every index line is still checked)."""
+    return _model_of(path, *ad.load_checkpoint(path, prefix="param."))
+
+
+def _model_of(path, arrays: dict[str, np.ndarray], meta: dict[str, str]) -> SegCVAE:
+    """The network of a checkpoint's meta and ``param.*`` arrays."""
     try:
         config = ModelConfig.from_meta(meta)
     except KeyError as err:
         raise DomainError(f"{path}: checkpoint meta lacks {err}")
     except ValueError as err:
         raise DomainError(f"{path}: malformed checkpoint meta: {err}")
-    model = SegCVAE.from_arrays(config, {k[len("param."):]: v for k, v in arrays.items()
-                                         if k.startswith("param.")})
-    return model, arrays
+    return SegCVAE.from_arrays(config, {k[len("param."):]: v for k, v in arrays.items()
+                                        if k.startswith("param.")})
 
 
 def load_state(path, cfg: TrainingConfig) -> TrainState:
     """A ``save_state`` file's state, its parameters and moments the loaded arrays
     themselves; a missing or misshapen entry is a DomainError naming it and the file."""
-    model, arrays = load_model(path)
+    arrays, meta = ad.load_checkpoint(path)
+    model = _model_of(path, arrays, meta)
 
     def stored(name: str, size: int = 1):  # a number, or an array of size values
         value = arrays.get(name)

@@ -6,7 +6,11 @@ independent brute-force oracles and pinned.
 """
 
 import contextlib
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -306,6 +310,9 @@ def test_07_metric_oracles():
         assert ppl == pytest.approx(uvocab.size, rel=1e-9)
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _one_to_many_corpus():
     pairs, contexts = [], []
     for i, k in enumerate([2, 3, 4, 2, 3, 4]):
@@ -338,13 +345,29 @@ def _diversity_run(seed: int, full: bool, steps: int = 700) -> float:
     return ev.distinct_n(responses, 2)
 
 
+def _diversity_runs(seeds, full_flags) -> tuple[list[float], int]:
+    """``_diversity_run(seed, full)`` of each pair, in order, over at most two
+    worker processes and never more than there are CPUs (serial on one CPU),
+    with BLAS pinned to one thread in each; also returns the worker count."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(2, cpus or 1)
+    if workers == 1:
+        return list(map(_diversity_run, seeds, full_flags)), 1
+    # spawned workers read the environment before they import numpy
+    with mock.patch.dict(os.environ, dict.fromkeys(BLAS_THREAD_VARS, "1")), \
+            ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(_diversity_run, seeds, full_flags)), workers
+
+
 def test_08_ablation_direction():
     with criterion(8, "segmentation beats the single-branch ablation on distinct-2"):
         seeds = (1, 2, 3, 4, 5)
-        full = [_diversity_run(s, full=True) for s in seeds]
-        ablated = [_diversity_run(s, full=False) for s in seeds]
+        values, workers = _diversity_runs(seeds * 2, (True,) * 5 + (False,) * 5)
+        full, ablated = values[:5], values[5:]
         assert np.mean(full) > np.mean(ablated), \
             f"full {np.mean(full):.4f} vs ablated {np.mean(ablated):.4f}"
+        if workers > 1:  # a worker process computes what this one does
+            assert _diversity_run(seeds[0], full=False) == ablated[0]
 
 
 TRAIN_CONFIG = """\

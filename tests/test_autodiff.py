@@ -641,7 +641,9 @@ class TestCheckpoint:
             ad.load_checkpoint(path)
         assert str(path) in str(info.value)
 
-    def test_save_copies_one_array_at_a_time(self, tmp_path):
+    def test_save_writes_the_arrays_own_buffers(self, tmp_path):
+        """The body is each array's ``tobytes()``, a view or a scalar
+        included, and a save of contiguous arrays copies none of them."""
         rng = np.random.default_rng(9)
         arrays = {f"w{i}": rng.normal(size=(256, 512)) for i in range(4)}  # 1 MB each
         tracemalloc.start()
@@ -650,7 +652,38 @@ class TestCheckpoint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * arrays["w0"].nbytes, peak
+        assert peak < max(a.nbytes for a in arrays.values()), peak
+        arrays.update(t=arrays["w0"][:3, :5].T, s=np.array(2.5), i=np.arange(3, dtype=np.int32))
+        path = tmp_path / "mixed.ckpt"
+        ad.save_checkpoint(path, arrays, {"k": "v"})
+        data = path.read_bytes()
+        body = data[data.index(b"\n\n") + 2:]
+        assert body == b"".join(arrays[k].tobytes() for k in sorted(arrays))
+        loaded, _ = ad.load_checkpoint(path)
+        for name, a in arrays.items():
+            assert loaded[name].tobytes() == a.tobytes() and loaded[name].shape == a.shape
+
+    def test_a_prefix_reads_only_its_arrays_and_checks_every_line(self, tmp_path):
+        rng = np.random.default_rng(10)
+        arrays = {"p.a": rng.normal(size=(2, 3)), "q.big": rng.normal(size=(256, 512)),
+                  "p.b": np.arange(4, dtype=np.int64)}
+        path = tmp_path / "model.ckpt"
+        ad.save_checkpoint(path, arrays)
+        tracemalloc.start()
+        try:
+            loaded, _ = ad.load_checkpoint(path, prefix="p.")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(loaded) == ["p.a", "p.b"] and peak < arrays["q.big"].nbytes
+        for name, a in loaded.items():
+            np.testing.assert_array_equal(a, arrays[name])
+        data = path.read_bytes()
+        for old, new in ((b"array q.big float64 256,512", b"array q.big float64 257,512"),
+                         (b"array q.big float64 256,512", b"array q.big object 256,512")):
+            path.write_bytes(data.replace(old, new, 1))
+            with pytest.raises(SegcvaeError, match="'q.big'"):
+                ad.load_checkpoint(path, prefix="p.")
 
     def test_load_peaks_at_the_arrays_it_returns(self, tmp_path):
         """Each array is read into its own buffer: a load never holds the

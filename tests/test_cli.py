@@ -384,6 +384,20 @@ class TestTrainGenerateEvaluate:
         assert self._generate(run_dir, data_dir, tmp_path) == 1
         assert "checkpoint.bin" in capsys.readouterr().err
 
+    def test_a_moment_entry_past_the_body_exits_one(self, run_dir, data_dir, tmp_path, capsys):
+        """generate reads only the parameters, but every index line is still
+        checked: an ``adam.*`` entry that reaches past the body is exit 1."""
+        path = run_dir / "checkpoint.bin"
+        head, sep, body = path.read_bytes().partition(b"\n\n")
+        lines = head.split(b"\n")
+        i = next(i for i, line in enumerate(lines) if line.startswith(b"array adam.v."))
+        lines[i] = lines[i].rsplit(b" ", 1)[0] + b" %d" % len(body)
+        path.write_bytes(b"\n".join(lines) + sep + body)
+        capsys.readouterr()
+        assert self._generate(run_dir, data_dir, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint.bin" in err and "reaches past the end" in err
+
     def test_missing_meta_key_exits_one(self, run_dir, data_dir, tmp_path, capsys):
         path = run_dir / "checkpoint.bin"
         data = path.read_bytes()

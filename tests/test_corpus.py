@@ -148,6 +148,17 @@ class TestFilterByVocab:
         vocab = self._vocab("a")
         assert filter_by_vocab([_pair("x", "y"), _pair("y", "z")], vocab) == []
 
+    @pytest.mark.parametrize("special", corpus.SPECIALS)
+    def test_a_literal_special_token_is_dropped_like_any_unknown_word(self, special):
+        """``id_of`` encodes a special-token string in the data as UNK, so
+        the vocabulary does not count it as one of its words."""
+        vocab = self._vocab(f"a c {special}")
+        assert special not in vocab and "a" in vocab
+        assert vocab.id_of(special) == vocab.id_of("zzz") == corpus.UNK_ID
+        pairs = [_pair("a", "c"), _pair(f"a {special}", "c"), _pair("a zzz", "c"),
+                 _pair("c", special), _pair("c", "zzz")]
+        assert filter_by_vocab(pairs, vocab) == [pairs[0]]
+
     def test_idempotent(self):
         vocab = self._vocab("a b c")
         pairs = [_pair("a", "zzz"), _pair("a", "b"), _pair("zzz", "c")]

@@ -906,6 +906,22 @@ class TestModelState:
         with pytest.raises(DomainError):
             clone.load_state(arrays)
 
+    def test_load_state_writes_into_the_live_buffers(self):
+        """Each parameter keeps its array and takes the loaded values, also
+        when handed the model's own arrays (a no-op)."""
+        net, vocab, _, _ = _tiny_setup()
+        clone = m.SegCVAE(net.config, vocab.embedding, Rng(99))
+        buffers = dict(clone.state_arrays())
+        clone.load_state({k: v.copy() for k, v in net.state_arrays().items()})
+        for name, p in clone.params.items():
+            assert p.values is buffers[name], name
+            assert p.values.tobytes() == net.params[name].values.tobytes(), name
+        before = {k: v.copy() for k, v in clone.state_arrays().items()}
+        clone.load_state(clone.state_arrays())
+        for name, p in clone.params.items():
+            assert p.values is buffers[name], name
+            assert p.values.tobytes() == before[name].tobytes(), name
+
     def test_from_arrays_draws_nothing_and_copies_nothing(self, monkeypatch):
         """Every array, trigger families included, becomes a live parameter
         as it is."""

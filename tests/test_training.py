@@ -4,6 +4,8 @@ import contextlib
 import gc
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -167,6 +169,29 @@ class TestInPlaceAdam:
                               (opt.v[k], plain.v[k])):
                 assert got.tobytes() == want.tobytes(), k
         assert np.all(opt.m["idle"] == 0.0) and np.all(opt.v["idle"] == 0.0)
+
+    def test_fresh_moments_take_two_steps_as_the_formula_does(self):
+        """Fresh moments are float64 zeros of each parameter's shape (large
+        ones are left as untouched zero pages); the first two steps from them
+        equal the out-of-place formula bit for bit."""
+        rng = np.random.default_rng(33)
+        shapes = {"big": (300, 700), "small": (3,), "scalar": ()}
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+        opt = tr.Adam(params, lr=0.01)
+        for k, p in params.items():
+            for moment in (opt.m[k], opt.v[k]):
+                assert moment.shape == p.shape and moment.dtype == np.float64
+                assert moment.tobytes() == np.zeros_like(p.values).tobytes()
+        plain = _PlainAdam({k: p.values for k, p in params.items()}, lr=0.01)
+        for _ in range(2):
+            grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+            for k, p in params.items():
+                p.grad = grads[k]
+            assert opt.step(clip=1.0) == plain.step(grads, clip=1.0)
+        for k, p in params.items():
+            for got, want in ((p.values, plain.values[k]), (opt.m[k], plain.m[k]),
+                              (opt.v[k], plain.v[k])):
+                assert got.tobytes() == want.tobytes(), k
 
     def test_updates_values_and_moments_in_place(self):
         rng = np.random.default_rng(32)
@@ -385,13 +410,62 @@ class TestPerplexity:
             tr.perplexity(state.model, (ctx, resp))
 
     def test_sharded_evaluation_matches_single_thread(self, monkeypatch):
-        """Three threads share out eight passes of two contexts; the passes'
-        sums are added exactly, so the result is the same bits."""
+        """The calling thread and threads - 1 pool threads share out passes
+        of two contexts, each thread taking at least one, so exactly
+        min(threads, passes) threads run passes; the passes' sums are added
+        exactly, so the result is the same bits."""
+        ran, prior_recon = [], tr.SegCVAE.prior_recon
+
+        def recording(self, ctx_ids, resp_ids):
+            ran.append(threading.get_ident())
+            return prior_recon(self, ctx_ids, resp_ids)
+
+        for n in (2, 16):  # one pass, or eight
+            cfg, pairs, vocab, data = _setup(n)
+            state = tr.init_state(cfg, vocab)
+            monkeypatch.delenv("SEGCVAE_THREADS", raising=False)
+            base = tr.perplexity(state.model, data, batch_size=4)
+            monkeypatch.setattr(tr.SegCVAE, "prior_recon", recording)
+            for threads in (1, 2, 3):
+                monkeypatch.setenv("SEGCVAE_THREADS", str(threads))
+                ran.clear()
+                assert tr.perplexity(state.model, data, batch_size=4) == base
+                assert len(ran) == n // 2
+                assert len(set(ran)) == min(threads, n // 2) and threading.get_ident() in ran
+            monkeypatch.undo()
+
+    def test_more_threads_than_cores_take_each_pass_once(self, monkeypatch):
+        """Eight threads, switching as often as the interpreter allows,
+        share out sixteen one-context passes: each pass runs once and the
+        sum is the single-thread one."""
         cfg, pairs, vocab, data = _setup()
         state = tr.init_state(cfg, vocab)
-        base = tr.perplexity(state.model, data, batch_size=4)
+        base = tr.perplexity(state.model, data, batch_size=cfg.num_triggers)
+        firsts, prior_recon = [], tr.SegCVAE.prior_recon
+
+        def recording(self, ctx_ids, resp_ids):
+            firsts.append(tuple(ctx_ids[0]))
+            return prior_recon(self, ctx_ids, resp_ids)
+
+        monkeypatch.setattr(tr.SegCVAE, "prior_recon", recording)
+        monkeypatch.setenv("SEGCVAE_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert tr.perplexity(state.model, data, batch_size=cfg.num_triggers) == base
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(firsts) == sorted(tuple(row) for row in data[0])
+
+    @pytest.mark.parametrize("bad_row", [0, 15])  # the caller's first pass, the last pass
+    def test_an_error_in_any_pass_propagates(self, monkeypatch, bad_row):
+        cfg, pairs, vocab, (ctx, resp) = _setup()
+        state = tr.init_state(cfg, vocab)
+        ctx = ctx.copy()
+        ctx[bad_row] = PAD_ID
         monkeypatch.setenv("SEGCVAE_THREADS", "3")
-        assert tr.perplexity(state.model, data, batch_size=4) == base
+        with pytest.raises(DomainError, match="all-padding"):
+            tr.perplexity(state.model, (ctx, resp), batch_size=4)
 
     def test_scoring_pass_equals_the_node_path(self, monkeypatch):
         """At the test_09 configuration, after a few steps, perplexity is the
