@@ -141,22 +141,18 @@ def _cmd_ablate(args) -> int:
     return _train_like(args, "ablate")
 
 
-def _grouped_records(pairs):
-    """Group a pair file by context, keeping first-seen order."""
-    order = []
-    by_context = {}
+def _by_context(pairs) -> dict[tuple, list]:
+    """Each context's responses, contexts in first-seen order."""
+    grouped = {}
     for pair in pairs:
-        if pair.context not in by_context:
-            by_context[pair.context] = []
-            order.append(pair.context)
-        by_context[pair.context].append(pair.response)
-    return [(ctx, by_context[ctx]) for ctx in order]
+        grouped.setdefault(pair.context, []).append(pair.response)
+    return grouped
 
 
 def _cmd_generate(args) -> int:
     model, vocab = _load_run(args.run)
     pairs = cp.read_pairs(args.data)
-    grouped = _grouped_records(pairs)
+    grouped = list(_by_context(pairs).items())
     if args.limit:
         grouped = grouped[:args.limit]
     rng = Rng(args.seed)
@@ -179,9 +175,7 @@ def _cmd_evaluate(args) -> int:
     model, vocab = _load_run(args.run)
     records = ev.read_generation(args.infile)
     pairs = cp.read_pairs(args.data)
-    truths = {}
-    for pair in pairs:
-        truths.setdefault(pair.context, []).append(pair.response)
+    truths = _by_context(pairs)
     for rec in records:
         rec.ground_truths = [tuple(t) for t in truths.get(rec.context, [])]
     metrics = ev.evaluate_records(records, vocab)
@@ -294,6 +288,10 @@ def dispatch(argv) -> int:
         return args.func(args)
     except SegcvaeError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:  # an output path that cannot be written
+        print(f"error: {err.filename}: {err.strerror}" if err.filename else f"error: {err}",
+              file=sys.stderr)
         return 1
 
 

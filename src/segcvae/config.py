@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, field, fields
 
 from .corpus import text_lines
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError
 
 POSITIVE = ("must be positive", lambda v: v > 0)
 UNIT = ("must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
@@ -88,6 +88,9 @@ class Architecture:
             why = range_error(f, value)
             if why:
                 raise DomainError(f"{f.name} {why}, got {value}")
+        if self.max_len < self.kernel_width:
+            raise DomainError(f"'max_clen' {self.max_len} is shorter than the kernel width "
+                              f"'m' {self.kernel_width}")
 
 
 @dataclass(kw_only=True)
@@ -96,11 +99,6 @@ class ModelConfig(Architecture):
     size, which comes from the data rather than from a config file."""
 
     vocab_size: int = hp(MISSING, POSITIVE, kind=int)
-
-    def validate(self):
-        super().validate()
-        if self.max_len < self.kernel_width:
-            raise ShapeError(f"max_len {self.max_len} shorter than kernel width {self.kernel_width}")
 
     def meta(self) -> dict[str, str]:
         """Hyperparameters under their checkpoint-index key names; switches
@@ -142,8 +140,9 @@ def parse_config(path) -> tuple[TrainingConfig, dict[str, str]]:
     """Read line-oriented ``key = value`` text into a full configuration.
 
     Unknown keys, wrong types, out-of-range values and non-UTF-8 text are
-    reported with their line number, an unreadable file by its name; absent
-    keys keep their documented defaults.
+    reported with their line number, an unreadable file or keys that break
+    a rule between them by its name; absent keys keep their documented
+    defaults.
     """
     by_key = {key_of(f): f for f in fields(TrainingConfig)}
     values: dict[str, object] = {}
@@ -171,7 +170,12 @@ def parse_config(path) -> tuple[TrainingConfig, dict[str, str]]:
         if why:
             raise ConfigError(f"{path}:{lineno}: '{key}' {why}, got {text}")
         values[f.name] = value
-    return TrainingConfig(**values), paths
+    cfg = TrainingConfig(**values)
+    try:
+        cfg.validate()
+    except DomainError as err:
+        raise ConfigError(f"{path}: {err}") from None
+    return cfg, paths
 
 
 def config_snapshot(cfg: TrainingConfig) -> dict[str, str]:

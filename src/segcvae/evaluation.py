@@ -17,13 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Rng
+from .autodiff import EPS_NORM, Rng
 from .corpus import (BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID, Vocabulary, encode_context,
                      text_lines)
 from .errors import DegenerateVector, DomainError
 from .model import SegCVAE
 
-EPS_NORM = 1e-8
 NEVER_EMITTED = [PAD_ID, UNK_ID, BOS_ID]  # greedy decoding skips these; EOS ends a response
 
 

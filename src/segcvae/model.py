@@ -26,94 +26,82 @@ LOGVAR_CLIP = 10.0
 TF_BLOCK_BYTES = 4 << 20  # bytes per (positions, vocab) float64 array of a teacher-forcing block
 
 
+def parameter_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in creation order: the embedding,
+    the shared encoder, the trigger families (a family's M kernels side by
+    side along the channel axis, its M projections stacked; an ablated
+    family is absent), the latent heads, the decoder and the out-projection.
+    A config that fails ``validate`` raises."""
+    c.validate()
+    gates, m = 3 * c.hidden_dim, c.num_triggers
+    conv_len = c.max_len - c.kernel_width + 1
+
+    def gru(prefix: str) -> dict:
+        return {f"{prefix}.wx": (c.emb_dim, gates), f"{prefix}.wh": (c.hidden_dim, gates),
+                f"{prefix}.bx": (gates,), f"{prefix}.bh": (gates,)}
+
+    def family(path: str, width: int, ablated: bool) -> dict:
+        return {} if ablated else {
+            f"{path}.kernel": (c.kernel_width, c.emb_dim, 1, m * c.conv_channels),
+            f"{path}.dense": (m, conv_len, width)}
+
+    return {"emb": (c.vocab_size, c.emb_dim), **gru("enc"),
+            **family("is", c.max_len, c.no_is), **family("eg", c.vocab_size, c.no_eg),
+            "rec.w": (2 * c.hidden_dim, 2 * c.latent_dim), "rec.b": (2 * c.latent_dim,),
+            "pri.w": (c.hidden_dim, 2 * c.latent_dim), "pri.b": (2 * c.latent_dim,),
+            "init.w": (c.latent_dim + c.hidden_dim, c.hidden_dim), "init.b": (c.hidden_dim,),
+            **gru("dec"), "out.w": (c.hidden_dim, c.vocab_size), "out.b": (c.vocab_size,)}
+
+
 class SegCVAE:
     """Holds all parameters and the forward computations."""
 
     def __init__(self, config: ModelConfig, embedding: np.ndarray, rng: Rng):
-        """A fresh network: Glorot weights drawn from ``rng``, zero biases and
-        a copy of ``embedding``."""
-        config.validate()
-        if embedding.shape != (config.vocab_size, config.emb_dim):
-            raise ShapeError(f"embedding shape {embedding.shape} does not match "
-                             f"({config.vocab_size}, {config.emb_dim})")
-
-        def fresh(name: str, shape, init: str):
-            if init == "emb":
-                return np.array(embedding, dtype=np.float64)
-            if init == "zeros":
-                return np.zeros(shape)
-            if init == "glorot":
-                return ad.glorot(shape, rng).values
-            # a trigger family, drawn one trigger at a time: kernel, then projection
-            (kernel, dense), m = shape, config.num_triggers
-            kernels, denses = zip(*[(ad.glorot(kernel[:-1] + (kernel[-1] // m,), rng).values,
-                                     ad.glorot(dense[1:], rng).values) for _ in range(m)])
-            return np.concatenate(kernels, axis=-1), np.stack(denses)
-
-        self._build(config, fresh)
+        """A fresh network in ``parameter_shapes`` order: a float64 copy of
+        ``embedding``, zero biases, and Glorot weights drawn from ``rng``, a
+        trigger family one trigger at a time (kernel, then projection)."""
+        shapes, m = parameter_shapes(config), config.num_triggers
+        if embedding.shape != shapes["emb"]:
+            raise ShapeError(f"embedding shape {embedding.shape} does not match {shapes['emb']}")
+        arrays = {}
+        for name, shape in shapes.items():
+            if name == "emb":
+                arrays[name] = np.array(embedding, dtype=np.float64)
+            elif len(shape) == 1:
+                arrays[name] = np.zeros(shape)
+            elif name.endswith(".kernel"):
+                dense = name.removesuffix("kernel") + "dense"
+                kernels, denses = zip(*[(ad.glorot(shape[:-1] + (shape[-1] // m,), rng).values,
+                                         ad.glorot(shapes[dense][1:], rng).values)
+                                        for _ in range(m)])
+                arrays[name], arrays[dense] = np.concatenate(kernels, axis=-1), np.stack(denses)
+            elif name not in arrays:
+                arrays[name] = ad.glorot(shape, rng).values
+        self._adopt(config, arrays)
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "SegCVAE":
         """The network whose parameters are ``arrays``, keyed by parameter
-        name, trigger families included: no random draws, and float64 arrays
-        are used without a copy, so they become the live parameters that an
-        optimizer updates in place."""
-        config.validate()
-
-        def stored(name: str, shape, init: str):
-            if init == "triggers":
-                return [stored_array(arrays, f"{name}.{part}", s)
-                        for part, s in zip(("kernel", "dense"), shape)]
-            return stored_array(arrays, name, shape)
-
+        name, each checked against ``parameter_shapes`` by ``stored_array``:
+        no random draws, and float64 arrays are used without a copy, so they
+        become the live parameters that an optimizer updates in place."""
         model = cls.__new__(cls)
-        model._build(config, stored)
+        model._adopt(config, {name: stored_array(arrays, name, shape)
+                              for name, shape in parameter_shapes(config).items()})
         return model
 
-    def _build(self, config: ModelConfig, make):
-        """Create every parameter, in a fixed order, from ``make(name, shape,
-        init)``; ``init`` is "glorot", "zeros", "emb" or "triggers": one call
-        gets a family's kernels and projections, ``shape`` holding both."""
-        self.config = c = config
-        self.params: dict[str, Tensor] = {}
-
-        def param(name: str, shape: tuple[int, ...], init: str = "glorot") -> Tensor:
-            return self._add(name, make(name, shape, init))
-
-        def family(path: str, width: int) -> tuple[Tensor, Tensor]:
-            m = c.num_triggers
-            kernel, dense = make(path, ((c.kernel_width, c.emb_dim, 1, m * c.conv_channels),
-                                        (m, conv_len, width)), "triggers")
-            return self._add(f"{path}.kernel", kernel), self._add(f"{path}.dense", dense)
-
-        def gru(prefix: str) -> ad.GruParams:
-            gates = 3 * c.hidden_dim
-            return ad.GruParams(wx=param(f"{prefix}.wx", (c.emb_dim, gates)),
-                                wh=param(f"{prefix}.wh", (c.hidden_dim, gates)),
-                                bx=param(f"{prefix}.bx", (gates,), "zeros"),
-                                bh=param(f"{prefix}.bh", (gates,), "zeros"))
-
-        self.emb = param("emb", (c.vocab_size, c.emb_dim), "emb")
-        self.enc = gru("enc")
-
-        conv_len = c.max_len - c.kernel_width + 1
-        self.is_kernel, self.is_dense = (None, None) if c.no_is else family("is", c.max_len)
-        self.eg_kernel, self.eg_dense = (None, None) if c.no_eg else family("eg", c.vocab_size)
-
-        self.rec_w = param("rec.w", (2 * c.hidden_dim, 2 * c.latent_dim))
-        self.rec_b = param("rec.b", (2 * c.latent_dim,), "zeros")
-        self.pri_w = param("pri.w", (c.hidden_dim, 2 * c.latent_dim))
-        self.pri_b = param("pri.b", (2 * c.latent_dim,), "zeros")
-        self.init_w = param("init.w", (c.latent_dim + c.hidden_dim, c.hidden_dim))
-        self.init_b = param("init.b", (c.hidden_dim,), "zeros")
-
-        self.dec = gru("dec")
-        self.out_w = param("out.w", (c.hidden_dim, c.vocab_size))
-        self.out_b = param("out.b", (c.vocab_size,), "zeros")
-
-    def _add(self, name: str, values: np.ndarray) -> Tensor:
-        self.params[name] = tensor = Tensor(values, requires_grad=True)
-        return tensor
+    def _adopt(self, config: ModelConfig, arrays: dict[str, np.ndarray]):
+        """Make ``arrays``, in ``parameter_shapes`` order, the parameters, and
+        alias each by attribute: ``rec.w`` as ``rec_w``, a GRU's four (listed in
+        field order) as one ``GruParams``; an ablated family's aliases stay None."""
+        self.config = config
+        self.params = {name: Tensor(values, requires_grad=True) for name, values in arrays.items()}
+        self.is_kernel = self.is_dense = self.eg_kernel = self.eg_dense = None
+        for name, tensor in self.params.items():
+            if not name.startswith(("enc.", "dec.")):
+                setattr(self, name.replace(".", "_"), tensor)
+        self.enc, self.dec = (ad.GruParams(*(p for n, p in self.params.items() if n.startswith(gru)))
+                              for gru in ("enc.", "dec."))
 
     def zero_grad(self):
         for p in self.params.values():
@@ -123,8 +111,8 @@ class SegCVAE:
         """(parameter name, numpy index) of every parameter slice used by no
         other branch than ``index``: its trigger in each family."""
         kernel = np.s_[..., index * self.config.conv_channels:(index + 1) * self.config.conv_channels]
-        return [(f"{path}.{part}", where) for path in ("is", "eg") if f"{path}.dense" in self.params
-                for part, where in (("kernel", kernel), ("dense", index))]
+        return [(name, kernel if name.endswith(".kernel") else index)
+                for name in self.params if name.endswith((".kernel", ".dense"))]
 
     # -- encoding ------------------------------------------------------
     def embed_matrix(self, ids: np.ndarray) -> Tensor:
@@ -376,12 +364,14 @@ class SegCVAE:
 
     def load_state(self, arrays: dict[str, np.ndarray]):
         """Copy the parameters of ``arrays``, keyed by parameter name, into
-        the live parameter buffers, after ``from_arrays``'s name and shape
-        checks: each parameter keeps its array, so an optimizer's view of it
-        stays valid and no second copy of the model is allocated.  Passing
-        the model's own ``state_arrays()`` leaves it unchanged."""
-        for name, p in SegCVAE.from_arrays(self.config, arrays).params.items():
-            np.copyto(self.params[name].values, p.values)
+        the live parameter buffers, but only once every one has passed
+        ``stored_array``'s check, so a rejected ``arrays`` changes nothing.
+        Each parameter keeps its array, so an optimizer's view of it stays
+        valid; the model's own ``state_arrays()`` leave it unchanged."""
+        checked = [(self.params[name].values, stored_array(arrays, name, shape))
+                   for name, shape in parameter_shapes(self.config).items()]
+        for live, values in checked:
+            np.copyto(live, values)
 
 
 def stored_array(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -9,9 +9,12 @@ what the untraced step computes and pass the workload's check.  The eval
 workload's set-up (``end_early``) and its two operations, ``generate_n``
 and ``perplexity``, must run on the package and pass their checks too, so
 that a change to what ``prominent_semantics`` or ``prior`` return fails
-here rather than in the benchmark.
+here rather than in the benchmark.  ``instrument`` builds its traced model
+through the public constructor and ``load_state``, so the model it builds
+must hold the source state's parameters exactly.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -93,3 +96,18 @@ def test_end_early_then_traced_generate_and_perplexity_pass_their_checks():
     longest = max(len(r) for r in record.responses)
     assert generated["model.decode_step"] == min(cfg.max_len, longest + 1)
     assert recorder.counts(recorder.ops("perplexity"))["model.prominent_semantics"] >= 1
+
+
+def test_instrument_builds_the_source_parameters():
+    """A Glorot ``TracedSegCVAE`` loaded with the source state, as every
+    traced set-up builds it, holds the source's parameter names, in order,
+    and bytes, with and without the trigger families."""
+    cfg, vocab, _ = _tiny_state()
+    for overrides in ({}, {"no_is": True}, {"no_is": True, "no_eg": True}):
+        state = tr.init_state(dataclasses.replace(cfg, **overrides), vocab)
+        traced = spans.instrument(state, cfg.learning_rate, spans.Recorder()).model
+        assert isinstance(traced, spans.TracedSegCVAE)
+        assert list(traced.params) == list(state.model.params), overrides
+        for name, p in traced.params.items():
+            assert p.values is not state.model.params[name].values, name
+            assert p.values.tobytes() == state.model.params[name].values.tobytes(), name

@@ -104,6 +104,12 @@ class TestParseConfig:
         _, paths = cli.parse_config(path)
         assert paths == {"data_dir": "/somewhere", "corpus": "raw.txt"}
 
+    def test_kernel_wider_than_context_names_file_and_both_keys(self, tmp_path):
+        path = tmp_path / "short.cfg"
+        path.write_text("max_clen = 2\nm = 3\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"short\.cfg: 'max_clen' 2 .*'m' 3"):
+            cli.parse_config(path)
+
     def test_snapshot_roundtrips(self, config_file, tmp_path):
         cfg, _ = cli.parse_config(config_file)
         snapshot = cli.config_snapshot(cfg)
@@ -260,6 +266,41 @@ class TestTrainGenerateEvaluate:
         assert "config.tau = 0.1" in manifest
         assert "seed = 123456" in manifest
         assert "input.train.tsv = sha256:" in manifest
+
+    def test_config_that_cannot_train_creates_nothing(self, data_dir, tmp_path, capsys):
+        """The kernel-width rule is checked with the file, before any output."""
+        config = tmp_path / "short.cfg"
+        config.write_text(CONFIG_TEXT + "max_clen = 2\nm = 3\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert cli.dispatch(["train", "--config", str(config), "--in", str(data_dir),
+                             "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "short.cfg" in err and "'max_clen'" in err and "'m'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["cdm-stats", "prepare-data", "train", "generate",
+                                         "evaluate"])
+    def test_unwritable_output_path_exits_one(self, command, under_file, request, corpus_file,
+                                              config_file, data_dir, tmp_path, capsys):
+        """An --out that is an existing file, or lies under one, is exit 1
+        with a message naming it, not a traceback."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "x" if under_file else blocker
+        run = request.getfixturevalue("run_dir") if command in ("generate", "evaluate") else None
+        dump = tmp_path / "generated.tsv"
+        dump.write_text("q0 and you\ta0 sure\n", encoding="utf-8")
+        args = {"cdm-stats": ["--in", str(corpus_file)],
+                "prepare-data": ["--in", str(corpus_file)],
+                "train": ["--config", str(config_file), "--in", str(data_dir)],
+                "generate": ["--run", str(run), "--data", str(data_dir / "test.tsv")],
+                "evaluate": ["--in", str(dump), "--data", str(data_dir / "test.tsv"),
+                             "--run", str(run)]}[command]
+        capsys.readouterr()
+        assert cli.dispatch([command, *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and "Traceback" not in err
 
     def test_generate_and_evaluate(self, run_dir, data_dir, tmp_path, capsys):
         gen_dir = tmp_path / "gen"

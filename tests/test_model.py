@@ -906,6 +906,43 @@ class TestModelState:
         with pytest.raises(DomainError):
             clone.load_state(arrays)
 
+    @pytest.mark.parametrize("broken", ["missing", "misshapen"])
+    def test_rejected_load_changes_nothing(self, broken):
+        """Every entry is checked before any is copied: a bad last-created
+        parameter leaves every parameter's bytes as they were."""
+        net, vocab, _, _ = _tiny_setup()
+        clone = m.SegCVAE(net.config, vocab.embedding, Rng(99))
+        before = {k: v.copy() for k, v in clone.state_arrays().items()}
+        arrays = {k: v.copy() for k, v in net.state_arrays().items()}
+        last = list(m.parameter_shapes(net.config))[-1]
+        if broken == "missing":
+            del arrays[last]
+        else:
+            arrays[last] = arrays[last][:-1]
+        with pytest.raises(DomainError if broken == "missing" else ShapeError, match=last):
+            clone.load_state(arrays)
+        for name, p in clone.params.items():
+            assert p.values.tobytes() == before[name].tobytes(), name
+
+    @pytest.mark.parametrize("overrides", [{}, {"no_is": True}, {"no_eg": True},
+                                           {"no_is": True, "no_eg": True}],
+                             ids=["all", "no_is", "no_eg", "no_is+no_eg"])
+    def test_parameter_shapes_is_the_parameter_list(self, overrides):
+        """Fresh and stored models hold exactly the table's parameters, in
+        its order and at its shapes; an ablated family's aliases are None."""
+        net, _, _, _ = _tiny_setup(num_triggers=3, **overrides)
+        shapes = m.parameter_shapes(net.config)
+        clone = m.SegCVAE.from_arrays(net.config, net.state_arrays())
+        for model in (net, clone):
+            assert list(shapes) == list(model.params)
+            assert {k: p.shape for k, p in model.params.items()} == shapes
+            for path in ("is", "eg"):
+                ablated = overrides.get(f"no_{path}", False)
+                assert (getattr(model, f"{path}_kernel") is None) == ablated
+                assert (getattr(model, f"{path}_dense") is None) == ablated
+            assert model.enc.wx is model.params["enc.wx"] and model.dec.bh is model.params["dec.bh"]
+            assert model.rec_w is model.params["rec.w"] and model.out_b is model.params["out.b"]
+
     def test_load_state_writes_into_the_live_buffers(self):
         """Each parameter keeps its array and takes the loaded values, also
         when handed the model's own arrays (a no-op)."""
