@@ -93,9 +93,6 @@ class Tensor:
             raise DomainError(f"item() needs a single element, shape is {self.values.shape}")
         return float(self.values.reshape(-1)[0])
 
-    def __float__(self):
-        return self.item()
-
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
@@ -206,13 +203,6 @@ def _unary(a: Tensor, values, grad) -> Tensor:
     return _node(values, (a,), lambda out: a._accum(grad(out.grad, out.values)))
 
 
-def _reduced(g: np.ndarray, axis, keepdims: bool, shape) -> np.ndarray:
-    """A sum's or mean's output gradient ``g``, broadcast back to ``shape``."""
-    if not keepdims and axis is not None:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
-
-
 def _is_basic(index) -> bool:
     """Whether ``index`` selects without integer arrays or is one boolean
     mask (so no position repeats and ``buf[index] += g`` is a correct scatter)."""
@@ -258,20 +248,9 @@ def div(a, b) -> Tensor:
                    lambda g: -g * a.values / (b.values * b.values))
 
 
-def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    return _unary(a, a.values ** exponent,
-                  lambda g, y: g * exponent * a.values ** (exponent - 1))
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     return _unary(a, np.exp(a.values), lambda g, y: g * y)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return _unary(a, np.log(a.values), lambda g, y: g / a.values)
 
 
 def sqrt(a) -> Tensor:
@@ -294,17 +273,16 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 # reductions and shape ops
 # ---------------------------------------------------------------------------
 
-def tsum(a, axis=None, keepdims=False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    return _unary(a, a.values.sum(axis=axis, keepdims=keepdims),
-                  lambda g, y: _reduced(g, axis, keepdims, a.values.shape).copy())
+    return _unary(a, a.values.sum(axis=axis), lambda g, y: np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis), a.values.shape).copy())
 
 
-def tmean(a, axis=None, keepdims=False) -> Tensor:
+def tmean(a) -> Tensor:
     a = as_tensor(a)
-    count = a.values.size if axis is None else a.values.shape[axis]
-    return _unary(a, a.values.mean(axis=axis, keepdims=keepdims),
-                  lambda g, y: _reduced(g, axis, keepdims, a.values.shape) / count)
+    return _unary(a, a.values.mean(),
+                  lambda g, y: np.broadcast_to(g, a.values.shape) / a.values.size)
 
 
 def reshape(a, shape) -> Tensor:

@@ -70,50 +70,50 @@ def _load_run(run_dir: Path) -> tuple[SegCVAE, cp.Vocabulary]:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _input_path(args, paths: dict[str, str], key: str) -> Path:
+    """``--in``, else the config file's ``key`` entry; neither is a MissingKey
+    (an empty path would name the working directory)."""
+    if not (where := args.infile or paths.get(key)):
+        raise MissingKey(f"{args.command} needs --in or a '{key}' config entry")
+    return Path(where)
+
+
 def _cmd_prepare_data(args) -> int:
     cfg, paths = _load_config(args)
-    corpus_path = Path(args.infile or paths.get("corpus", ""))
-    if not str(corpus_path):
-        raise MissingKey("prepare-data needs --in or a 'corpus' config entry")
-    dialogues = cp.read_corpus_file(corpus_path)
-    pairs = cp.pairs_from_corpus(dialogues)
+    corpus_path = _input_path(args, paths, "corpus")
+    pairs = cp.pairs_from_corpus(cp.read_corpus_file(corpus_path))
     if args.mode == "general":
         splits, manifest = cp.general_split(pairs)
     else:
         splits, manifest = cp.build_cdm_dataset(pairs, args.mode)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = []
-    for name in ("train", "valid", "test"):
-        cp.write_pairs(out_dir / f"{name}.tsv", splits[name])
-        artifacts.append(f"{name}.tsv")
+    artifacts = [f"{name}.tsv" for name in splits]
     extra = {"mode": args.mode,
              "groups": str(manifest["groups"]),
              **{f"pairs.{k}": str(v) for k, v in manifest["pairs"].items()}}
     write_manifest(out_dir, "prepare-data", cfg, [corpus_path], artifacts, extra)
+    for name, split in splits.items():
+        cp.write_pairs(out_dir / f"{name}.tsv", split)
     print(f"wrote {sum(manifest['pairs'].values())} pairs "
           f"({manifest['pairs']}) to {out_dir}")
     return 0
 
 
 def _cmd_cdm_stats(args) -> int:
-    dialogues = cp.read_corpus_file(args.infile)
-    report = cp.mine_cdm(cp.pairs_from_corpus(dialogues))
-    sys.stdout.write(report.text())
+    pairs = cp.pairs_from_corpus(cp.read_corpus_file(args.infile))
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "cdm_report.txt").write_text(report.text(), encoding="utf-8")
-        write_manifest(out_dir, "cdm-stats", None, [Path(args.infile)],
+        write_manifest(Path(args.out), "cdm-stats", None, [Path(args.infile)],
                        ["cdm_report.txt"])
+    text = cp.mine_cdm(pairs).text()
+    sys.stdout.write(text)
+    if args.out:
+        (Path(args.out) / "cdm_report.txt").write_text(text, encoding="utf-8")
     return 0
 
 
-def _train_like(args, command: str) -> int:
+def _train_like(args) -> int:
     cfg, paths = _load_config(args)
-    data_dir = Path(args.infile or paths.get("data_dir", ""))
-    if not str(data_dir):
-        raise MissingKey(f"{command} needs --in or a 'data_dir' config entry")
+    data_dir = _input_path(args, paths, "data_dir")
     train_pairs = cp.read_pairs(data_dir / "train.tsv")
     valid_path = data_dir / "valid.tsv"
     valid_pairs = cp.read_pairs(valid_path) if valid_path.exists() else []
@@ -121,7 +121,7 @@ def _train_like(args, command: str) -> int:
                            emb_dim=cfg.emb_dim, seed=cfg.seed)
     out_dir = Path(args.out)
     inputs = [data_dir / "train.tsv"] + ([valid_path] if valid_path.exists() else [])
-    write_manifest(out_dir, command, cfg, inputs,
+    write_manifest(out_dir, args.command, cfg, inputs,
                    [tr.CHECKPOINT_NAME, tr.LOG_NAME, "vocab.txt"])
     vocab.save(out_dir / "vocab.txt")
     result = tr.fit({"train": train_pairs, "valid": valid_pairs}, vocab, cfg, out_dir)
@@ -129,16 +129,6 @@ def _train_like(args, command: str) -> int:
     print(f"log: {result.log_path}")
     print(f"best_val_ppl: {min(result.val_ppl)!r}")
     return 0
-
-
-def _cmd_train(args) -> int:
-    return _train_like(args, "train")
-
-
-def _cmd_ablate(args) -> int:
-    if not args.drop:
-        raise MissingKey("ablate needs at least one --drop flag")
-    return _train_like(args, "ablate")
 
 
 def _by_context(pairs) -> dict[tuple, list]:
@@ -151,20 +141,19 @@ def _by_context(pairs) -> dict[tuple, list]:
 
 def _cmd_generate(args) -> int:
     model, vocab = _load_run(args.run)
-    pairs = cp.read_pairs(args.data)
-    grouped = list(_by_context(pairs).items())
+    grouped = list(_by_context(cp.read_pairs(args.data)).items())
     if args.limit:
         grouped = grouped[:args.limit]
-    rng = Rng(args.seed)
-    records = [ev.generate_n(model, vocab, ctx, args.n_responses, rng,
-                             ground_truths=truths)
-               for ctx, truths in grouped]
     out_dir = Path(args.out)
     write_manifest(out_dir, "generate", None,
                    [Path(args.run) / tr.CHECKPOINT_NAME, Path(args.data)],
                    ["generated.tsv"],
                    {"n_responses": str(args.n_responses),
                     "seed": str(args.seed)})
+    rng = Rng(args.seed)
+    records = [ev.generate_n(model, vocab, ctx, args.n_responses, rng,
+                             ground_truths=truths)
+               for ctx, truths in grouped]
     ev.write_generation(out_dir / "generated.tsv", records)
     print(f"wrote {len(records)} contexts x {args.n_responses} responses "
           f"to {out_dir / 'generated.tsv'}")
@@ -178,17 +167,16 @@ def _cmd_evaluate(args) -> int:
     truths = _by_context(pairs)
     for rec in records:
         rec.ground_truths = [tuple(t) for t in truths.get(rec.context, [])]
-    metrics = ev.evaluate_records(records, vocab)
     data = cp.encode_pairs(pairs, vocab, model.config.max_len)
+    if args.out:
+        write_manifest(Path(args.out), "evaluate", None,
+                       [Path(args.infile), Path(args.data)], ["metrics.txt"])
+    metrics = ev.evaluate_records(records, vocab)
     metrics["ppl"] = tr.perplexity(model, data)
     text = ev.report_text(metrics, corpus_size=len(pairs))
     sys.stdout.write(text)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "metrics.txt").write_text(text, encoding="utf-8")
-        write_manifest(out_dir, "evaluate", None,
-                       [Path(args.infile), Path(args.data)], ["metrics.txt"])
+        (Path(args.out) / "metrics.txt").write_text(text, encoding="utf-8")
     return 0
 
 
@@ -243,16 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional directory for the report file")
     p.set_defaults(func=_cmd_cdm_stats)
 
-    p = sub.add_parser("train", help="train on a prepared dataset directory")
-    common(p)
-    p.add_argument("--drop", action="append", choices=("is", "eg", "san", "scn", "sdn"))
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("ablate", help="train with components dropped")
-    common(p)
-    p.add_argument("--drop", action="append", required=True,
-                   choices=("is", "eg", "san", "scn", "sdn"))
-    p.set_defaults(func=_cmd_ablate)
+    for name, what in (("train", "train on a prepared dataset directory"),
+                       ("ablate", "train with components dropped")):
+        p = sub.add_parser(name, help=what)
+        common(p)
+        p.add_argument("--drop", action="append", required=name == "ablate",
+                       choices=("is", "eg", "san", "scn", "sdn"))
+        p.set_defaults(func=_train_like)
 
     p = sub.add_parser("generate", help="generate N responses per test context")
     p.add_argument("--run", required=True, help="training output directory")

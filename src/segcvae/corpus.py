@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ from .errors import DomainError, EmptyCorpus
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<bos>", "<eos>"
 SPECIALS = (PAD, UNK, BOS, EOS)
 PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
+SPLIT_RATIOS = (0.90, 0.05, 0.05)  # train/valid/test shares of the hash buckets
 
 _TOKEN_RE = re.compile(r"'\w+|\w+|[^\w\s]")
 
@@ -34,52 +35,42 @@ def tokenize(text: str) -> list[str]:
 
 
 @dataclass(frozen=True)
-class Utterance:
-    tokens: tuple[str, ...]
-    dialogue_id: str
-    turn_index: int
-
-
-@dataclass(frozen=True)
 class DialoguePair:
     context: tuple[str, ...]
     response: tuple[str, ...]
-    source: str = ""
 
 
-def read_corpus(lines: Iterable[str]) -> list[list[Utterance]]:
+def read_corpus(lines: Iterable[str]) -> list[list[tuple[str, ...]]]:
     """Parse the block format: one utterance per line, blank line between
-    dialogues.  Lines that tokenize to nothing are skipped."""
-    dialogues: list[list[Utterance]] = []
-    current: list[Utterance] = []
-    block = 0
+    dialogues.  Each dialogue is the list of its utterances' token tuples,
+    in turn order; lines that tokenize to nothing are skipped."""
+    dialogues: list[list[tuple[str, ...]]] = []
+    current: list[tuple[str, ...]] = []
     for line in lines:
         if not line.strip():
             if current:
                 dialogues.append(current)
                 current = []
-                block += 1
             continue
         tokens = tuple(tokenize(line))
         if tokens:
-            current.append(Utterance(tokens, f"d{block}", len(current)))
+            current.append(tokens)
     if current:
         dialogues.append(current)
     return dialogues
 
 
-def read_corpus_file(path) -> list[list[Utterance]]:
+def read_corpus_file(path) -> list[list[tuple[str, ...]]]:
     return read_corpus(line for _, line in text_lines(path))
 
 
-def extract_single_turn_pairs(dialogue: Sequence[Utterance]) -> list[DialoguePair]:
-    """Adjacent-turn pairs: a dialogue of T utterances yields exactly T-1."""
-    return [DialoguePair(dialogue[i].tokens, dialogue[i + 1].tokens,
-                         source=dialogue[i].dialogue_id)
-            for i in range(len(dialogue) - 1)]
+def extract_single_turn_pairs(dialogue: Sequence[tuple[str, ...]]) -> list[DialoguePair]:
+    """Adjacent-turn pairs of a dialogue's token tuples: each utterance is
+    the context of the next, so T utterances yield exactly T-1 pairs."""
+    return [DialoguePair(context, response) for context, response in zip(dialogue, dialogue[1:])]
 
 
-def pairs_from_corpus(dialogues: Sequence[Sequence[Utterance]]) -> list[DialoguePair]:
+def pairs_from_corpus(dialogues: Sequence[Sequence[tuple[str, ...]]]) -> list[DialoguePair]:
     pairs: list[DialoguePair] = []
     for dialogue in dialogues:
         pairs.extend(extract_single_turn_pairs(dialogue))
@@ -249,23 +240,22 @@ def mine_cdm(pairs: Sequence[DialoguePair]) -> CdmReport:
     return CdmReport(len(pairs), o2m_groups, m2o_groups, o2m_pairs, m2o_pairs)
 
 
-def _split_of(key: tuple[str, ...], ratios: tuple[float, float, float]) -> str:
+def _split_of(key: tuple[str, ...]) -> str:
     digest = hashlib.sha256(" ".join(key).encode("utf-8")).digest()
     bucket = int.from_bytes(digest[:8], "big") % 100
-    if bucket < round(100 * ratios[0]):
+    if bucket < round(100 * SPLIT_RATIOS[0]):
         return "train"
-    if bucket < round(100 * (ratios[0] + ratios[1])):
+    if bucket < round(100 * (SPLIT_RATIOS[0] + SPLIT_RATIOS[1])):
         return "valid"
     return "test"
 
 
-def _split_manifest(mode: str, ratios, groups: int, splits: dict[str, list]) -> dict:
-    return {"mode": mode, "ratios": ratios, "groups": groups,
+def _split_manifest(mode: str, groups: int, splits: dict[str, list]) -> dict:
+    return {"mode": mode, "ratios": SPLIT_RATIOS, "groups": groups,
             "pairs": {name: len(split) for name, split in splits.items()}}
 
 
-def build_cdm_dataset(pairs: Sequence[DialoguePair], mode: str,
-                      ratios: tuple[float, float, float] = (0.90, 0.05, 0.05)
+def build_cdm_dataset(pairs: Sequence[DialoguePair], mode: str
                       ) -> tuple[dict[str, list[DialoguePair]], dict]:
     """Keep only pairs whose group qualifies for ``mode`` ("o2m" or "m2o")
     and split whole groups into train/valid/test by a hash of the group key,
@@ -282,20 +272,18 @@ def build_cdm_dataset(pairs: Sequence[DialoguePair], mode: str,
     for pair in pairs:
         key = pair.context if mode == "o2m" else pair.response
         if key in keys:
-            splits[_split_of(key, ratios)].append(pair)
-    return splits, _split_manifest(mode, ratios, len(groups), splits)
+            splits[_split_of(key)].append(pair)
+    return splits, _split_manifest(mode, len(groups), splits)
 
 
-def general_split(pairs: Sequence[DialoguePair],
-                  ratios: tuple[float, float, float] = (0.90, 0.05, 0.05)
-                  ) -> tuple[dict[str, list[DialoguePair]], dict]:
+def general_split(pairs: Sequence[DialoguePair]) -> tuple[dict[str, list[DialoguePair]], dict]:
     """Plain deterministic split of all pairs, hashed on the whole pair."""
     if not pairs:
         raise EmptyCorpus("no pairs to split")
     splits: dict[str, list[DialoguePair]] = {"train": [], "valid": [], "test": []}
     for pair in pairs:
-        splits[_split_of(pair.context + ("\t",) + pair.response, ratios)].append(pair)
-    return splits, _split_manifest("general", ratios, len(pairs), splits)
+        splits[_split_of(pair.context + ("\t",) + pair.response)].append(pair)
+    return splits, _split_manifest("general", len(pairs), splits)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .errors import DegenerateVector, DomainError
 from .model import SegCVAE
 
 NEVER_EMITTED = [PAD_ID, UNK_ID, BOS_ID]  # greedy decoding skips these; EOS ends a response
+DISTINCT_ORDERS, BLEU_ORDERS = (1, 2), (1, 2, 3)  # the n of the reported distinct-n and BLEU-n
 
 
 @dataclass
@@ -125,8 +126,7 @@ def bleu_n(candidate: Sequence[str], references: Sequence[Sequence[str]],
 
 
 def _mean_embedding(tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:
-    rows = [vocab.embedding[vocab.token_to_id[t]]
-            for t in tokens if t in vocab.token_to_id and t not in SPECIALS]
+    rows = [vocab.embedding[vocab.id_of(t)] for t in tokens if t in vocab]
     if not rows:
         raise DegenerateVector("no usable tokens to embed")
     return np.mean(rows, axis=0)
@@ -163,8 +163,7 @@ def length_avg(responses: Sequence[Sequence[str]]) -> float:
 # corpus-level aggregation and report files
 # ---------------------------------------------------------------------------
 
-def evaluate_records(records: Sequence[GenerationRecord], vocab: Vocabulary,
-                     distinct_orders=(1, 2), bleu_orders=(1, 2, 3)) -> dict[str, float]:
+def evaluate_records(records: Sequence[GenerationRecord], vocab: Vocabulary) -> dict[str, float]:
     """Aggregate the metric suite over generation records.
 
     BLEU and the embedding metrics are averaged over generated responses;
@@ -173,18 +172,18 @@ def evaluate_records(records: Sequence[GenerationRecord], vocab: Vocabulary,
     """
     all_responses = [resp for rec in records for resp in rec.responses]
     metrics: dict[str, float] = {}
-    for n in distinct_orders:
+    for n in DISTINCT_ORDERS:
         try:
             metrics[f"distinct-{n}"] = distinct_n(all_responses, n)
         except DomainError:
             metrics[f"distinct-{n}"] = 0.0
-    bleu_acc = {n: [] for n in bleu_orders}
+    bleu_acc = {n: [] for n in BLEU_ORDERS}
     emb_acc: list[float] = []
     coh_acc: list[float] = []
     for rec in records:
         for resp in rec.responses:
             if rec.ground_truths and resp:
-                for n in bleu_orders:
+                for n in BLEU_ORDERS:
                     bleu_acc[n].append(bleu_n(resp, rec.ground_truths, n))
                 scores = []
                 for gt in rec.ground_truths:
@@ -199,7 +198,7 @@ def evaluate_records(records: Sequence[GenerationRecord], vocab: Vocabulary,
                     coh_acc.append(coherence(rec.context, resp, vocab))
                 except DegenerateVector:
                     pass
-    for n in bleu_orders:
+    for n in BLEU_ORDERS:
         metrics[f"bleu-{n}"] = float(np.mean(bleu_acc[n])) if bleu_acc[n] else 0.0
     metrics["emb_average"] = float(np.mean(emb_acc)) if emb_acc else 0.0
     metrics["coherence"] = float(np.mean(coh_acc)) if coh_acc else 0.0

@@ -32,6 +32,7 @@ from .model import SegCVAE, stored_array, total_loss
 CHECKPOINT_NAME = "checkpoint.bin"
 LOG_NAME = "train_log.txt"
 ADAM_BLOCK = 1 << 15  # elements per Adam block: the block's arrays and scratch stay in L2
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 def lambda_schedule(step: int, cfg: TrainingConfig) -> float:
@@ -64,10 +65,9 @@ class Adam:
     for them.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8, moments=None):
+    def __init__(self, params: dict[str, Tensor], lr: float = 0.001, moments=None):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m, self.v = moments or [{k: np.zeros(p.values.shape, p.values.dtype)
                                       for k, p in params.items()} for _ in range(2)]
@@ -91,7 +91,7 @@ class Adam:
             raise NonFiniteGradient(f"gradient norm is {norm}")
         scale = clip / norm if clip is not None and norm > clip else 1.0
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         correct1 = 1.0 - b1 ** self.t
         correct2 = 1.0 - b2 ** self.t
         # a block is at least one leading-axis row, so the scratch must also
@@ -112,7 +112,7 @@ class Adam:
                 np.multiply(np.multiply(a, 1.0 - b2, out=b), a, out=b)
                 np.add(v, b, out=v)
                 np.multiply(np.divide(m, correct1, out=a), self.lr, out=a)
-                np.add(np.sqrt(np.divide(v, correct2, out=b), out=b), self.eps, out=b)
+                np.add(np.sqrt(np.divide(v, correct2, out=b), out=b), ADAM_EPS, out=b)
                 np.subtract(w, np.divide(a, b, out=a), out=w)
         return norm
 

@@ -11,7 +11,9 @@ and ``perplexity``, must run on the package and pass their checks too, so
 that a change to what ``prominent_semantics`` or ``prior`` return fails
 here rather than in the benchmark.  ``instrument`` builds its traced model
 through the public constructor and ``load_state``, so the model it builds
-must hold the source state's parameters exactly.
+must hold the source state's parameters exactly.  The workloads' corpora
+come from ``synth.make_pairs``, which builds each ``DialoguePair`` from its
+context and response positionally; a tiny one must train and score.
 """
 
 import dataclasses
@@ -22,11 +24,12 @@ import numpy as np
 
 from segcvae import training as tr
 from segcvae.autodiff import Rng
-from segcvae.corpus import EOS_ID, DialoguePair, build_vocab, encode_pairs
+from segcvae.corpus import EOS_ID, DialoguePair, build_vocab, encode_pairs, mine_cdm
 from segcvae.evaluation import generate_n
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402
+import synth  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -111,3 +114,18 @@ def test_instrument_builds_the_source_parameters():
         for name, p in traced.params.items():
             assert p.values is not state.model.params[name].values, name
             assert p.values.tobytes() == state.model.params[name].values.tobytes(), name
+
+
+def test_synthetic_corpus_builds_trains_and_scores():
+    spec = synth.CorpusSpec(pairs=24, universe=40, max_len=8)
+    pairs = synth.make_pairs(spec, seed=3)
+    assert pairs == synth.make_pairs(spec, seed=3)
+    assert len(pairs) == spec.pairs and all(isinstance(p, DialoguePair) for p in pairs)
+    report = mine_cdm(pairs)
+    assert report.o2m_groups and report.m2o_groups  # the planted complex mappings
+    cfg = _tiny_state()[0]
+    vocab = build_vocab(pairs, cfg.vocab_cap, emb_dim=cfg.emb_dim, seed=cfg.seed)
+    data = encode_pairs(pairs, vocab, cfg.max_len)
+    state = tr.init_state(cfg, vocab)
+    assert workloads._loss_check(tr.train_step(data, state, cfg)) is None
+    assert workloads._ppl_check(tr.perplexity(state.model, data)) is None

@@ -7,6 +7,7 @@ import pytest
 
 from segcvae import autodiff as ad
 from segcvae import cli, corpus
+from segcvae import evaluation as ev
 from segcvae import training as tr
 from segcvae.corpus import DialoguePair
 from segcvae.errors import ConfigError, MissingKey
@@ -199,6 +200,19 @@ class TestDispatchBasics:
         assert code == 1
         assert "train.tsv:13: not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key", [("prepare-data", "corpus"), ("train", "data_dir"),
+                                              ("ablate", "data_dir")])
+    def test_missing_input_is_not_the_working_directory(self, command, key, data_dir, tmp_path,
+                                                        monkeypatch, capsys):
+        """Without --in or a config entry the command needs its input named,
+        even where the working directory holds a train.tsv it could read."""
+        monkeypatch.chdir(data_dir)
+        out = tmp_path / "out"
+        drop = ["--drop", "san"] if command == "ablate" else []
+        assert cli.dispatch([command, "--out", str(out), *drop]) == 1
+        assert f"error: {command} needs --in or a '{key}' config entry" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_domain_error_exits_one(self, tmp_path, capsys):
         code = cli.dispatch(["train", "--in", str(tmp_path / "nope"),
                              "--out", str(tmp_path / "out")])
@@ -282,13 +296,23 @@ class TestTrainGenerateEvaluate:
     @pytest.mark.parametrize("command", ["cdm-stats", "prepare-data", "train", "generate",
                                          "evaluate"])
     def test_unwritable_output_path_exits_one(self, command, under_file, request, corpus_file,
-                                              config_file, data_dir, tmp_path, capsys):
+                                              config_file, data_dir, tmp_path, monkeypatch,
+                                              capsys):
         """An --out that is an existing file, or lies under one, is exit 1
-        with a message naming it, not a traceback."""
+        with a message naming it, not a traceback.  Every input is read and
+        checked, then --out is made, then the work runs: so nothing is
+        trained, mined, generated or scored, and nothing is printed."""
+        run = request.getfixturevalue("run_dir") if command in ("generate", "evaluate") else None
+
+        def never(*args, **kwargs):
+            raise AssertionError("the work ran before --out was made")
+
+        for module, name in ((tr, "fit"), (corpus, "mine_cdm"), (ev, "generate_n"),
+                             (tr, "perplexity")):
+            monkeypatch.setattr(module, name, never)
         blocker = tmp_path / "blocker"
         blocker.write_text("", encoding="utf-8")
         out = blocker / "x" if under_file else blocker
-        run = request.getfixturevalue("run_dir") if command in ("generate", "evaluate") else None
         dump = tmp_path / "generated.tsv"
         dump.write_text("q0 and you\ta0 sure\n", encoding="utf-8")
         args = {"cdm-stats": ["--in", str(corpus_file)],
@@ -299,8 +323,9 @@ class TestTrainGenerateEvaluate:
                              "--run", str(run)]}[command]
         capsys.readouterr()
         assert cli.dispatch([command, *args, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {out}: ") and "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_generate_and_evaluate(self, run_dir, data_dir, tmp_path, capsys):
         gen_dir = tmp_path / "gen"

@@ -5,9 +5,9 @@ import pytest
 
 from segcvae import corpus
 from segcvae.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialoguePair,
-                            Utterance, build_cdm_dataset, build_vocab,
-                            encode_pair, extract_single_turn_pairs,
-                            filter_by_vocab, mine_cdm, tokenize)
+                            build_cdm_dataset, build_vocab, encode_pair,
+                            extract_single_turn_pairs, filter_by_vocab,
+                            mine_cdm, tokenize)
 from segcvae.errors import DomainError, EmptyCorpus
 
 
@@ -32,7 +32,7 @@ class TestTokenize:
 
 class TestSingleTurnPairs:
     def _dialogue(self, n):
-        return [Utterance((f"u{i}",), "d0", i) for i in range(n)]
+        return [(f"u{i}",) for i in range(n)]
 
     def test_three_turns_two_pairs(self):
         d = self._dialogue(3)
@@ -53,11 +53,11 @@ class TestSingleTurnPairs:
 
 class TestReadCorpus:
     def test_blocks_and_turn_indices(self):
+        """Each dialogue is its utterances' token tuples; turn i is position i."""
         text = "Hello there.\nHi!\n\nHow are you?\nFine.\nGood.\n"
         dialogues = corpus.read_corpus(text.splitlines())
-        assert len(dialogues) == 2
-        assert [u.turn_index for u in dialogues[1]] == [0, 1, 2]
-        assert dialogues[0][1].tokens == ("hi", "!")
+        assert dialogues == [[("hello", "there", "."), ("hi", "!")],
+                             [("how", "are", "you", "?"), ("fine", "."), ("good", ".")]]
 
     def test_pair_file_roundtrip(self, tmp_path):
         pairs = [_pair("a b", "c"), _pair("d", "e f g")]

@@ -84,7 +84,8 @@ class TestAdam:
         opt = tr.Adam({"w": w}, lr=0.05)
         for _ in range(400):
             w.grad = None
-            loss = ad.tsum(ad.power(ad.sub(w, Tensor(target)), 2.0))
+            diff = ad.sub(w, Tensor(target))
+            loss = ad.tsum(ad.mul(diff, diff))
             loss.backward()
             opt.step()
         np.testing.assert_allclose(w.values, target, atol=1e-3)
