@@ -10,9 +10,18 @@ A tensor's first gradient contribution is kept as given, and may alias
 another node's buffer; the second allocates a buffer the tensor owns, and
 every later one adds into it in place.  Row gathers scatter straight into
 that owned buffer.  No backward function holds its own output, so a graph
-dies with its output by reference counting, and ``backward()`` frees it as
-it goes.  The GRU recurrence is one node that goes back through time in
-its backward.
+dies with its output by reference counting.
+
+``backward()`` frees the graph as it walks it: once a node's backward
+function has run, the node drops that function and its parent links and
+the walk lets go of it, so its values and gradient are freed unless the
+caller holds the tensor.  A non-leaf gradient survives only on a tensor
+the caller holds; leaves (the parameters) keep theirs until the caller
+clears them, which ``training.train_step`` does before each forward pass.
+
+``linear(x, w, b)`` is ``add(matmul(x, w), b)`` as one node, the bias
+added into the product in place; the GRU recurrence is one node that goes
+back through time in its backward.
 """
 
 from __future__ import annotations
@@ -154,7 +163,10 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accum(np.asarray(grad, dtype=self.values.dtype))
-        for node in reversed(topo):
+        while topo:
+            # popped, so the list no longer holds the node: once its backward
+            # has run and its links are dropped, only the caller can keep it
+            node = topo.pop()
             if node._backward is not None and node._grad is not None:
                 node._backward(node)
             if node._backward is not None:
@@ -331,12 +343,16 @@ def gather_last(a, ids) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def _check_matmul(a: Tensor, b: Tensor):
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+
+
+def matmul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    _check_matmul(a, b)
     if a.ndim > 2 and b.ndim == 2:
         return _matmul_rows(a, b)
     values = np.matmul(a.values, b.values)
@@ -352,23 +368,39 @@ def matmul(a, b) -> Tensor:
     return _node(values, (a, b), bw)
 
 
-def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` for a (..., K) ``x``, a (K, N) ``w`` and a bias that
+    broadcasts over the (..., N) product, as one node: the product of
+    :func:`matmul` with the bias added into it in place, so the values and
+    gradients are those of ``add(matmul(x, w), b)``, bit for bit."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    _check_matmul(x, w)
+    if w.ndim != 2:
+        raise ShapeError(f"linear needs a 2-d weight, got {w.shape}")
+    return _matmul_rows(x, w, b)
+
+
+def _matmul_rows(a: Tensor, b: Tensor, bias: Tensor = None) -> Tensor:
     """A (..., K) stack times a (K, N) matrix as one GEMM over the flattened
-    rows, forward and backward.  (A stacked ``np.matmul`` re-reads ``b``
-    once per stack entry, and its weight gradient would be a (..., K, N)
-    stack to sum.)"""
+    rows, forward and backward, plus ``bias`` added in place if one is given.
+    (A stacked ``np.matmul`` re-reads ``b`` once per stack entry, and its
+    weight gradient would be a (..., K, N) stack to sum.)"""
     k, n = b.shape
     lead = a.shape[:-1]
     values = (a.values.reshape(-1, k) @ b.values).reshape(lead + (n,))
+    if bias is not None:
+        values += bias.values
 
     def bw(out):
+        if bias is not None and bias.requires_grad:
+            bias._accum(_unbroadcast(out.grad, bias.values.shape))
         g = out.grad.reshape(-1, n)
         if a.requires_grad:
             a._accum((g @ b.values.T).reshape(lead + (k,)))
         if b.requires_grad:
             b._accum(a.values.reshape(-1, k).T @ g)
 
-    return _node(values, (a, b), bw)
+    return _node(values, (a, b) if bias is None else (a, b, bias), bw)
 
 
 def softmax_rows(a) -> Tensor:
@@ -384,13 +416,17 @@ def log_softmax(a) -> Tensor:
                   lambda g, y: g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
 
-def gumbel_softmax(logits, tau: float, rng: "Rng" = None, noise: bool = False) -> Tensor:
+def gumbel_softmax(logits, tau: float, rng: "Rng" = None, noise: bool = False,
+                   mask: np.ndarray = None) -> Tensor:
     """Temperature-scaled row softmax, optionally perturbed by Gumbel draws.
 
     With ``noise`` the logits receive i.i.d. Gumbel(0, 1) samples before the
     division by ``tau``; the relaxation is soft (no hard one-hot pass), so
-    gradients flow through the softmax as usual.  One node: the draws, the
-    scaling and the max-shifted softmax run in place on the one buffer it keeps.
+    gradients flow through the softmax as usual.  ``mask``, an array that
+    broadcasts to the logits and holds only 0 and -inf, is added to them
+    first: a -inf column gets zero weight and zero gradient.  One node: the
+    mask, the draws, the scaling and the max-shifted softmax run in place on
+    the one buffer it keeps.
     """
     if tau <= 0:
         raise DomainError(f"temperature must be positive, got {tau}")
@@ -400,9 +436,11 @@ def gumbel_softmax(logits, tau: float, rng: "Rng" = None, noise: bool = False) -
     if noise:
         z = rng.gumbel(logits.shape)
         z += logits.values
-        z *= scale
     else:
-        z = logits.values * scale
+        z = logits.values.copy()
+    if mask is not None:
+        z += mask
+    z *= scale
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
@@ -494,7 +532,7 @@ def gru_scan(params: GruParams, seq: Tensor, h: Tensor,
     if k < 1 or rows != k * batch:
         raise ShapeError(f"state rows must be a positive multiple of the sequence rows: "
                          f"state {h.shape}, sequence {seq.shape}")
-    gx = add(matmul(seq, params.wx), params.bx)
+    gx = linear(seq, params.wx, params.bx)
     keep = None if mask is None else mask.astype(h.values.dtype)
     drop = None if mask is None else 1.0 - keep
     hs = np.empty((rows, steps + 1, hd))  # h, then the state after each step
@@ -572,7 +610,7 @@ def gru_decode_step(params: GruParams, out_w: Tensor, out_b: Tensor,
     if state.ndim != 2 or state.shape[1] != params.hidden_dim:
         raise ShapeError(f"state must be (batch, {params.hidden_dim}), got {state.shape}")
     next_state = gru_scan(params, reshape(x, (x.shape[0], 1, x.shape[1])), state)[:, -1]
-    logits = add(matmul(next_state, out_w), out_b)
+    logits = linear(next_state, out_w, out_b)
     return logits, next_state
 
 

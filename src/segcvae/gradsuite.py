@@ -42,6 +42,8 @@ def primitive_cases(seed: int):
     live = np.array([[True, False, True], [False, True, True]])  # a mask scatters in place
     mask = (r.uniform(0, 1, size=(2, 3)) > 0.3).astype(np.int64)
     mask[:, 0] = 1
+    logit_mask = np.where(r.uniform(0, 1, size=(3, 4)) > 0.6, -np.inf, 0.0)  # 0 or -inf
+    logit_mask[:, 0] = 0.0  # every row keeps a column
 
     gru = ad.gru_params(3, 4, Rng(seed * 7 + 1))
     gru_seq = rand(2, 3, 3)
@@ -87,6 +89,9 @@ def primitive_cases(seed: int):
         ("matmul_rows", lambda a, b: ad.tsum(ad.matmul(a, b)), [rand(2, 3, 4), rand(4, 3)]),
         ("matmul_batched", lambda a, b: ad.tsum(ad.matmul(a, b)),
          [rand(2, 3, 4), rand(2, 4, 3)]),
+        ("linear", lambda x, w, b: _sum_sq(ad.linear(x, w, b)), [rand(3, 4), rand(4, 2), rand(2)]),
+        ("linear_rows", lambda x, w, b: _sum_sq(ad.linear(x, w, b)),
+         [rand(2, 3, 4), rand(4, 3), rand(3)]),
         ("softmax_rows", lambda a: ad.tsum(ad.mul(ad.softmax_rows(a), w_soft)), [rand(2, 4)]),
         ("log_softmax", lambda a: ad.tsum(ad.mul(ad.log_softmax(a), w_logsoft)), [rand(2, 4)]),
         ("gumbel_softmax", lambda a: _sum_sq(ad.gumbel_softmax(a, tau=0.7, noise=False)),
@@ -94,6 +99,11 @@ def primitive_cases(seed: int):
         # a fresh Rng per call, so every finite-difference evaluation sees the same draws
         ("gumbel_softmax_noise", lambda a: _sum_sq(
             ad.gumbel_softmax(a, tau=0.7, rng=Rng(seed), noise=True)), [rand(2, 4)]),
+        ("gumbel_softmax_mask", lambda a: _sum_sq(
+            ad.gumbel_softmax(a, tau=0.7, noise=False, mask=logit_mask)), [rand(2, 3, 4)]),
+        ("gumbel_mask_noise", lambda a: _sum_sq(
+            ad.gumbel_softmax(a, tau=0.7, rng=Rng(seed), noise=True, mask=logit_mask)),
+         [rand(2, 3, 4)]),
         ("conv_seq", lambda c, k: _sum_sq(ad.conv_seq(c, k)), [rand(1, 6, 3), rand(2, 3, 1, 2)]),
         ("conv_seq_batched", lambda c, k: _sum_sq(ad.conv_seq(c, k)),
          [rand(2, 6, 3), rand(2, 3, 1, 2)]),

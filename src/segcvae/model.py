@@ -137,8 +137,8 @@ class SegCVAE:
         f_c = ad.conv_seq(c_emb, kernel)  # (B, k*channels, conv_len)
         (batch, _, conv_len), k = f_c.shape, dense.shape[0]
         f_c = ad.transpose(ad.reshape(f_c, (batch, k, -1, conv_len)), (1, 0, 2, 3))
-        logits = ad.add(ad.matmul(ad.reshape(f_c, (k, -1, conv_len)), dense), Tensor(mask))
-        return ad.gumbel_softmax(logits, self.config.tau, rng=rng, noise=noise)
+        logits = ad.matmul(ad.reshape(f_c, (k, -1, conv_len)), dense)
+        return ad.gumbel_softmax(logits, self.config.tau, rng=rng, noise=noise, mask=mask)
 
     def internal_separation(self, c_emb: Tensor, pad_mask: np.ndarray,
                             rng: Rng = None, noise: bool = False) -> Tensor:
@@ -194,17 +194,17 @@ class SegCVAE:
 
     # -- latent heads and decoding ---------------------------------------
     def recognition(self, r_e: Tensor, x: Tensor) -> tuple[Tensor, Tensor]:
-        h = ad.add(ad.matmul(ad.concat([r_e, x], axis=1), self.rec_w), self.rec_b)
+        h = ad.linear(ad.concat([r_e, x], axis=1), self.rec_w, self.rec_b)
         d = self.config.latent_dim
         return h[:, :d], ad.clamp(h[:, d:], -LOGVAR_CLIP, LOGVAR_CLIP)
 
     def prior(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        h = ad.add(ad.matmul(x, self.pri_w), self.pri_b)
+        h = ad.linear(x, self.pri_w, self.pri_b)
         d = self.config.latent_dim
         return h[:, :d], ad.clamp(h[:, d:], -LOGVAR_CLIP, LOGVAR_CLIP)
 
     def decoder_initial(self, z: Tensor, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(ad.concat([z, x], axis=1), self.init_w), self.init_b)
+        return ad.linear(ad.concat([z, x], axis=1), self.init_w, self.init_b)
 
     def decode_step(self, state: Tensor, token_ids: np.ndarray) -> tuple[Tensor, Tensor]:
         x = ad.take(self.emb, token_ids)
@@ -245,7 +245,7 @@ class SegCVAE:
         for p0 in range(0, len(packed_targets), span):
             block, block_targets = packed[p0:p0 + span], packed_targets[p0:p0 + span]
             if graph:
-                logp = ad.log_softmax(ad.add(ad.matmul(block, self.out_w), self.out_b))
+                logp = ad.log_softmax(ad.linear(block, self.out_w, self.out_b))
                 picked.append(ad.gather_last(logp, block_targets))
                 if want_generated:
                     expected.append(ad.matmul(ad.exp(logp), self.emb))

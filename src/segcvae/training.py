@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import queue
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -152,13 +152,13 @@ def train_step(batch: tuple[np.ndarray, np.ndarray], state: TrainState,
     ctx_ids, resp_ids = batch
     lam = lambda_schedule(state.step, cfg)
     klw = kl_anneal(state.step, cfg)
+    state.model.zero_grad()  # the last step's gradients go before this step's graph is built
     parts = state.model.forward_losses(ctx_ids, resp_ids, klw, state.rng,
                                        gs_noise=cfg.gs_noise)
     objective = total_loss(parts["elbo_plus"], parts["san"], parts["scn"], parts["sdn"], lam)
     loss = ad.mul(objective, -1.0)
     if not np.isfinite(loss.values):
         raise NonFiniteLoss(state.step)
-    state.model.zero_grad()
     loss.backward()
     try:
         norm = state.optimizer.step(clip=cfg.grad_clip)
@@ -214,9 +214,9 @@ def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],
     in one no-graph pass (``SegCVAE.prior_recon``) of ``max(1, batch_size //
     M)`` contexts, so ``batch_size`` bounds the rows a pass decodes (M per
     context), not the contexts.  The calling thread and ``worker_count() -
-    1`` pool threads share out the passes, each taking its first pass and
-    then the next one left; the passes' sums are added exactly, so the
-    result does not depend on the number of threads."""
+    1`` threads started for the call share out the passes, each taking its
+    own first pass and then the next one left; the passes' sums are added
+    exactly, so the result does not depend on the number of threads."""
     ctx_ids, resp_ids = dataset
     if ctx_ids.shape[0] == 0:
         raise EmptyCorpus("cannot evaluate perplexity on an empty dataset")
@@ -232,7 +232,12 @@ def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],
     def pass_nll(rows: slice) -> float:  # each response under its best branch
         return -float(model.prior_recon(ctx_ids[rows], resp_ids[rows]).max(axis=0).sum())
 
+    # every thread is up before any pass runs, so each thread takes exactly one
+    # first pass and the min(threads, passes) threads that run passes are distinct
+    ready = threading.Barrier(workers)
+
     def drain(i: int):  # pass i, then passes from the queue until it is empty
+        ready.wait()
         while True:
             results[i] = pass_nll(passes[i])
             try:
@@ -240,11 +245,28 @@ def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],
             except queue.Empty:
                 return
 
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        helpers = [pool.submit(drain, i) for i in range(1, workers)]
+    errors = []
+
+    def helper(i: int):  # a helper's error is raised on the calling thread
+        try:
+            drain(i)
+        except BaseException as err:
+            errors.append(err)
+
+    helpers = [threading.Thread(target=helper, args=(i,)) for i in range(1, workers)]
+    try:
+        for thread in helpers:
+            thread.start()
         drain(0)
-        for helper in helpers:
-            helper.result()
+    except BaseException:
+        ready.abort()  # frees the helpers waiting for a thread that did not start
+        raise
+    finally:
+        for thread in helpers:
+            if thread.ident is not None:  # started
+                thread.join()
+    if errors:
+        raise errors[0]
     nll = math.fsum(results)
     tokens = int((resp_ids[:, 1:] != PAD_ID).sum())
     try:

@@ -65,6 +65,39 @@ class TestStackedMatmul:
         assert b.grad.shape == (4, 5)
 
 
+class TestLinear:
+    """``linear(x, w, b)`` is ``add(matmul(x, w), b)`` as one node."""
+
+    @pytest.mark.parametrize("x_shape", [(5, 4), (3, 2, 4)])
+    def test_same_bits_as_matmul_then_add(self, x_shape):
+        r = np.random.default_rng(19)
+        x, w, b = _t(r.normal(size=x_shape)), _t(r.normal(size=(4, 6))), _t(r.normal(size=6))
+        g = r.normal(size=x_shape[:-1] + (6,))
+        got = ad.linear(x, w, b)
+        assert got._parents == (x, w, b)
+        got.backward(g)
+        ref = [_t(t.values.copy()) for t in (x, w, b)]
+        want = ad.add(ad.matmul(ref[0], ref[1]), ref[2])
+        want.backward(g)
+        np.testing.assert_array_equal(got.values, want.values)
+        for t, t_ref in zip((x, w, b), ref):
+            np.testing.assert_array_equal(t.grad, t_ref.grad)
+            assert t.grad.shape == t.shape
+
+    def test_only_the_operands_that_need_it_get_a_gradient(self):
+        r = np.random.default_rng(20)
+        x, w, b = _t(r.normal(size=(3, 4)), grad=False), _t(r.normal(size=(4, 2))), _t(np.zeros(2))
+        ad.tsum(ad.linear(x, w, b)).backward()
+        assert x.grad is None and w.grad is not None
+        np.testing.assert_array_equal(b.grad, [3.0, 3.0])
+
+    def test_shapes_checked(self):
+        with pytest.raises(ShapeError):
+            ad.linear(_t(np.zeros((2, 3))), _t(np.zeros((2, 3))), _t(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            ad.linear(_t(np.zeros((2, 3))), _t(np.zeros((2, 3, 4))), _t(np.zeros(4)))
+
+
 class TestInPlaceAccumulation:
     def test_slices_and_repeated_row_gathers_keep_aliased_buffers_intact(self):
         """x reaches the loss whole, through a row slice and through a gather
@@ -161,6 +194,28 @@ class TestGraphRelease:
         finally:
             if was_enabled:
                 gc.enable()
+
+    def test_backward_lets_go_of_each_node_once_its_backward_has_run(self):
+        """A chain of k ops on a 1 MB array holds k value arrays when
+        backward starts.  Each link's values and gradient are freed once its
+        backward has run, so the traced peak stays near k + 2 arrays (the
+        values still to be walked, the gradient in hand and the one being
+        made), not the 2k that keeping every node to the end would take."""
+        k = 8
+        x = _t(np.linspace(-1.0, 1.0, 1 << 17))  # 1 MB
+        tracemalloc.start()
+        try:
+            y = x
+            for _ in range(k):
+                y = ad.mul(y, 0.5)
+            loss = ad.tsum(y)
+            del y
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(x.grad, np.full(x.shape, 0.5 ** k))
+        assert peak < (k + 3) * x.values.nbytes, peak / x.values.nbytes
 
     def test_second_backward_through_a_freed_graph_is_rejected(self):
         x = _t(np.ones(3))
@@ -259,6 +314,34 @@ class TestGumbelSoftmax:
         np.testing.assert_array_equal(got.values, want.values)
         np.testing.assert_array_equal(logits.grad, ref_logits.grad)
 
+    @pytest.mark.parametrize("noise", [False, True])
+    @pytest.mark.parametrize("mask_shape", [(6,), (3, 6)])
+    def test_a_mask_taken_in_equals_adding_it_first(self, noise, mask_shape):
+        """A 0/-inf mask added into the node's own buffer against the mask
+        added as a node of its own: the same bits in values and gradient,
+        and -inf columns get zero weight and zero gradient."""
+        r = np.random.default_rng(21)
+        shape, tau = (2, 3, 6), 0.3
+        mask = np.where(r.uniform(size=mask_shape) < 0.4, -np.inf, 0.0)
+        mask[..., 0] = 0.0  # every row keeps a column
+        upstream = _t(r.normal(size=shape), grad=False)
+
+        logits = _t(r.normal(size=shape) * 4.0)
+        got = ad.gumbel_softmax(logits, tau, rng=ad.Rng(6), noise=noise, mask=mask)
+        assert got._parents == (logits,)
+        ad.tsum(ad.mul(got, upstream)).backward()
+
+        ref_logits = _t(logits.values.copy())
+        want = ad.gumbel_softmax(ad.add(ref_logits, ad.Tensor(mask)), tau,
+                                 rng=ad.Rng(6), noise=noise)
+        ad.tsum(ad.mul(want, upstream)).backward()
+
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(logits.grad, ref_logits.grad)
+        excluded = np.broadcast_to(mask == -np.inf, shape)
+        assert excluded.any()
+        assert np.all(got.values[excluded] == 0.0) and np.all(logits.grad[excluded] == 0.0)
+
 
 class TestConvSeq:
     def test_output_shape_matches_contract(self):
@@ -336,8 +419,8 @@ class TestGru:
                                  _t(rng.normal(size=(2, 5))), mask=np.ones((2, steps)))
             assert states.shape == (2, steps, 5)
             sizes.append(self._graph_size(states))
-        # seq, wx, bx, the projection's matmul and add, h, wh, bh and the scan
-        assert sizes == [9, 9]
+        # seq, wx, bx, the projection's linear node, h, wh, bh and the scan
+        assert sizes == [8, 8]
 
     def test_scan_keeps_no_graph_under_no_grad(self):
         params = ad.gru_params(3, 5, ad.Rng(5))

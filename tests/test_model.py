@@ -591,11 +591,11 @@ class TestPackedPositions:
         """Rows of each out-projection block: the in-place scorer's and the
         graph path's."""
         scorer, graph = [], []
-        target_log_probs, matmul = net._target_log_probs, ad.matmul
+        target_log_probs, linear = net._target_log_probs, ad.linear
         monkeypatch.setattr(net, "_target_log_probs", lambda states, targets: (
             scorer.append(states.shape[0]) or target_log_probs(states, targets)))
-        monkeypatch.setattr(ad, "matmul", lambda a, b: (
-            graph.append(a.shape[0]) if b is net.out_w else None) or matmul(a, b))
+        monkeypatch.setattr(ad, "linear", lambda x, w, b: (
+            graph.append(x.shape[0]) if w is net.out_w else None) or linear(x, w, b))
         return scorer, graph
 
     @pytest.mark.parametrize("budget_positions", [0, 1, 5, 16])

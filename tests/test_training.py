@@ -221,6 +221,23 @@ class TestTrainStep:
 
         assert run() == run()
 
+    def test_the_last_steps_gradients_are_gone_before_the_next_forward(self, monkeypatch):
+        """A step's graph is built with no parameter holding a gradient, so
+        the previous step's gradients never sit under it."""
+        cfg, pairs, vocab, data = _setup()
+        state = tr.init_state(cfg, vocab)
+        held, forward_losses = [], tr.SegCVAE.forward_losses
+
+        def recording(model, *args, **kwargs):
+            held.append(sorted(k for k, p in model.params.items() if p.grad is not None))
+            return forward_losses(model, *args, **kwargs)
+
+        monkeypatch.setattr(tr.SegCVAE, "forward_losses", recording)
+        for _ in range(2):
+            tr.train_step(data, state, cfg)
+        assert held == [[], []]
+        assert all(p.grad is not None for p in state.model.params.values())
+
     def test_reduces_to_plain_cvae(self):
         flags = dict(num_triggers=1, no_is=True, no_eg=True, no_san=True,
                      no_scn=True, no_sdn=True)
@@ -467,6 +484,25 @@ class TestPerplexity:
         monkeypatch.setenv("SEGCVAE_THREADS", "3")
         with pytest.raises(DomainError, match="all-padding"):
             tr.perplexity(state.model, (ctx, resp), batch_size=4)
+
+    def test_a_thread_that_cannot_start_raises_without_a_hang(self, monkeypatch):
+        """The threads that did start are freed from the wait for the others
+        and joined; the start error reaches the caller."""
+        cfg, pairs, vocab, data = _setup()
+        state = tr.init_state(cfg, vocab)
+        start, started = threading.Thread.start, []
+
+        def failing_second(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", failing_second)
+        monkeypatch.setenv("SEGCVAE_THREADS", "3")
+        with pytest.raises(RuntimeError, match="can't start"):
+            tr.perplexity(state.model, data, batch_size=4)
+        assert len(started) == 1 and not started[0].is_alive()
 
     def test_scoring_pass_equals_the_node_path(self, monkeypatch):
         """At the test_09 configuration, after a few steps, perplexity is the
