@@ -1,8 +1,10 @@
 """Command-line surface: data preparation, training, generation, evaluation.
 
 Every artifact-producing run records a manifest (tool version, seed, full
-config snapshot, content digests of the inputs, artifact paths) before any
-work starts, so a run can be reproduced byte for byte from its manifest.
+config snapshot, content digests of the inputs, run files read included,
+artifact names) before any work starts, so a run can be reproduced byte for
+byte from its manifest.  ``train`` and ``ablate`` refuse a used ``--out``,
+so a run directory never mixes two runs.
 """
 
 from __future__ import annotations
@@ -18,9 +20,22 @@ from . import evaluation as ev
 from . import training as tr
 from .autodiff import Rng
 from .config import config_snapshot, parse_config
-from .errors import MissingKey, SegcvaeError
+from .errors import DomainError, MissingKey, SegcvaeError
 from .gradsuite import TOLERANCE, run_suite
 from .model import SegCVAE
+
+MANIFEST = "manifest.txt"
+# the files of a training run that generate and evaluate read from --run
+CHECKPOINT, VOCAB = RUN_FILES = (tr.CHECKPOINT_NAME, "vocab.txt")
+# the files each command writes under --out beside MANIFEST, in manifest order
+OUTPUTS = {
+    "prepare-data": ("train.tsv", "valid.tsv", "test.tsv"),
+    "cdm-stats": ("cdm_report.txt",),
+    "train": (CHECKPOINT, tr.LOG_NAME, VOCAB),
+    "generate": ("generated.tsv",),
+    "evaluate": ("metrics.txt",),
+}
+OUTPUTS["ablate"] = OUTPUTS["train"]
 
 
 def _digest(path: Path) -> str:
@@ -28,8 +43,7 @@ def _digest(path: Path) -> str:
 
 
 def write_manifest(out_dir: Path, command: str, cfg: tr.TrainingConfig | None,
-                   inputs: list[Path], artifacts: list[str],
-                   extra: dict[str, str] = None) -> Path:
+                   inputs: list[Path], extra: dict[str, str] = None) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"command = {command}", f"tool_version = {__version__}"]
@@ -41,9 +55,9 @@ def write_manifest(out_dir: Path, command: str, cfg: tr.TrainingConfig | None,
         lines.append(f"{key} = {value}")
     for path in inputs:
         lines.append(f"input.{Path(path).name} = sha256:{_digest(path)}")
-    for name in artifacts:
+    for name in OUTPUTS[command]:
         lines.append(f"artifact.{name} = {name}")
-    path = out_dir / "manifest.txt"
+    path = out_dir / MANIFEST
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -61,9 +75,11 @@ def _load_config(args) -> tuple[tr.TrainingConfig, dict[str, str]]:
     return cfg, paths
 
 
-def _load_run(run_dir: Path) -> tuple[SegCVAE, cp.Vocabulary]:
-    model = tr.load_model(Path(run_dir) / tr.CHECKPOINT_NAME)
-    return model, cp.Vocabulary.load(Path(run_dir) / "vocab.txt", model.emb.values)
+def _load_run(run_dir) -> tuple[SegCVAE, cp.Vocabulary, list[Path]]:
+    """The model and vocabulary of a training run, and the run files read."""
+    checkpoint, vocab = paths = [Path(run_dir) / name for name in RUN_FILES]
+    model = tr.load_model(checkpoint)
+    return model, cp.Vocabulary.load(vocab, model.emb.values), paths
 
 
 # ---------------------------------------------------------------------------
@@ -87,43 +103,47 @@ def _cmd_prepare_data(args) -> int:
     else:
         splits, manifest = cp.build_cdm_dataset(pairs, args.mode)
     out_dir = Path(args.out)
-    artifacts = [f"{name}.tsv" for name in splits]
     extra = {"mode": args.mode,
              "groups": str(manifest["groups"]),
              **{f"pairs.{k}": str(v) for k, v in manifest["pairs"].items()}}
-    write_manifest(out_dir, "prepare-data", cfg, [corpus_path], artifacts, extra)
-    for name, split in splits.items():
-        cp.write_pairs(out_dir / f"{name}.tsv", split)
+    write_manifest(out_dir, "prepare-data", cfg, [corpus_path], extra)
+    for name in OUTPUTS["prepare-data"]:
+        cp.write_pairs(out_dir / name, splits[Path(name).stem])
     print(f"wrote {sum(manifest['pairs'].values())} pairs "
           f"({manifest['pairs']}) to {out_dir}")
+    return 0
+
+
+def _report(args, text: str) -> int:
+    """Print a text report and, with --out, write it there as the command's output."""
+    sys.stdout.write(text)
+    if args.out:
+        (name,) = OUTPUTS[args.command]
+        (Path(args.out) / name).write_text(text, encoding="utf-8")
     return 0
 
 
 def _cmd_cdm_stats(args) -> int:
     pairs = cp.pairs_from_corpus(cp.read_corpus_file(args.infile))
     if args.out:
-        write_manifest(Path(args.out), "cdm-stats", None, [Path(args.infile)],
-                       ["cdm_report.txt"])
-    text = cp.mine_cdm(pairs).text()
-    sys.stdout.write(text)
-    if args.out:
-        (Path(args.out) / "cdm_report.txt").write_text(text, encoding="utf-8")
-    return 0
+        write_manifest(Path(args.out), "cdm-stats", None, [Path(args.infile)])
+    return _report(args, cp.mine_cdm(pairs).text())
 
 
 def _train_like(args) -> int:
     cfg, paths = _load_config(args)
     data_dir = _input_path(args, paths, "data_dir")
-    train_pairs = cp.read_pairs(data_dir / "train.tsv")
-    valid_path = data_dir / "valid.tsv"
+    train_path, valid_path, _ = (data_dir / name for name in OUTPUTS["prepare-data"])
+    train_pairs = cp.read_pairs(train_path)
     valid_pairs = cp.read_pairs(valid_path) if valid_path.exists() else []
     vocab = cp.build_vocab(train_pairs, max_size=cfg.vocab_cap,
                            emb_dim=cfg.emb_dim, seed=cfg.seed)
     out_dir = Path(args.out)
-    inputs = [data_dir / "train.tsv"] + ([valid_path] if valid_path.exists() else [])
-    write_manifest(out_dir, args.command, cfg, inputs,
-                   [tr.CHECKPOINT_NAME, tr.LOG_NAME, "vocab.txt"])
-    vocab.save(out_dir / "vocab.txt")
+    if out_dir.is_dir() and any(out_dir.iterdir()):
+        raise DomainError(f"{out_dir}: not empty; a run needs a directory of its own")
+    inputs = [train_path] + ([valid_path] if valid_path.exists() else [])
+    write_manifest(out_dir, args.command, cfg, inputs)
+    vocab.save(out_dir / VOCAB)
     result = tr.fit({"train": train_pairs, "valid": valid_pairs}, vocab, cfg, out_dir)
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"log: {result.log_path}")
@@ -140,28 +160,26 @@ def _by_context(pairs) -> dict[tuple, list]:
 
 
 def _cmd_generate(args) -> int:
-    model, vocab = _load_run(args.run)
+    model, vocab, run_files = _load_run(args.run)
     grouped = list(_by_context(cp.read_pairs(args.data)).items())
     if args.limit:
         grouped = grouped[:args.limit]
     out_dir = Path(args.out)
-    write_manifest(out_dir, "generate", None,
-                   [Path(args.run) / tr.CHECKPOINT_NAME, Path(args.data)],
-                   ["generated.tsv"],
-                   {"n_responses": str(args.n_responses),
-                    "seed": str(args.seed)})
+    write_manifest(out_dir, "generate", None, run_files + [Path(args.data)],
+                   {"n_responses": str(args.n_responses), "seed": str(args.seed)})
     rng = Rng(args.seed)
     records = [ev.generate_n(model, vocab, ctx, args.n_responses, rng,
                              ground_truths=truths)
                for ctx, truths in grouped]
-    ev.write_generation(out_dir / "generated.tsv", records)
+    (dump,) = OUTPUTS["generate"]
+    ev.write_generation(out_dir / dump, records)
     print(f"wrote {len(records)} contexts x {args.n_responses} responses "
-          f"to {out_dir / 'generated.tsv'}")
+          f"to {out_dir / dump}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    model, vocab = _load_run(args.run)
+    model, vocab, run_files = _load_run(args.run)
     records = ev.read_generation(args.infile)
     pairs = cp.read_pairs(args.data)
     truths = _by_context(pairs)
@@ -170,14 +188,10 @@ def _cmd_evaluate(args) -> int:
     data = cp.encode_pairs(pairs, vocab, model.config.max_len)
     if args.out:
         write_manifest(Path(args.out), "evaluate", None,
-                       [Path(args.infile), Path(args.data)], ["metrics.txt"])
+                       run_files + [Path(args.infile), Path(args.data)])
     metrics = ev.evaluate_records(records, vocab)
     metrics["ppl"] = tr.perplexity(model, data)
-    text = ev.report_text(metrics, corpus_size=len(pairs))
-    sys.stdout.write(text)
-    if args.out:
-        (Path(args.out) / "metrics.txt").write_text(text, encoding="utf-8")
-    return 0
+    return _report(args, ev.report_text(metrics, corpus_size=len(pairs)))
 
 
 def _cmd_gradcheck(args) -> int:
@@ -214,11 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="SEGCVAE_THREADS caps evaluation worker counts.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, infile=True, out_required=True):
+    def common(p):
         p.add_argument("--config", help="key = value configuration file")
-        if infile:
-            p.add_argument("--in", dest="infile", help="input path")
-        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--in", dest="infile", help="input path")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=_seed, help="override the configured seed")
 
     p = sub.add_parser("prepare-data", help="build datasets from a raw corpus")

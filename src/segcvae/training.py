@@ -2,19 +2,19 @@
 
 The objective is maximized, so each step minimizes its negation.  Both the
 norm weight and the KL weight ramp linearly from zero; the norm weight can
-instead be pinned to a constant.  A checkpoint is persisted every time the
-validation perplexity reaches a new minimum; perplexity scores all branches
-of a context in one no-graph pass, as the training step's scoring pass
-does.  The serialized state (each parameter and its optimizer moments by
-the parameter's name, step, generator states) holds all an exact resume
-needs, though no entry point resumes yet.
+instead be pinned to a constant.  ``fit`` writes its log (``LOG_NAME``) and,
+at every new validation-perplexity minimum, a checkpoint
+(``CHECKPOINT_NAME``); perplexity scores all branches of a context in one
+no-graph pass, as the training step's scoring pass does.  The serialized
+state (each parameter and its optimizer moments by the parameter's name,
+step, generator states) holds all an exact resume needs, though no entry
+point resumes yet.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -214,42 +214,30 @@ def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],
     in one no-graph pass (``SegCVAE.prior_recon``) of ``max(1, batch_size //
     M)`` contexts, so ``batch_size`` bounds the rows a pass decodes (M per
     context), not the contexts.  The calling thread and ``worker_count() -
-    1`` threads started for the call share out the passes, each taking its
-    own first pass and then the next one left; the passes' sums are added
+    1`` threads started for the call share out the passes, thread i of T
+    taking passes i, i + T, i + 2T, ...; the passes' sums are added
     exactly, so the result does not depend on the number of threads."""
     ctx_ids, resp_ids = dataset
     if ctx_ids.shape[0] == 0:
         raise EmptyCorpus("cannot evaluate perplexity on an empty dataset")
     step = max(1, batch_size // model.config.num_triggers)
     passes = [slice(start, start + step) for start in range(0, ctx_ids.shape[0], step)]
-
     results = [0.0] * len(passes)
     workers = min(worker_count(), len(passes))
-    todo = queue.SimpleQueue()  # the passes after each thread's first
-    for i in range(workers, len(passes)):
-        todo.put(i)
 
-    def pass_nll(rows: slice) -> float:  # each response under its best branch
-        return -float(model.prior_recon(ctx_ids[rows], resp_ids[rows]).max(axis=0).sum())
+    def run_passes(first: int):  # passes first, first + workers, ...
+        for i in range(first, len(passes), workers):  # each response under its best branch
+            rows = passes[i]
+            results[i] = -float(model.prior_recon(ctx_ids[rows], resp_ids[rows]).max(axis=0).sum())
 
-    # every thread is up before any pass runs, so each thread takes exactly one
-    # first pass and the min(threads, passes) threads that run passes are distinct
-    ready = threading.Barrier(workers)
+    # helpers start once all are up: one that ended before the next started
+    # would hand its thread id on, and the two would count as one thread
+    errors, started = [], threading.Event()
 
-    def drain(i: int):  # pass i, then passes from the queue until it is empty
-        ready.wait()
-        while True:
-            results[i] = pass_nll(passes[i])
-            try:
-                i = todo.get_nowait()
-            except queue.Empty:
-                return
-
-    errors = []
-
-    def helper(i: int):  # a helper's error is raised on the calling thread
+    def helper(first: int):  # a helper's error is raised on the calling thread
+        started.wait()
         try:
-            drain(i)
+            run_passes(first)
         except BaseException as err:
             errors.append(err)
 
@@ -257,11 +245,10 @@ def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],
     try:
         for thread in helpers:
             thread.start()
-        drain(0)
-    except BaseException:
-        ready.abort()  # frees the helpers waiting for a thread that did not start
-        raise
+        started.set()
+        run_passes(0)
     finally:
+        started.set()  # frees the started helpers when another one could not start
         for thread in helpers:
             if thread.ident is not None:  # started
                 thread.join()
@@ -364,10 +351,8 @@ def fit(splits: dict[str, Sequence[DialoguePair]], vocab: Vocabulary,
     valid_data = encode_pairs(valid_pairs, vocab, cfg.max_len)
     state = init_state(cfg, vocab)
 
-    ckpt_path = run_dir / CHECKPOINT_NAME
-    log_path = run_dir / LOG_NAME
-    result = FitResult(ckpt_path, log_path)
-    with open(log_path, "w", encoding="utf-8") as log:
+    result = FitResult(run_dir / CHECKPOINT_NAME, run_dir / LOG_NAME)
+    with open(result.log_path, "w", encoding="utf-8") as log:
         for epoch in range(cfg.epochs):
             for index in iterate_batches(len(train_pairs), cfg.batch_size, state.data_rng):
                 batch = (train_data[0][index], train_data[1][index])
@@ -379,7 +364,7 @@ def fit(splits: dict[str, Sequence[DialoguePair]], vocab: Vocabulary,
             log.write(f"epoch={epoch} val_ppl={val_ppl!r}\n")
             if val_ppl < state.best_ppl:
                 state.best_ppl = val_ppl
-                save_state(state, cfg, ckpt_path)
+                save_state(state, cfg, result.checkpoint_path)
     if state.best_ppl == math.inf:  # no finite ppl in this run; keep its last state
-        save_state(state, cfg, ckpt_path)
+        save_state(state, cfg, result.checkpoint_path)
     return result

@@ -406,7 +406,7 @@ def test_09_training_determinism(tmp_path):
                                  "--in", str(data_dir), "--out", str(out)])
             assert code == 0
             outputs.append(out)
-        for name in ("manifest.txt", "train_log.txt", "checkpoint.bin", "vocab.txt"):
+        for name in (cli.MANIFEST, *cli.OUTPUTS["train"]):
             a = (outputs[0] / name).read_bytes()
             b = (outputs[1] / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"

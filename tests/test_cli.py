@@ -1,6 +1,12 @@
 """End-to-end tests of the command-line surface."""
 
+import builtins
+import io
+import multiprocessing
+import os
 import shutil
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,8 +274,8 @@ class TestTrainGenerateEvaluate:
         return out
 
     def test_train_writes_all_artifacts(self, run_dir):
-        for name in ("manifest.txt", "vocab.txt", "train_log.txt", "checkpoint.bin"):
-            assert (run_dir / name).exists()
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted((cli.MANIFEST,
+                                                                    *cli.OUTPUTS["train"]))
         log = (run_dir / "train_log.txt").read_text().splitlines()
         assert log[0].startswith("step=0 elbo=")
         assert any(line.startswith("epoch=0 val_ppl=") for line in log)
@@ -487,6 +493,65 @@ class TestTrainGenerateEvaluate:
         assert self._generate(run_dir, data_dir, tmp_path) == 1
         assert f"vocab.txt:7: token '{lines[5].strip()}' repeats line 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_a_used_out_is_refused_and_left_as_it_was(self, command, run_dir, config_file,
+                                                      data_dir, tmp_path, monkeypatch, capsys):
+        """A second run into a finished run's --out, on another data set and
+        dying before its first save, is exit 1 naming --out and changes no
+        file there: generate still decodes only the first run's words."""
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        other = tmp_path / "other"
+        other.mkdir()
+        second = [(f"zq{i}", f"za{i}") for i in range(12)]  # words of the second run only
+        corpus.write_pairs(other / "train.tsv", [DialoguePair((q, "and", "you"), (a, "sure"))
+                                                  for q, a in second])
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("the second run died before its first save")
+
+        monkeypatch.setattr(tr, "save_state", crash)
+        drop = ["--drop", "san"] if command == "ablate" else []
+        capsys.readouterr()
+        assert cli.dispatch([command, "--config", str(config_file), "--in", str(other),
+                             "--out", str(run_dir), *drop]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {run_dir}: ")
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        monkeypatch.undo()
+        assert self._generate(run_dir, data_dir, tmp_path) == 0
+        (dump,) = cli.OUTPUTS["generate"]
+        words = {w for line in (tmp_path / "gen" / dump).read_text(encoding="utf-8").splitlines()
+                 for response in line.split("\t")[1:] for w in response.split()}
+        assert words and words <= set(before[cli.VOCAB].decode("utf-8").split())
+        assert words.isdisjoint(w for pair in second for w in pair)
+
+    def test_manifests_digest_the_run_files_read(self, run_dir, data_dir, tmp_path):
+        """generate and evaluate list each run file they read; evaluate
+        against another checkpoint gives another manifest, whose only
+        different line is that checkpoint's digest."""
+        assert self._generate(run_dir, data_dir, tmp_path) == 0
+        (dump,) = cli.OUTPUTS["generate"]
+        other = tmp_path / "other_run"
+        shutil.copytree(run_dir, other)
+        cfg = tr.TrainingConfig()
+        state = tr.load_state(other / cli.CHECKPOINT, cfg)
+        state.model.params["out.b"].values[4:] += 1.0
+        tr.save_state(state, cfg, other / cli.CHECKPOINT)
+        manifests = []
+        for run in (run_dir, other):
+            out = tmp_path / f"metrics_{run.name}"
+            assert cli.dispatch(["evaluate", "--in", str(tmp_path / "gen" / dump),
+                                 "--data", str(data_dir / "test.tsv"), "--run", str(run),
+                                 "--out", str(out)]) == 0
+            manifests.append((out / cli.MANIFEST).read_text(encoding="utf-8").splitlines())
+        generated = (tmp_path / "gen" / cli.MANIFEST).read_text(encoding="utf-8").splitlines()
+        for manifest, run in ((generated, run_dir), (manifests[0], run_dir),
+                              (manifests[1], other)):
+            for name in cli.RUN_FILES:
+                assert f"input.{name} = sha256:{cli._digest(run / name)}" in manifest
+        assert len(manifests[0]) == len(manifests[1])
+        changed = [a for a, b in zip(*manifests) if a != b]
+        assert [line.split(" = ")[0] for line in changed] == [f"input.{cli.CHECKPOINT}"]
+
     def test_ablate_sets_flag(self, config_file, data_dir, tmp_path):
         out = tmp_path / "ablate_run"
         code = cli.dispatch(["ablate", "--config", str(config_file),
@@ -498,6 +563,160 @@ class TestTrainGenerateEvaluate:
         assert "config.no_is = true" in manifest
         log = (out / "train_log.txt").read_text()
         assert " san=0.0 " in log.splitlines()[0]
+
+
+KILLED = 75  # the exit status of a child ended at a write point
+
+
+def _write_points(monkeypatch, point):
+    """Call ``point(path)`` at each write point of the package: after each
+    open for writing, after each ``os.replace``, and after the first, middle
+    and last array write of each checkpoint save (to its ``.tmp`` file)."""
+    real_open, real_replace = io.open, os.replace
+
+    class Saving:  # a checkpoint being written: its index, then one write per array
+        def __init__(self, fh, path):
+            self.fh, self.path, self.arrays, self.written = fh, path, None, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            size = self.fh.write(data)
+            if self.arrays is None:  # the index, with one 'array' line per write to come
+                self.arrays = bytes(data).count(b"\narray ")
+            else:
+                self.written += 1
+                if self.written in (1, (self.arrays + 1) // 2, self.arrays):
+                    point(self.path)
+            return size
+
+    def opening(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if set(mode) & set("wax+"):
+            point(file)
+            if os.fspath(file).endswith(".tmp"):
+                return Saving(fh, file)
+        return fh
+
+    def replacing(src, dst, **kwargs):
+        real_replace(src, dst, **kwargs)
+        point(dst)
+
+    for module in (builtins, io):
+        monkeypatch.setattr(module, "open", opening)
+    monkeypatch.setattr(os, "replace", replacing)
+
+
+def _run_killed_at(kill_at: int, argv):
+    """A forked child's body: run ``argv``, ending the process at its
+    ``kill_at``-th write point; its exit status is KILLED, or the command's."""
+    seen = 0
+
+    def point(path):
+        nonlocal seen
+        seen += 1
+        if seen == kill_at:
+            os._exit(KILLED)
+
+    try:
+        _write_points(pytest.MonkeyPatch(), point)
+        code = cli.dispatch(argv)
+    except BaseException:  # an error the command let through: neither KILLED nor 0-2
+        code = 70
+    os._exit(code)
+
+
+def _exit_status_killed_at(kill_at: int, argv) -> int:
+    """Fork a child that runs ``argv`` killed at write point ``kill_at``,
+    join it, and return its exit status."""
+    assert threading.active_count() == 1  # forking a process with threads can deadlock
+    child = multiprocessing.get_context("fork").Process(target=_run_killed_at,
+                                                        args=(kill_at, argv))
+    child.start()
+    child.join(timeout=120)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung
+    return child.exitcode
+
+
+class TestKillAnywhere:
+    """A train killed at any write point, into a fresh --out or into a
+    finished run's, leaves a directory that generate and evaluate either
+    refuse with exit 1 naming the missing run file, or read back whole: each
+    run file they read equals the reference run's (the checkpoint after one
+    of its saves), and no ``.tmp`` file is ever read."""
+
+    def test_every_write_point(self, config_file, data_dir, tmp_path, monkeypatch, capfd):
+        def train(out):
+            return ["train", "--config", str(config_file), "--in", str(data_dir),
+                    "--out", str(out)]
+
+        points, saves = [], []  # of an uninterrupted reference run
+
+        def record(path):
+            points.append(Path(path).name)
+            if Path(path).name == cli.CHECKPOINT:
+                saves.append(Path(path).read_bytes())
+
+        ref = tmp_path / "ref"
+        with monkeypatch.context() as patch:
+            _write_points(patch, record)
+            assert cli.dispatch(train(ref)) == 0
+        assert set(points) == {cli.MANIFEST, *cli.OUTPUTS["train"], cli.CHECKPOINT + ".tmp"}
+        assert saves and saves[-1] == (ref / cli.CHECKPOINT).read_bytes()
+        (dump,) = cli.OUTPUTS["generate"]
+        assert cli.dispatch(["generate", "--run", str(ref), "--data", str(data_dir / "test.tsv"),
+                             "--out", str(tmp_path / "ref_gen")]) == 0
+        finished = {p.name: p.read_bytes() for p in ref.iterdir()}
+        used = tmp_path / "used"
+        shutil.copytree(ref, used)
+
+        for k in range(1, len(points) + 1):
+            for out in (tmp_path / f"fresh{k}", used):
+                status = _exit_status_killed_at(k, train(out))
+                if out == used:  # refused before any write point
+                    assert status == 1
+                    assert {p.name: p.read_bytes() for p in used.iterdir()} == finished
+                else:
+                    assert status == KILLED
+                self._read_back(out, ref, saves, tmp_path / "ref_gen" / dump, data_dir,
+                                tmp_path, monkeypatch, capfd)
+
+    @staticmethod
+    def _read_back(run, ref, saves, dump, data_dir, tmp_path, monkeypatch, capfd):
+        opened, real_open = [], io.open
+
+        def recording(file, *args, **kwargs):
+            opened.append(Path(file))
+            return real_open(file, *args, **kwargs)
+
+        test = str(data_dir / "test.tsv")
+        for argv in (["generate", "--run", str(run), "--data", test,
+                      "--out", str(tmp_path / "gen")],
+                     ["evaluate", "--in", str(dump), "--data", test, "--run", str(run)]):
+            opened.clear()
+            with monkeypatch.context() as patch:
+                for module in (builtins, io):
+                    patch.setattr(module, "open", recording)
+                code = cli.dispatch(argv)
+            err = capfd.readouterr().err
+            assert not [p for p in opened if p.suffix == ".tmp"]
+            if code == 1:
+                assert any(err.startswith(f"error: {run / name}: ") for name in cli.RUN_FILES), err
+                continue
+            assert code == 0, err
+            read = {p for p in opened if p.parent == run}
+            assert {p.name for p in read} == set(cli.RUN_FILES)
+            for path in read:
+                assert path.read_bytes() in (saves if path.name == cli.CHECKPOINT
+                                             else [(ref / path.name).read_bytes()])
 
 
 class TestGradcheckCommand:

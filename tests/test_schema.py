@@ -100,7 +100,7 @@ def test_default_snapshot():
 
 def test_manifest_config_lines(tmp_path):
     cfg = _parsed(tmp_path, CONFIG_TEXT + "lambda_constant = 0.5\nno_san = true\n")
-    manifest = cli.write_manifest(tmp_path / "run", "train", cfg, [], [])
+    manifest = cli.write_manifest(tmp_path / "run", "train", cfg, [])
     lines = [line for line in manifest.read_text(encoding="utf-8").splitlines()
              if line.startswith("config.")]
     assert "\n".join(lines) == MANIFEST_CONFIG_LINES
