@@ -1,10 +1,14 @@
 """Command-line surface: data preparation, training, generation, evaluation.
 
-Every artifact-producing run records a manifest (tool version, seed, full
-config snapshot, content digests of the inputs, run files read included,
-artifact names) before any work starts, so a run can be reproduced byte for
-byte from its manifest.  ``train`` and ``ablate`` refuse a used ``--out``,
-so a run directory never mixes two runs.
+An input is named by ``--in`` (or ``--run`` and ``--data``) and nothing
+else: a config file holds hyperparameters only, and no path option may be
+empty, so no input is ever the working directory by default.  Every
+artifact-producing run records a manifest (tool version, the config
+snapshot and seed where it reads a config, the options it ran with, content
+digests of the inputs, run files read included, artifact names) before any
+work starts, so a run can be reproduced byte for byte from its manifest.
+The manifest is every command's first write, and it refuses an ``--out``
+that holds any entry, so a run directory never mixes two runs.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from . import evaluation as ev
 from . import training as tr
 from .autodiff import Rng
 from .config import config_snapshot, parse_config
-from .errors import DomainError, MissingKey, SegcvaeError
+from .errors import DomainError, SegcvaeError
 from .gradsuite import TOLERANCE, run_suite
 from .model import SegCVAE
 
@@ -39,12 +43,20 @@ OUTPUTS["ablate"] = OUTPUTS["train"]
 
 
 def _digest(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """A file's sha256, read in 1 MiB chunks so a checkpoint is never held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_manifest(out_dir: Path, command: str, cfg: tr.TrainingConfig | None,
                    inputs: list[Path], extra: dict[str, str] = None) -> Path:
-    out_dir = Path(out_dir)
+    """Write ``command``'s manifest into a new or empty ``out_dir``; any entry
+    there already is a DomainError, raised before anything is written."""
+    if out_dir.is_dir() and any(out_dir.iterdir()):
+        raise DomainError(f"{out_dir}: not empty; a run needs a directory of its own")
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"command = {command}", f"tool_version = {__version__}"]
     if cfg is not None:
@@ -54,7 +66,7 @@ def write_manifest(out_dir: Path, command: str, cfg: tr.TrainingConfig | None,
     for key, value in sorted((extra or {}).items()):
         lines.append(f"{key} = {value}")
     for path in inputs:
-        lines.append(f"input.{Path(path).name} = sha256:{_digest(path)}")
+        lines.append(f"input.{path.name} = sha256:{_digest(path)}")
     for name in OUTPUTS[command]:
         lines.append(f"artifact.{name} = {name}")
     path = out_dir / MANIFEST
@@ -62,22 +74,19 @@ def write_manifest(out_dir: Path, command: str, cfg: tr.TrainingConfig | None,
     return path
 
 
-def _load_config(args) -> tuple[tr.TrainingConfig, dict[str, str]]:
-    if getattr(args, "config", None):
-        cfg, paths = parse_config(args.config)
-    else:
-        cfg, paths = tr.TrainingConfig(), {}
-    if getattr(args, "seed", None) is not None:
+def _load_config(args) -> tr.TrainingConfig:
+    """``train``/``ablate``'s configuration: the file, then --seed and --drop."""
+    cfg = parse_config(args.config) if args.config else tr.TrainingConfig()
+    if args.seed is not None:
         cfg.seed = args.seed
-    for name in getattr(args, "drop", None) or ():
+    for name in args.drop or ():
         setattr(cfg, f"no_{name}", True)
-    cfg.validate()
-    return cfg, paths
+    return cfg
 
 
 def _load_run(run_dir) -> tuple[SegCVAE, cp.Vocabulary, list[Path]]:
     """The model and vocabulary of a training run, and the run files read."""
-    checkpoint, vocab = paths = [Path(run_dir) / name for name in RUN_FILES]
+    checkpoint, vocab = paths = [run_dir / name for name in RUN_FILES]
     model = tr.load_model(checkpoint)
     return model, cp.Vocabulary.load(vocab, model.emb.values), paths
 
@@ -86,31 +95,20 @@ def _load_run(run_dir) -> tuple[SegCVAE, cp.Vocabulary, list[Path]]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _input_path(args, paths: dict[str, str], key: str) -> Path:
-    """``--in``, else the config file's ``key`` entry; neither is a MissingKey
-    (an empty path would name the working directory)."""
-    if not (where := args.infile or paths.get(key)):
-        raise MissingKey(f"{args.command} needs --in or a '{key}' config entry")
-    return Path(where)
-
-
 def _cmd_prepare_data(args) -> int:
-    cfg, paths = _load_config(args)
-    corpus_path = _input_path(args, paths, "corpus")
-    pairs = cp.pairs_from_corpus(cp.read_corpus_file(corpus_path))
+    pairs = cp.pairs_from_corpus(cp.read_corpus_file(args.infile))
     if args.mode == "general":
         splits, manifest = cp.general_split(pairs)
     else:
         splits, manifest = cp.build_cdm_dataset(pairs, args.mode)
-    out_dir = Path(args.out)
     extra = {"mode": args.mode,
              "groups": str(manifest["groups"]),
              **{f"pairs.{k}": str(v) for k, v in manifest["pairs"].items()}}
-    write_manifest(out_dir, "prepare-data", cfg, [corpus_path], extra)
+    write_manifest(args.out, "prepare-data", None, [args.infile], extra)
     for name in OUTPUTS["prepare-data"]:
-        cp.write_pairs(out_dir / name, splits[Path(name).stem])
+        cp.write_pairs(args.out / name, splits[Path(name).stem])
     print(f"wrote {sum(manifest['pairs'].values())} pairs "
-          f"({manifest['pairs']}) to {out_dir}")
+          f"({manifest['pairs']}) to {args.out}")
     return 0
 
 
@@ -119,32 +117,28 @@ def _report(args, text: str) -> int:
     sys.stdout.write(text)
     if args.out:
         (name,) = OUTPUTS[args.command]
-        (Path(args.out) / name).write_text(text, encoding="utf-8")
+        (args.out / name).write_text(text, encoding="utf-8")
     return 0
 
 
 def _cmd_cdm_stats(args) -> int:
     pairs = cp.pairs_from_corpus(cp.read_corpus_file(args.infile))
     if args.out:
-        write_manifest(Path(args.out), "cdm-stats", None, [Path(args.infile)])
+        write_manifest(args.out, "cdm-stats", None, [args.infile])
     return _report(args, cp.mine_cdm(pairs).text())
 
 
 def _train_like(args) -> int:
-    cfg, paths = _load_config(args)
-    data_dir = _input_path(args, paths, "data_dir")
-    train_path, valid_path, _ = (data_dir / name for name in OUTPUTS["prepare-data"])
+    cfg = _load_config(args)
+    train_path, valid_path, _ = (args.infile / name for name in OUTPUTS["prepare-data"])
     train_pairs = cp.read_pairs(train_path)
     valid_pairs = cp.read_pairs(valid_path) if valid_path.exists() else []
     vocab = cp.build_vocab(train_pairs, max_size=cfg.vocab_cap,
                            emb_dim=cfg.emb_dim, seed=cfg.seed)
-    out_dir = Path(args.out)
-    if out_dir.is_dir() and any(out_dir.iterdir()):
-        raise DomainError(f"{out_dir}: not empty; a run needs a directory of its own")
     inputs = [train_path] + ([valid_path] if valid_path.exists() else [])
-    write_manifest(out_dir, args.command, cfg, inputs)
-    vocab.save(out_dir / VOCAB)
-    result = tr.fit({"train": train_pairs, "valid": valid_pairs}, vocab, cfg, out_dir)
+    write_manifest(args.out, args.command, cfg, inputs)
+    vocab.save(args.out / VOCAB)
+    result = tr.fit({"train": train_pairs, "valid": valid_pairs}, vocab, cfg, args.out)
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"log: {result.log_path}")
     print(f"best_val_ppl: {min(result.val_ppl)!r}")
@@ -164,17 +158,17 @@ def _cmd_generate(args) -> int:
     grouped = list(_by_context(cp.read_pairs(args.data)).items())
     if args.limit:
         grouped = grouped[:args.limit]
-    out_dir = Path(args.out)
-    write_manifest(out_dir, "generate", None, run_files + [Path(args.data)],
-                   {"n_responses": str(args.n_responses), "seed": str(args.seed)})
+    options = {"limit": args.limit, "n_responses": args.n_responses, "seed": args.seed}
+    write_manifest(args.out, "generate", None, run_files + [args.data],
+                   {k: str(v) for k, v in options.items() if v is not None})
     rng = Rng(args.seed)
     records = [ev.generate_n(model, vocab, ctx, args.n_responses, rng,
                              ground_truths=truths)
                for ctx, truths in grouped]
     (dump,) = OUTPUTS["generate"]
-    ev.write_generation(out_dir / dump, records)
+    ev.write_generation(args.out / dump, records)
     print(f"wrote {len(records)} contexts x {args.n_responses} responses "
-          f"to {out_dir / dump}")
+          f"to {args.out / dump}")
     return 0
 
 
@@ -187,8 +181,7 @@ def _cmd_evaluate(args) -> int:
         rec.ground_truths = [tuple(t) for t in truths.get(rec.context, [])]
     data = cp.encode_pairs(pairs, vocab, model.config.max_len)
     if args.out:
-        write_manifest(Path(args.out), "evaluate", None,
-                       run_files + [Path(args.infile), Path(args.data)])
+        write_manifest(args.out, "evaluate", None, run_files + [args.infile, args.data])
     metrics = ev.evaluate_records(records, vocab)
     metrics["ppl"] = tr.perplexity(model, data)
     return _report(args, ev.report_text(metrics, corpus_size=len(pairs)))
@@ -221,6 +214,13 @@ def _integer(low: int, what: str):
 _positive_int, _seed = _integer(1, "positive"), _integer(0, "non-negative")
 
 
+def _path(text: str) -> Path:
+    """An argument type: a path; an empty one would name the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return Path(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segcvae",
@@ -228,44 +228,44 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="SEGCVAE_THREADS caps evaluation worker counts.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--in", dest="infile", help="input path")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=_seed, help="override the configured seed")
-
     p = sub.add_parser("prepare-data", help="build datasets from a raw corpus")
-    common(p)
+    p.add_argument("--in", dest="infile", type=_path, required=True, help="raw corpus file")
+    p.add_argument("--out", type=_path, required=True, help="output directory")
     p.add_argument("--mode", choices=("o2m", "m2o", "general"), default="general")
     p.set_defaults(func=_cmd_prepare_data)
 
     p = sub.add_parser("cdm-stats", help="report one-to-many / many-to-one fractions")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", help="optional directory for the report file")
+    p.add_argument("--in", dest="infile", type=_path, required=True, help="raw corpus file")
+    p.add_argument("--out", type=_path, help="optional directory for the report file")
     p.set_defaults(func=_cmd_cdm_stats)
 
     for name, what in (("train", "train on a prepared dataset directory"),
                        ("ablate", "train with components dropped")):
         p = sub.add_parser(name, help=what)
-        common(p)
+        p.add_argument("--config", type=_path, help="key = value configuration file")
+        p.add_argument("--in", dest="infile", type=_path, required=True,
+                       help="prepared data directory (train.tsv, optional valid.tsv)")
+        p.add_argument("--out", type=_path, required=True, help="output directory")
+        p.add_argument("--seed", type=_seed, help="override the configured seed")
         p.add_argument("--drop", action="append", required=name == "ablate",
                        choices=("is", "eg", "san", "scn", "sdn"))
         p.set_defaults(func=_train_like)
 
     p = sub.add_parser("generate", help="generate N responses per test context")
-    p.add_argument("--run", required=True, help="training output directory")
-    p.add_argument("--data", required=True, help="pair file with test contexts")
-    p.add_argument("--out", required=True)
+    p.add_argument("--run", type=_path, required=True, help="training output directory")
+    p.add_argument("--data", type=_path, required=True, help="pair file with test contexts")
+    p.add_argument("--out", type=_path, required=True, help="output directory")
     p.add_argument("--n-responses", type=_positive_int, default=8)
     p.add_argument("--seed", type=_seed, default=123456)
     p.add_argument("--limit", type=_positive_int, help="cap the number of contexts")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("evaluate", help="score a generation dump against references")
-    p.add_argument("--in", dest="infile", required=True, help="generation dump")
-    p.add_argument("--data", required=True, help="reference pair file")
-    p.add_argument("--run", required=True, help="training output directory")
-    p.add_argument("--out", help="optional directory for the metric report")
+    p.add_argument("--in", dest="infile", type=_path, required=True,
+                   help="generation dump (generate's generated.tsv)")
+    p.add_argument("--data", type=_path, required=True, help="reference pair file")
+    p.add_argument("--run", type=_path, required=True, help="training output directory")
+    p.add_argument("--out", type=_path, help="optional directory for the metric report")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")

@@ -4,7 +4,8 @@ Each hyperparameter is one dataclass field whose metadata carries its
 config-file key (the field name unless it differs), its value kind and its
 range rule.  Validation, config-file parsing, the manifest snapshot and the
 checkpoint meta all walk these fields, so a knob cannot be accepted in one
-place and rejected in another.
+place and rejected in another.  A config file holds these knobs and nothing
+else: input paths are named on the command line only.
 """
 
 from __future__ import annotations
@@ -133,10 +134,7 @@ class TrainingConfig(Architecture):
                            **{f.name: getattr(self, f.name) for f in fields(Architecture)})
 
 
-PATH_KEYS = ("data_dir", "corpus")
-
-
-def parse_config(path) -> tuple[TrainingConfig, dict[str, str]]:
+def parse_config(path) -> TrainingConfig:
     """Read line-oriented ``key = value`` text into a full configuration.
 
     Unknown keys, wrong types, out-of-range values and non-UTF-8 text are
@@ -146,7 +144,6 @@ def parse_config(path) -> tuple[TrainingConfig, dict[str, str]]:
     """
     by_key = {key_of(f): f for f in fields(TrainingConfig)}
     values: dict[str, object] = {}
-    paths: dict[str, str] = {}
     for lineno, raw in text_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -155,9 +152,6 @@ def parse_config(path) -> tuple[TrainingConfig, dict[str, str]]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
-        if key in PATH_KEYS:
-            paths[key] = text
-            continue
         if key not in by_key:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         f = by_key[key]
@@ -175,7 +169,7 @@ def parse_config(path) -> tuple[TrainingConfig, dict[str, str]]:
         cfg.validate()
     except DomainError as err:
         raise ConfigError(f"{path}: {err}") from None
-    return cfg, paths
+    return cfg
 
 
 def config_snapshot(cfg: TrainingConfig) -> dict[str, str]:

@@ -36,6 +36,3 @@ class NonFiniteGradient(DomainError):
 class ConfigError(SegcvaeError):
     """A run configuration file is malformed."""
 
-
-class MissingKey(ConfigError):
-    """A required configuration key is absent."""

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line surface."""
 
 import builtins
+import hashlib
 import io
 import multiprocessing
 import os
 import shutil
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from segcvae import cli, corpus
 from segcvae import evaluation as ev
 from segcvae import training as tr
 from segcvae.corpus import DialoguePair
-from segcvae.errors import ConfigError, MissingKey
+from segcvae.errors import ConfigError
 
 CORPUS_TEXT = """\
 hello there
@@ -80,12 +82,11 @@ def data_dir(tmp_path):
 
 class TestParseConfig:
     def test_values_and_defaults(self, config_file):
-        cfg, paths = cli.parse_config(config_file)
+        cfg = cli.parse_config(config_file)
         assert cfg.learning_rate == 0.001 or cfg.learning_rate == 0.003
         assert cfg.learning_rate == 0.003
         assert cfg.seed == 123456  # absent key keeps its default
         assert cfg.kernel_width == 2
-        assert paths == {}
 
     def test_negative_dimension_reports_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -105,11 +106,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r":1:.*'batch_size'"):
             cli.parse_config(path)
 
-    def test_path_keys_pass_through(self, tmp_path):
+    @pytest.mark.parametrize("key", ["data_dir", "corpus"])
+    def test_input_path_keys_are_unknown(self, tmp_path, key):
+        """Inputs are named by --in alone, so a path line is an unknown key."""
         path = tmp_path / "paths.cfg"
-        path.write_text("data_dir = /somewhere\ncorpus = raw.txt\n", encoding="utf-8")
-        _, paths = cli.parse_config(path)
-        assert paths == {"data_dir": "/somewhere", "corpus": "raw.txt"}
+        path.write_text(f"tau = 0.1\n{key} = /somewhere\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"paths\.cfg:2: unknown key '{key}'"):
+            cli.parse_config(path)
 
     def test_kernel_wider_than_context_names_file_and_both_keys(self, tmp_path):
         path = tmp_path / "short.cfg"
@@ -118,12 +121,12 @@ class TestParseConfig:
             cli.parse_config(path)
 
     def test_snapshot_roundtrips(self, config_file, tmp_path):
-        cfg, _ = cli.parse_config(config_file)
+        cfg = cli.parse_config(config_file)
         snapshot = cli.config_snapshot(cfg)
         rewritten = tmp_path / "snap.cfg"
         rewritten.write_text(
             "".join(f"{k} = {v}\n" for k, v in snapshot.items()), encoding="utf-8")
-        cfg2, _ = cli.parse_config(rewritten)
+        cfg2 = cli.parse_config(rewritten)
         assert cfg2 == cfg
 
 
@@ -206,17 +209,18 @@ class TestDispatchBasics:
         assert code == 1
         assert "train.tsv:13: not UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, key", [("prepare-data", "corpus"), ("train", "data_dir"),
-                                              ("ablate", "data_dir")])
-    def test_missing_input_is_not_the_working_directory(self, command, key, data_dir, tmp_path,
-                                                        monkeypatch, capsys):
-        """Without --in or a config entry the command needs its input named,
-        even where the working directory holds a train.tsv it could read."""
+    @pytest.mark.parametrize("infile", [None, ""], ids=["absent", "empty"])
+    @pytest.mark.parametrize("command", ["prepare-data", "train", "ablate"])
+    def test_missing_input_is_not_the_working_directory(self, command, infile, data_dir,
+                                                        tmp_path, monkeypatch, capsys):
+        """A missing or empty --in is a usage error, even where the working
+        directory holds a train.tsv the command could read."""
         monkeypatch.chdir(data_dir)
         out = tmp_path / "out"
+        given = [] if infile is None else ["--in", infile]
         drop = ["--drop", "san"] if command == "ablate" else []
-        assert cli.dispatch([command, "--out", str(out), *drop]) == 1
-        assert f"error: {command} needs --in or a '{key}' config entry" in capsys.readouterr().err
+        assert cli.dispatch([command, *given, "--out", str(out), *drop]) == 2
+        assert "--in" in capsys.readouterr().err
         assert not out.exists()
 
     def test_domain_error_exits_one(self, tmp_path, capsys):
@@ -493,36 +497,78 @@ class TestTrainGenerateEvaluate:
         assert self._generate(run_dir, data_dir, tmp_path) == 1
         assert f"vocab.txt:7: token '{lines[5].strip()}' repeats line 6" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "ablate"])
-    def test_a_used_out_is_refused_and_left_as_it_was(self, command, run_dir, config_file,
-                                                      data_dir, tmp_path, monkeypatch, capsys):
-        """A second run into a finished run's --out, on another data set and
-        dying before its first save, is exit 1 naming --out and changes no
-        file there: generate still decodes only the first run's words."""
-        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    @pytest.mark.parametrize("command", list(cli.OUTPUTS))
+    def test_a_used_out_is_refused_and_left_as_it_was(self, command, run_dir, corpus_file,
+                                                      config_file, data_dir, tmp_path,
+                                                      monkeypatch, capsys):
+        """A first run into an existing empty --out goes ahead.  A second run
+        into it, with other inputs or options and dying in its work, is exit
+        1 naming --out, prints nothing and changes no byte there; after a
+        second train or ablate, generate still decodes only the first run's
+        words."""
         other = tmp_path / "other"
         other.mkdir()
         second = [(f"zq{i}", f"za{i}") for i in range(12)]  # words of the second run only
         corpus.write_pairs(other / "train.tsv", [DialoguePair((q, "and", "you"), (a, "sure"))
                                                   for q, a in second])
+        other_corpus = tmp_path / "other.txt"
+        other_corpus.write_text("zq0\nza0\n\nzq0\nza1\n", encoding="utf-8")
+        test = data_dir / "test.tsv"
+        assert self._generate(run_dir, data_dir, tmp_path) == 0
+        dump = tmp_path / "gen" / cli.OUTPUTS["generate"][0]
+        train_args = ["--config", config_file] + (["--drop", "san"] if command == "ablate" else [])
+        # the first run's arguments, the second run's, and a step of the second run's work
+        first, again, work = {
+            "prepare-data": (["--in", corpus_file], ["--in", other_corpus, "--mode", "o2m"],
+                             (corpus, "write_pairs")),
+            "cdm-stats": (["--in", corpus_file], ["--in", other_corpus], (corpus, "mine_cdm")),
+            "train": ([*train_args, "--in", data_dir], [*train_args, "--in", other],
+                      (tr, "save_state")),
+            "generate": (["--run", run_dir, "--data", test, "--seed", "1"],
+                         ["--run", run_dir, "--data", test, "--seed", "2"],
+                         (ev, "write_generation")),
+            "evaluate": (["--in", dump, "--data", test, "--run", run_dir],
+                         ["--in", dump, "--data", other / "train.tsv", "--run", run_dir],
+                         (tr, "perplexity")),
+        }["train" if command == "ablate" else command]
+        out = tmp_path / "used"
+        out.mkdir()
+        assert cli.dispatch(list(map(str, [command, *first, "--out", out]))) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(before) == {cli.MANIFEST, *cli.OUTPUTS[command]}
 
         def crash(*args, **kwargs):
-            raise RuntimeError("the second run died before its first save")
+            raise RuntimeError("the second run died in its work")
 
-        monkeypatch.setattr(tr, "save_state", crash)
-        drop = ["--drop", "san"] if command == "ablate" else []
+        monkeypatch.setattr(*work, crash)
         capsys.readouterr()
-        assert cli.dispatch([command, "--config", str(config_file), "--in", str(other),
-                             "--out", str(run_dir), *drop]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {run_dir}: ")
-        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        assert cli.dispatch(list(map(str, [command, *again, "--out", out]))) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {out}: not empty") and captured.out == ""
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         monkeypatch.undo()
-        assert self._generate(run_dir, data_dir, tmp_path) == 0
-        (dump,) = cli.OUTPUTS["generate"]
-        words = {w for line in (tmp_path / "gen" / dump).read_text(encoding="utf-8").splitlines()
-                 for response in line.split("\t")[1:] for w in response.split()}
-        assert words and words <= set(before[cli.VOCAB].decode("utf-8").split())
-        assert words.isdisjoint(w for pair in second for w in pair)
+        if command in ("train", "ablate"):
+            gen = tmp_path / "gen_used"
+            assert cli.dispatch(["generate", "--run", str(out), "--data", str(test),
+                                 "--out", str(gen)]) == 0
+            words = {w for line in (gen / dump.name).read_text(encoding="utf-8").splitlines()
+                     for response in line.split("\t")[1:] for w in response.split()}
+            assert words and words <= set(before[cli.VOCAB].decode("utf-8").split())
+            assert words.isdisjoint(w for pair in second for w in pair)
+
+    def test_generate_manifest_records_limit(self, run_dir, data_dir, tmp_path):
+        """Runs that differ only in --limit have different manifests; without
+        --limit the manifest has no limit line."""
+        manifests = {}
+        for limit in ([], ["--limit", "1"], ["--limit", "2"]):
+            out = tmp_path / f"gen{''.join(limit)}"
+            assert cli.dispatch(["generate", "--run", str(run_dir),
+                                 "--data", str(data_dir / "test.tsv"),
+                                 "--out", str(out), *limit]) == 0
+            manifests[tuple(limit)] = (out / cli.MANIFEST).read_text(encoding="utf-8")
+        assert len(set(manifests.values())) == 3
+        assert "limit" not in manifests[()]
+        assert "\nlimit = 1\n" in manifests[("--limit", "1")]
 
     def test_manifests_digest_the_run_files_read(self, run_dir, data_dir, tmp_path):
         """generate and evaluate list each run file they read; evaluate
@@ -551,6 +597,23 @@ class TestTrainGenerateEvaluate:
         assert len(manifests[0]) == len(manifests[1])
         changed = [a for a, b in zip(*manifests) if a != b]
         assert [line.split(" = ")[0] for line in changed] == [f"input.{cli.CHECKPOINT}"]
+
+    def test_digest_does_not_hold_the_file_whole(self, tmp_path):
+        """Digesting a 16 MiB file peaks far below its size, with the same
+        digest as hashing its bytes at once."""
+        data = np.random.default_rng(0).bytes(16 << 20)
+        path = tmp_path / "big.bin"
+        path.write_bytes(data)
+        expected = hashlib.sha256(data).hexdigest()
+        del data
+        tracemalloc.start()
+        try:
+            digest = cli._digest(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digest == expected
+        assert peak < 4 << 20
 
     def test_ablate_sets_flag(self, config_file, data_dir, tmp_path):
         out = tmp_path / "ablate_run"
@@ -687,10 +750,10 @@ class TestKillAnywhere:
                 else:
                     assert status == KILLED
                 self._read_back(out, ref, saves, tmp_path / "ref_gen" / dump, data_dir,
-                                tmp_path, monkeypatch, capfd)
+                                tmp_path / f"gen_{out.name}{k}", monkeypatch, capfd)
 
     @staticmethod
-    def _read_back(run, ref, saves, dump, data_dir, tmp_path, monkeypatch, capfd):
+    def _read_back(run, ref, saves, dump, data_dir, gen_out, monkeypatch, capfd):
         opened, real_open = [], io.open
 
         def recording(file, *args, **kwargs):
@@ -698,8 +761,7 @@ class TestKillAnywhere:
             return real_open(file, *args, **kwargs)
 
         test = str(data_dir / "test.tsv")
-        for argv in (["generate", "--run", str(run), "--data", test,
-                      "--out", str(tmp_path / "gen")],
+        for argv in (["generate", "--run", str(run), "--data", test, "--out", str(gen_out)],
                      ["evaluate", "--in", str(dump), "--data", test, "--run", str(run)]):
             opened.clear()
             with monkeypatch.context() as patch:

@@ -88,8 +88,7 @@ meta vocab_size 31"""
 def _parsed(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text, encoding="utf-8")
-    cfg, _ = cli.parse_config(path)
-    return cfg
+    return cli.parse_config(path)
 
 
 def test_default_snapshot():
