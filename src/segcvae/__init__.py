@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .autodiff import Rng, Tensor, grad_check, no_grad
 from .corpus import (CdmReport, DialoguePair, Vocabulary, build_cdm_dataset,
                      build_vocab, encode_pair, extract_single_turn_pairs,
-                     filter_by_vocab, mine_cdm, tokenize)
+                     mine_cdm, tokenize)
 from .evaluation import (GenerationRecord, bleu_n, coherence, distinct_n,
                          embedding_average, generate_n, length_avg)
 from .model import (ModelConfig, SegCVAE, san, scn, sdn, select_positive,
@@ -24,7 +24,7 @@ __all__ = [
     "Rng", "Tensor", "grad_check", "no_grad",
     "CdmReport", "DialoguePair", "Vocabulary",
     "build_cdm_dataset", "build_vocab", "encode_pair",
-    "extract_single_turn_pairs", "filter_by_vocab", "mine_cdm", "tokenize",
+    "extract_single_turn_pairs", "mine_cdm", "tokenize",
     "GenerationRecord", "bleu_n", "coherence", "distinct_n",
     "embedding_average", "generate_n", "length_avg",
     "ModelConfig", "SegCVAE",

@@ -57,13 +57,9 @@ def no_grad():
         _mode.enabled = prev
 
 
-def _as_array(values, dtype=None):
+def _as_array(values):
     arr = np.asarray(values)
-    if dtype is not None:
-        return arr.astype(dtype, copy=False)
-    if arr.dtype in (np.float32, np.float64):
-        return arr
-    return arr.astype(np.float64)
+    return arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float64)
 
 
 def _freed(out):

@@ -145,26 +145,16 @@ def _train_like(args) -> int:
     return 0
 
 
-def _by_context(pairs) -> dict[tuple, list]:
-    """Each context's responses, contexts in first-seen order."""
-    grouped = {}
-    for pair in pairs:
-        grouped.setdefault(pair.context, []).append(pair.response)
-    return grouped
-
-
 def _cmd_generate(args) -> int:
     model, vocab, run_files = _load_run(args.run)
-    grouped = list(_by_context(cp.read_pairs(args.data)).items())
+    contexts = list(dict.fromkeys(p.context for p in cp.read_pairs(args.data)))
     if args.limit:
-        grouped = grouped[:args.limit]
+        contexts = contexts[:args.limit]
     options = {"limit": args.limit, "n_responses": args.n_responses, "seed": args.seed}
     write_manifest(args.out, "generate", None, run_files + [args.data],
                    {k: str(v) for k, v in options.items() if v is not None})
     rng = Rng(args.seed)
-    records = [ev.generate_n(model, vocab, ctx, args.n_responses, rng,
-                             ground_truths=truths)
-               for ctx, truths in grouped]
+    records = [ev.generate_n(model, vocab, ctx, args.n_responses, rng) for ctx in contexts]
     (dump,) = OUTPUTS["generate"]
     ev.write_generation(args.out / dump, records)
     print(f"wrote {len(records)} contexts x {args.n_responses} responses "
@@ -176,9 +166,11 @@ def _cmd_evaluate(args) -> int:
     model, vocab, run_files = _load_run(args.run)
     records = ev.read_generation(args.infile)
     pairs = cp.read_pairs(args.data)
-    truths = _by_context(pairs)
+    truths = {}  # each context's responses
+    for pair in pairs:
+        truths.setdefault(pair.context, []).append(pair.response)
     for rec in records:
-        rec.ground_truths = [tuple(t) for t in truths.get(rec.context, [])]
+        rec.ground_truths = list(truths.get(rec.context, ()))
     data = cp.encode_pairs(pairs, vocab, model.config.max_len)
     if args.out:
         write_manifest(args.out, "evaluate", None, run_files + [args.infile, args.data])

@@ -127,7 +127,6 @@ class TrainingConfig(Architecture):
     kl_anneal_steps: int = hp(10000, POSITIVE)
     seed: int = hp(123456, at_least(0))
     vocab_cap: int = hp(20000, at_least(4))
-    gs_noise: bool = hp(True)
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         return ModelConfig(vocab_size=vocab_size,

@@ -151,8 +151,8 @@ def build_vocab(pairs: Sequence[DialoguePair], max_size: int,
     id_to_token = list(SPECIALS) + kept
     token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
 
-    rng = Rng(seed)
     embedding = np.zeros((len(id_to_token), emb_dim))
+    seeded = []  # rows without a source row
     for i, tok in enumerate(id_to_token):
         if tok == PAD:
             continue  # padding row stays zero
@@ -162,19 +162,10 @@ def build_vocab(pairs: Sequence[DialoguePair], max_size: int,
                 raise DomainError(f"embedding row for '{tok}' has shape {row.shape}, want ({emb_dim},)")
             embedding[i] = row
         else:
-            embedding[i] = rng.uniform(-0.1, 0.1, emb_dim)
+            seeded.append(i)
+    # one draw takes the same doubles, in the same order, as one draw per row
+    embedding[seeded] = Rng(seed).uniform(-0.1, 0.1, (len(seeded), emb_dim))
     return Vocabulary(token_to_id, id_to_token, embedding)
-
-
-def filter_by_vocab(pairs: Sequence[DialoguePair], vocab: Vocabulary) -> list[DialoguePair]:
-    """Drop every pair that contains an utterance with out-of-vocabulary
-    tokens, on either side and wherever that utterance occurs."""
-    bad: set[tuple[str, ...]] = set()
-    for pair in pairs:
-        for utt in (pair.context, pair.response):
-            if any(tok not in vocab for tok in utt):
-                bad.add(utt)
-    return [p for p in pairs if p.context not in bad and p.response not in bad]
 
 
 # ---------------------------------------------------------------------------

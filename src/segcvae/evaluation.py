@@ -39,8 +39,7 @@ class GenerationRecord:
 
 
 def generate_n(model: SegCVAE, vocab: Vocabulary, context: Sequence[str],
-               n: int, rng: Rng,
-               ground_truths: Sequence[Sequence[str]] = ()) -> GenerationRecord:
+               n: int, rng: Rng) -> GenerationRecord:
     """Exactly ``n`` responses: branch k % num_triggers with a fresh prior
     draw per response.  The semantics are computed once for all of them, and
     the n responses decode greedily as one n-row batch; a row stops growing
@@ -71,7 +70,7 @@ def generate_n(model: SegCVAE, vocab: Vocabulary, context: Sequence[str],
             for k in np.flatnonzero(live):
                 responses[k].append(int(tokens[k]))
     return GenerationRecord(tuple(context), [vocab.tokens_of(ids) for ids in responses],
-                            [tuple(gt) for gt in ground_truths], branches.tolist(), list(z.values))
+                            branch_indices=branches.tolist(), z_samples=list(z.values))
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def loss_cases(seed: int):
     r = np.random.default_rng(seed ^ 0x5EED)
     r_gt = Tensor(r.normal(size=(3, 4)))
     cases = [
-        ("loss_san", lambda x: mod.san(x), [_t(r.normal(size=(3, 5)))]),
+        ("loss_san", lambda x: mod.san(x), [_t(r.normal(size=(1, 3, 5)))]),
         ("loss_scn", lambda c, x: mod.scn(c, x),
          [_t(r.normal(size=(2, 5)) + 1.0), _t(r.normal(size=(2, 2, 5)))]),
         ("loss_sdn", lambda g: mod.sdn(r_gt, g), [_t(r.normal(size=(3, 4)))]),

@@ -400,16 +400,12 @@ def select_positive(elbos: np.ndarray) -> np.ndarray:
 
 def san(x_stacked: Tensor) -> Tensor:
     """Mean absolute gap between the identity and the row-softmaxed Gram
-    matrix of the semantics vectors: zero when each vector correlates only
-    with itself.  Accepts (M, H) or a batch (B, M, H)."""
-    if x_stacked.ndim == 2:
-        gram = ad.matmul(x_stacked, ad.transpose(x_stacked))
-    elif x_stacked.ndim == 3:
-        gram = ad.matmul(x_stacked, ad.transpose(x_stacked, (0, 2, 1)))
-    else:
-        raise ShapeError(f"expected (M, H) or (B, M, H), got {x_stacked.shape}")
-    m = x_stacked.shape[-2]
-    eye = Tensor(np.eye(m))
+    matrix of each example's semantics vectors, a batch (B, M, H): zero when
+    each vector correlates only with itself."""
+    if x_stacked.ndim != 3:
+        raise ShapeError(f"expected (B, M, H), got {x_stacked.shape}")
+    gram = ad.matmul(x_stacked, ad.transpose(x_stacked, (0, 2, 1)))
+    eye = Tensor(np.eye(x_stacked.shape[1]))
     return ad.tmean(ad.absolute(ad.sub(eye, ad.softmax_rows(gram))))
 
 

@@ -153,8 +153,7 @@ def train_step(batch: tuple[np.ndarray, np.ndarray], state: TrainState,
     lam = lambda_schedule(state.step, cfg)
     klw = kl_anneal(state.step, cfg)
     state.model.zero_grad()  # the last step's gradients go before this step's graph is built
-    parts = state.model.forward_losses(ctx_ids, resp_ids, klw, state.rng,
-                                       gs_noise=cfg.gs_noise)
+    parts = state.model.forward_losses(ctx_ids, resp_ids, klw, state.rng)
     objective = total_loss(parts["elbo_plus"], parts["san"], parts["scn"], parts["sdn"], lam)
     loss = ad.mul(objective, -1.0)
     if not np.isfinite(loss.values):
@@ -208,15 +207,19 @@ def worker_count() -> int:
 
 def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],
                batch_size: int = 32) -> float:
-    """exp of the mean per-token negative log-likelihood under teacher
-    forcing, with the latent at the prior mean and the branch chosen by the
-    largest prior-side likelihood.  All M branches of a context are scored
-    in one no-graph pass (``SegCVAE.prior_recon``) of ``max(1, batch_size //
-    M)`` contexts, so ``batch_size`` bounds the rows a pass decodes (M per
-    context), not the contexts.  The calling thread and ``worker_count() -
-    1`` threads started for the call share out the passes, thread i of T
-    taking passes i, i + T, i + 2T, ...; the passes' sums are added
-    exactly, so the result does not depend on the number of threads."""
+    """A best-of-M score: exp of the mean per-token negative log-likelihood
+    under teacher forcing, each response scored under the branch that
+    scores it best, a branch chosen with the response, and with the latent
+    at the prior mean.  It is not the model's likelihood, which would mix
+    the branches and marginalise the latent: it reads at or below the
+    uniform branch mixture, and an M=1 model gets no best-of-M advantage.
+    All M branches of a context are scored in one no-graph pass
+    (``SegCVAE.prior_recon``) of ``max(1, batch_size // M)`` contexts, so
+    ``batch_size`` bounds the rows a pass decodes (M per context), not the
+    contexts.  The calling thread and ``worker_count() - 1`` threads
+    started for the call share out the passes, thread i of T taking passes
+    i, i + T, i + 2T, ...; the passes' sums are added exactly, so the
+    result does not depend on the number of threads."""
     ctx_ids, resp_ids = dataset
     if ctx_ids.shape[0] == 0:
         raise EmptyCorpus("cannot evaluate perplexity on an empty dataset")

@@ -157,9 +157,9 @@ def test_03_gradient_blocking():
 def test_04_norm_identities():
     with criterion(4, "norm identities hold exactly"):
         rng = np.random.default_rng(4)
-        assert mod.san(Tensor(rng.normal(size=(1, 6)))).item() == 0.0
-        scaled = np.zeros((3, 3))
-        np.fill_diagonal(scaled, 10.0)
+        assert mod.san(Tensor(rng.normal(size=(1, 1, 6)))).item() == 0.0
+        scaled = np.zeros((1, 3, 3))
+        np.fill_diagonal(scaled[0], 10.0)
         assert mod.san(Tensor(scaled)).item() < 1e-6
         enc_c = Tensor(rng.normal(size=(4,)))
         assert abs(mod.scn(enc_c, Tensor(np.stack([0.25 * enc_c.values,

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from segcvae import corpus
+from segcvae.autodiff import Rng
 from segcvae.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialoguePair,
                             build_cdm_dataset, build_vocab, encode_pair,
-                            extract_single_turn_pairs, filter_by_vocab,
-                            mine_cdm, tokenize)
+                            extract_single_turn_pairs, mine_cdm, tokenize)
 from segcvae.errors import DomainError, EmptyCorpus
 
 
@@ -114,6 +114,26 @@ class TestBuildVocab:
         b_row = vocab.embedding[vocab.id_of("b")]
         assert np.all(np.abs(b_row) <= 0.1) and np.any(b_row != 0)
 
+    def test_seeded_rows_are_one_draw_per_row_in_row_order(self):
+        pairs = [_pair("a b c", "d e"), _pair("a b", "c")]
+        source = {"b": np.full(5, 0.5), "e": np.full(5, -0.5)}
+        vocab = build_vocab(pairs, max_size=9, emb_dim=5, embedding_source=source, seed=7)
+        rng, want = Rng(7), np.zeros((9, 5))
+        for i, tok in enumerate(vocab.id_to_token):
+            if tok in source:
+                want[i] = source[tok]
+            elif i != PAD_ID:
+                want[i] = rng.uniform(-0.1, 0.1, 5)
+        np.testing.assert_array_equal(vocab.embedding, want)
+
+    @pytest.mark.parametrize("special", corpus.SPECIALS)
+    def test_a_literal_special_token_is_not_a_word(self, special):
+        """``id_of`` encodes a special-token string in the data as UNK, so
+        the vocabulary does not count it as one of its words."""
+        vocab = build_vocab([_pair(f"a c {special}", "c")], max_size=100, emb_dim=4)
+        assert special not in vocab and "a" in vocab
+        assert vocab.id_of(special) == vocab.id_of("zzz") == UNK_ID
+
     def test_seeded_rows_reproducible(self):
         pairs = [_pair("a b", "c d")]
         v1 = build_vocab(pairs, max_size=10, emb_dim=6, seed=5)
@@ -126,44 +146,6 @@ class TestBuildVocab:
         vocab.save(path)
         loaded = corpus.Vocabulary.load(path, vocab.embedding)
         assert loaded.token_to_id == vocab.token_to_id
-
-
-class TestFilterByVocab:
-    def _vocab(self, text):
-        return build_vocab([_pair(text, text)], max_size=100, emb_dim=4)
-
-    def test_oov_utterance_removed_everywhere(self):
-        vocab = self._vocab("a c d")
-        a, b, c, d = ("a",), ("zzz",), ("c",), ("d",)
-        pairs = [DialoguePair(a, b), DialoguePair(a, c), DialoguePair(b, d)]
-        kept = filter_by_vocab(pairs, vocab)
-        assert kept == [DialoguePair(a, c)]
-
-    def test_identity_when_all_in_vocab(self):
-        vocab = self._vocab("a b c")
-        pairs = [_pair("a b", "c"), _pair("c", "a")]
-        assert filter_by_vocab(pairs, vocab) == pairs
-
-    def test_everything_oov(self):
-        vocab = self._vocab("a")
-        assert filter_by_vocab([_pair("x", "y"), _pair("y", "z")], vocab) == []
-
-    @pytest.mark.parametrize("special", corpus.SPECIALS)
-    def test_a_literal_special_token_is_dropped_like_any_unknown_word(self, special):
-        """``id_of`` encodes a special-token string in the data as UNK, so
-        the vocabulary does not count it as one of its words."""
-        vocab = self._vocab(f"a c {special}")
-        assert special not in vocab and "a" in vocab
-        assert vocab.id_of(special) == vocab.id_of("zzz") == corpus.UNK_ID
-        pairs = [_pair("a", "c"), _pair(f"a {special}", "c"), _pair("a zzz", "c"),
-                 _pair("c", special), _pair("c", "zzz")]
-        assert filter_by_vocab(pairs, vocab) == [pairs[0]]
-
-    def test_idempotent(self):
-        vocab = self._vocab("a b c")
-        pairs = [_pair("a", "zzz"), _pair("a", "b"), _pair("zzz", "c")]
-        once = filter_by_vocab(pairs, vocab)
-        assert filter_by_vocab(once, vocab) == once
 
 
 def _cdm_fixture():

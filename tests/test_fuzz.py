@@ -55,7 +55,7 @@ def test_read_generation(tmp_path, data):
 
 
 CONFIG_KEYS = ["learning_rate", "batch_size", "max_clen", "N_emb", "m", "M", "tau",
-               "lambda_constant", "gs_noise", "no_is", "seed", "data_dir", "bogus"]
+               "lambda_constant", "no_is", "seed", "data_dir", "bogus"]
 CONFIG_VALUES = st.one_of(
     st.text(max_size=6),
     st.sampled_from(["1", "0", "-3", "0.5", "nan", "inf", "-inf", "1e400", "true", "off",

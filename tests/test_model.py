@@ -70,31 +70,36 @@ class TestSelectPositive:
 
 class TestSan:
     def test_single_vector_is_zero(self):
-        assert m.san(Tensor(np.random.default_rng(0).normal(size=(1, 4)))).item() == 0.0
+        assert m.san(Tensor(np.random.default_rng(0).normal(size=(1, 1, 4)))).item() == 0.0
 
     def test_zero_matrix_value(self):
-        assert m.san(Tensor(np.zeros((2, 3)))).item() == pytest.approx(0.5)
+        assert m.san(Tensor(np.zeros((1, 2, 3)))).item() == pytest.approx(0.5)
 
     def test_scaled_orthogonal_rows_vanish(self):
-        x = np.zeros((2, 2))
-        x[0, 0] = x[1, 1] = 10.0
+        x = np.zeros((1, 2, 2))
+        x[0, 0, 0] = x[0, 1, 1] = 10.0
         assert m.san(Tensor(x)).item() < 1e-6
 
     def test_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
-            x = Tensor(rng.normal(size=(3, 5)))
+            x = Tensor(rng.normal(size=(1, 3, 5)))
             assert m.san(x).item() >= 0.0
 
     def test_batched_mean_matches_per_example(self):
         rng = np.random.default_rng(2)
         batch = rng.normal(size=(4, 3, 5))
         batched = m.san(Tensor(batch)).item()
-        singles = np.mean([m.san(Tensor(batch[i])).item() for i in range(4)])
+        singles = np.mean([m.san(Tensor(batch[i:i + 1])).item() for i in range(4)])
         assert batched == pytest.approx(singles)
 
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 1, 3, 5)])
+    def test_a_stack_that_is_not_a_batch_is_refused(self, shape):
+        with pytest.raises(ShapeError, match="expected"):
+            m.san(Tensor(np.zeros(shape)))
+
     def test_gradient(self):
-        x = Tensor(np.random.default_rng(3).normal(size=(3, 4)), requires_grad=True)
+        x = Tensor(np.random.default_rng(3).normal(size=(1, 3, 4)), requires_grad=True)
         assert ad.grad_check(lambda t: m.san(t), [x]) < 1e-4
 
 

@@ -6,7 +6,10 @@ change to how the hyperparameters are declared cannot silently change a
 file that earlier runs wrote or that later runs must read.
 """
 
+import re
 from dataclasses import fields
+from itertools import dropwhile, takewhile
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +30,6 @@ chan = 3
 d_z = 300
 epochs = 50
 grad_clip = 5.0
-gs_noise = true
 kl_anneal_steps = 10000
 learning_rate = 0.001
 m = 3
@@ -51,7 +53,6 @@ config.chan = 2
 config.d_z = 4
 config.epochs = 2
 config.grad_clip = 5.0
-config.gs_noise = true
 config.kl_anneal_steps = 200
 config.lambda_constant = 0.5
 config.learning_rate = 0.003
@@ -138,3 +139,15 @@ def test_file_and_constructor_share_range_rules(tmp_path, f):
         except DomainError:
             by_constructor = False
         assert by_file == by_constructor, f"{key_of(f)} = {value}"
+
+
+def test_readme_config_table_names_every_key_once():
+    """The key column of README's table under "Configuration file" lists
+    the file keys of the schema, each once, and nothing else."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("### Configuration file", 1)[1].splitlines()
+    table = list(takewhile(lambda line: line.startswith("|"),
+                           dropwhile(lambda line: not line.startswith("|"), lines)))
+    keys = [key for row in table[2:]  # past the header and its rule
+            for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(key_of(f) for f in fields(tr.TrainingConfig))
