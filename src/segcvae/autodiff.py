@@ -329,12 +329,6 @@ def take(a, index) -> Tensor:
     return _node(a.values[index], (a,), lambda out: a._accum_at(index, out.grad))
 
 
-def gather_last(a, ids) -> Tensor:
-    """Pick one entry per row along the last axis: a (..., V), ids (...) -> (...)."""
-    ids = np.asarray(ids)
-    return take(a, np.ix_(*(np.arange(n) for n in ids.shape)) + (ids,))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
@@ -620,8 +614,7 @@ class Rng:
     STATE_WORDS = 13  # counter(4) + key(2) + buffer(4) + buffer_pos + has_uint32 + uinteger
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.Philox(self.seed))
+        self._gen = np.random.Generator(np.random.Philox(int(seed)))
 
     def normal(self, shape=()) -> np.ndarray:
         return self._gen.standard_normal(shape)

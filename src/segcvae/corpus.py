@@ -93,10 +93,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    @property
-    def emb_dim(self) -> int:
-        return self.embedding.shape[1]
-
     def __contains__(self, token: str) -> bool:
         """Whether ``id_of`` gives the data word its own id: a special-token
         string is not in the vocabulary, as it encodes to UNK."""

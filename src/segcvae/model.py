@@ -107,13 +107,6 @@ class SegCVAE:
         for p in self.params.values():
             p.grad = None
 
-    def branch_slices(self, index: int) -> list[tuple[str, object]]:
-        """(parameter name, numpy index) of every parameter slice used by no
-        other branch than ``index``: its trigger in each family."""
-        kernel = np.s_[..., index * self.config.conv_channels:(index + 1) * self.config.conv_channels]
-        return [(name, kernel if name.endswith(".kernel") else index)
-                for name in self.params if name.endswith((".kernel", ".dense"))]
-
     # -- encoding ------------------------------------------------------
     def embed_matrix(self, ids: np.ndarray) -> Tensor:
         """(B, T) ids to one (B, T, emb) tensor."""
@@ -193,15 +186,16 @@ class SegCVAE:
         return ad.reshape(encoded, (m, batch, cfg.hidden_dim))
 
     # -- latent heads and decoding ---------------------------------------
-    def recognition(self, r_e: Tensor, x: Tensor) -> tuple[Tensor, Tensor]:
-        h = ad.linear(ad.concat([r_e, x], axis=1), self.rec_w, self.rec_b)
+    def _gaussian(self, h: Tensor) -> tuple[Tensor, Tensor]:
+        """A latent head's (rows, 2*latent) output as (mean, clamped log-variance)."""
         d = self.config.latent_dim
         return h[:, :d], ad.clamp(h[:, d:], -LOGVAR_CLIP, LOGVAR_CLIP)
 
+    def recognition(self, r_e: Tensor, x: Tensor) -> tuple[Tensor, Tensor]:
+        return self._gaussian(ad.linear(ad.concat([r_e, x], axis=1), self.rec_w, self.rec_b))
+
     def prior(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        h = ad.linear(x, self.pri_w, self.pri_b)
-        d = self.config.latent_dim
-        return h[:, :d], ad.clamp(h[:, d:], -LOGVAR_CLIP, LOGVAR_CLIP)
+        return self._gaussian(ad.linear(x, self.pri_w, self.pri_b))
 
     def decoder_initial(self, z: Tensor, x: Tensor) -> Tensor:
         return ad.linear(ad.concat([z, x], axis=1), self.init_w, self.init_b)
@@ -246,7 +240,7 @@ class SegCVAE:
             block, block_targets = packed[p0:p0 + span], packed_targets[p0:p0 + span]
             if graph:
                 logp = ad.log_softmax(ad.linear(block, self.out_w, self.out_b))
-                picked.append(ad.gather_last(logp, block_targets))
+                picked.append(ad.take(logp, (np.arange(len(block_targets)), block_targets)))
                 if want_generated:
                     expected.append(ad.matmul(ad.exp(logp), self.emb))
             else:  # scoring only: nothing reads the distribution
@@ -364,24 +358,23 @@ class SegCVAE:
 
     def load_state(self, arrays: dict[str, np.ndarray]):
         """Copy the parameters of ``arrays``, keyed by parameter name, into
-        the live parameter buffers, but only once every one has passed
-        ``stored_array``'s check, so a rejected ``arrays`` changes nothing.
-        Each parameter keeps its array, so an optimizer's view of it stays
-        valid; the model's own ``state_arrays()`` leave it unchanged."""
-        checked = [(self.params[name].values, stored_array(arrays, name, shape))
-                   for name, shape in parameter_shapes(self.config).items()]
-        for live, values in checked:
-            np.copyto(live, values)
+        the live parameter buffers, but only once ``from_arrays`` has checked
+        every one, so a rejected ``arrays`` changes nothing.  Each parameter
+        keeps its array, so an optimizer's view of it stays valid; the
+        model's own ``state_arrays()`` leave it unchanged."""
+        checked = SegCVAE.from_arrays(self.config, arrays).params
+        for name, p in self.params.items():
+            np.copyto(p.values, checked[name].values)
 
 
 def stored_array(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """``arrays[name]`` as float64, a float64 array as it is; a missing name
-    is a DomainError and another shape a ShapeError."""
+    """``arrays[name]`` as a C-contiguous float64 array, one that already is
+    as it is; a missing name is a DomainError and another shape a ShapeError."""
     if name not in arrays:
         raise DomainError(f"checkpoint is missing parameter '{name}'")
     if arrays[name].shape != shape:
         raise ShapeError(f"parameter '{name}' has shape {arrays[name].shape}, want {shape}")
-    return np.asarray(arrays[name], dtype=np.float64)
+    return np.ascontiguousarray(arrays[name], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Rng, Tensor
 from .config import ModelConfig, TrainingConfig
 from .corpus import PAD_ID, DialoguePair, Vocabulary, encode_pairs
-from .errors import DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss
+from .errors import DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss, ShapeError
 from .model import SegCVAE, stored_array, total_loss
 
 CHECKPOINT_NAME = "checkpoint.bin"
@@ -35,21 +35,23 @@ ADAM_BLOCK = 1 << 15  # elements per Adam block: the block's arrays and scratch 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
-def lambda_schedule(step: int, cfg: TrainingConfig) -> float:
-    """Norm weight: linear 0 to 1 over the first snorm_step batches, unless
-    pinned by lambda_constant (then the ramp is inactive)."""
+def _ramp(step: int, steps: int) -> float:
+    """Linear 0 to 1 over the first ``steps`` batches; a negative step is a DomainError."""
     if step < 0:
         raise DomainError("step must be non-negative")
-    if cfg.lambda_constant is not None:
-        return cfg.lambda_constant
-    return min(step / cfg.snorm_step, 1.0)
+    return min(step / steps, 1.0)
+
+
+def lambda_schedule(step: int, cfg: TrainingConfig) -> float:
+    """Norm weight: the ramp over the first snorm_step batches, unless
+    pinned by lambda_constant (then the ramp is inactive)."""
+    ramp = _ramp(step, cfg.snorm_step)
+    return ramp if cfg.lambda_constant is None else cfg.lambda_constant
 
 
 def kl_anneal(step: int, cfg: TrainingConfig) -> float:
-    """KL weight: linear 0 to 1 over the first kl_anneal_steps batches."""
-    if step < 0:
-        raise DomainError("step must be non-negative")
-    return min(step / cfg.kl_anneal_steps, 1.0)
+    """KL weight: the ramp over the first kl_anneal_steps batches."""
+    return _ramp(step, cfg.kl_anneal_steps)
 
 
 class Adam:
@@ -62,7 +64,8 @@ class Adam:
     Fresh moments come from ``np.zeros``, whose large arrays are untouched
     zero pages until the first update writes them, so a state that is never
     stepped (one about to be overwritten by a load) costs no resident memory
-    for them.
+    for them.  A parameter or moment that is not C-contiguous is a
+    ShapeError: the update walks each one as a flat run of its elements.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 0.001, moments=None):
@@ -71,13 +74,16 @@ class Adam:
         self.t = 0
         self.m, self.v = moments or [{k: np.zeros(p.values.shape, p.values.dtype)
                                       for k, p in params.items()} for _ in range(2)]
+        for k, p in params.items():
+            if not all(a.flags.c_contiguous for a in (p.values, self.m[k], self.v[k])):
+                raise ShapeError(f"parameter '{k}' or a moment of it is not C-contiguous")
 
     def step(self, clip: float = None) -> float:
         """One update; returns the global gradient norm before clipping.
 
-        Parameter values and moments are updated in place, walked in blocks
-        of whole leading-axis rows, about ADAM_BLOCK elements or one row if
-        wider, through two scratch blocks, with the same elementwise
+        Parameter values and moments are updated in place, each walked as
+        one flat run of its elements in blocks of ADAM_BLOCK elements
+        through one (2, ADAM_BLOCK) scratch, with the same elementwise
         operations in the same order as the plain formula
         ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
         p = p - lr*(m/c1) / (sqrt(v/c2) + eps)``, so the bits are the same.
@@ -94,17 +100,13 @@ class Adam:
         b1, b2 = BETA1, BETA2
         correct1 = 1.0 - b1 ** self.t
         correct2 = 1.0 - b2 ** self.t
-        # a block is at least one leading-axis row, so the scratch must also
-        # hold the widest row (out.w's is the vocabulary wide)
-        width = max([ADAM_BLOCK] + [np.atleast_1d(self.params[k].values)[:1].size for k in names])
-        scratch = np.empty((2, width))
+        scratch = np.empty((2, ADAM_BLOCK))
         for k in names:
             p = self.params[k]
-            arrays = [np.atleast_1d(x) for x in (p.grad, self.m[k], self.v[k], p.values)]
-            rows = max(1, ADAM_BLOCK * len(arrays[0]) // max(1, arrays[0].size))
-            for i in range(0, len(arrays[0]), rows):
-                g, m, v, w = (a[i:i + rows] for a in arrays)
-                a, b = (s[:g.size].reshape(g.shape) for s in scratch)
+            flat = [x.reshape(-1) for x in (p.grad, self.m[k], self.v[k], p.values)]
+            for i in range(0, flat[0].size, ADAM_BLOCK):
+                g, m, v, w = (x[i:i + ADAM_BLOCK] for x in flat)
+                a, b = scratch[:, :g.size]
                 np.multiply(g, scale, out=a)
                 np.multiply(m, b1, out=m)
                 np.add(m, np.multiply(a, 1.0 - b1, out=b), out=m)
@@ -182,8 +184,8 @@ def train_step(batch: tuple[np.ndarray, np.ndarray], state: TrainState,
 
 
 def format_stats(stats: dict) -> str:
-    return ("step={step} elbo={elbo!r} recon={recon!r} kl={kl!r} "
-            "san={san!r} scn={scn!r} sdn={sdn!r} loss={loss!r}").format(**stats)
+    """One log line: ``key=repr(value)`` for each statistic, in the dict's order."""
+    return " ".join(f"{key}={value!r}" for key, value in stats.items())
 
 
 def iterate_batches(n: int, batch_size: int, data_rng: Rng):
@@ -334,7 +336,6 @@ def load_state(path, cfg: TrainingConfig) -> TrainState:
 class FitResult:
     checkpoint_path: Path
     log_path: Path
-    history: list[dict] = field(default_factory=list)
     val_ppl: list[float] = field(default_factory=list)
 
 
@@ -361,7 +362,6 @@ def fit(splits: dict[str, Sequence[DialoguePair]], vocab: Vocabulary,
                 batch = (train_data[0][index], train_data[1][index])
                 stats = train_step(batch, state, cfg)
                 log.write(format_stats(stats) + "\n")
-                result.history.append(stats)
             val_ppl = perplexity(state.model, valid_data, batch_size=cfg.batch_size)
             result.val_ppl.append(val_ppl)
             log.write(f"epoch={epoch} val_ppl={val_ppl!r}\n")

@@ -25,6 +25,8 @@ from segcvae.corpus import (DialoguePair, build_cdm_dataset, build_vocab,
                             encode_pairs, mine_cdm, write_pairs)
 from segcvae.gradsuite import TOLERANCE, run_suite
 
+from branches import branch_slices
+
 
 @contextlib.contextmanager
 def criterion(num, name):
@@ -99,7 +101,7 @@ def test_02_gumbel_softmax_limit():
         assert c_is.shape[0] == v_eg.shape[0] == net.config.num_triggers
 
         def trigger(path, i):  # trigger i's slices of a family
-            where = dict(net.branch_slices(i))
+            where = dict(branch_slices(net, i))
             return [net.params[f"{path}.{part}"].values[where[f"{path}.{part}"]]
                     for part in ("kernel", "dense")]
 
@@ -142,7 +144,7 @@ def test_03_gradient_blocking():
         selected = set(parts["positive"].tolist())
         assert selected and selected != set(range(3)), "need unselected branches"
         for i in range(3):
-            slices = net.branch_slices(i)
+            slices = branch_slices(net, i)
             assert len(slices) == 4, "a kernel and a dense slice in each trigger family"
             grads = [net.params[name].grad[where] for name, where in slices]
             if i in selected:

@@ -48,15 +48,17 @@ def _context():
 
 
 def test_traced_step_records_every_layer_and_computes_the_same():
+    """Two traced steps compute what two plain steps do: the same statistics,
+    wins, and parameters and Adam moments byte for byte."""
     cfg, vocab, batch = _tiny_state()
     plain_state = tr.init_state(cfg, vocab)
-    plain = tr.train_step(batch, plain_state, cfg)
+    plain = [tr.train_step(batch, plain_state, cfg)]
 
     recorder = spans.Recorder()
     traced_state = spans.instrument(tr.init_state(cfg, vocab), cfg.learning_rate, recorder)
     recorder.enabled = True
     with recorder.probing():
-        traced = tr.train_step(batch, traced_state, cfg)
+        traced = [tr.train_step(batch, traced_state, cfg)]
     recorder.enabled = False
 
     names = {s.name for s in recorder.spans}
@@ -64,12 +66,22 @@ def test_traced_step_records_every_layer_and_computes_the_same():
                    "model.encode_ids", "training.adam"):
         assert wanted in names, wanted
     assert all(s.seconds > 0 for s in recorder.spans if s.name == "model.elbo")
-    assert traced["loss"] == plain["loss"]
     np.testing.assert_array_equal(traced_state.branch_wins, plain_state.branch_wins)
-    assert workloads._loss_check(traced) is None  # every statistic a finite scalar
+    assert workloads._loss_check(traced[0]) is None  # every statistic a finite scalar
     for key in ("autodiff.graph_nodes", "autodiff.grad_bytes",
                 "autodiff.backward_peak_alloc_bytes"):
         assert recorder.probe[key] > 0, key
+
+    plain.append(tr.train_step(batch, plain_state, cfg))
+    recorder.enabled = True
+    traced.append(tr.train_step(batch, traced_state, cfg))
+    recorder.enabled = False
+    assert [s["loss"] for s in traced] == [s["loss"] for s in plain]
+    for name, p in plain_state.model.params.items():
+        for got, want in ((traced_state.model.params[name].values, p.values),
+                          (traced_state.optimizer.m[name], plain_state.optimizer.m[name]),
+                          (traced_state.optimizer.v[name], plain_state.optimizer.v[name])):
+            assert got.tobytes() == want.tobytes(), name
 
 
 def test_end_early_then_traced_generate_and_perplexity_pass_their_checks():

@@ -11,6 +11,8 @@ from segcvae.autodiff import Rng, Tensor
 from segcvae.corpus import PAD_ID, DialoguePair, build_vocab, encode_pairs
 from segcvae.errors import DomainError, ShapeError
 
+from branches import branch_slices
+
 
 def _tiny_setup(num_triggers=2, **overrides):
     """A 10-token vocabulary and a desk-size model."""
@@ -226,7 +228,7 @@ class TestTotalLoss:
 def _trigger(net, path, i):
     """Trigger ``i`` of a family as (kernel, dense) views of its stacked
     parameters: writes go through to the live parameters."""
-    where = dict(net.branch_slices(i))
+    where = dict(branch_slices(net, i))
     return tuple(net.params[f"{path}.{part}"].values[where[f"{path}.{part}"]]
                  for part in ("kernel", "dense"))
 
@@ -433,7 +435,7 @@ class TestTriggerGroups:
         assert close(got.values, want.values)
         assert close(got_grads["emb"], net.emb.grad)
         for i, (kernel, dense) in enumerate(triggers):
-            where = dict(net.branch_slices(i))
+            where = dict(branch_slices(net, i))
             assert close(got_grads["eg.kernel"][where["eg.kernel"]], kernel.grad), i
             assert close(got_grads["eg.dense"][where["eg.dense"]], dense.grad), i
 
@@ -531,7 +533,7 @@ def _per_step_teacher_forcing(net, resp, state):
     for t in range(steps):
         logits, state = net.decode_step(state, inputs[:, t])
         logp = ad.log_softmax(logits)
-        picked = ad.gather_last(logp, targets[:, t])
+        picked = ad.take(logp, (np.arange(len(resp)), targets[:, t]))
         recon = ad.add(recon, ad.mul(picked, Tensor(live[:, t].astype(np.float64))))
         expected.append(ad.matmul(ad.exp(logp), net.emb))
     rows = [ad.reshape(e, (e.shape[0], 1, e.shape[1])) for e in expected]
@@ -682,7 +684,7 @@ class TestForwardLosses:
         selected = set(parts["positive"].tolist())
         assert len(selected) == 1
         for i in range(3):
-            slices = net.branch_slices(i)
+            slices = branch_slices(net, i)
             assert len(slices) == 4, "a kernel and a dense slice per family"
             grads = [net.params[name].grad[where] for name, where in slices]
             if i in selected:
@@ -699,7 +701,7 @@ class TestForwardLosses:
         net.zero_grad()
         loss.backward()
         for i in range(2):
-            for name, where in net.branch_slices(i):
+            for name, where in branch_slices(net, i):
                 assert np.any(net.params[name].grad[where] != 0), (i, name)
 
     def test_sdn_skipped_for_singleton_batch(self):

@@ -15,7 +15,11 @@ from segcvae import autodiff as ad
 from segcvae import training as tr
 from segcvae.autodiff import Rng, Tensor
 from segcvae.corpus import PAD_ID, DialoguePair, build_vocab, encode_pairs
-from segcvae.errors import DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss
+from segcvae.errors import (DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss,
+                            ShapeError)
+from segcvae.model import SegCVAE
+
+from branches import branch_slices
 
 
 def _toy_corpus(n=16):
@@ -207,6 +211,31 @@ class TestInPlaceAdam:
             assert p.values is arrays[k][0] and opt.m[k] is arrays[k][1] and opt.v[k] is arrays[k][2]
             assert not np.array_equal(p.values, before[k]), k
 
+    @pytest.mark.parametrize("which", ["values", "m", "v"])
+    def test_a_non_contiguous_parameter_or_moment_is_a_shape_error(self, which):
+        arrays = {"values": np.ones((4, 3)), "m": np.zeros((4, 3)), "v": np.zeros((4, 3))}
+        arrays[which] = np.zeros((4, 6))[:, ::2]  # every other column: a strided view
+        w = Tensor(arrays["values"], requires_grad=True)
+        with pytest.raises(ShapeError, match="'w'"):
+            tr.Adam({"w": w}, lr=0.01, moments=[{"w": arrays["m"]}, {"w": arrays["v"]}])
+
+    def test_from_arrays_makes_a_non_contiguous_parameter_a_live_contiguous_one(self):
+        """A non-contiguous float64 array becomes a C-contiguous copy with its
+        values, and Adam updates that copy in place."""
+        cfg, pairs, vocab, data = _setup()
+        source = tr.init_state(cfg, vocab).model
+        arrays = dict(source.state_arrays())
+        arrays["out.w"] = np.asfortranarray(arrays["out.w"])
+        assert not arrays["out.w"].flags.c_contiguous
+        model = SegCVAE.from_arrays(source.config, arrays)
+        live = model.params["out.w"].values
+        assert live.flags.c_contiguous and live.tobytes() == source.params["out.w"].values.tobytes()
+        opt = tr.Adam(model.params, lr=0.01)
+        before = live.copy()
+        model.params["out.w"].grad = np.ones(live.shape)
+        opt.step()
+        assert model.params["out.w"].values is live and not np.array_equal(live, before)
+
 
 class TestTrainStep:
     def test_bitwise_deterministic(self):
@@ -308,7 +337,7 @@ class TestTrainStep:
         wins = state.branch_wins
         assert wins.shape == (6,) and wins.sum() == 4
         for i in range(6):
-            slices = state.model.branch_slices(i)
+            slices = branch_slices(state.model, i)
             assert len(slices) == 4
             got_gradient = [np.any(state.model.params[name].grad[where] != 0)
                             for name, where in slices]
@@ -328,9 +357,21 @@ class TestTrainStep:
     def test_log_line_format(self):
         cfg, pairs, vocab, data = _setup()
         state = tr.init_state(cfg, vocab)
-        line = tr.format_stats(tr.train_step(data, state, cfg))
+        stats = tr.train_step(data, state, cfg)
+        line = tr.format_stats(stats)
         keys = [part.split("=")[0] for part in line.split(" ")]
         assert keys == ["step", "elbo", "recon", "kl", "san", "scn", "sdn", "loss"]
+        assert line == _FIXED_FORMAT.format(**stats)
+        hand = {"step": 12, "elbo": -3.25, "recon": -3.0, "kl": 0.1, "san": 0.0,
+                "scn": 1e-17, "sdn": 2.0 / 3.0, "loss": 3.5}
+        assert tr.format_stats(hand) == _FIXED_FORMAT.format(**hand) == (
+            "step=12 elbo=-3.25 recon=-3.0 kl=0.1 san=0.0 scn=1e-17 "
+            "sdn=0.6666666666666666 loss=3.5")
+
+
+# the log line's fixed layout: format_stats must write these bytes
+_FIXED_FORMAT = ("step={step} elbo={elbo!r} recon={recon!r} kl={kl!r} "
+                 "san={san!r} scn={scn!r} sdn={sdn!r} loss={loss!r}")
 
 
 def _per_branch_perplexity(model, dataset, batch_size):
@@ -560,14 +601,14 @@ class TestResumability:
         params = state.model.params
         arrays = state.model.state_arrays()
         views = {(name, i): params[name].values[where] for i in range(cfg.num_triggers)
-                 for name, where in state.model.branch_slices(i)}
+                 for name, where in branch_slices(state.model, i)}
         before = {k: v.copy() for k, v in views.items()}
         tr.train_step(data, state, cfg)
         now = state.model.state_arrays()
         for name, a in arrays.items():
             assert a is now[name] is params[name].values, name
         for (name, i), view in views.items():
-            where = dict(state.model.branch_slices(i))[name]
+            where = dict(branch_slices(state.model, i))[name]
             assert view.tobytes() == params[name].values[where].tobytes(), (name, i)
         for key in (("is.kernel", 0), ("is.dense", 1), ("eg.kernel", 1), ("eg.dense", 0)):
             assert not np.array_equal(views[key], before[key]), key
@@ -690,7 +731,9 @@ class TestFit:
         assert not kept_the_earlier
         assert ad.load_checkpoint(result.checkpoint_path)[1]["seed"] == "7"
         loaded = tr.load_state(result.checkpoint_path, rerun)
-        assert loaded.step == len(result.history) and loaded.best_ppl == math.inf
+        logged = result.log_path.read_text(encoding="utf-8").splitlines()
+        steps = sum(line.startswith("step=") for line in logged)
+        assert loaded.step == steps > 0 and loaded.best_ppl == math.inf
 
     def test_runs_are_byte_identical(self, tmp_path):
         cfg, pairs, vocab, _ = _setup(epochs=2, batch_size=8)
