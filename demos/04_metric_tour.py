@@ -6,7 +6,7 @@ Run with:  python3 demos/04_metric_tour.py
 import numpy as np
 
 from segcvae import bleu_n, coherence, distinct_n, embedding_average, length_avg
-from segcvae.corpus import DialoguePair, build_vocab
+from segcvae.corpus import SPECIALS, Vocabulary
 
 # diversity: unique n-grams over all generated n-grams
 responses = [["a", "b"], ["a", "b"], ["b", "c", "d"]]
@@ -21,10 +21,10 @@ for n in (1, 2, 3):
     print(f"bleu-{n}: {bleu_n(cand, [ref], n):.4f}")
 print("identical sentences score 1.0:", bleu_n(ref, [ref], 3))
 
-# embedding metrics on a two-dimensional hand vocabulary
-hand = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-vocab = build_vocab([DialoguePair(("a",), ("b",))], max_size=8, emb_dim=2,
-                    embedding_source=hand)
+# embedding metrics on a two-dimensional hand vocabulary: the specials,
+# then 'a' and 'b', one table row per token
+vocab = Vocabulary([*SPECIALS, "a", "b"],
+                   np.array([[0.0, 0.0]] * len(SPECIALS) + [[1.0, 0.0], [0.0, 1.0]]))
 print("\nmean-embedding cosine of 'a' vs 'a b':",
       round(embedding_average(["a"], ["a", "b"], vocab), 4))
 print("coherence of context 'b' with response 'a b':",

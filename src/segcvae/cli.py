@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -217,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segcvae",
         description="Dialogue generation with segmented prominent semantics",
-        epilog="SEGCVAE_THREADS caps evaluation worker counts.")
+        epilog="SEGCVAE_THREADS caps the threads that score perplexity, in train's "
+               "validation and in evaluate, the calling thread included (unset: 1).")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare-data", help="build datasets from a raw corpus")
@@ -231,6 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_path, help="optional directory for the report file")
     p.set_defaults(func=_cmd_cdm_stats)
 
+    # --drop <name> sets the schema's no_<name> switch; choices in field order
+    drops = [f.name[3:] for f in fields(tr.TrainingConfig) if f.name.startswith("no_")]
     for name, what in (("train", "train on a prepared dataset directory"),
                        ("ablate", "train with components dropped")):
         p = sub.add_parser(name, help=what)
@@ -240,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=_path, required=True, help="output directory")
         p.add_argument("--seed", type=_seed, help="override the configured seed")
         p.add_argument("--drop", action="append", required=name == "ablate",
-                       choices=("is", "eg", "san", "scn", "sdn"))
+                       choices=drops)
         p.set_defaults(func=_train_like)
 
     p = sub.add_parser("generate", help="generate N responses per test context")

@@ -81,13 +81,15 @@ def pairs_from_corpus(dialogues: Sequence[Sequence[tuple[str, ...]]]) -> list[Di
 # vocabulary
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Vocabulary:
-    """Dense token ids with reserved specials and an embedding table."""
+    """Dense token ids and an embedding table: ``id_to_token`` lists the
+    tokens, the four specials first, ``token_to_id`` inverts it, and row i
+    of ``embedding`` (vocab_size, emb_dim) is token i's vector."""
 
-    token_to_id: dict[str, int]
-    id_to_token: list[str]
-    embedding: np.ndarray  # (vocab_size, emb_dim)
+    def __init__(self, id_to_token: list[str], embedding: np.ndarray):
+        self.id_to_token = id_to_token
+        self.token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
+        self.embedding = embedding
 
     @property
     def size(self) -> int:
@@ -124,16 +126,16 @@ class Vocabulary:
             raise DomainError(f"{path}: vocabulary file must start with {SPECIALS}")
         if embedding.shape[0] != len(tokens):
             raise DomainError(f"{path}: embedding rows {embedding.shape[0]} != tokens {len(tokens)}")
-        return cls({t: i for i, t in enumerate(tokens)}, tokens, embedding)
+        return cls(tokens, embedding)
 
 
 def build_vocab(pairs: Sequence[DialoguePair], max_size: int,
-                emb_dim: int = 300, embedding_source: dict[str, np.ndarray] = None,
-                seed: int = 123456) -> Vocabulary:
+                emb_dim: int = 300, seed: int = 123456) -> Vocabulary:
     """Keep the most frequent tokens (ties broken lexicographically) under
     ``max_size`` including the four specials, which the data cannot add a
-    second time (see ``Vocabulary.id_of``).  Tokens without a row in
-    ``embedding_source`` get a seeded uniform row in [-0.1, 0.1]."""
+    second time (see ``Vocabulary.id_of``).  The padding row is zero; every
+    other row, in id order, is one uniform [-0.1, 0.1] draw of ``Rng(seed)``,
+    the table's own stream (``training.init_state`` lists the others)."""
     if max_size < len(SPECIALS):
         raise DomainError(f"max_size must be at least {len(SPECIALS)}")
     if not pairs:
@@ -143,25 +145,10 @@ def build_vocab(pairs: Sequence[DialoguePair], max_size: int,
         counts.update(pair.context)
         counts.update(pair.response)
     ranked = sorted(counts.keys() - SPECIALS, key=lambda tok: (-counts[tok], tok))
-    kept = ranked[:max_size - len(SPECIALS)]
-    id_to_token = list(SPECIALS) + kept
-    token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
-
-    embedding = np.zeros((len(id_to_token), emb_dim))
-    seeded = []  # rows without a source row
-    for i, tok in enumerate(id_to_token):
-        if tok == PAD:
-            continue  # padding row stays zero
-        if embedding_source is not None and tok in embedding_source:
-            row = np.asarray(embedding_source[tok], dtype=np.float64)
-            if row.shape != (emb_dim,):
-                raise DomainError(f"embedding row for '{tok}' has shape {row.shape}, want ({emb_dim},)")
-            embedding[i] = row
-        else:
-            seeded.append(i)
-    # one draw takes the same doubles, in the same order, as one draw per row
-    embedding[seeded] = Rng(seed).uniform(-0.1, 0.1, (len(seeded), emb_dim))
-    return Vocabulary(token_to_id, id_to_token, embedding)
+    id_to_token = list(SPECIALS) + ranked[:max_size - len(SPECIALS)]
+    embedding = np.zeros((len(id_to_token), emb_dim))  # row PAD_ID stays zero
+    embedding[1:] = Rng(seed).uniform(-0.1, 0.1, (len(id_to_token) - 1, emb_dim))
+    return Vocabulary(id_to_token, embedding)
 
 
 # ---------------------------------------------------------------------------

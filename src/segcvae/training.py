@@ -137,13 +137,16 @@ class TrainState:
 
 
 def init_state(cfg: TrainingConfig, vocab: Vocabulary) -> TrainState:
+    """A fresh run on ``vocab``.  Each random array has a Philox stream of
+    its own, so none replays another's draws: ``cfg.seed`` is the embedding
+    table's (``build_vocab(..., seed=cfg.seed)``), ``cfg.seed + 1`` the
+    trigger/latent noise's, ``cfg.seed + 2`` the batch order's and
+    ``cfg.seed + 3`` the Glorot weights'."""
     cfg.validate()
-    model = SegCVAE(cfg.model_config(vocab.size), vocab.embedding, Rng(cfg.seed))
-    return TrainState(
-        model=model,
-        optimizer=Adam(model.params, lr=cfg.learning_rate),
-        rng=Rng(cfg.seed + 1),
-        data_rng=Rng(cfg.seed + 2))
+    noise, batches, weights = (Rng(cfg.seed + k) for k in (1, 2, 3))
+    model = SegCVAE(cfg.model_config(vocab.size), vocab.embedding, weights)
+    return TrainState(model=model, optimizer=Adam(model.params, lr=cfg.learning_rate),
+                      rng=noise, data_rng=batches)
 
 
 def train_step(batch: tuple[np.ndarray, np.ndarray], state: TrainState,
@@ -223,8 +226,9 @@ def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],
     i, i + T, i + 2T, ...; the passes' sums are added exactly, so the
     result does not depend on the number of threads."""
     ctx_ids, resp_ids = dataset
-    if ctx_ids.shape[0] == 0:
-        raise EmptyCorpus("cannot evaluate perplexity on an empty dataset")
+    tokens = int((resp_ids[:, 1:] != PAD_ID).sum())  # the scored targets, EOS included
+    if tokens == 0:  # no pair, or only responses of padding after BOS
+        raise EmptyCorpus("cannot evaluate perplexity without a target token")
     step = max(1, batch_size // model.config.num_triggers)
     passes = [slice(start, start + step) for start in range(0, ctx_ids.shape[0], step)]
     results = [0.0] * len(passes)
@@ -259,10 +263,8 @@ def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],
                 thread.join()
     if errors:
         raise errors[0]
-    nll = math.fsum(results)
-    tokens = int((resp_ids[:, 1:] != PAD_ID).sum())
     try:
-        return math.exp(nll / tokens)
+        return math.exp(math.fsum(results) / tokens)
     except OverflowError:  # a mean negative log-likelihood above ~709.8 nats
         return math.inf
 

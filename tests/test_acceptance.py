@@ -21,8 +21,8 @@ from segcvae import evaluation as ev
 from segcvae import model as mod
 from segcvae import training as tr
 from segcvae.autodiff import Rng, Tensor
-from segcvae.corpus import (DialoguePair, build_cdm_dataset, build_vocab,
-                            encode_pairs, mine_cdm, write_pairs)
+from segcvae.corpus import (SPECIALS, DialoguePair, Vocabulary, build_cdm_dataset,
+                            build_vocab, encode_pairs, mine_cdm, write_pairs)
 from segcvae.gradsuite import TOLERANCE, run_suite
 
 from branches import branch_slices
@@ -288,10 +288,9 @@ def test_07_metric_oracles():
             for n in (1, 2, 3):
                 assert ev.bleu_n(sentence, [sentence], n) == pytest.approx(1.0, abs=1e-12)
 
-        hand = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]),
-                "c": np.array([2.0, 1.0]), "d": np.array([1.0, 3.0])}
-        vocab = build_vocab([DialoguePair(("a", "b"), ("c", "d"))], max_size=10,
-                            emb_dim=2, embedding_source=hand)
+        hand = np.array([[0.0, 0.0]] * len(SPECIALS)
+                        + [[1.0, 0.0], [0.0, 1.0], [2.0, 1.0], [1.0, 3.0]])
+        vocab = Vocabulary([*SPECIALS, "a", "b", "c", "d"], hand)
         got = ev.embedding_average(["a", "b", "c"], ["c", "d"], vocab)
         assert abs(got - FROZEN["emb_avg abc-cd"]) < 1e-9
         got = ev.coherence(["a", "d"], ["b", "c", "c"], vocab)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import builtins
+import dataclasses
 import hashlib
 import io
 import multiprocessing
@@ -222,6 +223,21 @@ class TestDispatchBasics:
         assert cli.dispatch([command, *given, "--out", str(out), *drop]) == 2
         assert "--in" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_drop_offers_each_ablation_switch_of_the_schema(self, tmp_path, capsys):
+        """--drop takes the name of each no_<name> field of the config schema,
+        in field order, and sets that field."""
+        switches = [f.name for f in dataclasses.fields(tr.TrainingConfig)
+                    if f.name.startswith("no_")]
+        assert switches == ["no_is", "no_eg", "no_san", "no_scn", "no_sdn"]
+        for switch in switches:
+            args = cli.build_parser().parse_args(["ablate", "--in", str(tmp_path), "--out",
+                                                  str(tmp_path), "--drop", switch[3:]])
+            cfg = cli._load_config(args)
+            assert [name for name in switches if getattr(cfg, name)] == [switch]
+        assert cli.dispatch(["ablate", "--in", str(tmp_path), "--out", str(tmp_path),
+                             "--drop", "zz"]) == 2
+        assert "(choose from 'is', 'eg', 'san', 'scn', 'sdn')" in capsys.readouterr().err
 
     def test_domain_error_exits_one(self, tmp_path, capsys):
         code = cli.dispatch(["train", "--in", str(tmp_path / "nope"),

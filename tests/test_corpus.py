@@ -105,26 +105,28 @@ class TestBuildVocab:
         with pytest.raises(DomainError):
             build_vocab([_pair("a", "b")], max_size=3, emb_dim=4)
 
-    def test_embedding_rows(self):
-        source = {"a": np.ones(4)}
-        vocab = build_vocab([_pair("a", "b")], max_size=8, emb_dim=4,
-                            embedding_source=source)
-        np.testing.assert_array_equal(vocab.embedding[vocab.id_of("a")], np.ones(4))
-        np.testing.assert_array_equal(vocab.embedding[PAD_ID], np.zeros(4))
-        b_row = vocab.embedding[vocab.id_of("b")]
-        assert np.all(np.abs(b_row) <= 0.1) and np.any(b_row != 0)
-
     def test_seeded_rows_are_one_draw_per_row_in_row_order(self):
+        """The padding row is zero and every other row, in id order, is the
+        next uniform [-0.1, 0.1] draw of ``Rng(seed)``."""
         pairs = [_pair("a b c", "d e"), _pair("a b", "c")]
-        source = {"b": np.full(5, 0.5), "e": np.full(5, -0.5)}
-        vocab = build_vocab(pairs, max_size=9, emb_dim=5, embedding_source=source, seed=7)
+        vocab = build_vocab(pairs, max_size=9, emb_dim=5, seed=7)
         rng, want = Rng(7), np.zeros((9, 5))
-        for i, tok in enumerate(vocab.id_to_token):
-            if tok in source:
-                want[i] = source[tok]
-            elif i != PAD_ID:
-                want[i] = rng.uniform(-0.1, 0.1, 5)
+        for i in range(PAD_ID + 1, vocab.size):
+            want[i] = rng.uniform(-0.1, 0.1, 5)
         np.testing.assert_array_equal(vocab.embedding, want)
+        np.testing.assert_array_equal(vocab.embedding[PAD_ID], np.zeros(5))
+        rows = np.delete(vocab.embedding, PAD_ID, axis=0)
+        assert np.all(np.abs(rows) <= 0.1) and np.all(np.any(rows != 0, axis=1))
+
+    def test_hand_table_keeps_its_rows(self):
+        """A ``Vocabulary`` built from a token list and a table derives the
+        token ids from the list and uses the table's rows as given."""
+        table = np.arange(12.0).reshape(6, 2)
+        vocab = corpus.Vocabulary([*corpus.SPECIALS, "a", "b"], table)
+        assert vocab.token_to_id == {tok: i for i, tok in enumerate(vocab.id_to_token)}
+        assert vocab.size == 6 and vocab.id_of("b") == 5 and vocab.id_of("zzz") == UNK_ID
+        assert vocab.embedding is table
+        np.testing.assert_array_equal(vocab.embedding[vocab.id_of("a")], [8.0, 9.0])
 
     @pytest.mark.parametrize("special", corpus.SPECIALS)
     def test_a_literal_special_token_is_not_a_word(self, special):

@@ -5,8 +5,8 @@ import pytest
 
 from segcvae import evaluation as ev
 from segcvae.autodiff import Rng, Tensor, no_grad
-from segcvae.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialoguePair, build_vocab,
-                            encode_context)
+from segcvae.corpus import (BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID, DialoguePair,
+                            Vocabulary, build_vocab, encode_context)
 from segcvae.errors import DegenerateVector, DomainError
 from segcvae.model import ModelConfig, SegCVAE
 
@@ -14,10 +14,8 @@ from segcvae.model import ModelConfig, SegCVAE
 @pytest.fixture
 def flat_vocab():
     """Two content tokens with hand-picked 2-d embeddings."""
-    pairs = [DialoguePair(("a",), ("b",))]
-    return build_vocab(pairs, max_size=6, emb_dim=2,
-                       embedding_source={"a": np.array([1.0, 0.0]),
-                                         "b": np.array([0.0, 1.0])})
+    return Vocabulary([*SPECIALS, "a", "b"],
+                      np.array([[0.0, 0.0]] * len(SPECIALS) + [[1.0, 0.0], [0.0, 1.0]]))
 
 
 def _model(vocab_size=12, num_triggers=2):

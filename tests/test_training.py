@@ -237,6 +237,23 @@ class TestInPlaceAdam:
         assert model.params["out.w"].values is live and not np.array_equal(live, before)
 
 
+class TestInitState:
+    def test_no_initial_weight_replays_the_table_draws(self):
+        """``build_vocab(..., seed=cfg.seed)`` and the Glorot weights draw from
+        different streams.  A weight that rescaled a run of the table's draws
+        would share its ratios: its first two values' ratio would equal that
+        of two consecutive table entries, whatever the scale."""
+        cfg, _, vocab, _ = _setup()
+        table = vocab.embedding[1:].ravel()  # the table's draws, in draw order
+        table_ratios = table[1:] / table[:-1]
+        params = tr.init_state(cfg, vocab).model.params
+        weights = {name: p.values.ravel() for name, p in params.items()
+                   if name != "emb" and p.values.ndim > 1}
+        assert len(weights) > 10 and sum(w.size for w in weights.values()) > table.size
+        for name, w in weights.items():
+            assert not np.isclose(table_ratios, w[1] / w[0], rtol=1e-9, atol=0).any(), name
+
+
 class TestTrainStep:
     def test_bitwise_deterministic(self):
         def run():
@@ -458,6 +475,17 @@ class TestPerplexity:
         empty = (np.zeros((0, cfg.max_len), dtype=np.int64),) * 2
         with pytest.raises(EmptyCorpus):
             tr.perplexity(state.model, empty)
+
+    def test_dataset_without_target_tokens_rejected(self, monkeypatch):
+        """Responses that hold nothing to score after BOS are an error raised
+        before any pass, like an empty dataset, not a division by zero."""
+        cfg, pairs, vocab, (ctx, resp) = _setup()
+        state = tr.init_state(cfg, vocab)
+        resp = resp.copy()
+        resp[:, 1:] = PAD_ID
+        monkeypatch.setattr(state.model, "prior_recon", None)  # a pass would fail to call it
+        with pytest.raises(EmptyCorpus):
+            tr.perplexity(state.model, (ctx, resp))
 
     def test_all_padding_context_rejected(self):
         """Such a row has nothing to select from; it is an error, not a NaN."""
