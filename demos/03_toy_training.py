@@ -1,7 +1,7 @@
 """Overfit a 16-pair toy corpus, watch the objective improve, then sample
 several responses per context by cycling the semantics branches.
 
-Run with:  python3 demos/03_toy_training.py   (about half a minute)
+Run with:  python3 demos/03_toy_training.py   (a few seconds)
 """
 
 from segcvae import Rng, TrainingConfig, generate_n, perplexity, train_step

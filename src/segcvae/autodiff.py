@@ -6,18 +6,26 @@ topological order and accumulates gradients into ``.grad`` of every
 tensor that requires them.  All math is float64 by default so that the
 finite-difference checker in :func:`grad_check` is meaningful.
 
-A tensor's first gradient contribution is kept as given, and may alias
-another node's buffer; the second allocates a buffer the tensor owns, and
-every later one adds into it in place.  Row gathers scatter straight into
-that owned buffer.  No backward function holds its own output, so a graph
-dies with its output by reference counting.
+A tensor's first gradient contribution is kept as given.  One that the
+backward function allocated itself (a GEMM's result) becomes a buffer the
+tensor owns; any other may alias another node's buffer, and the second
+contribution then allocates the owned buffer (or, if it is a fresh one,
+takes the sum).  Every later contribution adds into the owned buffer in
+place, and row gathers scatter straight into it.  So a (V, D) weight
+gradient with several GEMM contributions costs one buffer plus the
+contribution in hand.  No backward function holds its own output, so a
+graph dies with its output by reference counting.  A GEMM's backward reads
+only its operands, so a softmax may overwrite the GEMM output it is taken
+of: ``model`` does so through the in-place forms ``_gumbel_softmax`` and
+``_log_softmax``, and ``_exp_matmul`` recomputes ``exp(logp)`` in its
+backward instead of holding it.
 
 ``backward()`` frees the graph as it walks it: once a node's backward
 function has run, the node drops that function and its parent links and
 the walk lets go of it, so its values and gradient are freed unless the
 caller holds the tensor.  A non-leaf gradient survives only on a tensor
 the caller holds; leaves (the parameters) keep theirs until the caller
-clears them, which ``training.train_step`` does before each forward pass.
+clears them, which ``training.train_step`` does once Adam has used them.
 
 ``linear(x, w, b)`` is ``add(matmul(x, w), b)`` as one node, the bias
 added into the product in place; the GRU recurrence is one node that goes
@@ -114,11 +122,17 @@ class Tensor:
         self._owns_grad = False  # an assigned array is never written in place
 
     # -- autograd ------------------------------------------------------
-    def _accum(self, g):
+    def _accum(self, g, fresh: bool = False):
+        """Add the contribution ``g``; ``fresh`` says the calling backward
+        allocated ``g`` itself and holds no other reference to it, so the
+        tensor may own it and add into it in place."""
         if self._grad is None:
-            self._grad = g  # may alias another node's buffer: not owned
+            self._grad, self._owns_grad = g, fresh  # not fresh: may alias another node's buffer
         elif self._owns_grad:
             self._grad += g
+        elif fresh:  # a + b == b + a bit for bit, so the sum may land in g
+            g += self._grad
+            self._grad, self._owns_grad = g, True
         else:
             self._grad = self._grad + g
             self._owns_grad = True
@@ -347,13 +361,13 @@ def matmul(a, b) -> Tensor:
         return _matmul_rows(a, b)
     values = np.matmul(a.values, b.values)
 
-    def bw(out):
-        if a.requires_grad:
-            ga = np.matmul(out.grad, b.values.swapaxes(-1, -2))
-            a._accum(_unbroadcast(ga, a.values.shape))
+    def bw(out):  # b first, as in _matmul_rows
         if b.requires_grad:
             gb = np.matmul(a.values.swapaxes(-1, -2), out.grad)
-            b._accum(_unbroadcast(gb, b.values.shape))
+            b._accum(_unbroadcast(gb, b.values.shape), fresh=True)
+        if a.requires_grad:
+            ga = np.matmul(out.grad, b.values.swapaxes(-1, -2))
+            a._accum(_unbroadcast(ga, a.values.shape), fresh=True)
 
     return _node(values, (a, b), bw)
 
@@ -374,7 +388,9 @@ def _matmul_rows(a: Tensor, b: Tensor, bias: Tensor = None) -> Tensor:
     """A (..., K) stack times a (K, N) matrix as one GEMM over the flattened
     rows, forward and backward, plus ``bias`` added in place if one is given.
     (A stacked ``np.matmul`` re-reads ``b`` once per stack entry, and its
-    weight gradient would be a (..., K, N) stack to sum.)"""
+    weight gradient would be a (..., K, N) stack to sum.)  The backward makes
+    the weight's gradient first: when the weight already owns one, the
+    product is added into it and freed before the input's gradient exists."""
     k, n = b.shape
     lead = a.shape[:-1]
     values = (a.values.reshape(-1, k) @ b.values).reshape(lead + (n,))
@@ -385,10 +401,10 @@ def _matmul_rows(a: Tensor, b: Tensor, bias: Tensor = None) -> Tensor:
         if bias is not None and bias.requires_grad:
             bias._accum(_unbroadcast(out.grad, bias.values.shape))
         g = out.grad.reshape(-1, n)
-        if a.requires_grad:
-            a._accum((g @ b.values.T).reshape(lead + (k,)))
         if b.requires_grad:
-            b._accum(a.values.reshape(-1, k).T @ g)
+            b._accum(a.values.reshape(-1, k).T @ g, fresh=True)
+        if a.requires_grad:
+            a._accum((g @ b.values.T).reshape(lead + (k,)), fresh=True)
 
     return _node(values, (a, b) if bias is None else (a, b, bias), bw)
 
@@ -400,10 +416,25 @@ def softmax_rows(a) -> Tensor:
 
 
 def log_softmax(a) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.values - a.values.max(axis=-1, keepdims=True)
-    return _unary(a, shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)),
-                  lambda g, y: g - np.exp(y) * g.sum(axis=-1, keepdims=True))
+    """Row log-softmax over the last axis; ``a`` is left as it is."""
+    return _log_softmax(as_tensor(a), in_place=False)
+
+
+def _log_softmax(a: Tensor, in_place: bool) -> Tensor:
+    """:func:`log_softmax`, written over ``a``'s own buffer when ``in_place``:
+    for an ``a`` whose values nothing reads again, such as a GEMM's output
+    (a GEMM's backward reads only its operands).  Both forms run the same
+    operations, so they give the same bits."""
+    z = np.subtract(a.values, a.values.max(axis=-1, keepdims=True),
+                    out=a.values if in_place else None)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+    def grad(g, y):
+        d = np.exp(y)
+        d *= g.sum(axis=-1, keepdims=True)
+        return np.subtract(g, d, out=d)
+
+    return _unary(a, z, grad)
 
 
 def gumbel_softmax(logits, tau: float, rng: "Rng" = None, noise: bool = False,
@@ -416,25 +447,57 @@ def gumbel_softmax(logits, tau: float, rng: "Rng" = None, noise: bool = False,
     broadcasts to the logits and holds only 0 and -inf, is added to them
     first: a -inf column gets zero weight and zero gradient.  One node: the
     mask, the draws, the scaling and the max-shifted softmax run in place on
-    the one buffer it keeps.
+    one copy of the logits, which it keeps; ``logits`` is left as it is.
     """
+    return _gumbel_softmax(as_tensor(logits), tau, rng, noise, mask, in_place=False)
+
+
+def _gumbel_softmax(logits: Tensor, tau: float, rng: "Rng", noise: bool,
+                    mask: np.ndarray, in_place: bool) -> Tensor:
+    """:func:`gumbel_softmax`, run on ``logits``' own buffer when ``in_place``
+    (for logits whose values nothing reads again, as in :func:`_log_softmax`)."""
     if tau <= 0:
         raise DomainError(f"temperature must be positive, got {tau}")
     if noise and rng is None:
         raise DomainError("noise=True needs an Rng")
-    logits, scale = as_tensor(logits), 1.0 / tau
+    scale = 1.0 / tau
+    z = logits.values if in_place else logits.values.copy()
     if noise:
-        z = rng.gumbel(logits.shape)
-        z += logits.values
-    else:
-        z = logits.values.copy()
+        z += rng.gumbel(z.shape)
     if mask is not None:
         z += mask
     z *= scale
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
-    return _unary(logits, z, lambda g, y: (g - (g * y).sum(axis=-1, keepdims=True)) * y * scale)
+
+    def grad(g, y):
+        d = g * y
+        np.subtract(g, d.sum(axis=-1, keepdims=True), out=d)
+        d *= y
+        d *= scale
+        return d
+
+    return _unary(logits, z, grad)
+
+
+def _exp_matmul(logp: Tensor, w: Tensor) -> Tensor:
+    """``matmul(exp(logp), w)`` for 2-d operands as one node whose backward
+    recomputes ``exp(logp)`` instead of holding it: the values and gradients
+    of the two-node chain, bit for bit, with no (rows, K) array held beside
+    ``logp`` (an expected embedding under a log-softmax, K the vocabulary)."""
+    values = np.matmul(np.exp(logp.values), w.values)
+
+    def bw(out):  # w first, as in _matmul_rows
+        p = np.exp(logp.values)
+        if w.requires_grad:
+            w._accum(np.matmul(p.swapaxes(-1, -2), out.grad), fresh=True)
+        if logp.requires_grad:
+            ga = np.matmul(out.grad, w.values.swapaxes(-1, -2))
+            ga *= p
+            logp._accum(ga, fresh=True)
+
+    return _node(values, (logp, w), bw)
 
 
 def conv_seq(c, kernel) -> Tensor:

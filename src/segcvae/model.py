@@ -131,7 +131,8 @@ class SegCVAE:
         (batch, _, conv_len), k = f_c.shape, dense.shape[0]
         f_c = ad.transpose(ad.reshape(f_c, (batch, k, -1, conv_len)), (1, 0, 2, 3))
         logits = ad.matmul(ad.reshape(f_c, (k, -1, conv_len)), dense)
-        return ad.gumbel_softmax(logits, self.config.tau, rng=rng, noise=noise, mask=mask)
+        # the softmax overwrites the projection, which the GEMM's backward never reads
+        return ad._gumbel_softmax(logits, self.config.tau, rng, noise, mask, in_place=True)
 
     def internal_separation(self, c_emb: Tensor, pad_mask: np.ndarray,
                             rng: Rng = None, noise: bool = False) -> Tensor:
@@ -239,10 +240,12 @@ class SegCVAE:
         for p0 in range(0, len(packed_targets), span):
             block, block_targets = packed[p0:p0 + span], packed_targets[p0:p0 + span]
             if graph:
-                logp = ad.log_softmax(ad.linear(block, self.out_w, self.out_b))
+                # one (positions, vocab) buffer: the projection, overwritten by
+                # its log-softmax; the expected embedding recomputes exp(logp)
+                logp = ad._log_softmax(ad.linear(block, self.out_w, self.out_b), in_place=True)
                 picked.append(ad.take(logp, (np.arange(len(block_targets)), block_targets)))
                 if want_generated:
-                    expected.append(ad.matmul(ad.exp(logp), self.emb))
+                    expected.append(ad._exp_matmul(logp, self.emb))
             else:  # scoring only: nothing reads the distribution
                 picked.append(Tensor(self._target_log_probs(block, block_targets)))
         recon = ad.tsum(ad.take(ad.concat(picked + [Tensor(np.zeros(1))]), index), axis=1)

@@ -153,21 +153,29 @@ def train_step(batch: tuple[np.ndarray, np.ndarray], state: TrainState,
                cfg: TrainingConfig) -> dict:
     """One optimization step; returns the logged statistics, all finite
     scalars, and leaves the step's wins per branch, its pre-clip gradient
-    norm and whether that norm was clipped on ``state``."""
+    norm and whether that norm was clipped on ``state``.
+
+    No parameter holds a gradient between steps: any left by a caller go
+    before the forward pass, and the step's own go once Adam has used them
+    (or the backward pass or the update raised), so none sits under what
+    runs between steps, such as a validation perplexity or a checkpoint save.
+    """
     ctx_ids, resp_ids = batch
     lam = lambda_schedule(state.step, cfg)
     klw = kl_anneal(state.step, cfg)
-    state.model.zero_grad()  # the last step's gradients go before this step's graph is built
+    state.model.zero_grad()  # a caller's gradients go before this step's graph is built
     parts = state.model.forward_losses(ctx_ids, resp_ids, klw, state.rng)
     objective = total_loss(parts["elbo_plus"], parts["san"], parts["scn"], parts["sdn"], lam)
     loss = ad.mul(objective, -1.0)
     if not np.isfinite(loss.values):
         raise NonFiniteLoss(state.step)
-    loss.backward()
     try:
+        loss.backward()
         norm = state.optimizer.step(clip=cfg.grad_clip)
     except NonFiniteGradient:
         raise NonFiniteLoss(state.step, "non-finite gradient norm") from None
+    finally:
+        state.model.zero_grad()
     stats = {
         "step": state.step,
         "elbo": float(parts["elbo_plus"].values),

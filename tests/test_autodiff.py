@@ -1,5 +1,6 @@
 """Unit tests for the differentiable tensor substrate."""
 
+import contextlib
 import gc
 import os
 import tracemalloc
@@ -152,6 +153,43 @@ class TestInPlaceAccumulation:
             return ad.add(ad.tsum(ad.mul(mixed, mixed)), ad.tsum(ad.mul(ad.mul(rows, rows), rows)))
 
         assert ad.grad_check(f, [_t(r.normal(size=(4, 3)))]) < 1e-6
+
+    @pytest.mark.parametrize("gemm_first", [False, True])
+    def test_a_gemm_result_becomes_the_owned_gradient(self, gemm_first):
+        """A GEMM gradient is the backward's own array, so the tensor keeps it
+        and adds later contributions into it; when an aliased contribution
+        came first, the sum lands in the GEMM's array and the alias, which y
+        shares, stays as it was.  The bits are those of the plain sum."""
+        r = np.random.default_rng(13)
+        x, y, w = _t(r.normal(size=(4, 3))), _t(r.normal(size=(4, 3))), _t(r.normal(size=(3, 3)))
+        upstream = r.normal(size=(4, 3))
+        s, product = ad.add(x, y), ad.matmul(x, w)
+        total = ad.add(product, s) if gemm_first else ad.add(s, product)
+        ad.tsum(ad.mul(total, ad.Tensor(upstream))).backward()
+        np.testing.assert_array_equal(y.grad, upstream)
+        assert x.grad.tobytes() == (upstream @ w.values.T + upstream).tobytes()
+        assert x._owns_grad and not np.shares_memory(x.grad, y.grad)
+
+    def test_a_second_gemm_contribution_adds_into_the_first(self):
+        """Two GEMM gradients of one 1 MB weight: the first is kept as the
+        weight's gradient and the second added into it, so backward's traced
+        peak stays near two weight-sized arrays, not the three a fresh sum
+        would take."""
+        r = np.random.default_rng(14)
+        w = _t(r.normal(size=(128, 1024)))
+        xs = [_t(r.normal(size=(2, 128)), grad=False) for _ in range(2)]
+        loss = ad.add(*(ad.tsum(ad.matmul(x, w)) for x in xs))
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ones = np.ones((2, 1024))
+        want = xs[0].values.T @ ones
+        want += xs[1].values.T @ ones
+        assert w.grad.tobytes() == want.tobytes()
+        assert peak < 2.5 * w.values.nbytes, peak / w.values.nbytes
 
     def test_assigned_gradient_is_not_written_in_place(self):
         x = _t(np.ones(3))
@@ -341,6 +379,109 @@ class TestGumbelSoftmax:
         excluded = np.broadcast_to(mask == -np.inf, shape)
         assert excluded.any()
         assert np.all(got.values[excluded] == 0.0) and np.all(logits.grad[excluded] == 0.0)
+
+
+def _nonfinite(values):
+    """``values`` with a NaN, a +inf and a -inf planted in separate rows."""
+    values = values.copy()
+    values[0, 1], values[1, 2], values[2, 0] = np.nan, np.inf, -np.inf
+    return values
+
+
+class TestInPlaceForms:
+    """The engine-internal forms write the result over the input's buffer;
+    the public forms leave the input as it is.  Both run the same operations,
+    so their values and gradients agree bit for bit."""
+
+    SHAPE = (4, 3, 7)
+
+    @staticmethod
+    def _softmaxes(noise, with_mask):
+        r = np.random.default_rng(31)
+        mask = None
+        if with_mask:
+            mask = np.where(r.uniform(size=TestInPlaceForms.SHAPE[-1]) < 0.4, -np.inf, 0.0)
+            mask[0] = 0.0
+        return {
+            "log_softmax": (ad.log_softmax, lambda a: ad._log_softmax(a, in_place=True)),
+            "gumbel_softmax": (
+                lambda a: ad.gumbel_softmax(a, 0.3, rng=ad.Rng(8), noise=noise, mask=mask),
+                lambda a: ad._gumbel_softmax(a, 0.3, ad.Rng(8), noise, mask, in_place=True)),
+        }
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf inputs
+    @pytest.mark.parametrize("graph", [True, False])
+    @pytest.mark.parametrize("noise", [False, True])
+    @pytest.mark.parametrize("with_mask", [False, True])
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_in_place_equals_out_of_place_bit_for_bit(self, graph, noise, with_mask, finite):
+        r = np.random.default_rng(33)
+        values = r.normal(size=self.SHAPE) * 3.0
+        values = values if finite else _nonfinite(values)
+        upstream = r.normal(size=self.SHAPE)
+        for name, forms in self._softmaxes(noise, with_mask).items():
+            inputs, outs = [], []
+            for form in forms:
+                a = _t(values.copy())
+                with contextlib.nullcontext() if graph else ad.no_grad():
+                    out = form(a)
+                if graph:
+                    ad.tsum(ad.mul(out, ad.Tensor(upstream))).backward()
+                inputs.append(a)
+                outs.append(out)
+            assert inputs[0].values.tobytes() == values.tobytes(), name  # the public form's
+            assert not np.shares_memory(outs[0].values, inputs[0].values), name
+            assert np.shares_memory(outs[1].values, inputs[1].values), name
+            assert outs[1].values.tobytes() == outs[0].values.tobytes(), name
+            if graph:
+                assert inputs[1].grad.tobytes() == inputs[0].grad.tobytes(), name
+            else:
+                assert outs[1]._backward is None and inputs[1].grad is None, name
+            if not finite:
+                assert np.isnan(outs[0].values).any(), name
+
+    def test_the_in_place_forms_check_before_they_write(self):
+        a = _t(np.arange(6.0).reshape(2, 3))
+        for bad in (dict(tau=0.0, noise=False), dict(tau=1.0, noise=True)):
+            with pytest.raises(DomainError):
+                ad._gumbel_softmax(a, bad["tau"], None, bad["noise"], None, in_place=True)
+        np.testing.assert_array_equal(a.values, np.arange(6.0).reshape(2, 3))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf inputs
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_the_vocabulary_head_equals_the_out_of_place_chain(self, finite):
+        """linear, log-softmax, a target gather and the expected embedding,
+        against the chain with the public log-softmax and ``exp`` and
+        ``matmul`` as nodes of their own: the same bits in every value and
+        gradient, and no node holds ``exp(logp)``."""
+        r = np.random.default_rng(34)
+        rows, hidden, vocab, emb_dim = 5, 4, 9, 3
+        arrays = [r.normal(size=(rows, hidden)), r.normal(size=(hidden, vocab)),
+                  r.normal(size=vocab), r.normal(size=(vocab, emb_dim))]
+        if not finite:  # a NaN row, a row of +-inf logits and an -inf column
+            arrays[0][0, 0], arrays[0][1, 1], arrays[1][1, 3] = np.nan, np.inf, np.inf
+        targets = r.integers(0, vocab, rows)
+        upstream = r.normal(size=(rows, emb_dim))
+        results = []
+        for in_place in (False, True):
+            block, w, b, emb = (_t(x.copy()) for x in arrays)
+            logits = ad.linear(block, w, b)
+            if in_place:
+                logp = ad._log_softmax(logits, in_place=True)
+                expected = ad._exp_matmul(logp, emb)
+                assert expected._parents == (logp, emb)
+                assert np.shares_memory(logp.values, logits.values)
+            else:
+                logp = ad.log_softmax(logits)
+                expected = ad.matmul(ad.exp(logp), emb)
+            picked = ad.take(logp, (np.arange(rows), targets))
+            ad.add(ad.tsum(picked), ad.tsum(ad.mul(expected, ad.Tensor(upstream)))).backward()
+            results.append([picked.values, expected.values]
+                           + [t.grad for t in (block, w, b, emb)])
+        for got, want in zip(results[1], results[0]):
+            assert got.tobytes() == want.tobytes()
+        if not finite:
+            assert np.isnan(results[0][1][:2]).all() and np.isfinite(results[0][1][2:]).all()
 
 
 class TestConvSeq:

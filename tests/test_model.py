@@ -704,6 +704,25 @@ class TestForwardLosses:
             for name, where in branch_slices(net, i):
                 assert np.any(net.params[name].grad[where] != 0), (i, name)
 
+    def test_the_selection_and_the_vocabulary_head_each_hold_one_wide_buffer(self):
+        """External guidance's softmax is written over its projection, and the
+        teacher-forcing block's log-softmax over its out-projection, whose
+        expected embedding holds no exp(logp): the graph's (..., V) arrays
+        are two buffers, each held by a projection and its softmax."""
+        net, _, ctx, resp = _tiny_setup()
+        vocab = net.config.vocab_size
+        parts = net.forward_losses(ctx, resp, 0.5, Rng(5))
+        nodes = _graph_nodes([parts[k] for k in ("elbo_plus", "san", "scn", "sdn")])
+        buffers: list[list[np.ndarray]] = []
+        for node in nodes:
+            if node._parents and node.values.ndim > 1 and node.values.shape[-1] == vocab:
+                group = next((g for g in buffers if np.shares_memory(g[0], node.values)), None)
+                if group is None:
+                    buffers.append([node.values])
+                else:
+                    group.append(node.values)
+        assert sorted((len(g), g[0].ndim) for g in buffers) == [(2, 2), (2, 3)]
+
     def test_sdn_skipped_for_singleton_batch(self):
         net, _, ctx, resp = _tiny_setup()
         parts = net.forward_losses(ctx[:1], resp[:1], 0.5, Rng(5))

@@ -48,6 +48,19 @@ def _setup(n=16, **overrides):
     return cfg, pairs, vocab, data
 
 
+def _grads_at_update(monkeypatch) -> list[dict]:
+    """Record, at each ``Adam.step``, the gradient each parameter holds then
+    (``train_step`` lets them go once the update has used them)."""
+    seen, step = [], tr.Adam.step
+
+    def recording(opt, *args, **kwargs):
+        seen.append({k: p.grad for k, p in opt.params.items() if p.grad is not None})
+        return step(opt, *args, **kwargs)
+
+    monkeypatch.setattr(tr.Adam, "step", recording)
+    return seen
+
+
 class TestSchedules:
     def test_lambda_ramp(self):
         cfg = _desk_config(snorm_step=1000)
@@ -268,8 +281,9 @@ class TestTrainStep:
         assert run() == run()
 
     def test_the_last_steps_gradients_are_gone_before_the_next_forward(self, monkeypatch):
-        """A step's graph is built with no parameter holding a gradient, so
-        the previous step's gradients never sit under it."""
+        """A step's graph is built with no parameter holding a gradient, even
+        one a caller left, and no gradient outlives the step; yet every
+        parameter holds one when Adam runs."""
         cfg, pairs, vocab, data = _setup()
         state = tr.init_state(cfg, vocab)
         held, forward_losses = [], tr.SegCVAE.forward_losses
@@ -279,10 +293,15 @@ class TestTrainStep:
             return forward_losses(model, *args, **kwargs)
 
         monkeypatch.setattr(tr.SegCVAE, "forward_losses", recording)
+        at_update = _grads_at_update(monkeypatch)
+        params = state.model.params
         for _ in range(2):
+            for p in params.values():  # a caller's stale gradients
+                p.grad = np.ones_like(p.values)
             tr.train_step(data, state, cfg)
+            assert all(p.grad is None for p in params.values())
         assert held == [[], []]
-        assert all(p.grad is not None for p in state.model.params.values())
+        assert [sorted(grads) for grads in at_update] == [sorted(params)] * 2
 
     def test_reduces_to_plain_cvae(self):
         flags = dict(num_triggers=1, no_is=True, no_eg=True, no_san=True,
@@ -339,33 +358,35 @@ class TestTrainStep:
         with pytest.raises(NonFiniteLoss, match="non-finite gradient norm") as err:
             tr.train_step(data, state, cfg)
         assert err.value.batch_id == 1 and state.step == 1 and state.optimizer.t == 1
+        assert all(p.grad is None for p in state.model.params.values())  # let go all the same
         for k, p in state.model.params.items():
             values, m1, m2 = before[k]
             assert np.array_equal(p.values, values), k
             assert np.array_equal(state.optimizer.m[k], m1), k
             assert np.array_equal(state.optimizer.v[k], m2), k
 
-    def test_branch_wins_name_the_branches_that_get_gradient(self):
+    def test_branch_wins_name_the_branches_that_get_gradient(self, monkeypatch):
         # four rows and six branches: at least two branches lose everywhere
         cfg, pairs, vocab, data = _setup(num_triggers=6)
         state = tr.init_state(cfg, vocab)
         assert tr.lambda_schedule(state.step, cfg) == 0.0  # the norms reach no branch
+        grads = _grads_at_update(monkeypatch)
         tr.train_step((data[0][:4], data[1][:4]), state, cfg)
         wins = state.branch_wins
         assert wins.shape == (6,) and wins.sum() == 4
         for i in range(6):
             slices = branch_slices(state.model, i)
             assert len(slices) == 4
-            got_gradient = [np.any(state.model.params[name].grad[where] != 0)
-                            for name, where in slices]
+            got_gradient = [np.any(grads[0][name][where] != 0) for name, where in slices]
             assert (any(got_gradient) if wins[i] else not any(got_gradient)), i
 
     @pytest.mark.parametrize("clip", [1e-3, 1e6, None])
-    def test_leaves_the_pre_clip_gradient_norm_and_clip_flag(self, clip):
+    def test_leaves_the_pre_clip_gradient_norm_and_clip_flag(self, clip, monkeypatch):
         cfg, pairs, vocab, data = _setup(grad_clip=clip)
         state = tr.init_state(cfg, vocab)
+        at_update = _grads_at_update(monkeypatch)
         stats = tr.train_step(data, state, cfg)
-        grads = [p.grad.ravel() for p in state.model.params.values() if p.grad is not None]
+        grads = [g.ravel() for g in at_update[0].values()]
         assert state.grad_norm == pytest.approx(np.linalg.norm(np.concatenate(grads)), rel=1e-12)
         assert state.grad_clipped == (clip is not None and state.grad_norm > clip)
         assert state.grad_clipped == (clip == 1e-3)
