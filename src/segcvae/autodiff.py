@@ -97,10 +97,6 @@ class Tensor:
     def ndim(self):
         return self.values.ndim
 
-    @property
-    def size(self):
-        return self.values.size
-
     def item(self) -> float:
         if self.values.size != 1:
             raise DomainError(f"item() needs a single element, shape is {self.values.shape}")

@@ -8,7 +8,9 @@ snapshot and seed where it reads a config, the options it ran with, content
 digests of the inputs, run files read included, artifact names) before any
 work starts, so a run can be reproduced byte for byte from its manifest.
 The manifest is every command's first write, and it refuses an ``--out``
-that holds any entry, so a run directory never mixes two runs.
+that holds any entry, so a run directory never mixes two runs.  ``train``
+(``--drop`` for an ablation arm) leaves the rest of its directory to
+``training``, which names, writes and reads back every run file.
 """
 
 from __future__ import annotations
@@ -27,20 +29,16 @@ from .autodiff import Rng
 from .config import config_snapshot, parse_config
 from .errors import DomainError, SegcvaeError
 from .gradsuite import TOLERANCE, run_suite
-from .model import SegCVAE
 
 MANIFEST = "manifest.txt"
-# the files of a training run that generate and evaluate read from --run
-CHECKPOINT, VOCAB = RUN_FILES = (tr.CHECKPOINT_NAME, "vocab.txt")
 # the files each command writes under --out beside MANIFEST, in manifest order
 OUTPUTS = {
     "prepare-data": ("train.tsv", "valid.tsv", "test.tsv"),
     "cdm-stats": ("cdm_report.txt",),
-    "train": (CHECKPOINT, tr.LOG_NAME, VOCAB),
+    "train": tr.RUN_FILES,
     "generate": ("generated.tsv",),
     "evaluate": ("metrics.txt",),
 }
-OUTPUTS["ablate"] = OUTPUTS["train"]
 
 
 def _digest(path: Path) -> str:
@@ -76,20 +74,13 @@ def write_manifest(out_dir: Path, command: str, cfg: tr.TrainingConfig | None,
 
 
 def _load_config(args) -> tr.TrainingConfig:
-    """``train``/``ablate``'s configuration: the file, then --seed and --drop."""
+    """``train``'s configuration: the file, then --seed and --drop."""
     cfg = parse_config(args.config) if args.config else tr.TrainingConfig()
     if args.seed is not None:
         cfg.seed = args.seed
     for name in args.drop or ():
         setattr(cfg, f"no_{name}", True)
     return cfg
-
-
-def _load_run(run_dir) -> tuple[SegCVAE, cp.Vocabulary, list[Path]]:
-    """The model and vocabulary of a training run, and the run files read."""
-    checkpoint, vocab = paths = [run_dir / name for name in RUN_FILES]
-    model = tr.load_model(checkpoint)
-    return model, cp.Vocabulary.load(vocab, model.emb.values), paths
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +120,7 @@ def _cmd_cdm_stats(args) -> int:
     return _report(args, cp.mine_cdm(pairs).text())
 
 
-def _train_like(args) -> int:
+def _cmd_train(args) -> int:
     cfg = _load_config(args)
     train_path, valid_path, _ = (args.infile / name for name in OUTPUTS["prepare-data"])
     train_pairs = cp.read_pairs(train_path)
@@ -137,17 +128,17 @@ def _train_like(args) -> int:
     vocab = cp.build_vocab(train_pairs, max_size=cfg.vocab_cap,
                            emb_dim=cfg.emb_dim, seed=cfg.seed)
     inputs = [train_path] + ([valid_path] if valid_path.exists() else [])
-    write_manifest(args.out, args.command, cfg, inputs)
-    vocab.save(args.out / VOCAB)
-    result = tr.fit({"train": train_pairs, "valid": valid_pairs}, vocab, cfg, args.out)
-    print(f"checkpoint: {result.checkpoint_path}")
-    print(f"log: {result.log_path}")
-    print(f"best_val_ppl: {min(result.val_ppl)!r}")
+    write_manifest(args.out, "train", cfg, inputs)
+    val_ppls = tr.fit({"train": train_pairs, "valid": valid_pairs}, vocab, cfg, args.out)
+    print(f"checkpoint: {args.out / tr.CHECKPOINT_NAME}")
+    print(f"log: {args.out / tr.LOG_NAME}")
+    print(f"best_val_ppl: {min(val_ppls)!r}")
     return 0
 
 
 def _cmd_generate(args) -> int:
-    model, vocab, run_files = _load_run(args.run)
+    model, vocab = tr.load_run(args.run)
+    run_files = [args.run / name for name in tr.READ_BACK]
     contexts = list(dict.fromkeys(p.context for p in cp.read_pairs(args.data)))
     if args.limit:
         contexts = contexts[:args.limit]
@@ -164,7 +155,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    model, vocab, run_files = _load_run(args.run)
+    model, vocab = tr.load_run(args.run)
+    run_files = [args.run / name for name in tr.READ_BACK]
     records = ev.read_generation(args.infile)
     pairs = cp.read_pairs(args.data)
     truths = {}  # each context's responses
@@ -233,19 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_path, help="optional directory for the report file")
     p.set_defaults(func=_cmd_cdm_stats)
 
+    p = sub.add_parser("train", help="train on a prepared dataset directory")
+    p.add_argument("--config", type=_path, help="key = value configuration file")
+    p.add_argument("--in", dest="infile", type=_path, required=True,
+                   help="prepared data directory (train.tsv, optional valid.tsv)")
+    p.add_argument("--out", type=_path, required=True, help="output directory")
+    p.add_argument("--seed", type=_seed, help="override the configured seed")
     # --drop <name> sets the schema's no_<name> switch; choices in field order
-    drops = [f.name[3:] for f in fields(tr.TrainingConfig) if f.name.startswith("no_")]
-    for name, what in (("train", "train on a prepared dataset directory"),
-                       ("ablate", "train with components dropped")):
-        p = sub.add_parser(name, help=what)
-        p.add_argument("--config", type=_path, help="key = value configuration file")
-        p.add_argument("--in", dest="infile", type=_path, required=True,
-                       help="prepared data directory (train.tsv, optional valid.tsv)")
-        p.add_argument("--out", type=_path, required=True, help="output directory")
-        p.add_argument("--seed", type=_seed, help="override the configured seed")
-        p.add_argument("--drop", action="append", required=name == "ablate",
-                       choices=drops)
-        p.set_defaults(func=_train_like)
+    p.add_argument("--drop", action="append", help="drop a component (repeatable)",
+                   choices=[f.name[3:] for f in fields(tr.TrainingConfig)
+                            if f.name.startswith("no_")])
+    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("generate", help="generate N responses per test context")
     p.add_argument("--run", type=_path, required=True, help="training output directory")

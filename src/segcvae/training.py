@@ -2,13 +2,14 @@
 
 The objective is maximized, so each step minimizes its negation.  Both the
 norm weight and the KL weight ramp linearly from zero; the norm weight can
-instead be pinned to a constant.  ``fit`` writes its log (``LOG_NAME``) and,
-at every new validation-perplexity minimum, a checkpoint
-(``CHECKPOINT_NAME``); perplexity scores all branches of a context in one
-no-graph pass, as the training step's scoring pass does.  The serialized
-state (each parameter and its optimizer moments by the parameter's name,
-step, generator states) holds all an exact resume needs, though no entry
-point resumes yet.
+instead be pinned to a constant.  This module owns a training run's
+directory: ``RUN_FILES`` names its files, ``fit`` writes all of them (the
+vocabulary, the log and, at every new validation-perplexity minimum, a
+checkpoint) and ``load_run`` reads the model and vocabulary back;
+perplexity scores all branches of a context in one no-graph pass, as the
+training step's scoring pass does.  The serialized state (each parameter
+and its optimizer moments by the parameter's name, step, generator states)
+holds all an exact resume needs, though no entry point resumes yet.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -29,8 +30,9 @@ from .corpus import PAD_ID, DialoguePair, Vocabulary, encode_pairs
 from .errors import DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss, ShapeError
 from .model import SegCVAE, stored_array, total_loss
 
-CHECKPOINT_NAME = "checkpoint.bin"
-LOG_NAME = "train_log.txt"
+# the files of a training run, in manifest order, and those load_run reads back
+RUN_FILES = CHECKPOINT_NAME, LOG_NAME, VOCAB_NAME = "checkpoint.bin", "train_log.txt", "vocab.txt"
+READ_BACK = CHECKPOINT_NAME, VOCAB_NAME
 ADAM_BLOCK = 1 << 15  # elements per Adam block: the block's arrays and scratch stay in L2
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
@@ -342,17 +344,12 @@ def load_state(path, cfg: TrainingConfig) -> TrainState:
 # the full loop
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FitResult:
-    checkpoint_path: Path
-    log_path: Path
-    val_ppl: list[float] = field(default_factory=list)
-
-
 def fit(splits: dict[str, Sequence[DialoguePair]], vocab: Vocabulary,
-        cfg: TrainingConfig, run_dir) -> FitResult:
-    """Train for up to ``cfg.epochs`` epochs over ``splits['train']``,
-    checkpointing at every new validation-perplexity minimum."""
+        cfg: TrainingConfig, run_dir) -> list[float]:
+    """Train for up to ``cfg.epochs`` epochs over ``splits['train']`` into
+    ``run_dir``, writing each of ``RUN_FILES`` there: the vocabulary, then
+    the log, and a checkpoint at every new validation-perplexity minimum.
+    Returns each epoch's validation perplexity."""
     cfg.validate()
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -365,19 +362,29 @@ def fit(splits: dict[str, Sequence[DialoguePair]], vocab: Vocabulary,
     valid_data = encode_pairs(valid_pairs, vocab, cfg.max_len)
     state = init_state(cfg, vocab)
 
-    result = FitResult(run_dir / CHECKPOINT_NAME, run_dir / LOG_NAME)
-    with open(result.log_path, "w", encoding="utf-8") as log:
+    checkpoint = run_dir / CHECKPOINT_NAME
+    val_ppls = []
+    vocab.save(run_dir / VOCAB_NAME)
+    with open(run_dir / LOG_NAME, "w", encoding="utf-8") as log:
         for epoch in range(cfg.epochs):
             for index in iterate_batches(len(train_pairs), cfg.batch_size, state.data_rng):
                 batch = (train_data[0][index], train_data[1][index])
                 stats = train_step(batch, state, cfg)
                 log.write(format_stats(stats) + "\n")
             val_ppl = perplexity(state.model, valid_data, batch_size=cfg.batch_size)
-            result.val_ppl.append(val_ppl)
+            val_ppls.append(val_ppl)
             log.write(f"epoch={epoch} val_ppl={val_ppl!r}\n")
             if val_ppl < state.best_ppl:
                 state.best_ppl = val_ppl
-                save_state(state, cfg, result.checkpoint_path)
+                save_state(state, cfg, checkpoint)
     if state.best_ppl == math.inf:  # no finite ppl in this run; keep its last state
-        save_state(state, cfg, result.checkpoint_path)
-    return result
+        save_state(state, cfg, checkpoint)
+    return val_ppls
+
+
+def load_run(run_dir) -> tuple[SegCVAE, Vocabulary]:
+    """The model of a ``fit`` run's checkpoint (its best epoch) and the
+    run's vocabulary, reading ``READ_BACK`` in that order."""
+    checkpoint, vocab = (Path(run_dir) / name for name in READ_BACK)
+    model = load_model(checkpoint)
+    return model, Vocabulary.load(vocab, model.emb.values)

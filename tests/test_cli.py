@@ -19,6 +19,7 @@ from segcvae import cli, corpus
 from segcvae import evaluation as ev
 from segcvae import training as tr
 from segcvae.corpus import DialoguePair
+from segcvae.config import parse_config
 from segcvae.errors import ConfigError
 
 CORPUS_TEXT = """\
@@ -211,7 +212,7 @@ class TestDispatchBasics:
         assert "train.tsv:13: not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("infile", [None, ""], ids=["absent", "empty"])
-    @pytest.mark.parametrize("command", ["prepare-data", "train", "ablate"])
+    @pytest.mark.parametrize("command", ["prepare-data", "train"])
     def test_missing_input_is_not_the_working_directory(self, command, infile, data_dir,
                                                         tmp_path, monkeypatch, capsys):
         """A missing or empty --in is a usage error, even where the working
@@ -219,8 +220,7 @@ class TestDispatchBasics:
         monkeypatch.chdir(data_dir)
         out = tmp_path / "out"
         given = [] if infile is None else ["--in", infile]
-        drop = ["--drop", "san"] if command == "ablate" else []
-        assert cli.dispatch([command, *given, "--out", str(out), *drop]) == 2
+        assert cli.dispatch([command, *given, "--out", str(out)]) == 2
         assert "--in" in capsys.readouterr().err
         assert not out.exists()
 
@@ -231,11 +231,11 @@ class TestDispatchBasics:
                     if f.name.startswith("no_")]
         assert switches == ["no_is", "no_eg", "no_san", "no_scn", "no_sdn"]
         for switch in switches:
-            args = cli.build_parser().parse_args(["ablate", "--in", str(tmp_path), "--out",
+            args = cli.build_parser().parse_args(["train", "--in", str(tmp_path), "--out",
                                                   str(tmp_path), "--drop", switch[3:]])
             cfg = cli._load_config(args)
             assert [name for name in switches if getattr(cfg, name)] == [switch]
-        assert cli.dispatch(["ablate", "--in", str(tmp_path), "--out", str(tmp_path),
+        assert cli.dispatch(["train", "--in", str(tmp_path), "--out", str(tmp_path),
                              "--drop", "zz"]) == 2
         assert "(choose from 'is', 'eg', 'san', 'scn', 'sdn')" in capsys.readouterr().err
 
@@ -520,8 +520,7 @@ class TestTrainGenerateEvaluate:
         """A first run into an existing empty --out goes ahead.  A second run
         into it, with other inputs or options and dying in its work, is exit
         1 naming --out, prints nothing and changes no byte there; after a
-        second train or ablate, generate still decodes only the first run's
-        words."""
+        second train, generate still decodes only the first run's words."""
         other = tmp_path / "other"
         other.mkdir()
         second = [(f"zq{i}", f"za{i}") for i in range(12)]  # words of the second run only
@@ -532,21 +531,20 @@ class TestTrainGenerateEvaluate:
         test = data_dir / "test.tsv"
         assert self._generate(run_dir, data_dir, tmp_path) == 0
         dump = tmp_path / "gen" / cli.OUTPUTS["generate"][0]
-        train_args = ["--config", config_file] + (["--drop", "san"] if command == "ablate" else [])
         # the first run's arguments, the second run's, and a step of the second run's work
         first, again, work = {
             "prepare-data": (["--in", corpus_file], ["--in", other_corpus, "--mode", "o2m"],
                              (corpus, "write_pairs")),
             "cdm-stats": (["--in", corpus_file], ["--in", other_corpus], (corpus, "mine_cdm")),
-            "train": ([*train_args, "--in", data_dir], [*train_args, "--in", other],
-                      (tr, "save_state")),
+            "train": (["--config", config_file, "--in", data_dir],
+                      ["--config", config_file, "--in", other], (tr, "save_state")),
             "generate": (["--run", run_dir, "--data", test, "--seed", "1"],
                          ["--run", run_dir, "--data", test, "--seed", "2"],
                          (ev, "write_generation")),
             "evaluate": (["--in", dump, "--data", test, "--run", run_dir],
                          ["--in", dump, "--data", other / "train.tsv", "--run", run_dir],
                          (tr, "perplexity")),
-        }["train" if command == "ablate" else command]
+        }[command]
         out = tmp_path / "used"
         out.mkdir()
         assert cli.dispatch(list(map(str, [command, *first, "--out", out]))) == 0
@@ -563,13 +561,13 @@ class TestTrainGenerateEvaluate:
         assert captured.err.startswith(f"error: {out}: not empty") and captured.out == ""
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         monkeypatch.undo()
-        if command in ("train", "ablate"):
+        if command == "train":
             gen = tmp_path / "gen_used"
             assert cli.dispatch(["generate", "--run", str(out), "--data", str(test),
                                  "--out", str(gen)]) == 0
             words = {w for line in (gen / dump.name).read_text(encoding="utf-8").splitlines()
                      for response in line.split("\t")[1:] for w in response.split()}
-            assert words and words <= set(before[cli.VOCAB].decode("utf-8").split())
+            assert words and words <= set(before[tr.VOCAB_NAME].decode("utf-8").split())
             assert words.isdisjoint(w for pair in second for w in pair)
 
     def test_generate_manifest_records_limit(self, run_dir, data_dir, tmp_path):
@@ -595,9 +593,9 @@ class TestTrainGenerateEvaluate:
         other = tmp_path / "other_run"
         shutil.copytree(run_dir, other)
         cfg = tr.TrainingConfig()
-        state = tr.load_state(other / cli.CHECKPOINT, cfg)
+        state = tr.load_state(other / tr.CHECKPOINT_NAME, cfg)
         state.model.params["out.b"].values[4:] += 1.0
-        tr.save_state(state, cfg, other / cli.CHECKPOINT)
+        tr.save_state(state, cfg, other / tr.CHECKPOINT_NAME)
         manifests = []
         for run in (run_dir, other):
             out = tmp_path / f"metrics_{run.name}"
@@ -608,11 +606,11 @@ class TestTrainGenerateEvaluate:
         generated = (tmp_path / "gen" / cli.MANIFEST).read_text(encoding="utf-8").splitlines()
         for manifest, run in ((generated, run_dir), (manifests[0], run_dir),
                               (manifests[1], other)):
-            for name in cli.RUN_FILES:
+            for name in tr.READ_BACK:
                 assert f"input.{name} = sha256:{cli._digest(run / name)}" in manifest
         assert len(manifests[0]) == len(manifests[1])
         changed = [a for a, b in zip(*manifests) if a != b]
-        assert [line.split(" = ")[0] for line in changed] == [f"input.{cli.CHECKPOINT}"]
+        assert [line.split(" = ")[0] for line in changed] == [f"input.{tr.CHECKPOINT_NAME}"]
 
     def test_digest_does_not_hold_the_file_whole(self, tmp_path):
         """Digesting a 16 MiB file peaks far below its size, with the same
@@ -633,7 +631,7 @@ class TestTrainGenerateEvaluate:
 
     def test_ablate_sets_flag(self, config_file, data_dir, tmp_path):
         out = tmp_path / "ablate_run"
-        code = cli.dispatch(["ablate", "--config", str(config_file),
+        code = cli.dispatch(["train", "--config", str(config_file),
                              "--in", str(data_dir), "--out", str(out),
                              "--drop", "san", "--drop", "is"])
         assert code == 0
@@ -642,6 +640,28 @@ class TestTrainGenerateEvaluate:
         assert "config.no_is = true" in manifest
         log = (out / "train_log.txt").read_text()
         assert " san=0.0 " in log.splitlines()[0]
+
+    def test_a_library_fit_leaves_a_complete_run(self, config_file, data_dir, tmp_path,
+                                                 capsys):
+        """fit into a fresh directory leaves exactly training's run files;
+        generate and evaluate read it, and load_run gives back the parameters
+        load_model gives and the tokens of the vocabulary fit got."""
+        cfg = parse_config(config_file)
+        pairs = corpus.read_pairs(data_dir / "train.tsv")
+        vocab = corpus.build_vocab(pairs, max_size=cfg.vocab_cap, emb_dim=cfg.emb_dim,
+                                   seed=cfg.seed)
+        run = tmp_path / "lib_run"
+        tr.fit({"train": pairs, "valid": pairs[:4]}, vocab, cfg, run)
+        assert self._generate(run, data_dir, tmp_path) == 0, capsys.readouterr().err
+        assert self._evaluate(tmp_path / "gen" / "generated.tsv", run, data_dir) == 0, \
+            capsys.readouterr().err
+        assert sorted(p.name for p in run.iterdir()) == sorted(tr.RUN_FILES)
+        model, loaded = tr.load_run(run)
+        expected = tr.load_model(run / tr.CHECKPOINT_NAME).params
+        assert list(model.params) == list(expected)
+        for name, param in expected.items():
+            assert np.array_equal(model.params[name].values, param.values), name
+        assert loaded.id_to_token == vocab.id_to_token
 
 
 KILLED = 75  # the exit status of a child ended at a write point
@@ -741,15 +761,15 @@ class TestKillAnywhere:
 
         def record(path):
             points.append(Path(path).name)
-            if Path(path).name == cli.CHECKPOINT:
+            if Path(path).name == tr.CHECKPOINT_NAME:
                 saves.append(Path(path).read_bytes())
 
         ref = tmp_path / "ref"
         with monkeypatch.context() as patch:
             _write_points(patch, record)
             assert cli.dispatch(train(ref)) == 0
-        assert set(points) == {cli.MANIFEST, *cli.OUTPUTS["train"], cli.CHECKPOINT + ".tmp"}
-        assert saves and saves[-1] == (ref / cli.CHECKPOINT).read_bytes()
+        assert set(points) == {cli.MANIFEST, *tr.RUN_FILES, tr.CHECKPOINT_NAME + ".tmp"}
+        assert saves and saves[-1] == (ref / tr.CHECKPOINT_NAME).read_bytes()
         (dump,) = cli.OUTPUTS["generate"]
         assert cli.dispatch(["generate", "--run", str(ref), "--data", str(data_dir / "test.tsv"),
                              "--out", str(tmp_path / "ref_gen")]) == 0
@@ -787,13 +807,13 @@ class TestKillAnywhere:
             err = capfd.readouterr().err
             assert not [p for p in opened if p.suffix == ".tmp"]
             if code == 1:
-                assert any(err.startswith(f"error: {run / name}: ") for name in cli.RUN_FILES), err
+                assert any(err.startswith(f"error: {run / name}: ") for name in tr.READ_BACK), err
                 continue
             assert code == 0, err
             read = {p for p in opened if p.parent == run}
-            assert {p.name for p in read} == set(cli.RUN_FILES)
+            assert {p.name for p in read} == set(tr.READ_BACK)
             for path in read:
-                assert path.read_bytes() in (saves if path.name == cli.CHECKPOINT
+                assert path.read_bytes() in (saves if path.name == tr.CHECKPOINT_NAME
                                              else [(ref / path.name).read_bytes()])
 
 

@@ -6,6 +6,7 @@ change to how the hyperparameters are declared cannot silently change a
 file that earlier runs wrote or that later runs must read.
 """
 
+import argparse
 import re
 from dataclasses import fields
 from itertools import dropwhile, takewhile
@@ -151,3 +152,15 @@ def test_readme_config_table_names_every_key_once():
     keys = [key for row in table[2:]  # past the header and its rule
             for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert sorted(keys) == sorted(key_of(f) for f in fields(tr.TrainingConfig))
+
+
+def test_readme_command_block_names_every_subcommand_once():
+    """The ``segcvae <command>`` lines of README's block under "Command line"
+    name each subcommand of the parser, and nothing else, so a removed
+    command cannot stay in the docs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    named = {line.split()[1] for line in block.splitlines() if line.startswith("segcvae ")}
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert named == set(commands)

@@ -746,10 +746,10 @@ class TestFit:
     def test_checkpoint_tracks_minimum_validation_ppl(self, tmp_path):
         cfg, pairs, vocab, _ = _setup(epochs=3)
         splits = {"train": pairs, "valid": pairs[:8]}
-        result = tr.fit(splits, vocab, cfg, tmp_path / "run")
-        assert len(result.val_ppl) == 3
-        best = min(result.val_ppl)
-        loaded = tr.load_state(result.checkpoint_path, cfg)
+        val_ppls = tr.fit(splits, vocab, cfg, tmp_path / "run")
+        assert len(val_ppls) == 3
+        best = min(val_ppls)
+        loaded = tr.load_state(tmp_path / "run" / tr.CHECKPOINT_NAME, cfg)
         valid_data = encode_pairs(pairs[:8], vocab, cfg.max_len)
         assert tr.perplexity(loaded.model, valid_data,
                              batch_size=cfg.batch_size) == pytest.approx(best, rel=1e-12)
@@ -772,22 +772,24 @@ class TestFit:
         directory already holds a checkpoint."""
         cfg, pairs, vocab, _ = _setup(epochs=1)
         splits = {"train": pairs, "valid": pairs[:8]}
-        earlier = tr.fit(splits, vocab, cfg, tmp_path / "run").checkpoint_path.read_bytes()
+        checkpoint = tmp_path / "run" / tr.CHECKPOINT_NAME
+        tr.fit(splits, vocab, cfg, tmp_path / "run")
+        earlier = checkpoint.read_bytes()
         monkeypatch.setattr(tr, "perplexity", lambda *a, **k: ppl)
         rerun = _desk_config(epochs=1, seed=7)
-        result = tr.fit(splits, vocab, rerun, tmp_path / "run")
-        kept_the_earlier = result.checkpoint_path.read_bytes() == earlier
+        tr.fit(splits, vocab, rerun, tmp_path / "run")
+        kept_the_earlier = checkpoint.read_bytes() == earlier
         assert not kept_the_earlier
-        assert ad.load_checkpoint(result.checkpoint_path)[1]["seed"] == "7"
-        loaded = tr.load_state(result.checkpoint_path, rerun)
-        logged = result.log_path.read_text(encoding="utf-8").splitlines()
+        assert ad.load_checkpoint(checkpoint)[1]["seed"] == "7"
+        loaded = tr.load_state(checkpoint, rerun)
+        logged = (tmp_path / "run" / tr.LOG_NAME).read_text(encoding="utf-8").splitlines()
         steps = sum(line.startswith("step=") for line in logged)
         assert loaded.step == steps > 0 and loaded.best_ppl == math.inf
 
     def test_runs_are_byte_identical(self, tmp_path):
         cfg, pairs, vocab, _ = _setup(epochs=2, batch_size=8)
         splits = {"train": pairs, "valid": pairs[:8]}
-        r1 = tr.fit(splits, vocab, cfg, tmp_path / "a")
-        r2 = tr.fit(splits, vocab, cfg, tmp_path / "b")
-        assert r1.log_path.read_bytes() == r2.log_path.read_bytes()
-        assert r1.checkpoint_path.read_bytes() == r2.checkpoint_path.read_bytes()
+        for run in ("a", "b"):
+            tr.fit(splits, vocab, cfg, tmp_path / run)
+        for name in tr.RUN_FILES:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
