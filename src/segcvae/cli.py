@@ -159,15 +159,10 @@ def _cmd_evaluate(args) -> int:
     run_files = [args.run / name for name in tr.READ_BACK]
     records = ev.read_generation(args.infile)
     pairs = cp.read_pairs(args.data)
-    truths = {}  # each context's responses
-    for pair in pairs:
-        truths.setdefault(pair.context, []).append(pair.response)
-    for rec in records:
-        rec.ground_truths = list(truths.get(rec.context, ()))
     data = cp.encode_pairs(pairs, vocab, model.config.max_len)
     if args.out:
         write_manifest(args.out, "evaluate", None, run_files + [args.infile, args.data])
-    metrics = ev.evaluate_records(records, vocab)
+    metrics = ev.evaluate_records(records, pairs, vocab)
     metrics["ppl"] = tr.perplexity(model, data)
     return _report(args, ev.report_text(metrics, corpus_size=len(pairs)))
 

@@ -4,8 +4,8 @@ N-response generation cycles through the semantics branches, draws a fresh
 latent from each branch's prior and decodes all responses greedily as one
 batch: each starts from the begin marker and stops at the end marker or the
 length cap, and none emits the padding, unknown-word or begin markers.  The
-metrics are plain functions over token sequences; special tokens never
-count.
+metrics are plain functions over token sequences, the references coming
+from the scored pairs; special tokens never count.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import EPS_NORM, Rng
-from .corpus import (BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID, Vocabulary, encode_context,
-                     text_lines)
+from .corpus import (BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID, DialoguePair, Vocabulary,
+                     encode_context, text_lines)
 from .errors import DegenerateVector, DomainError
 from .model import SegCVAE
 
@@ -29,13 +29,11 @@ DISTINCT_ORDERS, BLEU_ORDERS = (1, 2), (1, 2, 3)  # the n of the reported distin
 
 @dataclass
 class GenerationRecord:
-    """One context with its generated responses and any ground truths."""
+    """A context, its generated responses and (from generate_n) each one's branch."""
 
     context: tuple[str, ...]
     responses: list[list[str]]
-    ground_truths: list[tuple[str, ...]] = field(default_factory=list)
     branch_indices: list[int] = field(default_factory=list)
-    z_samples: list[np.ndarray] = field(default_factory=list)
 
 
 def generate_n(model: SegCVAE, vocab: Vocabulary, context: Sequence[str],
@@ -70,7 +68,7 @@ def generate_n(model: SegCVAE, vocab: Vocabulary, context: Sequence[str],
             for k in np.flatnonzero(live):
                 responses[k].append(int(tokens[k]))
     return GenerationRecord(tuple(context), [vocab.tokens_of(ids) for ids in responses],
-                            branch_indices=branches.tolist(), z_samples=list(z.values))
+                            branches.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +160,16 @@ def length_avg(responses: Sequence[Sequence[str]]) -> float:
 # corpus-level aggregation and report files
 # ---------------------------------------------------------------------------
 
-def evaluate_records(records: Sequence[GenerationRecord], vocab: Vocabulary) -> dict[str, float]:
-    """Aggregate the metric suite over generation records.
-
-    BLEU and the embedding metrics are averaged over generated responses;
-    with several ground truths per context, BLEU clips over all of them and
-    the embedding score takes the best-matching truth.
-    """
+def evaluate_records(records: Sequence[GenerationRecord], pairs: Sequence[DialoguePair],
+                     vocab: Vocabulary) -> dict[str, float]:
+    """Aggregate the metric suite over generation records, a record's ground
+    truths being the responses ``pairs`` give its context.  BLEU and the
+    embedding metrics are averaged over generated responses whose context
+    has any; BLEU clips over all of them and the embedding score takes the
+    best-matching truth."""
+    truths = {}
+    for pair in pairs:
+        truths.setdefault(pair.context, []).append(pair.response)
     all_responses = [resp for rec in records for resp in rec.responses]
     metrics: dict[str, float] = {}
     for n in DISTINCT_ORDERS:
@@ -180,12 +181,13 @@ def evaluate_records(records: Sequence[GenerationRecord], vocab: Vocabulary) -> 
     emb_acc: list[float] = []
     coh_acc: list[float] = []
     for rec in records:
+        refs = truths.get(rec.context, ())
         for resp in rec.responses:
-            if rec.ground_truths and resp:
+            if refs and resp:
                 for n in BLEU_ORDERS:
-                    bleu_acc[n].append(bleu_n(resp, rec.ground_truths, n))
+                    bleu_acc[n].append(bleu_n(resp, refs, n))
                 scores = []
-                for gt in rec.ground_truths:
+                for gt in refs:
                     try:
                         scores.append(embedding_average(resp, gt, vocab))
                     except DegenerateVector:

@@ -6,10 +6,11 @@ instead be pinned to a constant.  This module owns a training run's
 directory: ``RUN_FILES`` names its files, ``fit`` writes all of them (the
 vocabulary, the log and, at every new validation-perplexity minimum, a
 checkpoint) and ``load_run`` reads the model and vocabulary back;
-perplexity scores all branches of a context in one no-graph pass, as the
-training step's scoring pass does.  The serialized state (each parameter
-and its optimizer moments by the parameter's name, step, generator states)
-holds all an exact resume needs, though no entry point resumes yet.
+perplexity runs passes of one fixed size, so validation and ``evaluate``
+print the same number for a checkpoint and its pairs.  The serialized state
+(each parameter and its optimizer moments by the parameter's name, step,
+generator states) holds all an exact resume needs, though no entry point
+resumes yet.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ RUN_FILES = CHECKPOINT_NAME, LOG_NAME, VOCAB_NAME = "checkpoint.bin", "train_log
 READ_BACK = CHECKPOINT_NAME, VOCAB_NAME
 ADAM_BLOCK = 1 << 15  # elements per Adam block: the block's arrays and scratch stay in L2
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+PASS_ROWS = 32  # rows a perplexity pass decodes: M per context, at least one context
 
 
 def _ramp(step: int, steps: int) -> float:
@@ -220,8 +222,7 @@ def worker_count() -> int:
         return 1
 
 
-def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],
-               batch_size: int = 32) -> float:
+def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray]) -> float:
     """A best-of-M score: exp of the mean per-token negative log-likelihood
     under teacher forcing, each response scored under the branch that
     scores it best, a branch chosen with the response, and with the latent
@@ -229,17 +230,17 @@ def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray],
     the branches and marginalise the latent: it reads at or below the
     uniform branch mixture, and an M=1 model gets no best-of-M advantage.
     All M branches of a context are scored in one no-graph pass
-    (``SegCVAE.prior_recon``) of ``max(1, batch_size // M)`` contexts, so
-    ``batch_size`` bounds the rows a pass decodes (M per context), not the
-    contexts.  The calling thread and ``worker_count() - 1`` threads
-    started for the call share out the passes, thread i of T taking passes
-    i, i + T, i + 2T, ...; the passes' sums are added exactly, so the
-    result does not depend on the number of threads."""
+    (``SegCVAE.prior_recon``) of ``max(1, PASS_ROWS // M)`` contexts; each
+    pass's sum is rounded on its own, so no caller sets the pass size.  The
+    calling thread and ``worker_count() - 1`` threads started for the call
+    share out the passes, thread i of T taking passes i, i + T, i + 2T, ...;
+    the passes' sums are added exactly, so the result does not depend on
+    the number of threads."""
     ctx_ids, resp_ids = dataset
     tokens = int((resp_ids[:, 1:] != PAD_ID).sum())  # the scored targets, EOS included
     if tokens == 0:  # no pair, or only responses of padding after BOS
         raise EmptyCorpus("cannot evaluate perplexity without a target token")
-    step = max(1, batch_size // model.config.num_triggers)
+    step = max(1, PASS_ROWS // model.config.num_triggers)
     passes = [slice(start, start + step) for start in range(0, ctx_ids.shape[0], step)]
     results = [0.0] * len(passes)
     workers = min(worker_count(), len(passes))
@@ -371,7 +372,7 @@ def fit(splits: dict[str, Sequence[DialoguePair]], vocab: Vocabulary,
                 batch = (train_data[0][index], train_data[1][index])
                 stats = train_step(batch, state, cfg)
                 log.write(format_stats(stats) + "\n")
-            val_ppl = perplexity(state.model, valid_data, batch_size=cfg.batch_size)
+            val_ppl = perplexity(state.model, valid_data)
             val_ppls.append(val_ppl)
             log.write(f"epoch={epoch} val_ppl={val_ppl!r}\n")
             if val_ppl < state.best_ppl:

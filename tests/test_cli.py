@@ -375,6 +375,24 @@ class TestTrainGenerateEvaluate:
         assert (tmp_path / "metrics" / "metrics.txt").exists()
         assert (run_dir / "checkpoint.bin").read_bytes() == ckpt_before
 
+    def test_evaluate_prints_trains_validation_perplexity(self, config_file, data_dir,
+                                                          tmp_path, capsys):
+        """Scoring the validation pairs, evaluate's ppl is train's best_val_ppl
+        to the last digit.  Seed 2 is one where two 2-context passes and one
+        4-context pass round to different last digits, so validation must cut
+        its passes as evaluate does."""
+        run = tmp_path / "run"
+        assert cli.dispatch(["train", "--config", str(config_file), "--in", str(data_dir),
+                             "--out", str(run), "--seed", "2"]) == 0
+        (best,) = [line.split(": ")[1] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("best_val_ppl: ")]
+        dump = tmp_path / "generated.tsv"
+        dump.write_text("q0 and you\ta0 sure\n", encoding="utf-8")
+        assert cli.dispatch(["evaluate", "--in", str(dump), "--data", str(data_dir / "valid.tsv"),
+                             "--run", str(run), "--out", str(tmp_path / "metrics")]) == 0
+        metrics = (tmp_path / "metrics" / "metrics.txt").read_text(encoding="utf-8")
+        assert f"\nppl: {best}\n" in metrics
+
     def test_literal_special_tokens_train_then_generate(self, config_file, data_dir, tmp_path,
                                                         capsys):
         """Special-token strings in the data are plain unknown words: the

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from segcvae import autodiff as ad
 from segcvae import evaluation as ev
 from segcvae.autodiff import Rng, Tensor, no_grad
 from segcvae.corpus import (BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID, DialoguePair,
@@ -139,6 +140,20 @@ def _one_row_reference(model, ctx_ids, branch, z):
     return out
 
 
+def _replayed_latents(model, vocab, context, n, seed):
+    """The (n, latent) latents ``generate_n(..., n, Rng(seed))`` decodes
+    from: row k is branch k % M's prior draw, replayed from the seed's one
+    (n, latent) normal draw."""
+    cfg = model.config
+    ctx_ids = encode_context(tuple(context), vocab, cfg.max_len)[None]
+    branches = np.arange(n) % cfg.num_triggers
+    with no_grad():
+        xs = ad.reshape(model.prominent_semantics(ctx_ids, noise=False), (cfg.num_triggers, -1))
+        mu, logvar = model.prior(xs)
+        return ad.reparameterize(ad.take(mu, branches), ad.take(logvar, branches),
+                                 Rng(seed).normal((n, cfg.latent_dim))).values
+
+
 CONTEXT = ("how", "are", "you")
 
 
@@ -204,8 +219,11 @@ class TestGreedyDecode:
         model, vocab = setup
         alone = ev.generate_n(model, vocab, CONTEXT, 1, Rng(5))
         batch = ev.generate_n(model, vocab, CONTEXT, 8, Rng(5))
-        assert np.array_equal(alone.z_samples[0], batch.z_samples[0])
-        assert alone.responses[0] == batch.responses[0]
+        z = _replayed_latents(model, vocab, CONTEXT, 1, 5)
+        assert np.array_equal(z[0], _replayed_latents(model, vocab, CONTEXT, 8, 5)[0])
+        ctx_ids = encode_context(CONTEXT, vocab, model.config.max_len)[None]
+        want = vocab.tokens_of(_one_row_reference(model, ctx_ids, 0, z[0]))
+        assert alone.responses[0] == batch.responses[0] == want
 
 
 class TestGenerateN:
@@ -225,7 +243,10 @@ class TestGenerateN:
         a = ev.generate_n(model, vocab, ("see", "you"), 4, Rng(9))
         b = ev.generate_n(model, vocab, ("see", "you"), 4, Rng(9))
         assert a.responses == b.responses
-        assert all(np.array_equal(x, y) for x, y in zip(a.z_samples, b.z_samples))
+        ctx_ids = encode_context(("see", "you"), vocab, model.config.max_len)[None]
+        zs = _replayed_latents(model, vocab, ("see", "you"), 4, 9)
+        assert a.responses == [vocab.tokens_of(_one_row_reference(model, ctx_ids, branch, z))
+                               for branch, z in zip(a.branch_indices, zs)]
 
     def test_zero_responses_rejected(self, setup):
         model, vocab = setup
@@ -259,18 +280,19 @@ class TestGenerateN:
         lengths = [len(r) for r in record.responses]
         assert min(lengths) == 0 and max(lengths) == model.config.max_len, lengths
         ctx_ids = encode_context(CONTEXT, vocab, model.config.max_len)[None]
-        for branch, z, tokens in zip(record.branch_indices, record.z_samples,
-                                     record.responses):
+        zs = _replayed_latents(model, vocab, CONTEXT, 8, seed)
+        for branch, z, tokens in zip(record.branch_indices, zs, record.responses):
             assert vocab.tokens_of(_one_row_reference(model, ctx_ids, branch, z)) == tokens
 
 
 class TestAggregation:
     def test_report_and_roundtrip(self, tmp_path, flat_vocab):
         records = [
-            ev.GenerationRecord(("a",), [["a", "b"], ["b"]], [("a", "b")]),
-            ev.GenerationRecord(("b",), [["a"]], [("a",)]),
+            ev.GenerationRecord(("a",), [["a", "b"], ["b"]]),
+            ev.GenerationRecord(("b",), [["a"]]),
         ]
-        metrics = ev.evaluate_records(records, flat_vocab)
+        pairs = [DialoguePair(("a",), ("a", "b")), DialoguePair(("b",), ("a",))]
+        metrics = ev.evaluate_records(records, pairs, flat_vocab)
         # the single-token candidate scores p1 = 1 under brevity exp(1 - 2/1)
         assert metrics["bleu-1"] == pytest.approx((1.0 + np.exp(-1.0) + 1.0) / 3)
         assert metrics["length"] == pytest.approx((2 + 1 + 1) / 3)
@@ -283,3 +305,18 @@ class TestAggregation:
         loaded = ev.read_generation(path)
         assert loaded[0].context == ("a",)
         assert loaded[0].responses == [["a", "b"], ["b"]]
+
+    def test_references_are_each_contexts_responses_in_the_pairs(self, flat_vocab):
+        """A context's references are all the responses the pairs give it,
+        so BLEU clips over both; a context the pairs lack is scored for
+        coherence only.  The records are left as they were."""
+        records = [ev.GenerationRecord(("a",), [["a", "b"]]),
+                   ev.GenerationRecord(("b",), [["b"]])]
+        pairs = [DialoguePair(("a",), ("a",)), DialoguePair(("c",), ("a", "b")),
+                 DialoguePair(("a",), ("b", "b"))]
+        metrics = ev.evaluate_records(records, pairs, flat_vocab)
+        assert metrics["bleu-1"] == ev.bleu_n(["a", "b"], [("a",), ("b", "b")], 1) == 1.0
+        assert metrics["emb_average"] == pytest.approx(1 / np.sqrt(2))
+        assert metrics["coherence"] == pytest.approx((1 / np.sqrt(2) + 1.0) / 2)
+        assert records == [ev.GenerationRecord(("a",), [["a", "b"]]),
+                           ev.GenerationRecord(("b",), [["b"]])]

@@ -440,14 +440,16 @@ def _trained_three_branch_model():
 
 
 class TestPerplexity:
-    @pytest.mark.parametrize("batch_size", [7, 2, 32])  # M=3: 2, 1 and 10 contexts a pass
-    def test_one_pass_scorer_matches_the_per_branch_loop(self, batch_size):
+    @pytest.mark.parametrize("pass_rows", [7, 2, 32])  # M=3: 2, 1 and 10 contexts a pass
+    def test_one_pass_scorer_matches_the_per_branch_loop(self, pass_rows, monkeypatch):
         cfg, model, data = _trained_three_branch_model()
-        want = _per_branch_perplexity(model, data, batch_size)
-        assert tr.perplexity(model, data, batch_size=batch_size) == pytest.approx(want, rel=1e-12)
+        want = _per_branch_perplexity(model, data, max(1, pass_rows // cfg.num_triggers))
+        monkeypatch.setattr(tr, "PASS_ROWS", pass_rows)
+        assert tr.perplexity(model, data) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("batch_size", [7, 2, 32])
-    def test_a_pass_decodes_at_most_max_of_batch_size_and_m_rows(self, batch_size, monkeypatch):
+    @pytest.mark.parametrize("pass_rows", [7, 2, 32])
+    def test_a_pass_decodes_at_most_max_of_batch_size_and_m_rows(self, pass_rows, monkeypatch):
+        """A pass decodes at most max(PASS_ROWS, M) rows, and each context's M rows once."""
         cfg, model, data = _trained_three_branch_model()
         rows, decoder_initial = [], tr.SegCVAE.decoder_initial
 
@@ -456,8 +458,9 @@ class TestPerplexity:
             return decoder_initial(self, z, x)
 
         monkeypatch.setattr(tr.SegCVAE, "decoder_initial", recording)
-        tr.perplexity(model, data, batch_size=batch_size)
-        assert max(rows) <= max(batch_size, cfg.num_triggers), rows
+        monkeypatch.setattr(tr, "PASS_ROWS", pass_rows)
+        tr.perplexity(model, data)
+        assert max(rows) <= max(pass_rows, cfg.num_triggers), rows
         assert sum(rows) == cfg.num_triggers * len(data[0])
 
     def test_uniform_model_gives_vocab_size(self):
@@ -532,12 +535,13 @@ class TestPerplexity:
             cfg, pairs, vocab, data = _setup(n)
             state = tr.init_state(cfg, vocab)
             monkeypatch.delenv("SEGCVAE_THREADS", raising=False)
-            base = tr.perplexity(state.model, data, batch_size=4)
+            monkeypatch.setattr(tr, "PASS_ROWS", 4)  # two contexts a pass
+            base = tr.perplexity(state.model, data)
             monkeypatch.setattr(tr.SegCVAE, "prior_recon", recording)
             for threads in (1, 2, 3):
                 monkeypatch.setenv("SEGCVAE_THREADS", str(threads))
                 ran.clear()
-                assert tr.perplexity(state.model, data, batch_size=4) == base
+                assert tr.perplexity(state.model, data) == base
                 assert len(ran) == n // 2
                 assert len(set(ran)) == min(threads, n // 2) and threading.get_ident() in ran
             monkeypatch.undo()
@@ -548,7 +552,8 @@ class TestPerplexity:
         sum is the single-thread one."""
         cfg, pairs, vocab, data = _setup()
         state = tr.init_state(cfg, vocab)
-        base = tr.perplexity(state.model, data, batch_size=cfg.num_triggers)
+        monkeypatch.setattr(tr, "PASS_ROWS", cfg.num_triggers)  # one context a pass
+        base = tr.perplexity(state.model, data)
         firsts, prior_recon = [], tr.SegCVAE.prior_recon
 
         def recording(self, ctx_ids, resp_ids):
@@ -560,7 +565,7 @@ class TestPerplexity:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert tr.perplexity(state.model, data, batch_size=cfg.num_triggers) == base
+            assert tr.perplexity(state.model, data) == base
         finally:
             sys.setswitchinterval(interval)
         assert sorted(firsts) == sorted(tuple(row) for row in data[0])
@@ -572,8 +577,9 @@ class TestPerplexity:
         ctx = ctx.copy()
         ctx[bad_row] = PAD_ID
         monkeypatch.setenv("SEGCVAE_THREADS", "3")
+        monkeypatch.setattr(tr, "PASS_ROWS", 4)
         with pytest.raises(DomainError, match="all-padding"):
-            tr.perplexity(state.model, (ctx, resp), batch_size=4)
+            tr.perplexity(state.model, (ctx, resp))
 
     def test_a_thread_that_cannot_start_raises_without_a_hang(self, monkeypatch):
         """The threads that did start are freed from the wait for the others
@@ -590,8 +596,9 @@ class TestPerplexity:
 
         monkeypatch.setattr(threading.Thread, "start", failing_second)
         monkeypatch.setenv("SEGCVAE_THREADS", "3")
+        monkeypatch.setattr(tr, "PASS_ROWS", 4)
         with pytest.raises(RuntimeError, match="can't start"):
-            tr.perplexity(state.model, data, batch_size=4)
+            tr.perplexity(state.model, data)
         assert len(started) == 1 and not started[0].is_alive()
 
     def test_scoring_pass_equals_the_node_path(self, monkeypatch):
@@ -603,11 +610,12 @@ class TestPerplexity:
         state = tr.init_state(cfg, vocab)
         for index in tr.iterate_batches(len(pairs), cfg.batch_size, state.data_rng):
             tr.train_step((data[0][index], data[1][index]), state, cfg)
-        scored = tr.perplexity(state.model, data, batch_size=cfg.batch_size)
+        monkeypatch.setattr(tr, "PASS_ROWS", cfg.batch_size)
+        scored = tr.perplexity(state.model, data)
         monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
         monkeypatch.setattr(tr.SegCVAE, "_target_log_probs",
                             lambda *a: pytest.fail("the in-place scorer ran"))
-        assert tr.perplexity(state.model, data, batch_size=cfg.batch_size) == scored
+        assert tr.perplexity(state.model, data) == scored
 
 
 class TestResumability:
@@ -751,9 +759,8 @@ class TestFit:
         best = min(val_ppls)
         loaded = tr.load_state(tmp_path / "run" / tr.CHECKPOINT_NAME, cfg)
         valid_data = encode_pairs(pairs[:8], vocab, cfg.max_len)
-        assert tr.perplexity(loaded.model, valid_data,
-                             batch_size=cfg.batch_size) == pytest.approx(best, rel=1e-12)
-        assert loaded.best_ppl == pytest.approx(best, rel=1e-12)
+        assert tr.perplexity(loaded.model, valid_data) == best
+        assert loaded.best_ppl == best
 
     def test_zero_epochs_rejected(self, tmp_path):
         cfg, pairs, vocab, _ = _setup(epochs=0)

@@ -1,7 +1,8 @@
 """Pinned training trajectory at a mid-sized shape.
 
 Twelve ``train_step`` calls (V about 300, D=32, M=4, B=8) from a fixed
-seed, then one validation perplexity and one ``save_state``.  The recorded
+seed, then one validation perplexity in passes of 8 rows (two contexts) and
+one ``save_state``.  The recorded
 winners, losses, parameter norms (keyed by parameter name), perplexity and
 checkpoint index are in ``trajectory.json``; a refactor that claims to
 compute the same thing must reproduce them.
@@ -16,6 +17,7 @@ relative change among the numbers the old and new field share.
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -77,13 +79,15 @@ def run_trajectory(tmp_dir) -> dict:
         losses.append({k: v for k, v in stats.items() if k != "step"})
     path = Path(tmp_dir) / "trajectory.ckpt"
     tr.save_state(state, cfg, path)
+    with mock.patch.object(tr, "PASS_ROWS", cfg.batch_size):  # the fixture's pass shape
+        val_ppl = tr.perplexity(state.model, valid_data)
     return {
         "vocab_size": vocab.size,
         "winners": winners,
         "losses": losses,
         "norms": {name: float(np.linalg.norm(a))
                   for name, a in state.model.state_arrays().items()},
-        "val_ppl": tr.perplexity(state.model, valid_data, batch_size=cfg.batch_size),
+        "val_ppl": val_ppl,
         "min_margin": min(margins),
         "index": _checkpoint_index(path),
     }
