@@ -565,15 +565,14 @@ def gru_params(in_dim: int, hidden_dim: int, rng: "Rng") -> GruParams:
     )
 
 
-def gru_scan(params: GruParams, seq: Tensor, h: Tensor,
-             mask: np.ndarray = None) -> Tensor:
+def gru_scan(params: GruParams, seq: Tensor, h: Tensor) -> Tensor:
     """The (k*B, T, hidden) states after each step of the (B, T, in_dim)
     ``seq`` from the (k*B, hidden) ``h``: one node after the input projection
     GEMM, with a back-through-time backward.  With k > 1, ``h`` holds k
     branch-major copies of the batch that all read the same ``seq``: its
     projection is computed once and broadcast over the copies, and its
-    gradient is the sum over them.  ``mask`` is (k*B, T) with zeros on the
-    steps that copy the state exactly (padding); omitted, every step counts."""
+    gradient is the sum over them.  Every step updates the state; padding is
+    a suffix, so a caller reads a row's state at its length (``gru_encode``)."""
     hd, wh, bh = params.hidden_dim, params.wh, params.bh
     batch, steps = seq.shape[:2]
     rows = h.shape[0] if h.ndim == 2 else -1
@@ -582,8 +581,6 @@ def gru_scan(params: GruParams, seq: Tensor, h: Tensor,
         raise ShapeError(f"state rows must be a positive multiple of the sequence rows: "
                          f"state {h.shape}, sequence {seq.shape}")
     gx = linear(seq, params.wx, params.bx)
-    keep = None if mask is None else mask.astype(h.values.dtype)
-    drop = None if mask is None else 1.0 - keep
     hs = np.empty((rows, steps + 1, hd))  # h, then the state after each step
     slots = steps if _grad_enabled() else 1  # only a backward reads earlier steps' gates
     ru, n, ghs = (np.empty((rows, slots, w * hd)) for w in (2, 1, 3))
@@ -607,9 +604,6 @@ def gru_scan(params: GruParams, seq: Tensor, h: Tensor,
         n_t = np.tanh(tmp, out=n[:, t % slots])
         nxt = np.multiply(np.subtract(1.0, ru_t[:, hd:], out=nxts[t % 2]), n_t, out=nxts[t % 2])
         np.add(nxt, np.multiply(ru_t[:, hd:], state, out=tmp), out=nxt)
-        if keep is not None:
-            np.multiply(nxt, keep[:, t:t + 1], out=nxt)
-            np.add(nxt, np.multiply(state, drop[:, t:t + 1], out=tmp), out=nxt)
         hs[:, t + 1] = state = nxt
 
     def bw(out):
@@ -621,11 +615,7 @@ def gru_scan(params: GruParams, seq: Tensor, h: Tensor,
         wh_t = wh.values.T
         for t in reversed(range(steps)):
             np.add(out.grad[:, t], carry, out=dh)
-            if keep is None:
-                carry.fill(0.0)
-            else:  # a padded step passes its gradient to the state it copied
-                np.multiply(dh, drop[:, t:t + 1], out=carry)
-                np.multiply(dh, keep[:, t:t + 1], out=dh)
+            carry.fill(0.0)
             d_an = np.multiply(dh, f_n[:, t], out=d_gx[:, t, 2 * hd:])
             np.multiply(d_an, f_r[:, t], out=d_g[:, :hd])
             np.multiply(dh, f_u[:, t], out=d_g[:, hd:2 * hd])
@@ -644,23 +634,17 @@ def gru_scan(params: GruParams, seq: Tensor, h: Tensor,
     return _node(hs[:, 1:], (gx, h, wh, bh), bw)
 
 
-def gru_encode(params: GruParams, seq: Tensor, mask: np.ndarray = None) -> Tensor:
+def gru_encode(params: GruParams, seq: Tensor, lengths: np.ndarray = None) -> Tensor:
     """Scan the (B, T, in_dim) ``seq`` (as in :func:`gru_scan`) from a zero
-    state; return the final (B, hidden) state."""
+    state; return the final (B, hidden) state.  Padding is a suffix: with
+    ``lengths``, (B,) counts in 1..T, each row's state is the one after its
+    first ``lengths`` steps."""
     if seq.shape[1] == 0:
         raise DomainError("cannot encode an empty sequence")
-    return gru_scan(params, seq, Tensor(np.zeros((seq.shape[0], params.hidden_dim))), mask)[:, -1]
-
-
-def gru_decode_step(params: GruParams, out_w: Tensor, out_b: Tensor,
-                    state: Tensor, x: Tensor) -> tuple[Tensor, Tensor]:
-    """One recurrent step (a length-1 scan of the (B, in_dim) ``x``) plus
-    the projection to vocabulary logits."""
-    if state.ndim != 2 or state.shape[1] != params.hidden_dim:
-        raise ShapeError(f"state must be (batch, {params.hidden_dim}), got {state.shape}")
-    next_state = gru_scan(params, reshape(x, (x.shape[0], 1, x.shape[1])), state)[:, -1]
-    logits = linear(next_state, out_w, out_b)
-    return logits, next_state
+    states = gru_scan(params, seq, Tensor(np.zeros((seq.shape[0], params.hidden_dim))))
+    if lengths is None:
+        return states[:, -1]
+    return take(states, (np.arange(seq.shape[0]), np.asarray(lengths) - 1))
 
 
 # ---------------------------------------------------------------------------

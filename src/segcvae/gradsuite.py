@@ -40,8 +40,7 @@ def primitive_cases(seed: int):
     ids = np.array([0, 2, 2, 1])  # a repeated row scatters through np.add.at
     gather_ids = np.array([3, 0])
     live = np.array([[True, False, True], [False, True, True]])  # a mask scatters in place
-    mask = (r.uniform(0, 1, size=(2, 3)) > 0.3).astype(np.int64)
-    mask[:, 0] = 1
+    lengths = r.integers(1, 4, size=2)  # each row's steps of the 3-step gru_seq
     logit_mask = np.where(r.uniform(0, 1, size=(3, 4)) > 0.6, -np.inf, 0.0)  # 0 or -inf
     logit_mask[:, 0] = 0.0  # every row keeps a column
 
@@ -49,18 +48,16 @@ def primitive_cases(seed: int):
     gru_seq = rand(2, 3, 3)
 
     def gru_case(wx, wh, bx, bh, seq):
-        return _sum_sq(ad.gru_encode(ad.GruParams(wx, wh, bx, bh), seq, mask=mask))
+        return _sum_sq(ad.gru_encode(ad.GruParams(wx, wh, bx, bh), seq, lengths))
 
     def scan_case(wx, wh, bx, bh, seq, h0):  # every state, from an h0 that needs a gradient
-        copies = h0.shape[0] // seq.shape[0]  # h0 may hold k copies of the batch
-        return _sum_sq(ad.gru_scan(ad.GruParams(wx, wh, bx, bh), seq, h0,
-                                   np.tile(mask, (copies, 1))))
+        return _sum_sq(ad.gru_scan(ad.GruParams(wx, wh, bx, bh), seq, h0))
 
-    out_w, out_b = ad.glorot((4, 5), Rng(seed * 7 + 2)), _t(np.zeros(5))
-    dec_state, dec_x = rand(2, 4), rand(2, 3)
+    dec_net = _tiny_model(seed)[0]  # the model's own decoder step
+    dec_ids = r.integers(4, dec_net.config.vocab_size, size=2)
 
-    def decode_case(wx, wh, bx, bh, ow, ob, st, x):
-        logits, nxt = ad.gru_decode_step(ad.GruParams(wx, wh, bx, bh), ow, ob, st, x)
+    def decode_case(*params):  # the decoder, out-projection and embedding, then the state
+        logits, nxt = dec_net.decode_step(params[-1], dec_ids)
         return ad.add(_sum_sq(logits), _sum_sq(nxt))
 
     return [
@@ -111,7 +108,8 @@ def primitive_cases(seed: int):
         ("gru_scan", scan_case, [gru.wx, gru.wh, gru.bx, gru.bh, gru_seq, rand(2, 4)]),
         ("gru_scan_broadcast", scan_case, [gru.wx, gru.wh, gru.bx, gru.bh, gru_seq, rand(4, 4)]),
         ("gru_decode_step", decode_case,
-         [gru.wx, gru.wh, gru.bx, gru.bh, out_w, out_b, dec_state, dec_x]),
+         [dec_net.params[n] for n in ("dec.wx", "dec.wh", "dec.bx", "dec.bh", "out.w", "out.b",
+                                      "emb")] + [rand(2, dec_net.config.hidden_dim)]),
         ("gaussian_kl", lambda *a: ad.tsum(ad.gaussian_kl(*a)),
          [rand(2, 3) for _ in range(4)]),
         ("reparameterize", lambda mu, lv: _sum_sq(

@@ -113,13 +113,18 @@ class SegCVAE:
         return ad.take(self.emb, ids)
 
     def encode_ids(self, ids: np.ndarray) -> Tensor:
-        """Run the shared encoder over token ids; padding keeps the state."""
+        """Run the shared encoder over token ids, each row to its length:
+        padding is a suffix, and an all-padding row or a pad before a token
+        is a DomainError."""
         ids = np.atleast_2d(ids)
-        lengths = (ids != PAD_ID).sum(axis=1)
+        live = ids != PAD_ID
+        lengths = live.sum(axis=1)
         if np.any(lengths == 0):
             raise DomainError("cannot encode an all-padding sequence")
+        if np.any(live[:, 1:] > live[:, :-1]):  # a token after a pad
+            raise DomainError("padding must be a suffix of each sequence")
         ids = ids[:, :int(lengths.max())]
-        return ad.gru_encode(self.enc, self.embed_matrix(ids), mask=(ids != PAD_ID))
+        return ad.gru_encode(self.enc, self.embed_matrix(ids), lengths)
 
     # -- word selection --------------------------------------------------
     def _selection(self, c_emb: Tensor, kernel: Tensor, dense: Tensor, mask: np.ndarray,
@@ -202,8 +207,13 @@ class SegCVAE:
         return ad.linear(ad.concat([z, x], axis=1), self.init_w, self.init_b)
 
     def decode_step(self, state: Tensor, token_ids: np.ndarray) -> tuple[Tensor, Tensor]:
-        x = ad.take(self.emb, token_ids)
-        return ad.gru_decode_step(self.dec, self.out_w, self.out_b, state, x)
+        """A length-1 decoder scan on ``token_ids``: (logits, next state)."""
+        hd = self.config.hidden_dim
+        if state.ndim != 2 or state.shape[1] != hd:
+            raise ShapeError(f"state must be (batch, {hd}), got {state.shape}")
+        x = self.embed_matrix(np.reshape(token_ids, (-1, 1)))  # (B, 1, emb)
+        next_state = ad.gru_scan(self.dec, x, state)[:, -1]
+        return ad.linear(next_state, self.out_w, self.out_b), next_state
 
     def _teacher_forced(self, resp_ids: np.ndarray, state: Tensor,
                         want_generated: bool) -> tuple[Tensor, Tensor | None]:
@@ -221,12 +231,14 @@ class SegCVAE:
         position's).  The per-position results are scattered back to (rows,
         steps), padding reading an appended zero.  With no graph recorded and
         no distillation input wanted (scoring and perplexity), only the
-        target entries are computed.
+        target entries are computed.  The distillation input is wanted only
+        of responses that each have a target, padded only at their end.
         """
         inputs, targets = resp_ids[:, :-1], resp_ids[:, 1:]
-        t_eff = int((targets != PAD_ID).any(axis=0).sum())
-        if want_generated and t_eff == 0:
-            raise DomainError("cannot encode an empty sequence")
+        has_target = targets != PAD_ID
+        t_eff = int(has_target.any(axis=0).sum())
+        if want_generated and not has_target.any(axis=1).all():
+            raise DomainError("cannot encode an empty sequence: a response has no target")
         states = ad.gru_scan(self.dec, self.embed_matrix(inputs[:, :t_eff]), state)
         targets = np.tile(targets[:, :t_eff], (state.shape[0] // resp_ids.shape[0], 1))
         live = targets != PAD_ID
@@ -253,7 +265,7 @@ class SegCVAE:
         if want_generated:
             pad = Tensor(np.zeros((1, self.config.emb_dim)))
             generated = ad.gru_encode(self.enc, ad.take(ad.concat(expected + [pad]), index),
-                                      mask=live)
+                                      live.sum(axis=1))
         return recon, generated
 
     def _target_log_probs(self, states: np.ndarray, targets: np.ndarray) -> np.ndarray:

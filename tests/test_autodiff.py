@@ -14,6 +14,7 @@ import pytest
 from segcvae import autodiff as ad
 from segcvae import gradsuite
 from segcvae.errors import DegenerateVector, DomainError, SegcvaeError, ShapeError
+from segcvae.model import ModelConfig, SegCVAE, parameter_shapes
 
 
 def _t(values, grad=True):
@@ -529,16 +530,18 @@ class TestGru:
         assert h.shape == (1, 300)
 
     def test_pad_steps_do_not_update_state(self):
+        """Padding is a suffix: a row's encoding is its state at its length,
+        whatever the steps after it hold."""
         rng = np.random.default_rng(2)
         params = ad.gru_params(3, 5, ad.Rng(2))
         seq = _t(rng.normal(size=(1, 2, 3)))
-        states = ad.gru_scan(params, seq, _t(np.zeros((1, 5))), mask=np.array([[1, 0]]))
-        assert states.shape == (1, 2, 5)
-        np.testing.assert_array_equal(states.values[:, 1], states.values[:, 0])
+        states = ad.gru_scan(params, seq, _t(np.zeros((1, 5))))
+        h_two = ad.gru_encode(params, seq, np.array([1]))
+        assert h_two.shape == (1, 5)
+        np.testing.assert_array_equal(h_two.values, states.values[:, 0])
         # the padded encoding is the prefix's, up to the rounding of a
         # different GEMM shape for the hoisted input projection
-        h_one = ad.gru_encode(params, seq[:, :1], mask=np.array([[1]]))
-        h_two = ad.gru_encode(params, seq, mask=np.array([[1, 0]]))
+        h_one = ad.gru_encode(params, seq[:, :1])
         np.testing.assert_allclose(h_two.values, h_one.values, rtol=1e-14, atol=0)
 
     @staticmethod
@@ -557,7 +560,7 @@ class TestGru:
         sizes = []
         for steps in (2, 8):
             states = ad.gru_scan(params, _t(rng.normal(size=(2, steps, 3))),
-                                 _t(rng.normal(size=(2, 5))), mask=np.ones((2, steps)))
+                                 _t(rng.normal(size=(2, 5))))
             assert states.shape == (2, steps, 5)
             sizes.append(self._graph_size(states))
         # seq, wx, bx, the projection's linear node, h, wh, bh and the scan
@@ -573,15 +576,20 @@ class TestGru:
         recorded = ad.gru_scan(params, _t(seq), _t(np.ones((2, 5))))
         np.testing.assert_array_equal(states.values, recorded.values)
 
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_scan_equals_the_per_step_formulas(self, masked):
+    @pytest.mark.parametrize("at_lengths", [False, True])
+    def test_scan_equals_the_per_step_formulas(self, at_lengths):
         """The fused forward does the per-step arithmetic of a plain numpy
-        cell in the same order, so the states agree bit for bit."""
+        cell in the same order, so the states agree bit for bit: every state
+        of a scan, or each row's state at its length of an encoding."""
         rng = np.random.default_rng(6)
         params = ad.gru_params(3, 5, ad.Rng(6))
         seq, h = rng.normal(size=(3, 6, 3)), rng.normal(size=(3, 5))
-        mask = (rng.uniform(size=(3, 6)) > 0.4) if masked else None
-        states = ad.gru_scan(params, _t(seq), _t(h), mask=mask).values
+        lengths = np.array([6, 1, 4])
+        if at_lengths:
+            h = np.zeros((3, 5))
+            encoded = ad.gru_encode(params, _t(seq), lengths).values
+        else:
+            states = ad.gru_scan(params, _t(seq), _t(h)).values
 
         def sigmoid(a):
             return np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
@@ -594,27 +602,32 @@ class TestGru:
             r = sigmoid(gx[:, t, :5] + gh[:, :5])
             u = sigmoid(gx[:, t, 5:10] + gh[:, 5:10])
             n = np.tanh(gx[:, t, 10:] + r * gh[:, 10:])
-            nxt = (1.0 - u) * n + u * h
-            if mask is not None:
-                keep = mask[:, t:t + 1].astype(np.float64)
-                nxt = nxt * keep + h * (1.0 - keep)
-            h = nxt
-            np.testing.assert_array_equal(states[:, t], h)
+            h = (1.0 - u) * n + u * h
+            if at_lengths:
+                ends = lengths == t + 1
+                np.testing.assert_array_equal(encoded[ends], h[ends])
+            else:
+                np.testing.assert_array_equal(states[:, t], h)
 
-    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("padded", [False, True])
     @pytest.mark.parametrize("copies", [1, 2, 3])
-    def test_broadcast_scan_equals_the_scan_of_tiled_rows(self, copies, masked):
+    def test_broadcast_scan_equals_the_scan_of_tiled_rows(self, copies, padded):
         """A B-row seq read by k*B state rows (k branch-major copies) gives the
-        states and every gradient of the scan over the seq tiled k times."""
+        states and every gradient of the scan over the seq tiled k times;
+        padded, the loss reads each row's states up to its length only, as
+        teacher forcing does."""
         rng = np.random.default_rng(8)
         seq, h = rng.normal(size=(2, 5, 3)), rng.normal(size=(2 * copies, 4))
-        mask = (rng.uniform(size=(2 * copies, 5)) > 0.4) if masked else None
-        weights = ad.Tensor(rng.normal(size=(2 * copies, 5, 4)))
+        weights = rng.normal(size=(2 * copies, 5, 4))
+        if padded:
+            lengths = rng.integers(1, 6, size=2 * copies)
+            weights[np.arange(5) >= lengths[:, None]] = 0.0
+        weights = ad.Tensor(weights)
         results = []
         for tiled in (False, True):
             params = ad.gru_params(3, 4, ad.Rng(8))
             x, h0 = _t(np.tile(seq, (copies, 1, 1)) if tiled else seq), _t(h)
-            states = ad.gru_scan(params, x, h0, mask=mask)
+            states = ad.gru_scan(params, x, h0)
             ad.tsum(ad.mul(states, weights)).backward()
             d_seq = x.grad.reshape((copies,) + seq.shape).sum(axis=0) if tiled else x.grad
             results.append({"states": states.values, "seq": d_seq, "h": h0.grad,
@@ -634,31 +647,33 @@ class TestGru:
         with pytest.raises(DomainError):
             ad.gru_encode(params, _t(np.zeros((1, 0, 3))))
 
+    @staticmethod
+    def _decoder_net(seed: int = None) -> SegCVAE:
+        """A network with vocabulary 11, emb 4 and hidden 5: drawn from
+        ``seed``, or with every parameter zero."""
+        config = ModelConfig(vocab_size=11, max_len=4, emb_dim=4, hidden_dim=5, latent_dim=3,
+                             kernel_width=2, conv_channels=2, num_triggers=1)
+        if seed is None:
+            return SegCVAE.from_arrays(config, {name: np.zeros(shape) for name, shape
+                                                in parameter_shapes(config).items()})
+        return SegCVAE(config, np.random.default_rng(seed).normal(size=(11, 4)), ad.Rng(seed))
+
     def test_decode_step_shapes_and_zero_params(self):
-        params = ad.GruParams(
-            wx=_t(np.zeros((4, 15))), wh=_t(np.zeros((5, 15))),
-            bx=_t(np.zeros(15)), bh=_t(np.zeros(15)))
-        out_w, out_b = _t(np.zeros((5, 11))), _t(np.zeros(11))
-        logits, state = ad.gru_decode_step(params, out_w, out_b,
-                                           _t(np.zeros((2, 5))), _t(np.zeros((2, 4))))
+        logits, state = self._decoder_net().decode_step(_t(np.zeros((2, 5))), np.array([4, 7]))
         assert logits.shape == (2, 11)
         np.testing.assert_array_equal(logits.values, 0.0)
         np.testing.assert_array_equal(state.values, 0.0)
 
     def test_decode_step_deterministic(self):
-        params = ad.gru_params(4, 5, ad.Rng(9))
-        out_w, out_b = ad.glorot((5, 7), ad.Rng(10)), _t(np.zeros(7))
-        x, h = _t(np.ones((1, 4))), _t(np.ones((1, 5)))
-        l1, s1 = ad.gru_decode_step(params, out_w, out_b, h, x)
-        l2, s2 = ad.gru_decode_step(params, out_w, out_b, h, x)
+        net, h = self._decoder_net(9), _t(np.ones((1, 5)))
+        l1, s1 = net.decode_step(h, np.array([5]))
+        l2, s2 = net.decode_step(h, np.array([5]))
         np.testing.assert_array_equal(l1.values, l2.values)
         np.testing.assert_array_equal(s1.values, s2.values)
 
     def test_decode_step_state_shape_checked(self):
-        params = ad.gru_params(4, 5, ad.Rng(9))
         with pytest.raises(ShapeError):
-            ad.gru_decode_step(params, _t(np.zeros((5, 7))), _t(np.zeros(7)),
-                               _t(np.zeros((1, 4))), _t(np.zeros((1, 4))))
+            self._decoder_net(9).decode_step(_t(np.zeros((1, 4))), np.array([5]))
 
 
 class TestGaussianKl:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from segcvae import autodiff as ad
 from segcvae.config import parse_config
-from segcvae.corpus import (BOS_ID, EOS_ID, DialoguePair, build_vocab, encode_pair,
+from segcvae.corpus import (BOS_ID, EOS_ID, PAD_ID, DialoguePair, build_vocab, encode_pair,
                             read_pairs)
 from segcvae.errors import SegcvaeError
 from segcvae.evaluation import read_generation
@@ -139,3 +139,13 @@ def test_encode_pair(context, response, max_clen):
         assert ctx.shape == resp.shape == (max_clen,)
         assert resp[0] == BOS_ID and EOS_ID in resp
         assert ctx.max(initial=0) < VOCAB.size and resp.max() < VOCAB.size
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(context=TOKENS, response=TOKENS, max_clen=st.integers(2, 30))
+def test_encode_pair_pads_only_a_suffix(context, response, max_clen):
+    """The encoder reads each row's state at its length, which holds only
+    while padding is a suffix of every context and response."""
+    for ids in encode_pair(DialoguePair(context, response), VOCAB, max_clen):
+        pads = ids == PAD_ID
+        assert not np.any(pads[:-1] & ~pads[1:])

@@ -353,6 +353,15 @@ class TestTriggerSelection:
         with pytest.raises(DomainError, match="all-padding"):
             net.prominent_semantics(ctx)
 
+    def test_padding_before_a_token_rejected(self):
+        """The encoder reads each row's state at its length, so a pad inside
+        a row is an error, not a step to skip."""
+        net, _, _, resp = _tiny_setup()
+        resp = resp.copy()
+        resp[0, 1] = PAD_ID  # between the start marker and a word
+        with pytest.raises(DomainError, match="suffix"):
+            net.encode_ids(resp)
+
 
 class TestTriggerGroups:
     """external_guidance runs the vocabulary-wide work of every trigger as
@@ -537,7 +546,7 @@ def _per_step_teacher_forcing(net, resp, state):
         recon = ad.add(recon, ad.mul(picked, Tensor(live[:, t].astype(np.float64))))
         expected.append(ad.matmul(ad.exp(logp), net.emb))
     rows = [ad.reshape(e, (e.shape[0], 1, e.shape[1])) for e in expected]
-    return recon, ad.gru_encode(net.enc, ad.concat(rows, axis=1), mask=live[:, :steps])
+    return recon, ad.gru_encode(net.enc, ad.concat(rows, axis=1), live[:, :steps].sum(axis=1))
 
 
 class TestTeacherForcedBlocks:
@@ -629,11 +638,18 @@ class TestPackedPositions:
         net, resp, state = _ablation_shape_setup()
         resp[2, 1:] = PAD_ID  # only the start marker: no target to score
         state = Tensor(state.values, requires_grad=True)
-        recon, generated = net._teacher_forced(resp, state, want_generated=True)
+        recon, generated = net._teacher_forced(resp, state, want_generated=False)
         assert recon.values[2] == 0.0 and np.all(recon.values[resp[:, 1] != PAD_ID] < 0)
-        ad.add(ad.tsum(recon), ad.tsum(generated)).backward()
+        ad.tsum(recon).backward()
         assert np.all(state.grad[2] == 0.0)
         assert np.all(np.any(np.delete(state.grad, 2, axis=0) != 0.0, axis=1))
+
+    def test_row_without_a_target_has_no_distillation_input(self):
+        """Its encoding would be of an empty sequence."""
+        net, resp, state = _ablation_shape_setup()
+        resp[2, 1:] = PAD_ID
+        with pytest.raises(DomainError, match="empty sequence"):
+            net._teacher_forced(resp, state, want_generated=True)
 
     @pytest.mark.parametrize("block_positions", [None, 1, 4])
     def test_one_full_row_among_one_target_rows(self, block_positions, monkeypatch):
@@ -898,8 +914,8 @@ class TestBatchedBranches:
         encodes, elbo_rows = [], []
         gru_encode, elbo = ad.gru_encode, net.elbo
         monkeypatch.setattr(ad, "gru_encode",
-                            lambda p, seq, mask=None: encodes.append(seq.shape) or
-                            gru_encode(p, seq, mask))
+                            lambda p, seq, lengths=None: encodes.append(seq.shape) or
+                            gru_encode(p, seq, lengths))
         monkeypatch.setattr(net, "elbo",
                             lambda resp_ids, x, *a: elbo_rows.append(x.shape[0]) or
                             elbo(resp_ids, x, *a))
