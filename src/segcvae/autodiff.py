@@ -28,8 +28,11 @@ the caller holds; leaves (the parameters) keep theirs until the caller
 clears them, which ``training.train_step`` does once Adam has used them.
 
 ``linear(x, w, b)`` is ``add(matmul(x, w), b)`` as one node, the bias
-added into the product in place; the GRU recurrence is one node that goes
-back through time in its backward.
+added into the product in place.  The GRU recurrence is one node, input
+projection included, that goes back through time in its backward: the
+projection lives only while the forward loop reads it, and the node keeps
+5*hidden values per row and step for its backward, whose projection part
+is ``linear``'s own code, so the gradients have the two-node graph's bits.
 """
 
 from __future__ import annotations
@@ -387,22 +390,31 @@ def _matmul_rows(a: Tensor, b: Tensor, bias: Tensor = None) -> Tensor:
     weight gradient would be a (..., K, N) stack to sum.)  The backward makes
     the weight's gradient first: when the weight already owns one, the
     product is added into it and freed before the input's gradient exists."""
+    values = _rows_product(a.values, b.values, None if bias is None else bias.values)
+    return _node(values, (a, b) if bias is None else (a, b, bias),
+                 lambda out: _rows_backward(out.grad, a, b, bias))
+
+
+def _rows_product(a: np.ndarray, b: np.ndarray, bias: np.ndarray = None) -> np.ndarray:
+    """The values of :func:`_matmul_rows`."""
     k, n = b.shape
-    lead = a.shape[:-1]
-    values = (a.values.reshape(-1, k) @ b.values).reshape(lead + (n,))
+    values = (a.reshape(-1, k) @ b).reshape(a.shape[:-1] + (n,))
     if bias is not None:
-        values += bias.values
+        values += bias
+    return values
 
-    def bw(out):
-        if bias is not None and bias.requires_grad:
-            bias._accum(_unbroadcast(out.grad, bias.values.shape))
-        g = out.grad.reshape(-1, n)
-        if b.requires_grad:
-            b._accum(a.values.reshape(-1, k).T @ g, fresh=True)
-        if a.requires_grad:
-            a._accum((g @ b.values.T).reshape(lead + (k,)), fresh=True)
 
-    return _node(values, (a, b) if bias is None else (a, b, bias), bw)
+def _rows_backward(g: np.ndarray, a: Tensor, b: Tensor, bias: Tensor = None):
+    """Accumulate the gradients of :func:`_rows_product` from its output's
+    gradient ``g``: the bias's, then the weight's, then the input's."""
+    if bias is not None and bias.requires_grad:
+        bias._accum(_unbroadcast(g, bias.values.shape))
+    k, n = b.shape
+    g = g.reshape(-1, n)
+    if b.requires_grad:
+        b._accum(a.values.reshape(-1, k).T @ g, fresh=True)
+    if a.requires_grad:
+        a._accum((g @ b.values.T).reshape(a.shape[:-1] + (k,)), fresh=True)
 
 
 def softmax_rows(a) -> Tensor:
@@ -567,71 +579,88 @@ def gru_params(in_dim: int, hidden_dim: int, rng: "Rng") -> GruParams:
 
 def gru_scan(params: GruParams, seq: Tensor, h: Tensor) -> Tensor:
     """The (k*B, T, hidden) states after each step of the (B, T, in_dim)
-    ``seq`` from the (k*B, hidden) ``h``: one node after the input projection
-    GEMM, with a back-through-time backward.  With k > 1, ``h`` holds k
+    ``seq`` from the (k*B, hidden) ``h``: one node, input projection GEMM
+    included, with a back-through-time backward.  With k > 1, ``h`` holds k
     branch-major copies of the batch that all read the same ``seq``: its
     projection is computed once and broadcast over the copies, and its
     gradient is the sum over them.  Every step updates the state; padding is
-    a suffix, so a caller reads a row's state at its length (``gru_encode``)."""
-    hd, wh, bh = params.hidden_dim, params.wh, params.bh
+    a suffix, so a caller reads a row's state at its length (``gru_encode``).
+
+    The projection lives only while the loop reads it.  The backward keeps
+    5*hidden values per row and step: the reset and update gates, the
+    candidate, the reset gate times the candidate's third of ``h @ wh + bh``,
+    and the states.  Its arithmetic is that of a separate projection node
+    (``linear``) feeding the recurrence, in the same order, so every bit is
+    the same; the projection's gradients are accumulated last, bias first."""
+    hd, wx, bx, wh, bh = params.hidden_dim, params.wx, params.bx, params.wh, params.bh
     batch, steps = seq.shape[:2]
     rows = h.shape[0] if h.ndim == 2 else -1
     k = rows // batch if batch else 1
     if k < 1 or rows != k * batch:
         raise ShapeError(f"state rows must be a positive multiple of the sequence rows: "
                          f"state {h.shape}, sequence {seq.shape}")
-    gx = linear(seq, params.wx, params.bx)
+    _check_matmul(seq, wx)
     hs = np.empty((rows, steps + 1, hd))  # h, then the state after each step
     slots = steps if _grad_enabled() else 1  # only a backward reads earlier steps' gates
-    ru, n, ghs = (np.empty((rows, slots, w * hd)) for w in (2, 1, 3))
+    ru, n, rg = (np.empty((rows, slots, w * hd)) for w in (2, 1, 1))
     r, u = ru[..., :hd], ru[..., hd:]  # reset and update gates
+    # the projection comes after the buffers that outlive it, so that freeing
+    # it leaves no hole under them (the process's peak memory is lower)
+    gx = _rows_product(seq.values, wx.values, bx.values)
     # per-step scratch, so that the loop allocates nothing
-    a, e, gh_wh, tmp = (np.empty((rows, w * hd)) for w in (2, 2, 3, 1))
+    a, e, gh, tmp = (np.empty((rows, w * hd)) for w in (2, 2, 3, 1))
     nonneg, nxts = np.empty((rows, 2 * hd), dtype=bool), np.empty((2, rows, hd))
     # copy-major views, through which the (B, ...) projection broadcasts
-    a_k, tmp_k, ghs_k = (x.reshape((k, batch) + x.shape[1:]) for x in (a, tmp, ghs))
-    gxv, whv, bhv = gx.values, wh.values, bh.values
+    a_k, tmp_k, gh_k, rg_k = (x.reshape((k, batch) + x.shape[1:]) for x in (a, tmp, gh, rg))
+    whv, bhv = wh.values, bh.values
     hs[:, 0] = state = h.values
     for t in range(steps):
-        gh = np.add(np.matmul(state, whv, out=gh_wh), bhv, out=ghs[:, t % slots])
-        np.add(gxv[:, t, :2 * hd], ghs_k[:, :, t % slots, :2 * hd], out=a_k)
+        np.add(np.matmul(state, whv, out=gh), bhv, out=gh)
+        np.add(gx[:, t, :2 * hd], gh_k[:, :, :2 * hd], out=a_k)
         np.exp(np.negative(np.abs(a, out=e), out=e), out=e)  # stable on both tails
         # the sigmoid is 1/(1+e) where a >= 0 and e/(1+e) elsewhere (NaN stays NaN)
         np.maximum(e, np.greater_equal(a, 0.0, out=nonneg), out=a)
         ru_t = np.divide(a, np.add(e, 1.0, out=e), out=ru[:, t % slots])
-        np.multiply(ru_t[:, :hd], gh[:, 2 * hd:], out=tmp)
-        np.add(gxv[:, t, 2 * hd:], tmp_k, out=tmp_k)
+        np.multiply(ru_t[:, :hd], gh[:, 2 * hd:], out=rg[:, t % slots])
+        np.add(gx[:, t, 2 * hd:], rg_k[:, :, t % slots], out=tmp_k)
         n_t = np.tanh(tmp, out=n[:, t % slots])
         nxt = np.multiply(np.subtract(1.0, ru_t[:, hd:], out=nxts[t % 2]), n_t, out=nxts[t % 2])
         np.add(nxt, np.multiply(ru_t[:, hd:], state, out=tmp), out=nxt)
         hs[:, t + 1] = state = nxt
 
     def bw(out):
-        f_n = (1.0 - u) * (1.0 - n * n)  # factors of the incoming gradient
-        f_r, f_u = ghs[..., 2 * hd:] * r * (1.0 - r), (hs[:, :-1] - n) * u * (1.0 - u)
-        d_gx, d_gh = (np.empty((rows, steps, 3 * hd)) for _ in range(2))
+        # the gradient of h @ wh + bh is filled step by step over the factors
+        # that map the state's gradient to its reset and update thirds; the
+        # candidate's factor, and then its gradient, overwrite the candidate
+        d_pre, f_n = np.empty((rows, steps, 3 * hd)), n
+        f_r, f_u = d_pre[..., :hd], d_pre[..., hd:2 * hd]
+        np.multiply(rg, np.subtract(1.0, r, out=f_r), out=f_r)
+        np.multiply(np.subtract(hs[:, :-1], f_n, out=f_u), u, out=f_u)
+        np.multiply(f_u, np.subtract(1.0, u, out=rg), out=f_u)
+        np.multiply(rg, np.subtract(1.0, np.multiply(f_n, f_n, out=f_n), out=f_n), out=f_n)
         carry = np.zeros((rows, hd))  # gradient of the state entering step t
         dh, d_g, du, dw = (np.empty((rows, w)) for w in (hd, 3 * hd, hd, hd))
         wh_t = wh.values.T
         for t in reversed(range(steps)):
             np.add(out.grad[:, t], carry, out=dh)
             carry.fill(0.0)
-            d_an = np.multiply(dh, f_n[:, t], out=d_gx[:, t, 2 * hd:])
+            d_an = np.multiply(dh, f_n[:, t], out=f_n[:, t])  # the candidate's pre-activation
             np.multiply(d_an, f_r[:, t], out=d_g[:, :hd])
             np.multiply(dh, f_u[:, t], out=d_g[:, hd:2 * hd])
             np.multiply(d_an, r[:, t], out=d_g[:, 2 * hd:])
-            d_gh[:, t] = d_g
+            d_pre[:, t] = d_g
             np.add(carry, np.multiply(dh, u[:, t], out=du), out=carry)
             np.add(carry, np.matmul(d_g, wh_t, out=dw), out=carry)
-        d_gx[..., :2 * hd] = d_gh[..., :2 * hd]
-        if k > 1:  # every copy read the same projection
-            d_gx = d_gx.reshape((k,) + gxv.shape).sum(axis=0)
-        d_wh = hs[:, :-1].reshape(-1, hd).T @ d_gh.reshape(-1, 3 * hd)
-        for p, g in ((gx, d_gx), (h, carry), (wh, d_wh), (bh, d_gh.sum(axis=(0, 1)))):
+        d_wh = hs[:, :-1].reshape(-1, hd).T @ d_pre.reshape(-1, 3 * hd)
+        for p, g in ((h, carry), (wh, d_wh), (bh, d_pre.sum(axis=(0, 1)))):
             if p.requires_grad:
                 p._accum(g)
+        d_pre[..., 2 * hd:] = f_n  # now the gradient of the projection
+        if k > 1:  # every copy read the same projection
+            d_pre = d_pre.reshape((k, batch, steps, 3 * hd)).sum(axis=0)
+        _rows_backward(d_pre, seq, wx, bx)
 
-    return _node(hs[:, 1:], (gx, h, wh, bh), bw)
+    return _node(hs[:, 1:], (seq, wx, bx, h, wh, bh), bw)
 
 
 def gru_encode(params: GruParams, seq: Tensor, lengths: np.ndarray = None) -> Tensor:
@@ -641,10 +670,15 @@ def gru_encode(params: GruParams, seq: Tensor, lengths: np.ndarray = None) -> Te
     first ``lengths`` steps."""
     if seq.shape[1] == 0:
         raise DomainError("cannot encode an empty sequence")
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        outside = lengths[(lengths < 1) | (lengths > seq.shape[1])]
+        if outside.size:
+            raise DomainError(f"length {outside[0]} is outside 1..{seq.shape[1]}")
     states = gru_scan(params, seq, Tensor(np.zeros((seq.shape[0], params.hidden_dim))))
     if lengths is None:
         return states[:, -1]
-    return take(states, (np.arange(seq.shape[0]), np.asarray(lengths) - 1))
+    return take(states, (np.arange(seq.shape[0]), lengths - 1))
 
 
 # ---------------------------------------------------------------------------

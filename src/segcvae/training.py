@@ -58,6 +58,20 @@ def kl_anneal(step: int, cfg: TrainingConfig) -> float:
     return _ramp(step, cfg.kl_anneal_steps)
 
 
+def _sum_squares(flat: np.ndarray, buf: np.ndarray) -> np.float64:
+    """``(flat ** 2).sum()`` bit for bit, squaring through ``buf`` a piece at
+    a time instead of into a copy of ``flat``.  numpy sums a contiguous run
+    pairwise, splitting it in halves rounded down to a multiple of 8, so the
+    run is split the same way until a piece fits ``buf`` and numpy sums that.
+    ``flat`` is an array's elements in memory order (``np.ravel(g, "K")``),
+    the order in which numpy sums the array's squares."""
+    if flat.size <= buf.size:
+        return np.multiply(flat, flat, out=buf[:flat.size]).sum()
+    half = flat.size // 2
+    half -= half % 8
+    return _sum_squares(flat[:half], buf) + _sum_squares(flat[half:], buf)
+
+
 class Adam:
     """Adaptive-moment updates with global-norm gradient clipping.
 
@@ -91,10 +105,15 @@ class Adam:
         operations in the same order as the plain formula
         ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
         p = p - lr*(m/c1) / (sqrt(v/c2) + eps)``, so the bits are the same.
+        The norm, ``sqrt(fsum((g ** 2).sum() for each g))``, squares each
+        gradient through the same scratch (``_sum_squares``), with the bits
+        of that formula and no squared copy of any gradient.
         """
         names = [k for k in sorted(self.params) if self.params[k].grad is not None]
+        scratch = np.empty((2, ADAM_BLOCK))
         try:
-            norm = math.sqrt(math.fsum(float((self.params[k].grad ** 2).sum()) for k in names))
+            norm = math.sqrt(math.fsum(float(_sum_squares(np.ravel(self.params[k].grad, "K"),
+                                                          scratch[0])) for k in names))
         except OverflowError:
             norm = math.inf
         if not math.isfinite(norm):
@@ -104,7 +123,6 @@ class Adam:
         b1, b2 = BETA1, BETA2
         correct1 = 1.0 - b1 ** self.t
         correct2 = 1.0 - b2 ** self.t
-        scratch = np.empty((2, ADAM_BLOCK))
         for k in names:
             p = self.params[k]
             flat = [x.reshape(-1) for x in (p.grad, self.m[k], self.v[k], p.values)]

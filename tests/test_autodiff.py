@@ -563,8 +563,8 @@ class TestGru:
                                  _t(rng.normal(size=(2, 5))))
             assert states.shape == (2, steps, 5)
             sizes.append(self._graph_size(states))
-        # seq, wx, bx, the projection's linear node, h, wh, bh and the scan
-        assert sizes == [8, 8]
+        # seq, wx, bx, h, wh, bh and the scan, which owns the input projection
+        assert sizes == [7, 7]
 
     def test_scan_keeps_no_graph_under_no_grad(self):
         params = ad.gru_params(3, 5, ad.Rng(5))
@@ -578,36 +578,100 @@ class TestGru:
 
     @pytest.mark.parametrize("at_lengths", [False, True])
     def test_scan_equals_the_per_step_formulas(self, at_lengths):
-        """The fused forward does the per-step arithmetic of a plain numpy
-        cell in the same order, so the states agree bit for bit: every state
-        of a scan, or each row's state at its length of an encoding."""
+        """The fused node does the per-step arithmetic of a plain numpy cell
+        and its back-through-time backward in the same order, so the states
+        agree bit for bit (every state of a scan, or each row's state at its
+        length of an encoding), and so do the gradients of wx, wh, bx, bh,
+        seq and h; a scan is checked with k = 1 and k = 3 state rows per
+        seq row."""
+        for copies in (1,) if at_lengths else (1, 3):
+            self._check_per_step_formulas(at_lengths, copies)
+
+    @staticmethod
+    def _check_per_step_formulas(at_lengths: bool, copies: int):
         rng = np.random.default_rng(6)
         params = ad.gru_params(3, 5, ad.Rng(6))
-        seq, h = rng.normal(size=(3, 6, 3)), rng.normal(size=(3, 5))
+        seq, h = rng.normal(size=(3, 6, 3)), rng.normal(size=(3 * copies, 5))
         lengths = np.array([6, 1, 4])
+        x = _t(seq)
         if at_lengths:
             h = np.zeros((3, 5))
-            encoded = ad.gru_encode(params, _t(seq), lengths).values
+            encoded = ad.gru_encode(params, x, lengths)
+            weights = rng.normal(size=(3, 5))
+            ad.tsum(ad.mul(encoded, ad.Tensor(weights))).backward()
+            d_states = np.zeros((3, 6, 5))  # what the gather hands back
+            d_states[np.arange(3), lengths - 1] = weights
         else:
-            states = ad.gru_scan(params, _t(seq), _t(h)).values
+            h0 = _t(h)
+            states = ad.gru_scan(params, x, h0)
+            d_states = rng.normal(size=states.shape)
+            ad.tsum(ad.mul(states, ad.Tensor(d_states))).backward()
 
         def sigmoid(a):
             return np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
                             np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a))))
 
         wx, wh, bx, bh = (p.values for p in (params.wx, params.wh, params.bx, params.bh))
-        gx = (seq.reshape(-1, 3) @ wx).reshape(3, 6, 15) + bx
+        gx = np.tile((seq.reshape(-1, 3) @ wx).reshape(3, 6, 15) + bx, (copies, 1, 1))
+        saved = []
         for t in range(6):
             gh = h @ wh + bh
             r = sigmoid(gx[:, t, :5] + gh[:, :5])
             u = sigmoid(gx[:, t, 5:10] + gh[:, 5:10])
             n = np.tanh(gx[:, t, 10:] + r * gh[:, 10:])
+            saved.append((h, gh, r, u, n))
             h = (1.0 - u) * n + u * h
             if at_lengths:
                 ends = lengths == t + 1
-                np.testing.assert_array_equal(encoded[ends], h[ends])
+                np.testing.assert_array_equal(encoded.values[ends], h[ends])
             else:
-                np.testing.assert_array_equal(states[:, t], h)
+                np.testing.assert_array_equal(states.values[:, t], h)
+
+        d_gx, d_gh = np.empty((2, 3 * copies, 6, 15))
+        carry = np.zeros((3 * copies, 5))
+        for t in reversed(range(6)):
+            h, gh, r, u, n = saved[t]
+            dh = d_states[:, t] + carry
+            d_an = dh * ((1.0 - u) * (1.0 - n * n))
+            d_g = np.concatenate([d_an * (gh[:, 10:] * r * (1.0 - r)),
+                                  dh * ((h - n) * u * (1.0 - u)), d_an * r], axis=1)
+            d_gh[:, t], d_gx[:, t] = d_g, np.concatenate([d_g[:, :10], d_an], axis=1)
+            carry = (0.0 + dh * u) + d_g @ wh.T
+        d_gx = d_gx.reshape(copies, 3, 6, 15).sum(axis=0) if copies > 1 else d_gx
+        want = {"wh": np.stack([s[0] for s in saved], axis=1).reshape(-1, 5).T
+                @ d_gh.reshape(-1, 15),
+                "bh": d_gh.sum(axis=(0, 1)), "bx": d_gx.sum(axis=0).sum(axis=0),
+                "wx": seq.reshape(-1, 3).T @ d_gx.reshape(-1, 15),
+                "seq": (d_gx.reshape(-1, 15) @ wx.T).reshape(3, 6, 3)}
+        got = {name: getattr(params, name).grad for name in ("wh", "bh", "bx", "wx")}
+        got["seq"] = x.grad
+        if not at_lengths:
+            want["h"], got["h"] = carry, h0.grad
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_the_backward_holds_five_hidden_widths_per_row_and_step(self, copies):
+        """A recorded scan keeps for its backward the reset and update gates,
+        the candidate, the reset gate times the candidate's third of
+        h @ wh + bh, and the states: no (rows, T, 3*hidden) array, and not
+        the (B, T, 3*hidden) input projection."""
+        rng = np.random.default_rng(12)
+        params = ad.gru_params(3, 5, ad.Rng(12))
+        rows = 2 * copies
+        states = ad.gru_scan(params, _t(rng.normal(size=(2, 6, 3))),
+                             _t(rng.normal(size=(rows, 5))))
+        held, stack = {}, [c.cell_contents for c in states._backward.__closure__]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, (list, tuple)):
+                stack.extend(item)
+            elif isinstance(item, np.ndarray):
+                base = item if item.base is None else item.base
+                held[id(base)] = base
+        assert sorted(a.shape for a in held.values()) == sorted(
+            [(rows, 6, 10), (rows, 6, 5), (rows, 6, 5), (rows, 7, 5)])
+        assert sum(a.nbytes for a in held.values()) == 8 * rows * (5 * 5 * 6 + 5)
 
     @pytest.mark.parametrize("padded", [False, True])
     @pytest.mark.parametrize("copies", [1, 2, 3])
@@ -646,6 +710,14 @@ class TestGru:
         params = ad.gru_params(3, 5, ad.Rng(2))
         with pytest.raises(DomainError):
             ad.gru_encode(params, _t(np.zeros((1, 0, 3))))
+
+    @pytest.mark.parametrize("length", [0, 4])
+    def test_a_length_outside_the_steps_is_named(self, length):
+        """A length of 0 would read the state after the last step, and one
+        above T would index past the states; both are refused by name."""
+        params = ad.gru_params(3, 4, ad.Rng(2))
+        with pytest.raises(DomainError, match=rf"length {length} is outside 1\.\.3"):
+            ad.gru_encode(params, _t(np.zeros((2, 3, 3))), np.array([2, length]))
 
     @staticmethod
     def _decoder_net(seed: int = None) -> SegCVAE:

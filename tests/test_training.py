@@ -17,7 +17,7 @@ from segcvae.autodiff import Rng, Tensor
 from segcvae.corpus import PAD_ID, DialoguePair, build_vocab, encode_pairs
 from segcvae.errors import (DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss,
                             ShapeError)
-from segcvae.model import SegCVAE
+from segcvae.model import ModelConfig, SegCVAE, parameter_shapes
 
 from branches import branch_slices
 
@@ -248,6 +248,71 @@ class TestInPlaceAdam:
         model.params["out.w"].grad = np.ones(live.shape)
         opt.step()
         assert model.params["out.w"].values is live and not np.array_equal(live, before)
+
+
+class TestGradientNorm:
+    """The global norm squares each gradient through Adam's scratch, with the
+    bits of ``(g ** 2).sum()`` and no squared copy of any gradient."""
+
+    PAPER = ModelConfig(vocab_size=5004, max_len=25, emb_dim=300, hidden_dim=300,
+                        latent_dim=300, kernel_width=3, conv_channels=3, num_triggers=8, tau=0.1)
+
+    @staticmethod
+    def _gradient(shape, seed):
+        """Values whose magnitudes span six decades, so that a change in the
+        order of the summation would show in the last bits."""
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+
+    @pytest.mark.parametrize("size", [1, 7, 129, 32768, 32769, 65537, 100003])
+    def test_sum_of_squares_equals_numpy_at_odd_sizes(self, size):
+        g = self._gradient(size, size)
+        assert tr._sum_squares(g, np.empty(tr.ADAM_BLOCK)) == (g ** 2).sum()
+
+    def test_sum_of_squares_equals_numpy_at_every_paper_shape(self):
+        buf = np.empty(tr.ADAM_BLOCK)
+        for i, (name, shape) in enumerate(parameter_shapes(self.PAPER).items()):
+            g = self._gradient(shape, i)
+            assert tr._sum_squares(g.reshape(-1), buf) == (g ** 2).sum(), name
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_a_gradient_in_any_layout_is_summed_in_memory_order(self, layout):
+        # uniform values: for these, a Fortran array's squares summed in C
+        # order differ from numpy's sum in the last bit
+        g = np.random.default_rng(5).uniform(size=(300, 400))
+        g = np.asfortranarray(g) if layout == "fortran" else g[:, ::3]
+        w = Tensor(np.zeros(g.shape), requires_grad=True)
+        w.grad = g
+        assert tr.Adam({"w": w}).step() == math.sqrt(float((g ** 2).sum()))
+
+    def test_step_returns_the_plain_formula_on_a_trained_state(self, monkeypatch):
+        """After a few real steps, the norm Adam returns is
+        ``sqrt(fsum((g ** 2).sum()))`` over the gradients it was given."""
+        seen = _grads_at_update(monkeypatch)
+        cfg, _, vocab, data = _setup()
+        state = tr.init_state(cfg, vocab)
+        for start in (0, 8, 0):
+            tr.train_step((data[0][start:start + 8], data[1][start:start + 8]), state, cfg)
+            grads = seen[-1]
+            assert state.grad_norm == math.sqrt(math.fsum(
+                float((grads[k] ** 2).sum()) for k in sorted(grads)))
+
+    def test_the_norm_makes_no_squared_copy(self):
+        """Two (300, 700) gradients, 1.7 MB each: the step's traced peak stays
+        below one of them (the scratch is 0.5 MB)."""
+        rng = np.random.default_rng(34)
+        params = {k: Tensor(rng.normal(size=(300, 700)), requires_grad=True) for k in "ab"}
+        opt = tr.Adam(params)
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
+        opt.step()  # the first step writes the fresh moments' zero pages
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params["a"].grad.nbytes
 
 
 class TestInitState:
