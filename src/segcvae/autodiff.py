@@ -860,20 +860,20 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str] = 
         raise
 
 
-def load_checkpoint(path, prefix: str = "") -> tuple[dict[str, np.ndarray], dict[str, str]]:
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a ``save_checkpoint`` file, each array into a buffer of its own,
-    so the file is never held whole; only the arrays whose name starts with
-    ``prefix`` are read, but every index line is checked.  An unreadable
-    file, a malformed index line, an unknown dtype or an array reaching past
-    the end of the body is a SegcvaeError naming the file."""
+    so the file is never held whole.  An unreadable file, a malformed index
+    line, an array name or meta key that repeats, an unknown dtype or an
+    array reaching past the end of the body is a SegcvaeError naming the
+    file."""
     try:
         with open(path, "rb") as fh:
-            return _read_checkpoint(path, fh, prefix)
+            return _read_checkpoint(path, fh)
     except OSError as err:
         raise SegcvaeError(f"{path}: cannot read: {err.strerror}") from None
 
 
-def _read_checkpoint(path, fh, prefix: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+def _read_checkpoint(path, fh) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     index = []
     while (line := fh.readline()) != b"\n":  # the index ends at the first blank line
         if not line.endswith(b"\n"):
@@ -893,11 +893,15 @@ def _read_checkpoint(path, fh, prefix: str) -> tuple[dict[str, np.ndarray], dict
         kind, _, rest = line.partition(" ")
         if kind == "meta" and " " in rest:
             key, value = rest.split(" ", 1)
+            if key in meta:
+                raise SegcvaeError(f"{path}:{lineno}: meta key '{key}' repeats")
             meta[key] = value
             continue
         if kind != "array" or rest.count(" ") != 3:
             raise SegcvaeError(f"{path}: malformed index line {lineno}: '{line}'")
         name, dtype_s, shape_s, offset_s = rest.split(" ")
+        if name in arrays:
+            raise SegcvaeError(f"{path}:{lineno}: array '{name}' repeats")
         try:
             dtype = np.dtype(dtype_s)
         except (TypeError, ValueError):
@@ -917,8 +921,6 @@ def _read_checkpoint(path, fh, prefix: str) -> tuple[dict[str, np.ndarray], dict
             np.broadcast_to(np.empty((), dtype=dtype), shape)
         except ValueError:  # too many or too large dimensions for numpy
             raise SegcvaeError(f"{path}: array '{name}' has an impossible shape '{shape_s}'")
-        if not name.startswith(prefix):
-            continue
         arrays[name] = np.empty(shape, dtype=dtype)
         fh.seek(body_start + offset)
         if fh.readinto(arrays[name]) != arrays[name].nbytes:

@@ -4,13 +4,12 @@ The objective is maximized, so each step minimizes its negation.  Both the
 norm weight and the KL weight ramp linearly from zero; the norm weight can
 instead be pinned to a constant.  This module owns a training run's
 directory: ``RUN_FILES`` names its files, ``fit`` writes all of them (the
-vocabulary, the log and, at every new validation-perplexity minimum, a
-checkpoint) and ``load_run`` reads the model and vocabulary back;
-perplexity runs passes of one fixed size, so validation and ``evaluate``
-print the same number for a checkpoint and its pairs.  The serialized state
-(each parameter and its optimizer moments by the parameter's name, step,
-generator states) holds all an exact resume needs, though no entry point
-resumes yet.
+vocabulary, the log and, at every new validation-perplexity minimum, the
+model) and ``load_run`` reads the model and vocabulary back; perplexity
+runs passes of one fixed size, so validation and ``evaluate`` print the
+same number for a checkpoint and its pairs.  A ``save_state`` file adds
+to the model the optimizer moments, step and generator states that an
+exact resume needs, though no entry point resumes yet.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .autodiff import Rng, Tensor
 from .config import ModelConfig, TrainingConfig
 from .corpus import PAD_ID, DialoguePair, Vocabulary, encode_pairs
 from .errors import DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss, ShapeError
-from .model import SegCVAE, stored_array, total_loss
+from .model import SegCVAE, parameter_shapes, stored_array, total_loss
 
 # the files of a training run, in manifest order, and those load_run reads back
 RUN_FILES = CHECKPOINT_NAME, LOG_NAME, VOCAB_NAME = "checkpoint.bin", "train_log.txt", "vocab.txt"
@@ -37,6 +36,7 @@ READ_BACK = CHECKPOINT_NAME, VOCAB_NAME
 ADAM_BLOCK = 1 << 15  # elements per Adam block: the block's arrays and scratch stay in L2
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 PASS_ROWS = 32  # rows a perplexity pass decodes: M per context, at least one context
+PARAM = "param."  # a parameter's checkpoint entry is PARAM + its name
 
 
 def _ramp(step: int, steps: int) -> float:
@@ -302,36 +302,50 @@ def perplexity(model: SegCVAE, dataset: tuple[np.ndarray, np.ndarray]) -> float:
 # state persistence
 # ---------------------------------------------------------------------------
 
+def save_model(model: SegCVAE, path):
+    """Write what ``load_model`` reads: a ``param.<name>`` entry per parameter, and the meta."""
+    ad.save_checkpoint(path, {PARAM + k: a for k, a in model.state_arrays().items()},
+                       model.config.meta())
+
+
 def save_state(state: TrainState, cfg: TrainingConfig, path):
+    """``save_model``'s entries plus the moments, counters and generator states to resume."""
     model, opt = state.model, state.optimizer
-    arrays = {prefix + name: a for prefix, by_name in (("param.", model.state_arrays()),
+    arrays = {prefix + name: a for prefix, by_name in ((PARAM, model.state_arrays()),
               ("adam.m.", opt.m), ("adam.v.", opt.v)) for name, a in by_name.items()}
-    arrays["opt.t"] = np.array(state.optimizer.t, dtype=np.uint64)
-    arrays["train.step"] = np.array(state.step, dtype=np.uint64)
-    arrays["train.best_ppl"] = np.array(state.best_ppl, dtype=np.float64)
-    arrays["rng.noise"] = state.rng.get_state()
-    arrays["rng.data"] = state.data_rng.get_state()
-    meta = model.config.meta()
-    meta["seed"] = str(cfg.seed)
-    ad.save_checkpoint(path, arrays, meta)
+    arrays.update({"opt.t": np.array(opt.t, dtype=np.uint64),
+                   "train.step": np.array(state.step, dtype=np.uint64),
+                   "train.best_ppl": np.array(state.best_ppl, dtype=np.float64),
+                   "rng.noise": state.rng.get_state(), "rng.data": state.data_rng.get_state()})
+    ad.save_checkpoint(path, arrays, {**model.config.meta(), "seed": str(cfg.seed)})
 
 
 def load_model(path) -> SegCVAE:
-    """Rebuild the network stored in a checkpoint, reading only its
-    ``param.*`` arrays (every index line is still checked)."""
-    return _model_of(path, *ad.load_checkpoint(path, prefix="param."))
+    """The network of a ``save_model`` file, or of a ``save_state`` file."""
+    return _model_of(path, *ad.load_checkpoint(path))
+
+
+def _entry(path, arrays: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
+    """``stored_array``'s array of checkpoint entry ``name``; a missing or
+    misshapen entry is a DomainError naming the file and the entry."""
+    value = arrays.get(name)
+    if value is None or value.shape != shape:
+        what = "is missing" if value is None else f"has shape {value.shape}, want {shape}"
+        raise DomainError(f"{path}: checkpoint entry '{name}' {what}")
+    return stored_array(arrays, name, shape)
 
 
 def _model_of(path, arrays: dict[str, np.ndarray], meta: dict[str, str]) -> SegCVAE:
     """The network of a checkpoint's meta and ``param.*`` arrays."""
     try:
         config = ModelConfig.from_meta(meta)
+        config.validate()
     except KeyError as err:
         raise DomainError(f"{path}: checkpoint meta lacks {err}")
-    except ValueError as err:
+    except (ValueError, DomainError) as err:
         raise DomainError(f"{path}: malformed checkpoint meta: {err}")
-    return SegCVAE.from_arrays(config, {k[len("param."):]: v for k, v in arrays.items()
-                                        if k.startswith("param.")})
+    return SegCVAE.from_arrays(config, {name: _entry(path, arrays, PARAM + name, shape)
+                                        for name, shape in parameter_shapes(config).items()})
 
 
 def load_state(path, cfg: TrainingConfig) -> TrainState:
@@ -347,7 +361,7 @@ def load_state(path, cfg: TrainingConfig) -> TrainState:
             raise DomainError(f"{path}: checkpoint entry '{name}' {what}")
         return value.item() if size == 1 else value
 
-    moments = [{name: stored_array(arrays, f"adam.{k}.{name}", p.shape)
+    moments = [{name: _entry(path, arrays, f"adam.{k}.{name}", p.shape)
                 for name, p in model.params.items()} for k in "mv"]
     optimizer = Adam(model.params, lr=cfg.learning_rate, moments=moments)
     optimizer.t = int(stored("opt.t"))
@@ -367,8 +381,8 @@ def fit(splits: dict[str, Sequence[DialoguePair]], vocab: Vocabulary,
         cfg: TrainingConfig, run_dir) -> list[float]:
     """Train for up to ``cfg.epochs`` epochs over ``splits['train']`` into
     ``run_dir``, writing each of ``RUN_FILES`` there: the vocabulary, then
-    the log, and a checkpoint at every new validation-perplexity minimum.
-    Returns each epoch's validation perplexity."""
+    the log, and the model (``save_model``) at every new validation-perplexity
+    minimum.  Returns each epoch's validation perplexity."""
     cfg.validate()
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -381,7 +395,6 @@ def fit(splits: dict[str, Sequence[DialoguePair]], vocab: Vocabulary,
     valid_data = encode_pairs(valid_pairs, vocab, cfg.max_len)
     state = init_state(cfg, vocab)
 
-    checkpoint = run_dir / CHECKPOINT_NAME
     val_ppls = []
     vocab.save(run_dir / VOCAB_NAME)
     with open(run_dir / LOG_NAME, "w", encoding="utf-8") as log:
@@ -395,15 +408,15 @@ def fit(splits: dict[str, Sequence[DialoguePair]], vocab: Vocabulary,
             log.write(f"epoch={epoch} val_ppl={val_ppl!r}\n")
             if val_ppl < state.best_ppl:
                 state.best_ppl = val_ppl
-                save_state(state, cfg, checkpoint)
-    if state.best_ppl == math.inf:  # no finite ppl in this run; keep its last state
-        save_state(state, cfg, checkpoint)
+                save_model(state.model, run_dir / CHECKPOINT_NAME)
+    if state.best_ppl == math.inf:  # no finite ppl in this run; keep its last model
+        save_model(state.model, run_dir / CHECKPOINT_NAME)
     return val_ppls
 
 
 def load_run(run_dir) -> tuple[SegCVAE, Vocabulary]:
-    """The model of a ``fit`` run's checkpoint (its best epoch) and the
-    run's vocabulary, reading ``READ_BACK`` in that order."""
+    """The model of a ``fit`` run's checkpoint (its best epoch, or an older
+    run's full state) and the run's vocabulary, reading ``READ_BACK`` in order."""
     checkpoint, vocab = (Path(run_dir) / name for name in READ_BACK)
     model = load_model(checkpoint)
     return model, Vocabulary.load(vocab, model.emb.values)

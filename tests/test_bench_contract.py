@@ -9,11 +9,13 @@ what the untraced step computes and pass the workload's check.  The eval
 workload's set-up (``end_early``) and its two operations, ``generate_n``
 and ``perplexity``, must run on the package and pass their checks too, so
 that a change to what ``prominent_semantics`` or ``prior`` return fails
-here rather than in the benchmark.  ``instrument`` builds its traced model
-through the public constructor and ``load_state``, so the model it builds
-must hold the source state's parameters exactly.  The workloads' corpora
-come from ``synth.make_pairs``, which builds each ``DialoguePair`` from its
-context and response positionally; a tiny one must train and score.
+here rather than in the benchmark.  The eval set-up itself, the one caller
+of the ``save_state``/``load_state`` round trip, must pass its digest check
+at a tiny shape.  ``instrument`` builds its traced model through the public
+constructor and ``load_state``, so the model it builds must hold the source
+state's parameters exactly.  The workloads' corpora come from
+``synth.make_pairs``, which builds each ``DialoguePair`` from its context
+and response positionally; a tiny one must train and score.
 """
 
 import dataclasses
@@ -141,3 +143,23 @@ def test_synthetic_corpus_builds_trains_and_scores():
     state = tr.init_state(cfg, vocab)
     assert workloads._loss_check(tr.train_step(data, state, cfg)) is None
     assert workloads._ppl_check(tr.perplexity(state.model, data)) is None
+
+
+def test_eval_set_up_round_trips_the_state_and_passes_its_check(tmp_path):
+    """eval-paper's set-up at the tiny shape: its ``save_state`` and
+    ``load_state`` spans are recorded, the loaded state keeps the digest
+    taken before the save, and the scratch checkpoint is gone."""
+    w = dataclasses.replace(workloads.WORKLOADS["eval-paper"], config=workloads.TINY,
+                            corpus=workloads.WORKLOADS["train-tiny"].corpus)
+    cfg = tr.TrainingConfig(**w.config)
+    recorder, tally = spans.Recorder(), workloads.Tally()
+    recorder.enabled = True
+    bundle, seconds = workloads.set_up(w, cfg, 41, recorder, tmp_path, tally)
+    recorder.enabled = False
+    assert (tally.attempted, tally.failed, tally.problems) == (1, 0, [])
+    assert bundle is not None and seconds > 0 and bundle.checkpoint_bytes > 0
+    assert bundle.digest == workloads._digest(bundle.state.model)
+    assert set(bundle.state.optimizer.m) == set(bundle.state.model.params)
+    names = {s.name for s in recorder.spans}
+    assert {"training.save_state", "training.load_state"} <= names
+    assert list(tmp_path.iterdir()) == []

@@ -284,6 +284,14 @@ class TestPrepareData:
         assert total == 6  # 4 dialogues: (3-1)+(3-1)+(2-1)+(2-1) adjacent pairs
 
 
+def _write_full_state(run_dir):
+    """Replace a run's checkpoint with a full ``save_state`` file of its
+    model, as versions before the model-only checkpoint wrote."""
+    model = tr.load_model(run_dir / tr.CHECKPOINT_NAME)
+    state = tr.TrainState(model, tr.Adam(model.params), ad.Rng(1), ad.Rng(2), step=3)
+    tr.save_state(state, tr.TrainingConfig(), run_dir / tr.CHECKPOINT_NAME)
+
+
 class TestTrainGenerateEvaluate:
     @pytest.fixture
     def run_dir(self, config_file, data_dir, tmp_path, capsys):
@@ -414,11 +422,11 @@ class TestTrainGenerateEvaluate:
 
     def test_per_trigger_checkpoint_is_refused(self, run_dir, data_dir, tmp_path,
                                                monkeypatch, capsys):
-        """A segcvae-ckpt-1 checkpoint, whose trigger arrays and their moments
-        are standalone per-trigger arrays, is refused with exit 1 and a
-        message that names the file."""
-        state = tr.load_state(run_dir / "checkpoint.bin", tr.TrainingConfig())
-        cfg = state.model.config
+        """A segcvae-ckpt-1 checkpoint, whose trigger arrays are standalone
+        per-trigger arrays, is refused with exit 1 and a message that names
+        the file."""
+        model = tr.load_model(run_dir / "checkpoint.bin")
+        cfg = model.config
 
         def per_trigger(by_param):
             out = {}
@@ -433,14 +441,9 @@ class TestTrainGenerateEvaluate:
                                                         if part == "kernel" else a[i])
             return out
 
-        arrays = {}
-        for prefix, by_param in (("param.", state.model.state_arrays()),
-                                 ("adam.m.", state.optimizer.m), ("adam.v.", state.optimizer.v)):
-            arrays.update((prefix + k, a) for k, a in per_trigger(by_param).items())
+        arrays = {"param." + k: a for k, a in per_trigger(model.state_arrays()).items()}
         saved, meta = ad.load_checkpoint(run_dir / "checkpoint.bin")
-        arrays.update((k, saved[k]) for k in ("opt.t", "train.step", "train.best_ppl",
-                                              "rng.noise", "rng.data"))
-        assert len(arrays) == len(saved) + 3 * 4 * (cfg.num_triggers - 1)
+        assert len(arrays) == len(saved) + 4 * (cfg.num_triggers - 1)
         legacy = tmp_path / "legacy"
         legacy.mkdir()
         monkeypatch.setattr(ad, "CHECKPOINT_TAG", "segcvae-ckpt-1")
@@ -458,13 +461,41 @@ class TestTrainGenerateEvaluate:
     def test_evaluate_reports_an_overflowing_perplexity_as_inf(self, run_dir, data_dir,
                                                                tmp_path, capsys):
         assert self._generate(run_dir, data_dir, tmp_path) == 0
-        cfg = tr.TrainingConfig()
-        state = tr.load_state(run_dir / "checkpoint.bin", cfg)
-        state.model.params["out.b"].values[4:] = -1e4  # every word far below the specials
-        tr.save_state(state, cfg, run_dir / "checkpoint.bin")
+        model = tr.load_model(run_dir / "checkpoint.bin")
+        model.params["out.b"].values[4:] = -1e4  # every word far below the specials
+        tr.save_model(model, run_dir / "checkpoint.bin")
         capsys.readouterr()
         assert self._evaluate(tmp_path / "gen" / "generated.tsv", run_dir, data_dir) == 0
         assert "ppl: inf\n" in capsys.readouterr().out
+
+    def test_a_checkpoint_missing_a_parameter_is_refused(self, run_dir, data_dir, tmp_path,
+                                                        capsys):
+        """generate on a run whose checkpoint lacks one parameter exits 1 with
+        a message naming the file and the entry as it is stored."""
+        broken = tmp_path / "broken"
+        shutil.copytree(run_dir, broken)
+        arrays, meta = ad.load_checkpoint(broken / tr.CHECKPOINT_NAME)
+        del arrays["param.dec.bh"]
+        ad.save_checkpoint(broken / tr.CHECKPOINT_NAME, arrays, meta)
+        capsys.readouterr()
+        assert self._generate(broken, data_dir, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"{broken / tr.CHECKPOINT_NAME}: checkpoint entry 'param.dec.bh' is missing" in err
+        assert not (tmp_path / "gen" / "generated.tsv").exists()
+
+    def test_an_older_full_state_checkpoint_still_loads(self, run_dir, data_dir, tmp_path):
+        """A run whose checkpoint is a full ``save_state`` file, as older
+        versions wrote, generates what its model-only checkpoint does."""
+        older = tmp_path / "older"
+        shutil.copytree(run_dir, older)
+        _write_full_state(older)
+        dumps = []
+        for run in (run_dir, older):
+            out = tmp_path / f"gen_{run.name}"
+            assert cli.dispatch(["generate", "--run", str(run),
+                                 "--data", str(data_dir / "test.tsv"), "--out", str(out)]) == 0
+            dumps.append((out / "generated.tsv").read_bytes())
+        assert dumps[0] == dumps[1]
 
     def _generate(self, run_dir, data_dir, tmp_path):
         return cli.dispatch(["generate", "--run", str(run_dir),
@@ -495,8 +526,9 @@ class TestTrainGenerateEvaluate:
         assert "checkpoint.bin" in capsys.readouterr().err
 
     def test_a_moment_entry_past_the_body_exits_one(self, run_dir, data_dir, tmp_path, capsys):
-        """generate reads only the parameters, but every index line is still
-        checked: an ``adam.*`` entry that reaches past the body is exit 1."""
+        """generate reads an older run's full-state checkpoint whole: an
+        ``adam.*`` entry that reaches past the body is exit 1."""
+        _write_full_state(run_dir)
         path = run_dir / "checkpoint.bin"
         head, sep, body = path.read_bytes().partition(b"\n\n")
         lines = head.split(b"\n")
@@ -555,7 +587,7 @@ class TestTrainGenerateEvaluate:
                              (corpus, "write_pairs")),
             "cdm-stats": (["--in", corpus_file], ["--in", other_corpus], (corpus, "mine_cdm")),
             "train": (["--config", config_file, "--in", data_dir],
-                      ["--config", config_file, "--in", other], (tr, "save_state")),
+                      ["--config", config_file, "--in", other], (tr, "save_model")),
             "generate": (["--run", run_dir, "--data", test, "--seed", "1"],
                          ["--run", run_dir, "--data", test, "--seed", "2"],
                          (ev, "write_generation")),
@@ -610,10 +642,9 @@ class TestTrainGenerateEvaluate:
         (dump,) = cli.OUTPUTS["generate"]
         other = tmp_path / "other_run"
         shutil.copytree(run_dir, other)
-        cfg = tr.TrainingConfig()
-        state = tr.load_state(other / tr.CHECKPOINT_NAME, cfg)
-        state.model.params["out.b"].values[4:] += 1.0
-        tr.save_state(state, cfg, other / tr.CHECKPOINT_NAME)
+        model = tr.load_model(other / tr.CHECKPOINT_NAME)
+        model.params["out.b"].values[4:] += 1.0
+        tr.save_model(model, other / tr.CHECKPOINT_NAME)
         manifests = []
         for run in (run_dir, other):
             out = tmp_path / f"metrics_{run.name}"

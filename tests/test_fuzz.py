@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from segcvae import autodiff as ad
 from segcvae.config import parse_config
-from segcvae.corpus import (BOS_ID, EOS_ID, PAD_ID, DialoguePair, build_vocab, encode_pair,
-                            read_pairs)
+from segcvae.corpus import (BOS_ID, EOS_ID, PAD_ID, SPECIALS, DialoguePair, Vocabulary,
+                            build_vocab, encode_pair, read_corpus_file, read_pairs)
 from segcvae.errors import SegcvaeError
 from segcvae.evaluation import read_generation
 
@@ -41,6 +41,39 @@ def test_read_pairs(tmp_path, data):
     pairs = _returns_or_segcvae_error(lambda: read_pairs(path))
     for pair in pairs or ():
         assert pair.context and pair.response
+
+
+@FUZZ
+@given(data=SOUP)
+def test_read_corpus_file(tmp_path, data):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(data)
+    dialogues = _returns_or_segcvae_error(lambda: read_corpus_file(path))
+    for dialogue in dialogues or ():
+        assert dialogue and all(utterance for utterance in dialogue)
+        assert all(isinstance(t, str) and t for u in dialogue for t in u)
+
+
+# token lines, so that a vocabulary file can parse
+TOKEN_LINES = st.lists(st.one_of(st.sampled_from(["a", "b", "", "a b", "<pad>", "<eos>", "é"]),
+                                 st.text(max_size=4)), max_size=8).map(
+    lambda tokens: "".join(f"{t}\n" for t in tokens).encode("utf-8", "surrogatepass"))
+
+
+@FUZZ
+@given(specials=st.booleans(), data=st.one_of(SOUP, TOKEN_LINES),
+       extra_rows=st.sampled_from([0, 0, 1]))
+def test_vocabulary_load(tmp_path, specials, data, extra_rows):
+    """Half the files start with the specials, and the embedding mostly has
+    a row per distinct line, so some loads succeed."""
+    path = tmp_path / "vocab.txt"
+    path.write_bytes("".join(f"{t}\n" for t in SPECIALS).encode() * specials + data)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        rows = len(set(fh.read().split("\n")) - {""}) + extra_rows
+    vocab = _returns_or_segcvae_error(lambda: Vocabulary.load(path, np.zeros((rows, 3))))
+    if vocab is not None:
+        assert tuple(vocab.id_to_token[:4]) == SPECIALS and len(vocab.id_to_token) == rows
+        assert all(vocab.token_to_id[t] == i for i, t in enumerate(vocab.id_to_token))
 
 
 @FUZZ

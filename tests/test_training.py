@@ -762,14 +762,33 @@ class TestResumability:
         assert any(not np.array_equal(before[k], returned[f"adam.m.{k}"]) for k in before)
 
     def test_missing_moment_is_a_domain_error(self, tmp_path):
+        """A missing or misshapen moment is a DomainError naming the file
+        and the entry as it is stored."""
         cfg, pairs, vocab, data = _setup()
-        state = tr.init_state(cfg, vocab)
-        tr.save_state(state, cfg, tmp_path / "state.ckpt")
-        arrays, meta = ad.load_checkpoint(tmp_path / "state.ckpt")
+        path = tmp_path / "state.ckpt"
+        tr.save_state(tr.init_state(cfg, vocab), cfg, path)
+        arrays, meta = ad.load_checkpoint(path)
         del arrays["adam.v.eg.dense"]
-        ad.save_checkpoint(tmp_path / "state.ckpt", arrays, meta)
-        with pytest.raises(DomainError, match="'adam.v.eg.dense'"):
-            tr.load_state(tmp_path / "state.ckpt", cfg)
+        ad.save_checkpoint(path, arrays, meta)
+        with pytest.raises(DomainError, match=re.escape(f"{path}: checkpoint entry "
+                                                        "'adam.v.eg.dense' is missing")):
+            tr.load_state(path, cfg)
+        arrays["adam.v.eg.dense"] = arrays["adam.m.eg.dense"]
+        arrays["adam.m.emb"] = arrays["adam.m.emb"][:-1]
+        ad.save_checkpoint(path, arrays, meta)
+        want = f"{path}: checkpoint entry 'adam.m.emb' has shape {arrays['adam.m.emb'].shape}"
+        with pytest.raises(DomainError, match=re.escape(want)):
+            tr.load_state(path, cfg)
+
+    def test_a_model_file_is_not_a_state(self, tmp_path):
+        """``load_state`` on a ``save_model`` file names the file and the
+        first moment it lacks."""
+        cfg, pairs, vocab, data = _setup()
+        path = tmp_path / "model.ckpt"
+        tr.save_model(tr.init_state(cfg, vocab).model, path)
+        with pytest.raises(DomainError, match=re.escape(f"{path}: checkpoint entry "
+                                                        "'adam.m.emb' is missing")):
+            tr.load_state(path, cfg)
 
     @pytest.mark.parametrize("name, value, what", [
         *((name, None, "is missing") for name in
@@ -815,6 +834,69 @@ class TestResumability:
         assert traced[2] - traced[0] < state_bytes * 0.1, traced
 
 
+class TestModelFile:
+    @pytest.mark.parametrize("drop", [{}, {"no_is": True, "no_eg": True}],
+                             ids=["full", "no-is-eg"])
+    def test_save_model_round_trips_every_parameter(self, tmp_path, drop):
+        cfg, pairs, vocab, data = _setup(**drop)
+        state = tr.init_state(cfg, vocab)
+        tr.train_step(data, state, cfg)
+        tr.save_model(state.model, tmp_path / "model.ckpt")
+        loaded = tr.load_model(tmp_path / "model.ckpt")
+        assert loaded.config == state.model.config
+        assert list(loaded.params) == list(state.model.params)
+        for name, p in state.model.params.items():
+            got = loaded.params[name].values
+            assert got.shape == p.values.shape and got.tobytes() == p.values.tobytes(), name
+
+    def test_load_model_reads_a_state_file(self, tmp_path):
+        """A ``save_state`` file, as older runs' checkpoints are, gives the
+        model ``save_model``'s file of the same state gives."""
+        cfg, pairs, vocab, data = _setup()
+        state = tr.init_state(cfg, vocab)
+        tr.train_step(data, state, cfg)
+        tr.save_state(state, cfg, tmp_path / "state.ckpt")
+        tr.save_model(state.model, tmp_path / "model.ckpt")
+        models = [tr.load_model(tmp_path / name) for name in ("state.ckpt", "model.ckpt")]
+        assert models[0].config == models[1].config
+        for name, p in models[1].params.items():
+            assert models[0].params[name].values.tobytes() == p.values.tobytes(), name
+
+    @pytest.mark.parametrize("name, change, what", [
+        ("param.emb", None, "is missing"),
+        ("param.out.b", lambda a: a[:-1], "has shape"),
+    ])
+    def test_a_missing_or_misshapen_parameter_names_the_file(self, tmp_path, name, change, what):
+        cfg, pairs, vocab, data = _setup()
+        path = tmp_path / "model.ckpt"
+        tr.save_model(tr.init_state(cfg, vocab).model, path)
+        arrays, meta = ad.load_checkpoint(path)
+        if change is None:
+            del arrays[name]
+        else:
+            arrays[name] = change(arrays[name])
+        ad.save_checkpoint(path, arrays, meta)
+        want = f"{path}: checkpoint entry '{name}' {what}"
+        with pytest.raises(DomainError, match=re.escape(want)):
+            tr.load_model(path)
+
+
+    def test_an_out_of_range_meta_value_names_the_file(self, tmp_path):
+        cfg, pairs, vocab, data = _setup()
+        path = tmp_path / "model.ckpt"
+        tr.save_model(tr.init_state(cfg, vocab).model, path)
+        arrays, meta = ad.load_checkpoint(path)
+        ad.save_checkpoint(path, arrays, {**meta, "M": "0"})
+        want = f"{path}: malformed checkpoint meta: num_triggers must be positive"
+        with pytest.raises(DomainError, match=re.escape(want)):
+            tr.load_model(path)
+
+
+def _index(path) -> list[str]:
+    data = path.read_bytes()
+    return data[:data.index(b"\n\n")].decode("utf-8").splitlines()[1:]
+
+
 class TestFit:
     def test_checkpoint_tracks_minimum_validation_ppl(self, tmp_path):
         cfg, pairs, vocab, _ = _setup(epochs=3)
@@ -822,10 +904,22 @@ class TestFit:
         val_ppls = tr.fit(splits, vocab, cfg, tmp_path / "run")
         assert len(val_ppls) == 3
         best = min(val_ppls)
-        loaded = tr.load_state(tmp_path / "run" / tr.CHECKPOINT_NAME, cfg)
+        loaded = tr.load_model(tmp_path / "run" / tr.CHECKPOINT_NAME)
         valid_data = encode_pairs(pairs[:8], vocab, cfg.max_len)
-        assert tr.perplexity(loaded.model, valid_data) == best
-        assert loaded.best_ppl == best
+        assert tr.perplexity(loaded, valid_data) == best
+
+    def test_checkpoint_holds_only_the_model(self, tmp_path):
+        """One ``param.<name>`` entry per parameter and the model config's
+        meta: no optimizer moment, counter, generator state or seed."""
+        cfg, pairs, vocab, _ = _setup(epochs=1)
+        tr.fit({"train": pairs, "valid": pairs[:8]}, vocab, cfg, tmp_path / "run")
+        index = _index(tmp_path / "run" / tr.CHECKPOINT_NAME)
+        model_cfg = cfg.model_config(vocab.size)
+        meta = [f"meta {k} {v}" for k, v in sorted(model_cfg.meta().items())]
+        assert index[:len(meta)] == meta
+        names = [line.split(" ")[1] for line in index[len(meta):]]
+        assert all(line.startswith("array ") for line in index[len(meta):])
+        assert names == sorted(f"param.{name}" for name in parameter_shapes(model_cfg))
 
     def test_zero_epochs_rejected(self, tmp_path):
         cfg, pairs, vocab, _ = _setup(epochs=0)
@@ -848,15 +942,20 @@ class TestFit:
         tr.fit(splits, vocab, cfg, tmp_path / "run")
         earlier = checkpoint.read_bytes()
         monkeypatch.setattr(tr, "perplexity", lambda *a, **k: ppl)
+        states, init_state = [], tr.init_state
+        monkeypatch.setattr(tr, "init_state",
+                            lambda *a: states.append(init_state(*a)) or states[-1])
         rerun = _desk_config(epochs=1, seed=7)
         tr.fit(splits, vocab, rerun, tmp_path / "run")
         kept_the_earlier = checkpoint.read_bytes() == earlier
         assert not kept_the_earlier
-        assert ad.load_checkpoint(checkpoint)[1]["seed"] == "7"
-        loaded = tr.load_state(checkpoint, rerun)
+        (last,) = states  # the rerun's state as its last step left it
         logged = (tmp_path / "run" / tr.LOG_NAME).read_text(encoding="utf-8").splitlines()
         steps = sum(line.startswith("step=") for line in logged)
-        assert loaded.step == steps > 0 and loaded.best_ppl == math.inf
+        assert last.step == steps > 0 and last.best_ppl == math.inf
+        loaded = tr.load_model(checkpoint)
+        for name, p in last.model.params.items():
+            assert loaded.params[name].values.tobytes() == p.values.tobytes(), name
 
     def test_runs_are_byte_identical(self, tmp_path):
         cfg, pairs, vocab, _ = _setup(epochs=2, batch_size=8)
