@@ -84,12 +84,38 @@ def pairs_from_corpus(dialogues: Sequence[Sequence[tuple[str, ...]]]) -> list[Di
 class Vocabulary:
     """Dense token ids and an embedding table: ``id_to_token`` lists the
     tokens, the four specials first, ``token_to_id`` inverts it, and row i
-    of ``embedding`` (vocab_size, emb_dim) is token i's vector."""
+    of ``embedding`` (vocab_size, emb_dim) is token i's vector.
 
-    def __init__(self, id_to_token: list[str], embedding: np.ndarray):
+    A vocabulary given a table keeps that array.  One from ``build_vocab``
+    records the table's width and seed and draws the table when
+    ``embedding`` is first read; ``training.init_state`` reads ``table()``
+    instead, so the model holds the only table of a training run.
+    """
+
+    def __init__(self, id_to_token: list[str], embedding: np.ndarray | None,
+                 draw: tuple[int, int] | None = None):
         self.id_to_token = id_to_token
         self.token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
-        self.embedding = embedding
+        if (embedding is None) == (draw is None):
+            raise DomainError("a vocabulary takes either a table or the (emb_dim, seed) of one")
+        self._embedding = embedding
+        self._draw = draw  # (emb_dim, seed) of a table not yet drawn
+
+    @property
+    def embedding(self) -> np.ndarray:
+        if self._embedding is None:
+            self._embedding = self.table()
+        return self._embedding
+
+    def table(self) -> np.ndarray:
+        """The table held, or else a fresh draw of it (see ``build_vocab``)
+        that is not kept."""
+        if self._embedding is not None:
+            return self._embedding
+        emb_dim, seed = self._draw
+        table = np.zeros((self.size, emb_dim))  # row PAD_ID stays zero
+        table[1:] = Rng(seed).uniform(-0.1, 0.1, (self.size - 1, emb_dim))
+        return table
 
     @property
     def size(self) -> int:
@@ -135,9 +161,15 @@ def build_vocab(pairs: Sequence[DialoguePair], max_size: int,
     ``max_size`` including the four specials, which the data cannot add a
     second time (see ``Vocabulary.id_of``).  The padding row is zero; every
     other row, in id order, is one uniform [-0.1, 0.1] draw of ``Rng(seed)``,
-    the table's own stream (``training.init_state`` lists the others)."""
+    the table's own stream (``training.init_state`` lists the others), drawn
+    when the table is first read (see ``Vocabulary``), so an ``emb_dim``
+    below 1 or a negative ``seed`` is refused here."""
     if max_size < len(SPECIALS):
         raise DomainError(f"max_size must be at least {len(SPECIALS)}")
+    if emb_dim < 1:
+        raise DomainError(f"emb_dim must be at least 1, got {emb_dim}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     if not pairs:
         raise EmptyCorpus("cannot build a vocabulary from no pairs")
     counts = Counter()
@@ -146,9 +178,7 @@ def build_vocab(pairs: Sequence[DialoguePair], max_size: int,
         counts.update(pair.response)
     ranked = sorted(counts.keys() - SPECIALS, key=lambda tok: (-counts[tok], tok))
     id_to_token = list(SPECIALS) + ranked[:max_size - len(SPECIALS)]
-    embedding = np.zeros((len(id_to_token), emb_dim))  # row PAD_ID stays zero
-    embedding[1:] = Rng(seed).uniform(-0.1, 0.1, (len(id_to_token) - 1, emb_dim))
-    return Vocabulary(id_to_token, embedding)
+    return Vocabulary(id_to_token, None, (emb_dim, seed))
 
 
 # ---------------------------------------------------------------------------

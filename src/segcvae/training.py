@@ -163,10 +163,12 @@ def init_state(cfg: TrainingConfig, vocab: Vocabulary) -> TrainState:
     its own, so none replays another's draws: ``cfg.seed`` is the embedding
     table's (``build_vocab(..., seed=cfg.seed)``), ``cfg.seed + 1`` the
     trigger/latent noise's, ``cfg.seed + 2`` the batch order's and
-    ``cfg.seed + 3`` the Glorot weights'."""
+    ``cfg.seed + 3`` the Glorot weights'.  The model's ``emb`` is the run's
+    only table: a copy of ``vocab.table()``, the table the vocabulary holds
+    or else a fresh draw of it that the vocabulary does not keep."""
     cfg.validate()
     noise, batches, weights = (Rng(cfg.seed + k) for k in (1, 2, 3))
-    model = SegCVAE(cfg.model_config(vocab.size), vocab.embedding, weights)
+    model = SegCVAE(cfg.model_config(vocab.size), vocab.table(), weights)
     return TrainState(model=model, optimizer=Adam(model.params, lr=cfg.learning_rate),
                       rng=noise, data_rng=batches)
 

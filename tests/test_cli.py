@@ -694,7 +694,8 @@ class TestTrainGenerateEvaluate:
                                                  capsys):
         """fit into a fresh directory leaves exactly training's run files;
         generate and evaluate read it, and load_run gives back the parameters
-        load_model gives and the tokens of the vocabulary fit got."""
+        load_model gives and the tokens of the vocabulary fit got, with the
+        model's own embedding table as the vocabulary's."""
         cfg = parse_config(config_file)
         pairs = corpus.read_pairs(data_dir / "train.tsv")
         vocab = corpus.build_vocab(pairs, max_size=cfg.vocab_cap, emb_dim=cfg.emb_dim,
@@ -711,6 +712,7 @@ class TestTrainGenerateEvaluate:
         for name, param in expected.items():
             assert np.array_equal(model.params[name].values, param.values), name
         assert loaded.id_to_token == vocab.id_to_token
+        assert loaded.embedding is model.emb.values  # one table, the model's
 
 
 KILLED = 75  # the exit status of a child ended at a write point

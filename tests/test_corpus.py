@@ -105,6 +105,30 @@ class TestBuildVocab:
         with pytest.raises(DomainError):
             build_vocab([_pair("a", "b")], max_size=3, emb_dim=4)
 
+    @pytest.mark.parametrize("emb_dim, seed", [(0, 1), (-1, 1), (4, -1)])
+    def test_a_table_that_cannot_be_drawn_is_refused_at_the_call(self, emb_dim, seed):
+        """The table is drawn when first read, so a width or seed it could
+        not be drawn with is refused when the vocabulary is built."""
+        with pytest.raises(DomainError, match="emb_dim" if seed >= 0 else "seed"):
+            build_vocab([_pair("a", "b")], max_size=10, emb_dim=emb_dim, seed=seed)
+
+    @pytest.mark.parametrize("table, draw", [(None, None), (np.zeros((5, 2)), (2, 1))])
+    def test_a_vocabulary_takes_a_table_or_its_draw(self, table, draw):
+        with pytest.raises(DomainError, match="either a table"):
+            corpus.Vocabulary([*corpus.SPECIALS, "a"], table, draw)
+
+    def test_the_table_is_drawn_once_when_first_read(self):
+        """Until ``embedding`` is read, ``table()`` gives a fresh draw each
+        call and keeps none; the first read keeps one, which ``table()``
+        then gives back."""
+        vocab = build_vocab([_pair("a b c", "d")], max_size=9, emb_dim=3, seed=2)
+        first, second = vocab.table(), vocab.table()
+        assert first is not second and first.tobytes() == second.tobytes()
+        assert vocab._embedding is None
+        table = vocab.embedding
+        assert table.tobytes() == first.tobytes()
+        assert vocab.embedding is table and vocab.table() is table
+
     def test_seeded_rows_are_one_draw_per_row_in_row_order(self):
         """The padding row is zero and every other row, in id order, is the
         next uniform [-0.1, 0.1] draw of ``Rng(seed)``."""
@@ -146,8 +170,10 @@ class TestBuildVocab:
         vocab = build_vocab([_pair("a b", "c")], max_size=8, emb_dim=4)
         path = tmp_path / "vocab.txt"
         vocab.save(path)
-        loaded = corpus.Vocabulary.load(path, vocab.embedding)
+        table = vocab.embedding
+        loaded = corpus.Vocabulary.load(path, table)
         assert loaded.token_to_id == vocab.token_to_id
+        assert loaded.embedding is table  # a given table is kept as it is
 
 
 def _cdm_fixture():

@@ -331,6 +331,34 @@ class TestInitState:
         for name, w in weights.items():
             assert not np.isclose(table_ratios, w[1] / w[0], rtol=1e-9, atol=0).any(), name
 
+    def test_the_model_holds_the_only_table(self):
+        """``init_state`` copies a fresh draw of a built vocabulary's table
+        into the model and leaves the vocabulary without one; a later read
+        draws the model's initial ``emb`` bit for bit, and keeps it."""
+        cfg, _, vocab, _ = _setup()
+        emb = tr.init_state(cfg, vocab).model.emb.values
+        assert vocab._embedding is None
+        table = vocab.embedding
+        assert table is not emb and table.tobytes() == emb.tobytes()
+        assert vocab.embedding is table
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_models_from_one_vocabulary_share_no_table(self, read_first):
+        """Each model copies the table, whether the vocabulary holds it or
+        not, so training one model moves neither the other's ``emb`` nor
+        the vocabulary's table."""
+        cfg, _, vocab, data = _setup()
+        if read_first:
+            vocab.embedding
+        a, b = (tr.init_state(cfg, vocab) for _ in range(2))
+        before = b.model.emb.values.copy()
+        assert a.model.emb.values is not b.model.emb.values
+        assert a.model.emb.values.tobytes() == before.tobytes()
+        tr.train_step((data[0][:cfg.batch_size], data[1][:cfg.batch_size]), a, cfg)
+        assert not np.array_equal(a.model.emb.values, before)
+        assert b.model.emb.values.tobytes() == before.tobytes()
+        assert vocab.embedding.tobytes() == before.tobytes()
+
 
 class TestTrainStep:
     def test_bitwise_deterministic(self):
@@ -920,6 +948,24 @@ class TestFit:
         names = [line.split(" ")[1] for line in index[len(meta):]]
         assert all(line.startswith("array ") for line in index[len(meta):])
         assert names == sorted(f"param.{name}" for name in parameter_shapes(model_cfg))
+
+    def test_a_fit_leaves_the_vocabulary_without_a_table(self, tmp_path, monkeypatch):
+        """The run's one table is its model's: the vocabulary ``fit`` got
+        holds none afterwards, and a later read draws the model's initial
+        ``emb`` bit for bit."""
+        cfg, pairs, vocab, _ = _setup(epochs=1)
+        initial, init_state = [], tr.init_state
+
+        def recording(*args):
+            state = init_state(*args)
+            initial.append(state.model.emb.values.copy())
+            return state
+
+        monkeypatch.setattr(tr, "init_state", recording)
+        tr.fit({"train": pairs, "valid": pairs[:8]}, vocab, cfg, tmp_path / "run")
+        assert vocab._embedding is None
+        (emb,) = initial
+        assert vocab.embedding.tobytes() == emb.tobytes()
 
     def test_zero_epochs_rejected(self, tmp_path):
         cfg, pairs, vocab, _ = _setup(epochs=0)
