@@ -702,6 +702,15 @@ class Rng:
     def uniform(self, low: float, high: float, shape=()) -> np.ndarray:
         return self._gen.uniform(low, high, shape)
 
+    def uniform_into(self, low: float, high: float, out: np.ndarray) -> np.ndarray:
+        """Write ``uniform(low, high, out.shape)`` into the C-contiguous
+        float64 ``out`` and return it: the same bytes and the same end state,
+        as numpy draws ``low + (high - low) * U`` with two roundings."""
+        self._gen.random(out=out)
+        out *= high - low
+        out += low
+        return out
+
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)
 
@@ -736,10 +745,15 @@ class Rng:
 
 def glorot(shape: tuple[int, ...], rng: Rng) -> Tensor:
     """Fan-balanced uniform initialization for weight matrices."""
-    fan_in = int(np.prod(shape[:-1]))
-    fan_out = int(shape[-1])
+    return Tensor(glorot_into(np.empty(shape), rng), requires_grad=True)
+
+
+def glorot_into(out: np.ndarray, rng: Rng) -> np.ndarray:
+    """Draw ``glorot(out.shape, rng)``'s values into the C-contiguous ``out``."""
+    fan_in = int(np.prod(out.shape[:-1]))
+    fan_out = int(out.shape[-1])
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+    return rng.uniform_into(-bound, bound, out)
 
 
 def reparameterize(mu: Tensor, logvar: Tensor, eps: np.ndarray) -> Tensor:

@@ -13,12 +13,13 @@ import hashlib
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .autodiff import Rng
-from .errors import DomainError, EmptyCorpus
+from .errors import DomainError, EmptyCorpus, ShapeError
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<bos>", "<eos>"
 SPECIALS = (PAD, UNK, BOS, EOS)
@@ -88,14 +89,17 @@ class Vocabulary:
 
     A vocabulary given a table keeps that array.  One from ``build_vocab``
     records the table's width and seed and draws the table when
-    ``embedding`` is first read; ``training.init_state`` reads ``table()``
-    instead, so the model holds the only table of a training run.
+    ``embedding`` is first read; ``training.init_state`` has ``table``
+    draw it straight into the model's ``emb`` instead, so the model holds
+    the only table of a training run.
     """
 
     def __init__(self, id_to_token: list[str], embedding: np.ndarray | None,
                  draw: tuple[int, int] | None = None):
         self.id_to_token = id_to_token
         self.token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
+        # the ids data words encode to: the specials hold the first ids and are not words
+        self._word_ids = {tok: i for tok, i in self.token_to_id.items() if i >= len(SPECIALS)}
         if (embedding is None) == (draw is None):
             raise DomainError("a vocabulary takes either a table or the (emb_dim, seed) of one")
         self._embedding = embedding
@@ -107,15 +111,26 @@ class Vocabulary:
             self._embedding = self.table()
         return self._embedding
 
-    def table(self) -> np.ndarray:
-        """The table held, or else a fresh draw of it (see ``build_vocab``)
-        that is not kept."""
-        if self._embedding is not None:
+    def table(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Without ``out``, the table held, or else a fresh draw of it (see
+        ``build_vocab``) that is not kept.  With ``out``, the table written
+        into that C-contiguous (vocab_size, emb_dim) float64 array, and
+        ``out`` returned: the held table copied in once, or else the draw
+        made straight into it, which is how ``training.init_state`` fills
+        the model's ``emb``; an ``out`` of another shape is a ShapeError."""
+        if out is None and self._embedding is not None:
             return self._embedding
-        emb_dim, seed = self._draw
-        table = np.zeros((self.size, emb_dim))  # row PAD_ID stays zero
-        table[1:] = Rng(seed).uniform(-0.1, 0.1, (self.size - 1, emb_dim))
-        return table
+        width = self._draw[0] if self._embedding is None else self._embedding.shape[1]
+        if out is None:
+            out = np.empty((self.size, width))
+        if out.shape != (self.size, width):
+            raise ShapeError(f"table shape {(self.size, width)} does not match {out.shape}")
+        if self._embedding is not None:
+            np.copyto(out, self._embedding)
+        else:
+            out[PAD_ID] = 0.0  # the other rows, in id order, are one draw of the table's stream
+            Rng(self._draw[1]).uniform_into(-0.1, 0.1, out[1:])
+        return out
 
     @property
     def size(self) -> int:
@@ -129,8 +144,7 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         """The id of a data word: an unknown word, and a special-token
         string, is UNK, so data never injects padding or sequence markers."""
-        i = self.token_to_id.get(token, UNK_ID)
-        return i if i >= len(SPECIALS) else UNK_ID  # the specials hold the first ids
+        return self._word_ids.get(token, UNK_ID)
 
     def tokens_of(self, ids: Iterable[int]) -> list[str]:
         return [self.id_to_token[i] for i in ids]
@@ -162,8 +176,9 @@ def build_vocab(pairs: Sequence[DialoguePair], max_size: int,
     second time (see ``Vocabulary.id_of``).  The padding row is zero; every
     other row, in id order, is one uniform [-0.1, 0.1] draw of ``Rng(seed)``,
     the table's own stream (``training.init_state`` lists the others), drawn
-    when the table is first read (see ``Vocabulary``), so an ``emb_dim``
-    below 1 or a negative ``seed`` is refused here."""
+    when the table is first read or by ``training.init_state`` straight into
+    its model's ``emb`` (see ``Vocabulary.table``), so an ``emb_dim`` below 1
+    or a negative ``seed`` is refused here."""
     if max_size < len(SPECIALS):
         raise DomainError(f"max_size must be at least {len(SPECIALS)}")
     if emb_dim < 1:
@@ -172,11 +187,10 @@ def build_vocab(pairs: Sequence[DialoguePair], max_size: int,
         raise DomainError(f"seed must be non-negative, got {seed}")
     if not pairs:
         raise EmptyCorpus("cannot build a vocabulary from no pairs")
-    counts = Counter()
-    for pair in pairs:
-        counts.update(pair.context)
-        counts.update(pair.response)
-    ranked = sorted(counts.keys() - SPECIALS, key=lambda tok: (-counts[tok], tok))
+    counts = Counter(chain.from_iterable(utterance for pair in pairs
+                                         for utterance in (pair.context, pair.response)))
+    ranked = sorted(counts.keys() - SPECIALS)
+    ranked.sort(key=counts.__getitem__, reverse=True)  # stable: equal counts stay in token order
     id_to_token = list(SPECIALS) + ranked[:max_size - len(SPECIALS)]
     return Vocabulary(id_to_token, None, (emb_dim, seed))
 
@@ -295,32 +309,44 @@ def general_split(pairs: Sequence[DialoguePair]) -> tuple[dict[str, list[Dialogu
 # ---------------------------------------------------------------------------
 
 def encode_context(tokens: Sequence[str], vocab: Vocabulary, max_clen: int) -> np.ndarray:
-    """Truncate and pad a context to exactly ``max_clen`` ids; OOV and a
-    literal special -> UNK."""
-    ids = [vocab.id_of(t) for t in tokens[:max_clen]]
-    ids += [PAD_ID] * (max_clen - len(ids))
-    return np.array(ids, dtype=np.int64)
+    """A context's ``max_clen`` ids, as ``encode_pairs`` encodes it (a
+    ``max_clen`` below 2 is a DomainError there too)."""
+    return encode_pair(DialoguePair(tokens, ()), vocab, max_clen)[0]
 
 
 def encode_pair(pair: DialoguePair, vocab: Vocabulary, max_clen: int
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-length id arrays: the context is truncated and padded to
-    ``max_clen``; the response is framed with BOS/EOS inside the same
-    budget, then padded.  Unknown tokens and literal specials map to UNK."""
-    if max_clen < 2:
-        raise DomainError("max_clen must be at least 2 to frame a response")
-    resp = [BOS_ID] + [vocab.id_of(t) for t in pair.response[:max_clen - 2]] + [EOS_ID]
-    resp += [PAD_ID] * (max_clen - len(resp))
-    return encode_context(pair.context, vocab, max_clen), np.array(resp, dtype=np.int64)
+    """One pair's context and response ids, as ``encode_pairs`` encodes them."""
+    ctx, resp = encode_pairs([pair], vocab, max_clen)
+    return ctx[0], resp[0]
 
 
 def encode_pairs(pairs: Sequence[DialoguePair], vocab: Vocabulary, max_clen: int
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack encodings into (N, max_clen) context and response id matrices."""
+    """(N, max_clen) int64 context and response id matrices, written in one
+    pass over the corpus with no array per row: a context is truncated to
+    ``max_clen`` ids, a response framed with BOS/EOS inside the same budget,
+    and both padded with a PAD suffix; an unknown word and a literal special
+    are UNK (``Vocabulary.id_of``).  No pairs is EmptyCorpus and a
+    ``max_clen`` below 2 a DomainError."""
     if not pairs:
         raise EmptyCorpus("no pairs to encode")
-    encoded = [encode_pair(p, vocab, max_clen) for p in pairs]
-    return (np.stack([c for c, _ in encoded]), np.stack([r for _, r in encoded]))
+    if max_clen < 2:
+        raise DomainError("max_clen must be at least 2 to frame a response")
+    ids, unk, pad = vocab._word_ids.get, repeat(UNK_ID), [PAD_ID] * max_clen  # id_of's lookup
+    contexts: list[int] = []
+    responses: list[int] = []
+    for pair in pairs:
+        ctx, resp = pair.context[:max_clen], pair.response[:max_clen - 2]
+        contexts += map(ids, ctx, unk)
+        contexts += pad[len(ctx):]
+        responses.append(BOS_ID)
+        responses += map(ids, resp, unk)
+        responses.append(EOS_ID)
+        responses += pad[len(resp) + 2:]
+    shape = (len(pairs), max_clen)
+    return (np.fromiter(contexts, np.int64, len(contexts)).reshape(shape),
+            np.fromiter(responses, np.int64, len(responses)).reshape(shape))
 
 
 def text_lines(path):

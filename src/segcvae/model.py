@@ -53,31 +53,45 @@ def parameter_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
             **gru("dec"), "out.w": (c.hidden_dim, c.vocab_size), "out.b": (c.vocab_size,)}
 
 
+def initial_arrays(config: ModelConfig, embedding: np.ndarray, rng: Rng
+                   ) -> dict[str, np.ndarray]:
+    """A fresh network's parameters in ``parameter_shapes`` order, each
+    array allocated once: ``embedding`` itself as ``emb``, zero biases, and
+    Glorot weights drawn from ``rng`` straight into their arrays, a trigger
+    family one trigger at a time (kernel, then projection, which goes into
+    its slot of the family's stacked array)."""
+    shapes, m = parameter_shapes(config), config.num_triggers
+    arrays = {}
+    for name, shape in shapes.items():
+        if name == "emb":
+            arrays[name] = embedding
+        elif len(shape) == 1:
+            arrays[name] = np.zeros(shape)
+        elif name.endswith(".kernel"):
+            one = shape[:-1] + (shape[-1] // m,)  # one trigger's kernel
+            kernel = np.empty(one[:-1] + (m, one[-1]))  # trigger k's at [..., k, :]
+            dense = name.removesuffix("kernel") + "dense"
+            arrays[name], arrays[dense] = kernel.reshape(shape), np.empty(shapes[dense])
+            for k in range(m):
+                kernel[..., k, :] = ad.glorot_into(np.empty(one), rng)
+                ad.glorot_into(arrays[dense][k], rng)
+        elif name not in arrays:
+            arrays[name] = ad.glorot_into(np.empty(shape), rng)
+    return arrays
+
+
 class SegCVAE:
     """Holds all parameters and the forward computations."""
 
     def __init__(self, config: ModelConfig, embedding: np.ndarray, rng: Rng):
-        """A fresh network in ``parameter_shapes`` order: a float64 copy of
-        ``embedding``, zero biases, and Glorot weights drawn from ``rng``, a
-        trigger family one trigger at a time (kernel, then projection)."""
-        shapes, m = parameter_shapes(config), config.num_triggers
+        """A fresh network (``initial_arrays``) whose ``emb`` is a float64
+        copy of ``embedding``, so the caller's table is never written.
+        ``training.init_state`` builds its model from ``initial_arrays`` and
+        ``from_arrays`` instead, with the table drawn into ``emb`` itself."""
+        shapes = parameter_shapes(config)
         if embedding.shape != shapes["emb"]:
             raise ShapeError(f"embedding shape {embedding.shape} does not match {shapes['emb']}")
-        arrays = {}
-        for name, shape in shapes.items():
-            if name == "emb":
-                arrays[name] = np.array(embedding, dtype=np.float64)
-            elif len(shape) == 1:
-                arrays[name] = np.zeros(shape)
-            elif name.endswith(".kernel"):
-                dense = name.removesuffix("kernel") + "dense"
-                kernels, denses = zip(*[(ad.glorot(shape[:-1] + (shape[-1] // m,), rng).values,
-                                         ad.glorot(shapes[dense][1:], rng).values)
-                                        for _ in range(m)])
-                arrays[name], arrays[dense] = np.concatenate(kernels, axis=-1), np.stack(denses)
-            elif name not in arrays:
-                arrays[name] = ad.glorot(shape, rng).values
-        self._adopt(config, arrays)
+        self._adopt(config, initial_arrays(config, np.array(embedding, dtype=np.float64), rng))
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "SegCVAE":

@@ -28,7 +28,7 @@ from .autodiff import Rng, Tensor
 from .config import ModelConfig, TrainingConfig
 from .corpus import PAD_ID, DialoguePair, Vocabulary, encode_pairs
 from .errors import DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss, ShapeError
-from .model import SegCVAE, parameter_shapes, stored_array, total_loss
+from .model import SegCVAE, initial_arrays, parameter_shapes, stored_array, total_loss
 
 # the files of a training run, in manifest order, and those load_run reads back
 RUN_FILES = CHECKPOINT_NAME, LOG_NAME, VOCAB_NAME = "checkpoint.bin", "train_log.txt", "vocab.txt"
@@ -163,12 +163,16 @@ def init_state(cfg: TrainingConfig, vocab: Vocabulary) -> TrainState:
     its own, so none replays another's draws: ``cfg.seed`` is the embedding
     table's (``build_vocab(..., seed=cfg.seed)``), ``cfg.seed + 1`` the
     trigger/latent noise's, ``cfg.seed + 2`` the batch order's and
-    ``cfg.seed + 3`` the Glorot weights'.  The model's ``emb`` is the run's
-    only table: a copy of ``vocab.table()``, the table the vocabulary holds
-    or else a fresh draw of it that the vocabulary does not keep."""
+    ``cfg.seed + 3`` the Glorot weights'.  Every parameter array is
+    allocated once and the model adopts it without a copy: the model's
+    ``emb``, the run's only table, is filled by ``vocab.table``, which draws
+    the table straight into it, or copies in the table the vocabulary
+    already holds."""
     cfg.validate()
     noise, batches, weights = (Rng(cfg.seed + k) for k in (1, 2, 3))
-    model = SegCVAE(cfg.model_config(vocab.size), vocab.table(), weights)
+    config = cfg.model_config(vocab.size)
+    emb = vocab.table(out=np.empty((vocab.size, cfg.emb_dim)))
+    model = SegCVAE.from_arrays(config, initial_arrays(config, emb, weights))
     return TrainState(model=model, optimizer=Adam(model.params, lr=cfg.learning_rate),
                       rng=noise, data_rng=batches)
 

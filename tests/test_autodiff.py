@@ -863,6 +863,23 @@ class TestRng:
         rng2.set_state(state)
         np.testing.assert_array_equal(rng2.normal((11,)), expected)
 
+    @pytest.mark.parametrize("bound, shape", [(0.1, (1999, 64)),  # a table's rows past PAD
+                                              (np.sqrt(6.0 / (7 + 80)), (4, 7, 80))],
+                             ids=["table", "glorot-stacked"])
+    def test_uniform_into_writes_the_plain_draw(self, bound, shape):
+        """Drawing into the rows past the first of a C-contiguous buffer
+        gives the bytes of ``uniform`` and leaves the stream where it does,
+        also from a stream that has drawn before."""
+        plain, inplace = ad.Rng(17), ad.Rng(17)
+        plain.normal((3,))
+        inplace.normal((3,))
+        want = plain.uniform(-bound, bound, shape)
+        buffer = np.full((shape[0] + 1,) + shape[1:], np.nan)
+        got = inplace.uniform_into(-bound, bound, buffer[1:])
+        assert np.shares_memory(got, buffer) and got.tobytes() == want.tobytes()
+        assert np.isnan(buffer[0]).all()
+        np.testing.assert_array_equal(inplace.get_state(), plain.get_state())
+
     def test_bad_state_rejected(self):
         with pytest.raises(DomainError):
             ad.Rng(0).set_state(np.zeros(5, dtype=np.uint64))

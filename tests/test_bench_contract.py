@@ -11,7 +11,8 @@ and ``perplexity``, must run on the package and pass their checks too, so
 that a change to what ``prominent_semantics`` or ``prior`` return fails
 here rather than in the benchmark.  The eval set-up itself, the one caller
 of the ``save_state``/``load_state`` round trip, must pass its digest check
-at a tiny shape.  ``instrument`` builds its traced model through the public
+at a tiny shape, and the train set-up must build what the package's own
+``init_state`` builds.  ``instrument`` builds its traced model through the public
 constructor and ``load_state``, so the model it builds must hold the source
 state's parameters exactly.  The workloads' corpora come from
 ``synth.make_pairs``, which builds each ``DialoguePair`` from its context
@@ -143,6 +144,30 @@ def test_synthetic_corpus_builds_trains_and_scores():
     state = tr.init_state(cfg, vocab)
     assert workloads._loss_check(tr.train_step(data, state, cfg)) is None
     assert workloads._ppl_check(tr.perplexity(state.model, data)) is None
+
+
+def test_train_set_up_builds_what_init_state_builds(tmp_path):
+    """The train workload's set-up at the tiny shape passes its check and
+    holds what a plain ``build_vocab``, ``encode_pairs`` and ``init_state``
+    give, byte for byte, with the table only in the model."""
+    w = workloads.WORKLOADS["train-tiny"]
+    cfg = tr.TrainingConfig(**w.config)
+    recorder, tally = spans.Recorder(), workloads.Tally()
+    recorder.enabled = True
+    bundle, seconds = workloads.set_up(w, cfg, 41, recorder, tmp_path, tally)
+    recorder.enabled = False
+    assert (tally.attempted, tally.failed, tally.problems) == (1, 0, [])
+    assert bundle is not None and seconds > 0
+    assert {"corpus.encode_pairs", "training.init_state"} <= {s.name for s in recorder.spans}
+    assert bundle.vocab._embedding is None
+    vocab = build_vocab(synth.make_pairs(w.corpus, 41), cfg.vocab_cap, emb_dim=cfg.emb_dim,
+                        seed=cfg.seed)
+    for got, want in zip(bundle.data, encode_pairs(bundle.pairs, vocab, cfg.max_len)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    plain = tr.init_state(cfg, vocab).model.params
+    assert list(bundle.state.model.params) == list(plain)
+    for name, p in bundle.state.model.params.items():
+        assert p.values.tobytes() == plain[name].values.tobytes(), name
 
 
 def test_eval_set_up_round_trips_the_state_and_passes_its_check(tmp_path):

@@ -8,7 +8,7 @@ from segcvae.autodiff import Rng
 from segcvae.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialoguePair,
                             build_cdm_dataset, build_vocab, encode_pair,
                             extract_single_turn_pairs, mine_cdm, tokenize)
-from segcvae.errors import DomainError, EmptyCorpus
+from segcvae.errors import DomainError, EmptyCorpus, ShapeError
 
 
 def _pair(ctx: str, resp: str) -> DialoguePair:
@@ -128,6 +128,21 @@ class TestBuildVocab:
         table = vocab.embedding
         assert table.tobytes() == first.tobytes()
         assert vocab.embedding is table and vocab.table() is table
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_the_table_is_written_into_a_given_array(self, read_first):
+        """``table(out)`` draws the table straight into ``out``, or copies in
+        the table the vocabulary holds, and keeps nothing new; an ``out`` of
+        another shape is refused."""
+        vocab = build_vocab([_pair("a b c", "d")], max_size=9, emb_dim=3, seed=2)
+        want = vocab.table()
+        if read_first:
+            vocab.embedding
+        out = np.full((vocab.size, 3), np.nan)
+        assert vocab.table(out) is out and out.tobytes() == want.tobytes()
+        assert (vocab._embedding is None) != read_first
+        with pytest.raises(ShapeError, match="does not match"):
+            vocab.table(np.empty((vocab.size, 4)))
 
     def test_seeded_rows_are_one_draw_per_row_in_row_order(self):
         """The padding row is zero and every other row, in id order, is the

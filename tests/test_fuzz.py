@@ -6,14 +6,16 @@ Examples are derandomized and few, so the suite stays fast and repeatable.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from segcvae import autodiff as ad
 from segcvae.config import parse_config
-from segcvae.corpus import (BOS_ID, EOS_ID, PAD_ID, SPECIALS, DialoguePair, Vocabulary,
-                            build_vocab, encode_pair, read_corpus_file, read_pairs)
-from segcvae.errors import SegcvaeError
+from segcvae.corpus import (BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID, DialoguePair,
+                            Vocabulary, build_vocab, encode_context, encode_pair,
+                            encode_pairs, read_corpus_file, read_pairs)
+from segcvae.errors import DomainError, EmptyCorpus, SegcvaeError
 from segcvae.evaluation import read_generation
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -182,3 +184,48 @@ def test_encode_pair_pads_only_a_suffix(context, response, max_clen):
     for ids in encode_pair(DialoguePair(context, response), VOCAB, max_clen):
         pads = ids == PAD_ID
         assert not np.any(pads[:-1] & ~pads[1:])
+
+
+# utterances of up to 12 tokens, longer than any budget below: words of the
+# vocabulary, unknown words and literal special strings
+UTTERANCE = st.lists(st.one_of(st.sampled_from(["a", "b", "c", "d", "e", "zz", "", *SPECIALS]),
+                               st.text(max_size=3)), max_size=12).map(tuple)
+CORPUS = st.lists(st.builds(DialoguePair, UTTERANCE, UTTERANCE), min_size=1, max_size=6)
+
+
+def _reference_ids(tokens, width, framed):
+    """Token by token: the first ``width`` tokens (``width - 2`` between BOS
+    and EOS when ``framed``), a word's position in the vocabulary, UNK for
+    any other token, then PAD up to ``width``."""
+    words = VOCAB.id_to_token[len(SPECIALS):]
+    ids = []
+    for token in tokens[:width - 2 if framed else width]:
+        ids.append(len(SPECIALS) + words.index(token) if token in words else UNK_ID)
+    if framed:
+        ids = [BOS_ID] + ids + [EOS_ID]
+    return ids + [PAD_ID] * (width - len(ids))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pairs=CORPUS, max_clen=st.integers(2, 8))
+def test_encode_pairs_matches_a_per_token_reference(pairs, max_clen):
+    """The corpus encoder and its one-row cases, ``encode_pair`` and
+    ``encode_context``, agree with the reference on every id."""
+    ctx, resp = encode_pairs(pairs, VOCAB, max_clen)
+    assert ctx.dtype == resp.dtype == np.int64
+    assert ctx.shape == resp.shape == (len(pairs), max_clen)
+    assert ctx.tolist() == [_reference_ids(p.context, max_clen, False) for p in pairs]
+    assert resp.tolist() == [_reference_ids(p.response, max_clen, True) for p in pairs]
+    for i, pair in enumerate(pairs):
+        one_ctx, one_resp = encode_pair(pair, VOCAB, max_clen)
+        assert one_ctx.tolist() == ctx[i].tolist() and one_resp.tolist() == resp[i].tolist()
+        assert encode_context(pair.context, VOCAB, max_clen).tolist() == ctx[i].tolist()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(pairs=CORPUS, max_clen=st.integers(-3, 1))
+def test_encode_pairs_refuses_a_budget_without_room_for_the_frame(pairs, max_clen):
+    with pytest.raises(DomainError, match="max_clen"):
+        encode_pairs(pairs, VOCAB, max_clen)
+    with pytest.raises(EmptyCorpus):
+        encode_pairs([], VOCAB, max_clen)

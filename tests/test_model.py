@@ -1007,6 +1007,7 @@ class TestModelState:
         net, vocab, ctx, resp = _tiny_setup()
         arrays = {k: v.copy() for k, v in net.state_arrays().items()}
         monkeypatch.setattr(ad, "glorot", lambda *a, **k: pytest.fail("random draw"))
+        monkeypatch.setattr(Rng, "uniform_into", lambda *a, **k: pytest.fail("random draw"))
         clone = m.SegCVAE.from_arrays(net.config, arrays)
         assert list(clone.params) == list(net.params) == list(arrays)
         assert {"is.kernel", "is.dense", "eg.kernel", "eg.dense"} <= set(clone.params)
@@ -1017,6 +1018,24 @@ class TestModelState:
             a = net.forward_losses(ctx, resp, 0.5, Rng(1))
             b = clone.forward_losses(ctx, resp, 0.5, Rng(1))
         np.testing.assert_array_equal(a["elbo_plus"].values, b["elbo_plus"].values)
+
+    def test_the_constructor_copies_the_callers_table(self):
+        """``SegCVAE(config, table, rng)`` keeps a copy of ``table``: writing
+        the model's ``emb`` leaves the caller's array as it was, and two
+        models built from one table and one seed hold equal bytes in arrays
+        that share no memory with each other or with the table."""
+        net, vocab, _, _ = _tiny_setup()
+        table = vocab.embedding
+        before = table.copy()
+        a, b = (m.SegCVAE(net.config, table, Rng(11)) for _ in range(2))
+        for name, p in a.params.items():
+            assert p.values.tobytes() == b.params[name].values.tobytes() == \
+                net.params[name].values.tobytes(), name
+            assert not np.shares_memory(p.values, table), name
+            assert not any(np.shares_memory(p.values, q.values) for q in b.params.values()), name
+        a.emb.values += 1.0
+        assert table.tobytes() == before.tobytes()
+        assert b.emb.values.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("num_triggers, overrides", [(3, {}), (2, {"no_is": True})])
     def test_fresh_families_are_drawn_one_trigger_at_a_time(self, num_triggers, overrides):

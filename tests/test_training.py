@@ -332,9 +332,9 @@ class TestInitState:
             assert not np.isclose(table_ratios, w[1] / w[0], rtol=1e-9, atol=0).any(), name
 
     def test_the_model_holds_the_only_table(self):
-        """``init_state`` copies a fresh draw of a built vocabulary's table
-        into the model and leaves the vocabulary without one; a later read
-        draws the model's initial ``emb`` bit for bit, and keeps it."""
+        """``init_state`` draws a built vocabulary's table into the model
+        and leaves the vocabulary without one; a later read draws the
+        model's initial ``emb`` bit for bit, and keeps it."""
         cfg, _, vocab, _ = _setup()
         emb = tr.init_state(cfg, vocab).model.emb.values
         assert vocab._embedding is None
@@ -343,10 +343,41 @@ class TestInitState:
         assert vocab.embedding is table
 
     @pytest.mark.parametrize("read_first", [False, True])
+    def test_the_table_is_allocated_once(self, read_first, monkeypatch):
+        """A 2000 x 64 table (1 MB): until the optimizer makes its moments,
+        ``init_state``'s traced peak stays within a quarter table of what
+        the model keeps, so the table is written straight into the model's
+        ``emb``.  A table the vocabulary holds is copied in once, into an
+        array of the model's own, and a table it does not hold stays undrawn."""
+        cfg, _, vocab, _ = _setup(n=700, vocab_cap=2000, emb_dim=64)
+        assert vocab.size == 2000
+        if read_first:
+            vocab.embedding
+        seen = {}
+
+        class Measured(tr.Adam):
+            def __init__(self, *args, **kwargs):
+                seen["kept"], seen["peak"] = tracemalloc.get_traced_memory()
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "Adam", Measured)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            emb = tr.init_state(cfg, vocab).model.emb.values
+        finally:
+            tracemalloc.stop()
+        assert seen["kept"] > emb.nbytes
+        assert seen["peak"] - seen["kept"] < emb.nbytes / 4, seen
+        assert (vocab._embedding is None) != read_first
+        assert not np.shares_memory(emb, vocab.embedding)
+        assert emb.tobytes() == vocab.embedding.tobytes()
+
+    @pytest.mark.parametrize("read_first", [False, True])
     def test_models_from_one_vocabulary_share_no_table(self, read_first):
-        """Each model copies the table, whether the vocabulary holds it or
-        not, so training one model moves neither the other's ``emb`` nor
-        the vocabulary's table."""
+        """Each model gets a table of its own, drawn into it or copied from
+        the vocabulary's, so training one model moves neither the other's
+        ``emb`` nor the vocabulary's table."""
         cfg, _, vocab, data = _setup()
         if read_first:
             vocab.embedding
