@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .autodiff import Rng, Tensor, grad_check, no_grad
 from .corpus import (CdmReport, DialoguePair, Vocabulary, build_cdm_dataset,
-                     build_vocab, encode_pair, extract_single_turn_pairs,
-                     mine_cdm, tokenize)
+                     build_vocab, mine_cdm, tokenize)
 from .evaluation import (GenerationRecord, bleu_n, coherence, distinct_n,
                          embedding_average, generate_n, length_avg)
 from .model import (ModelConfig, SegCVAE, san, scn, sdn, select_positive,
@@ -23,8 +22,7 @@ from .training import (TrainingConfig, TrainState, fit, kl_anneal,
 __all__ = [
     "Rng", "Tensor", "grad_check", "no_grad",
     "CdmReport", "DialoguePair", "Vocabulary",
-    "build_cdm_dataset", "build_vocab", "encode_pair",
-    "extract_single_turn_pairs", "mine_cdm", "tokenize",
+    "build_cdm_dataset", "build_vocab", "mine_cdm", "tokenize",
     "GenerationRecord", "bleu_n", "coherence", "distinct_n",
     "embedding_average", "generate_n", "length_avg",
     "ModelConfig", "SegCVAE",

@@ -35,9 +35,12 @@ def key_of(f) -> str:
 
 
 def range_error(f, value) -> str | None:
-    """Why ``value`` breaks the field's range rule, or None if it keeps it."""
+    """Why ``value`` breaks the field's range rule, or None if it keeps it;
+    only a field whose default is None may be None."""
+    if value is None:
+        return None if f.default is None else "must not be None"
     rule = f.metadata["rule"]
-    if value is None or rule is None or rule[1](value):
+    if rule is None or rule[1](value):
         return None
     return rule[0]
 

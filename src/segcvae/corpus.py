@@ -65,17 +65,12 @@ def read_corpus_file(path) -> list[list[tuple[str, ...]]]:
     return read_corpus(line for _, line in text_lines(path))
 
 
-def extract_single_turn_pairs(dialogue: Sequence[tuple[str, ...]]) -> list[DialoguePair]:
-    """Adjacent-turn pairs of a dialogue's token tuples: each utterance is
-    the context of the next, so T utterances yield exactly T-1 pairs."""
-    return [DialoguePair(context, response) for context, response in zip(dialogue, dialogue[1:])]
-
-
 def pairs_from_corpus(dialogues: Sequence[Sequence[tuple[str, ...]]]) -> list[DialoguePair]:
-    pairs: list[DialoguePair] = []
-    for dialogue in dialogues:
-        pairs.extend(extract_single_turn_pairs(dialogue))
-    return pairs
+    """The adjacent-turn pairs of each dialogue's token tuples, dialogue by
+    dialogue: each utterance is the context of the next, so a dialogue of T
+    utterances yields exactly T-1 pairs."""
+    return [DialoguePair(context, response) for dialogue in dialogues
+            for context, response in zip(dialogue, dialogue[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +79,8 @@ def pairs_from_corpus(dialogues: Sequence[Sequence[tuple[str, ...]]]) -> list[Di
 
 class Vocabulary:
     """Dense token ids and an embedding table: ``id_to_token`` lists the
-    tokens, the four specials first, ``token_to_id`` inverts it, and row i
-    of ``embedding`` (vocab_size, emb_dim) is token i's vector.
+    tokens, the four specials first, ``id_of`` maps a data word back to its
+    id, and row i of ``embedding`` (vocab_size, emb_dim) is token i's vector.
 
     A vocabulary given a table keeps that array.  One from ``build_vocab``
     records the table's width and seed and draws the table when
@@ -97,9 +92,8 @@ class Vocabulary:
     def __init__(self, id_to_token: list[str], embedding: np.ndarray | None,
                  draw: tuple[int, int] | None = None):
         self.id_to_token = id_to_token
-        self.token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
         # the ids data words encode to: the specials hold the first ids and are not words
-        self._word_ids = {tok: i for tok, i in self.token_to_id.items() if i >= len(SPECIALS)}
+        self._word_ids = {tok: i for i, tok in enumerate(id_to_token) if i >= len(SPECIALS)}
         if (embedding is None) == (draw is None):
             raise DomainError("a vocabulary takes either a table or the (emb_dim, seed) of one")
         self._embedding = embedding
@@ -275,14 +269,16 @@ def _split_manifest(mode: str, groups: int, splits: dict[str, list]) -> dict:
 
 def build_cdm_dataset(pairs: Sequence[DialoguePair], mode: str
                       ) -> tuple[dict[str, list[DialoguePair]], dict]:
-    """Keep only pairs whose group qualifies for ``mode`` ("o2m" or "m2o")
-    and split whole groups into train/valid/test by a hash of the group key,
-    so every one-to-many (or many-to-one) family lands in a single split."""
+    """Keep only pairs whose group qualifies for ``mode`` ("o2m" or "m2o"),
+    grouped by that mode's key alone as ``mine_cdm`` groups it, and split
+    whole groups into train/valid/test by a hash of the group key, so every
+    one-to-many (or many-to-one) family lands in a single split."""
     mode = mode.lower()
     if mode not in ("o2m", "m2o"):
         raise DomainError(f"mode must be 'o2m' or 'm2o', got '{mode}'")
-    report = mine_cdm(pairs)
-    groups = report.o2m_groups if mode == "o2m" else report.m2o_groups
+    if not pairs:
+        raise EmptyCorpus("no pairs to mine")
+    groups, _ = _group(pairs, by_context=mode == "o2m")
     if not groups:
         raise EmptyCorpus(f"no qualifying {mode} groups")
     keys = {key for key, _ in groups}
@@ -309,16 +305,10 @@ def general_split(pairs: Sequence[DialoguePair]) -> tuple[dict[str, list[Dialogu
 # ---------------------------------------------------------------------------
 
 def encode_context(tokens: Sequence[str], vocab: Vocabulary, max_clen: int) -> np.ndarray:
-    """A context's ``max_clen`` ids, as ``encode_pairs`` encodes it (a
-    ``max_clen`` below 2 is a DomainError there too)."""
-    return encode_pair(DialoguePair(tokens, ()), vocab, max_clen)[0]
-
-
-def encode_pair(pair: DialoguePair, vocab: Vocabulary, max_clen: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """One pair's context and response ids, as ``encode_pairs`` encodes them."""
-    ctx, resp = encode_pairs([pair], vocab, max_clen)
-    return ctx[0], resp[0]
+    """A context's ``max_clen`` ids: the context row of ``encode_pairs`` on
+    the one pair of ``tokens`` and an empty response (a ``max_clen`` below
+    2 is a DomainError there too)."""
+    return encode_pairs([DialoguePair(tokens, ())], vocab, max_clen)[0][0]
 
 
 def encode_pairs(pairs: Sequence[DialoguePair], vocab: Vocabulary, max_clen: int

@@ -286,7 +286,11 @@ class SegCVAE:
         """The log-softmax of ``states @ out.w + out.b`` at ``targets`` only,
         for (n, hidden) states and (n,) targets, by an in-place log-sum-exp
         over one (n, vocab) buffer: the graph path's operations on the same
-        blocks, so the same bits."""
+        blocks, so the same bits.  It stays beside the graph path's
+        ``ad._log_softmax``, which also gives those bits, because that one
+        exponentiates into a second (n, vocab) array and normalises every
+        entry, not just the targets: scoring through it raises the peak
+        memory of perplexity's passes."""
         z = states @ self.out_w.values
         z += self.out_b.values
         z -= z.max(axis=-1, keepdims=True)

@@ -28,7 +28,7 @@ from .autodiff import Rng, Tensor
 from .config import ModelConfig, TrainingConfig
 from .corpus import PAD_ID, DialoguePair, Vocabulary, encode_pairs
 from .errors import DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss, ShapeError
-from .model import SegCVAE, initial_arrays, parameter_shapes, stored_array, total_loss
+from .model import SegCVAE, initial_arrays, parameter_shapes, total_loss
 
 # the files of a training run, in manifest order, and those load_run reads back
 RUN_FILES = CHECKPOINT_NAME, LOG_NAME, VOCAB_NAME = "checkpoint.bin", "train_log.txt", "vocab.txt"
@@ -161,7 +161,8 @@ class TrainState:
 def init_state(cfg: TrainingConfig, vocab: Vocabulary) -> TrainState:
     """A fresh run on ``vocab``.  Each random array has a Philox stream of
     its own, so none replays another's draws: ``cfg.seed`` is the embedding
-    table's (``build_vocab(..., seed=cfg.seed)``), ``cfg.seed + 1`` the
+    table's (``build_vocab(..., seed=cfg.seed)``; a built vocabulary that
+    records another seed is a DomainError), ``cfg.seed + 1`` the
     trigger/latent noise's, ``cfg.seed + 2`` the batch order's and
     ``cfg.seed + 3`` the Glorot weights'.  Every parameter array is
     allocated once and the model adopts it without a copy: the model's
@@ -169,6 +170,9 @@ def init_state(cfg: TrainingConfig, vocab: Vocabulary) -> TrainState:
     the table straight into it, or copies in the table the vocabulary
     already holds."""
     cfg.validate()
+    if vocab._draw is not None and vocab._draw[1] != cfg.seed:  # a given table records no seed
+        raise DomainError(f"the vocabulary's table is drawn from seed {vocab._draw[1]}, "
+                          f"not from cfg.seed {cfg.seed}")
     noise, batches, weights = (Rng(cfg.seed + k) for k in (1, 2, 3))
     config = cfg.model_config(vocab.size)
     emb = vocab.table(out=np.empty((vocab.size, cfg.emb_dim)))
@@ -216,8 +220,7 @@ def train_step(batch: tuple[np.ndarray, np.ndarray], state: TrainState,
     }
     state.branch_wins = np.bincount(parts["positive"], minlength=state.model.config.num_triggers)
     state.grad_norm = norm  # None from an Adam subclass whose step returns nothing
-    state.grad_clipped = (None if norm is None
-                          else cfg.grad_clip is not None and norm > cfg.grad_clip)
+    state.grad_clipped = None if norm is None else norm > cfg.grad_clip
     state.step += 1
     return stats
 
@@ -332,13 +335,13 @@ def load_model(path) -> SegCVAE:
 
 
 def _entry(path, arrays: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
-    """``stored_array``'s array of checkpoint entry ``name``; a missing or
-    misshapen entry is a DomainError naming the file and the entry."""
+    """The stored array of checkpoint entry ``name``; a missing or misshapen
+    entry is a DomainError naming the file and the entry."""
     value = arrays.get(name)
     if value is None or value.shape != shape:
         what = "is missing" if value is None else f"has shape {value.shape}, want {shape}"
         raise DomainError(f"{path}: checkpoint entry '{name}' {what}")
-    return stored_array(arrays, name, shape)
+    return value
 
 
 def _model_of(path, arrays: dict[str, np.ndarray], meta: dict[str, str]) -> SegCVAE:
@@ -355,28 +358,23 @@ def _model_of(path, arrays: dict[str, np.ndarray], meta: dict[str, str]) -> SegC
 
 
 def load_state(path, cfg: TrainingConfig) -> TrainState:
-    """A ``save_state`` file's state, its parameters and moments the loaded arrays
-    themselves; a missing or misshapen entry is a DomainError naming it and the file."""
+    """A ``save_state`` file's state, its parameters and moments the loaded
+    arrays themselves (float64 and C-contiguous, as saved), a counter read
+    at shape ``()`` and a generator state at ``(Rng.STATE_WORDS,)``; a
+    missing or misshapen entry is a DomainError naming it and the file."""
     arrays, meta = ad.load_checkpoint(path)
     model = _model_of(path, arrays, meta)
-
-    def stored(name: str, size: int = 1):  # a number, or an array of size values
-        value = arrays.get(name)
-        if value is None or value.size != size:
-            what = "is missing" if value is None else f"has {value.size} values, want {size}"
-            raise DomainError(f"{path}: checkpoint entry '{name}' {what}")
-        return value.item() if size == 1 else value
-
-    moments = [{name: _entry(path, arrays, f"adam.{k}.{name}", p.shape)
+    moments = [{name: np.ascontiguousarray(_entry(path, arrays, f"adam.{k}.{name}", p.shape),
+                                           dtype=np.float64)
                 for name, p in model.params.items()} for k in "mv"]
     optimizer = Adam(model.params, lr=cfg.learning_rate, moments=moments)
-    optimizer.t = int(stored("opt.t"))
+    optimizer.t = int(_entry(path, arrays, "opt.t", ()))
     rng, data_rng = Rng(0), Rng(0)
-    rng.set_state(stored("rng.noise", Rng.STATE_WORDS))
-    data_rng.set_state(stored("rng.data", Rng.STATE_WORDS))
-    return TrainState(model=model, optimizer=optimizer, rng=rng,
-                      data_rng=data_rng, step=int(stored("train.step")),
-                      best_ppl=float(stored("train.best_ppl")))
+    rng.set_state(_entry(path, arrays, "rng.noise", (Rng.STATE_WORDS,)))
+    data_rng.set_state(_entry(path, arrays, "rng.data", (Rng.STATE_WORDS,)))
+    return TrainState(model=model, optimizer=optimizer, rng=rng, data_rng=data_rng,
+                      step=int(_entry(path, arrays, "train.step", ())),
+                      best_ppl=float(_entry(path, arrays, "train.best_ppl", ())))
 
 
 # ---------------------------------------------------------------------------

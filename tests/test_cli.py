@@ -7,6 +7,8 @@ import io
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -244,6 +246,23 @@ class TestDispatchBasics:
                              "--out", str(tmp_path / "out")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, stream, start", [
+    ([], 2, "stderr", "usage:"),
+    (["cdm-stats", "--in", "absent.txt"], 1, "stderr", "error:"),
+    (["cdm-stats", "--in", "corpus.txt"], 0, "stdout", "pairs:"),
+], ids=["no-subcommand", "missing-file", "corpus"])
+def test_module_entry_point_exit_codes(argv, code, stream, start, corpus_file):
+    """``python -m segcvae.cli`` exits with ``dispatch``'s code: 2 for a
+    usage error, 1 for a domain error and 0 for success."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "segcvae.cli", *argv], cwd=corpus_file.parent,
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert getattr(done, stream).startswith(start)
 
 
 class TestCdmStats:

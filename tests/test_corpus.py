@@ -6,8 +6,8 @@ import pytest
 from segcvae import corpus
 from segcvae.autodiff import Rng
 from segcvae.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialoguePair,
-                            build_cdm_dataset, build_vocab, encode_pair,
-                            extract_single_turn_pairs, mine_cdm, tokenize)
+                            build_cdm_dataset, build_vocab, encode_pairs, mine_cdm,
+                            pairs_from_corpus, tokenize)
 from segcvae.errors import DomainError, EmptyCorpus, ShapeError
 
 
@@ -36,19 +36,19 @@ class TestSingleTurnPairs:
 
     def test_three_turns_two_pairs(self):
         d = self._dialogue(3)
-        pairs = extract_single_turn_pairs(d)
+        pairs = pairs_from_corpus([d])
         assert [(p.context, p.response) for p in pairs] == [
             (("u0",), ("u1",)), (("u1",), ("u2",))]
 
     def test_minimal_dialogue(self):
-        assert len(extract_single_turn_pairs(self._dialogue(2))) == 1
+        assert len(pairs_from_corpus([self._dialogue(2)])) == 1
 
     def test_degenerate_dialogue(self):
-        assert extract_single_turn_pairs(self._dialogue(1)) == []
+        assert pairs_from_corpus([self._dialogue(1)]) == []
 
     def test_length_is_turns_minus_one(self):
         for n in range(2, 9):
-            assert len(extract_single_turn_pairs(self._dialogue(n))) == n - 1
+            assert len(pairs_from_corpus([self._dialogue(n)])) == n - 1
 
 
 class TestReadCorpus:
@@ -162,7 +162,7 @@ class TestBuildVocab:
         token ids from the list and uses the table's rows as given."""
         table = np.arange(12.0).reshape(6, 2)
         vocab = corpus.Vocabulary([*corpus.SPECIALS, "a", "b"], table)
-        assert vocab.token_to_id == {tok: i for i, tok in enumerate(vocab.id_to_token)}
+        assert [vocab.id_of(tok) for tok in vocab.id_to_token] == [UNK_ID] * 4 + [4, 5]
         assert vocab.size == 6 and vocab.id_of("b") == 5 and vocab.id_of("zzz") == UNK_ID
         assert vocab.embedding is table
         np.testing.assert_array_equal(vocab.embedding[vocab.id_of("a")], [8.0, 9.0])
@@ -187,7 +187,8 @@ class TestBuildVocab:
         vocab.save(path)
         table = vocab.embedding
         loaded = corpus.Vocabulary.load(path, table)
-        assert loaded.token_to_id == vocab.token_to_id
+        assert loaded.id_to_token == vocab.id_to_token
+        assert all(loaded.id_of(t) == vocab.id_of(t) for t in vocab.id_to_token)
         assert loaded.embedding is table  # a given table is kept as it is
 
 
@@ -274,12 +275,12 @@ class TestEncodePair:
         return build_vocab([_pair("a b c d e", "f g h")], max_size=20, emb_dim=4)
 
     def test_short_context_padded(self, vocab):
-        ctx, _ = encode_pair(_pair("a b c", "f"), vocab, max_clen=25)
+        (ctx,), (_,) = encode_pairs([_pair("a b c", "f")], vocab, max_clen=25)
         assert ctx.shape == (25,)
         assert np.all(ctx[3:] == PAD_ID) and np.all(ctx[:3] != PAD_ID)
 
     def test_oov_becomes_unk(self, vocab):
-        ctx, _ = encode_pair(_pair("a zzz", "f"), vocab, max_clen=5)
+        (ctx,), (_,) = encode_pairs([_pair("a zzz", "f")], vocab, max_clen=5)
         assert ctx[1] == UNK_ID
 
     def test_literal_specials_become_unk(self):
@@ -288,7 +289,7 @@ class TestEncodePair:
         data = [_pair("<eos> <pad> a", "<bos> f <eos>"), _pair("<eos>", "<unk>")]
         vocab = build_vocab(data, max_size=20, emb_dim=4)
         assert vocab.id_to_token == list(corpus.SPECIALS) + ["a", "f"]
-        ctx, resp = encode_pair(data[0], vocab, max_clen=6)
+        (ctx,), (resp,) = encode_pairs([data[0]], vocab, max_clen=6)
         np.testing.assert_array_equal(ctx, [UNK_ID, UNK_ID, vocab.id_of("a"), PAD_ID, PAD_ID,
                                             PAD_ID])
         np.testing.assert_array_equal(resp, [BOS_ID, UNK_ID, vocab.id_of("f"), UNK_ID, EOS_ID,
@@ -296,21 +297,21 @@ class TestEncodePair:
 
     def test_long_context_truncated(self, vocab):
         long_ctx = " ".join(["a"] * 30)
-        ctx, _ = encode_pair(_pair(long_ctx, "f"), vocab, max_clen=25)
+        (ctx,), (_,) = encode_pairs([_pair(long_ctx, "f")], vocab, max_clen=25)
         assert ctx.shape == (25,) and np.all(ctx != PAD_ID)
 
     def test_response_framing(self, vocab):
-        _, resp = encode_pair(_pair("a", "f g"), vocab, max_clen=6)
+        (_,), (resp,) = encode_pairs([_pair("a", "f g")], vocab, max_clen=6)
         assert resp[0] == BOS_ID and resp[3] == EOS_ID
         assert np.all(resp[4:] == PAD_ID)
         assert resp.shape == (6,)
 
     def test_long_response_keeps_eos(self, vocab):
-        _, resp = encode_pair(_pair("a", " ".join(["f"] * 30)), vocab, max_clen=10)
+        (_,), (resp,) = encode_pairs([_pair("a", " ".join(["f"] * 30))], vocab, max_clen=10)
         assert resp.shape == (10,)
         assert resp[0] == BOS_ID and resp[-1] == EOS_ID
 
     def test_output_length_invariant(self, vocab):
         for clen in (2, 3, 7, 25):
-            ctx, resp = encode_pair(_pair("a b c", "f g h"), vocab, clen)
+            (ctx,), (resp,) = encode_pairs([_pair("a b c", "f g h")], vocab, clen)
             assert ctx.shape == (clen,) and resp.shape == (clen,)

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from segcvae import autodiff as ad
 from segcvae.config import parse_config
 from segcvae.corpus import (BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID, DialoguePair,
-                            Vocabulary, build_vocab, encode_context, encode_pair,
-                            encode_pairs, read_corpus_file, read_pairs)
+                            Vocabulary, _split_of, build_cdm_dataset, build_vocab,
+                            encode_context, encode_pairs, mine_cdm, read_corpus_file,
+                            read_pairs)
 from segcvae.errors import DomainError, EmptyCorpus, SegcvaeError
 from segcvae.evaluation import read_generation
 
@@ -75,7 +76,7 @@ def test_vocabulary_load(tmp_path, specials, data, extra_rows):
     vocab = _returns_or_segcvae_error(lambda: Vocabulary.load(path, np.zeros((rows, 3))))
     if vocab is not None:
         assert tuple(vocab.id_to_token[:4]) == SPECIALS and len(vocab.id_to_token) == rows
-        assert all(vocab.token_to_id[t] == i for i, t in enumerate(vocab.id_to_token))
+        assert [vocab.id_of(t) for t in vocab.id_to_token] == [UNK_ID] * 4 + [*range(4, rows)]
 
 
 @FUZZ
@@ -168,9 +169,9 @@ TOKENS = st.lists(st.one_of(st.sampled_from(["a", "b", "d", "<pad>", "<eos>", ""
 @given(context=TOKENS, response=TOKENS, max_clen=st.integers(-3, 30))
 def test_encode_pair(context, response, max_clen):
     encoded = _returns_or_segcvae_error(
-        lambda: encode_pair(DialoguePair(context, response), VOCAB, max_clen))
+        lambda: encode_pairs([DialoguePair(context, response)], VOCAB, max_clen))
     if encoded is not None:
-        ctx, resp = encoded
+        (ctx,), (resp,) = encoded
         assert ctx.shape == resp.shape == (max_clen,)
         assert resp[0] == BOS_ID and EOS_ID in resp
         assert ctx.max(initial=0) < VOCAB.size and resp.max() < VOCAB.size
@@ -181,7 +182,7 @@ def test_encode_pair(context, response, max_clen):
 def test_encode_pair_pads_only_a_suffix(context, response, max_clen):
     """The encoder reads each row's state at its length, which holds only
     while padding is a suffix of every context and response."""
-    for ids in encode_pair(DialoguePair(context, response), VOCAB, max_clen):
+    for (ids,) in encode_pairs([DialoguePair(context, response)], VOCAB, max_clen):
         pads = ids == PAD_ID
         assert not np.any(pads[:-1] & ~pads[1:])
 
@@ -209,15 +210,15 @@ def _reference_ids(tokens, width, framed):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(pairs=CORPUS, max_clen=st.integers(2, 8))
 def test_encode_pairs_matches_a_per_token_reference(pairs, max_clen):
-    """The corpus encoder and its one-row cases, ``encode_pair`` and
-    ``encode_context``, agree with the reference on every id."""
+    """The corpus encoder, on the corpus and on each one-pair list, and its
+    one-row case ``encode_context`` agree with the reference on every id."""
     ctx, resp = encode_pairs(pairs, VOCAB, max_clen)
     assert ctx.dtype == resp.dtype == np.int64
     assert ctx.shape == resp.shape == (len(pairs), max_clen)
     assert ctx.tolist() == [_reference_ids(p.context, max_clen, False) for p in pairs]
     assert resp.tolist() == [_reference_ids(p.response, max_clen, True) for p in pairs]
     for i, pair in enumerate(pairs):
-        one_ctx, one_resp = encode_pair(pair, VOCAB, max_clen)
+        (one_ctx,), (one_resp,) = encode_pairs([pair], VOCAB, max_clen)
         assert one_ctx.tolist() == ctx[i].tolist() and one_resp.tolist() == resp[i].tolist()
         assert encode_context(pair.context, VOCAB, max_clen).tolist() == ctx[i].tolist()
 
@@ -229,3 +230,29 @@ def test_encode_pairs_refuses_a_budget_without_room_for_the_frame(pairs, max_cle
         encode_pairs(pairs, VOCAB, max_clen)
     with pytest.raises(EmptyCorpus):
         encode_pairs([], VOCAB, max_clen)
+
+
+# few distinct utterances, so that contexts and responses repeat and group
+FEW = st.sampled_from([("a",), ("b",), ("a", "b"), ("c", "?"), ("<pad>",)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pairs=st.lists(st.builds(DialoguePair, FEW, FEW), min_size=1, max_size=12),
+       mode=st.sampled_from(["o2m", "m2o"]))
+def test_cdm_dataset_keeps_the_pairs_mine_cdm_groups(pairs, mode):
+    """Each split holds, in corpus order, exactly the pairs whose key (the
+    context for o2m, the response for m2o) ``mine_cdm`` groups for the mode
+    and whose key hashes to that split; the manifest counts those groups."""
+    report = mine_cdm(pairs)
+    groups = report.o2m_groups if mode == "o2m" else report.m2o_groups
+    keys = {key for key, _ in groups}
+    key_of = (lambda p: p.context) if mode == "o2m" else (lambda p: p.response)
+    if not groups:
+        with pytest.raises(EmptyCorpus):
+            build_cdm_dataset(pairs, mode)
+        return
+    splits, manifest = build_cdm_dataset(pairs, mode)
+    assert manifest["groups"] == len(groups)
+    for name in ("train", "valid", "test"):
+        assert splits[name] == [p for p in pairs
+                                if key_of(p) in keys and _split_of(key_of(p)) == name]

@@ -16,7 +16,7 @@ import pytest
 
 from segcvae import cli, corpus
 from segcvae import training as tr
-from segcvae.config import key_of
+from segcvae.config import ModelConfig, key_of
 from segcvae.corpus import DialoguePair
 from segcvae.errors import ConfigError, DomainError
 
@@ -140,6 +140,20 @@ def test_file_and_constructor_share_range_rules(tmp_path, f):
         except DomainError:
             by_constructor = False
         assert by_file == by_constructor, f"{key_of(f)} = {value}"
+
+
+@pytest.mark.parametrize("cls, name", [(cls, f.name) for cls in (tr.TrainingConfig, ModelConfig)
+                                       for f in fields(cls)])
+def test_only_lambda_constant_may_be_none(cls, name):
+    """``validate`` refuses None for every knob but ``lambda_constant``,
+    whose None leaves the norm weight on its ramp, naming the knob."""
+    required = {"vocab_size": 10} if cls is ModelConfig else {}
+    cfg = cls(**{**required, name: None})
+    if name == "lambda_constant":
+        cfg.validate()
+    else:
+        with pytest.raises(DomainError, match=f"^{name} must not be None"):
+            cfg.validate()
 
 
 def test_readme_config_table_names_every_key_once():

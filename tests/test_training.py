@@ -14,7 +14,7 @@ import pytest
 from segcvae import autodiff as ad
 from segcvae import training as tr
 from segcvae.autodiff import Rng, Tensor
-from segcvae.corpus import PAD_ID, DialoguePair, build_vocab, encode_pairs
+from segcvae.corpus import PAD_ID, DialoguePair, Vocabulary, build_vocab, encode_pairs
 from segcvae.errors import (DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss,
                             ShapeError)
 from segcvae.model import ModelConfig, SegCVAE, parameter_shapes
@@ -390,6 +390,23 @@ class TestInitState:
         assert b.model.emb.values.tobytes() == before.tobytes()
         assert vocab.embedding.tobytes() == before.tobytes()
 
+    def test_a_vocabulary_drawn_from_another_seed_is_refused(self):
+        """``cfg.seed`` draws the table: a built vocabulary that records
+        another seed is a DomainError naming both, read or not, while a
+        width mismatch stays a ShapeError and a given table is taken as it is."""
+        cfg, pairs, _, _ = _setup()
+        other = build_vocab(pairs, max_size=cfg.vocab_cap, emb_dim=cfg.emb_dim, seed=cfg.seed + 4)
+        want = f"seed {cfg.seed + 4}, not from cfg.seed {cfg.seed}"
+        for _ in range(2):
+            with pytest.raises(DomainError, match=re.escape(want)):
+                tr.init_state(cfg, other)
+            other.embedding  # the second round reads the table first
+        wide = build_vocab(pairs, max_size=cfg.vocab_cap, emb_dim=cfg.emb_dim + 1, seed=cfg.seed)
+        with pytest.raises(ShapeError):
+            tr.init_state(cfg, wide)
+        given = Vocabulary(other.id_to_token, other.embedding)
+        assert tr.init_state(cfg, given).model.emb.values.tobytes() == other.embedding.tobytes()
+
 
 class TestTrainStep:
     def test_bitwise_deterministic(self):
@@ -504,7 +521,7 @@ class TestTrainStep:
             got_gradient = [np.any(grads[0][name][where] != 0) for name, where in slices]
             assert (any(got_gradient) if wins[i] else not any(got_gradient)), i
 
-    @pytest.mark.parametrize("clip", [1e-3, 1e6, None])
+    @pytest.mark.parametrize("clip", [1e-3, 1e6])
     def test_leaves_the_pre_clip_gradient_norm_and_clip_flag(self, clip, monkeypatch):
         cfg, pairs, vocab, data = _setup(grad_clip=clip)
         state = tr.init_state(cfg, vocab)
@@ -512,7 +529,7 @@ class TestTrainStep:
         stats = tr.train_step(data, state, cfg)
         grads = [g.ravel() for g in at_update[0].values()]
         assert state.grad_norm == pytest.approx(np.linalg.norm(np.concatenate(grads)), rel=1e-12)
-        assert state.grad_clipped == (clip is not None and state.grad_norm > clip)
+        assert state.grad_clipped == (state.grad_norm > clip)
         assert state.grad_clipped == (clip == 1e-3)
         assert "grad_norm" not in stats and "grad_clipped" not in stats
 
@@ -852,9 +869,9 @@ class TestResumability:
     @pytest.mark.parametrize("name, value, what", [
         *((name, None, "is missing") for name in
           ("opt.t", "train.step", "train.best_ppl", "rng.noise", "rng.data")),
-        ("opt.t", np.array([1, 2], dtype=np.uint64), "has 2 values, want 1"),
-        ("train.best_ppl", np.zeros(0), "has 0 values, want 1"),
-        ("rng.noise", np.zeros(3, dtype=np.uint64), "has 3 values, want 13"),
+        ("opt.t", np.array([1, 2], dtype=np.uint64), "has shape (2,), want ()"),
+        ("train.best_ppl", np.zeros(0), "has shape (0,), want ()"),
+        ("rng.noise", np.zeros(3, dtype=np.uint64), "has shape (3,), want (13,)"),
     ])
     def test_missing_or_misshapen_entry_is_a_domain_error(self, tmp_path, name, value, what):
         cfg, pairs, vocab, data = _setup()
@@ -1023,7 +1040,9 @@ class TestFit:
         monkeypatch.setattr(tr, "init_state",
                             lambda *a: states.append(init_state(*a)) or states[-1])
         rerun = _desk_config(epochs=1, seed=7)
-        tr.fit(splits, vocab, rerun, tmp_path / "run")
+        rerun_vocab = build_vocab(pairs, max_size=rerun.vocab_cap, emb_dim=rerun.emb_dim,
+                                  seed=rerun.seed)
+        tr.fit(splits, rerun_vocab, rerun, tmp_path / "run")
         kept_the_earlier = checkpoint.read_bytes() == earlier
         assert not kept_the_earlier
         (last,) = states  # the rerun's state as its last step left it
