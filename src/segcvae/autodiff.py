@@ -49,6 +49,7 @@ import numpy as np
 from .errors import DegenerateVector, DomainError, SegcvaeError, ShapeError
 
 EPS_NORM = 1e-8
+LSE_SCRATCH_BYTES = 256 << 10  # bytes of the exp scratch of one _log_softmax call
 
 _mode = threading.local()  # a computation record is confined to one thread
 
@@ -431,11 +432,22 @@ def log_softmax(a) -> Tensor:
 def _log_softmax(a: Tensor, in_place: bool) -> Tensor:
     """:func:`log_softmax`, written over ``a``'s own buffer when ``in_place``:
     for an ``a`` whose values nothing reads again, such as a GEMM's output
-    (a GEMM's backward reads only its operands).  Both forms run the same
-    operations, so they give the same bits."""
+    (a GEMM's backward reads only its operands; ``model``'s vocabulary head,
+    scored or differentiated).  Both forms run the same operations, so they
+    give the same bits.  The log-sum-exp exponentiates a chunk of rows at a
+    time into one scratch of LSE_SCRATCH_BYTES (or one row's), so no second
+    array of ``a``'s size is made; exp is elementwise and each row is summed
+    on its own, so the chunking does not change a bit."""
     z = np.subtract(a.values, a.values.max(axis=-1, keepdims=True),
                     out=a.values if in_place else None)
-    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    rows = z.reshape(-1, z.shape[-1])
+    span = max(1, LSE_SCRATCH_BYTES // (z.itemsize * rows.shape[1]))
+    scratch = np.empty((min(span, len(rows)), rows.shape[1]), dtype=z.dtype)
+    lse = np.empty((len(rows), 1), dtype=z.dtype)
+    for r0 in range(0, len(rows), span):
+        chunk = np.exp(rows[r0:r0 + span], out=scratch[:len(rows) - r0])
+        np.sum(chunk, axis=-1, keepdims=True, out=lse[r0:r0 + span])
+    z -= np.log(lse, out=lse).reshape(z.shape[:-1] + (1,))
 
     def grad(g, y):
         d = np.exp(y)

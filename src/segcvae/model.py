@@ -23,7 +23,7 @@ from .corpus import PAD_ID, SPECIALS
 from .errors import DomainError, ShapeError
 
 LOGVAR_CLIP = 10.0
-TF_BLOCK_BYTES = 4 << 20  # bytes per (positions, vocab) float64 array of a teacher-forcing block
+TF_BLOCK_BYTES = 4 << 20  # bytes of a teacher-forcing block's one (positions, vocab) array
 
 
 def parameter_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -243,10 +243,12 @@ class SegCVAE:
         whose target is not padding, packed into one list and cut into blocks
         whose (positions, vocab) arrays stay within TF_BLOCK_BYTES (or one
         position's).  The per-position results are scattered back to (rows,
-        steps), padding reading an appended zero.  With no graph recorded and
-        no distillation input wanted (scoring and perplexity), only the
-        target entries are computed.  The distillation input is wanted only
-        of responses that each have a target, padded only at their end.
+        steps), padding reading an appended zero.  With a graph or without
+        (branch scoring, perplexity), a block runs one head: ``ad.linear``,
+        an in-place ``ad._log_softmax`` and the target gather; without a
+        graph its array dies before the next block's is made.  The
+        distillation input is wanted only of responses that each have a
+        target, padded only at their end.
         """
         inputs, targets = resp_ids[:, :-1], resp_ids[:, 1:]
         has_target = targets != PAD_ID
@@ -259,21 +261,19 @@ class SegCVAE:
         packed_targets = targets[live]
         index = np.full(live.shape, len(packed_targets))  # padding reads the appended zero
         index[live] = np.arange(len(packed_targets))
-        graph = want_generated or states.requires_grad
-        packed = ad.take(states, live) if graph else states.values[live]
+        packed = ad.take(states, live)
         span = max(1, TF_BLOCK_BYTES // (8 * self.config.vocab_size))
         picked, expected = [], []
         for p0 in range(0, len(packed_targets), span):
-            block, block_targets = packed[p0:p0 + span], packed_targets[p0:p0 + span]
-            if graph:
-                # one (positions, vocab) buffer: the projection, overwritten by
-                # its log-softmax; the expected embedding recomputes exp(logp)
-                logp = ad._log_softmax(ad.linear(block, self.out_w, self.out_b), in_place=True)
-                picked.append(ad.take(logp, (np.arange(len(block_targets)), block_targets)))
-                if want_generated:
-                    expected.append(ad._exp_matmul(logp, self.emb))
-            else:  # scoring only: nothing reads the distribution
-                picked.append(Tensor(self._target_log_probs(block, block_targets)))
+            block_targets = packed_targets[p0:p0 + span]
+            # one (positions, vocab) buffer: the projection, overwritten by
+            # its log-softmax; the expected embedding recomputes exp(logp)
+            logp = ad._log_softmax(ad.linear(packed[p0:p0 + span], self.out_w, self.out_b),
+                                   in_place=True)
+            picked.append(ad.take(logp, (np.arange(len(block_targets)), block_targets)))
+            if want_generated:
+                expected.append(ad._exp_matmul(logp, self.emb))
+            del logp  # without a graph nothing else holds it: gone before the next block
         recon = ad.tsum(ad.take(ad.concat(picked + [Tensor(np.zeros(1))]), index), axis=1)
         generated = None
         if want_generated:
@@ -281,21 +281,6 @@ class SegCVAE:
             generated = ad.gru_encode(self.enc, ad.take(ad.concat(expected + [pad]), index),
                                       live.sum(axis=1))
         return recon, generated
-
-    def _target_log_probs(self, states: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """The log-softmax of ``states @ out.w + out.b`` at ``targets`` only,
-        for (n, hidden) states and (n,) targets, by an in-place log-sum-exp
-        over one (n, vocab) buffer: the graph path's operations on the same
-        blocks, so the same bits.  It stays beside the graph path's
-        ``ad._log_softmax``, which also gives those bits, because that one
-        exponentiates into a second (n, vocab) array and normalises every
-        entry, not just the targets: scoring through it raises the peak
-        memory of perplexity's passes."""
-        z = states @ self.out_w.values
-        z += self.out_b.values
-        z -= z.max(axis=-1, keepdims=True)
-        picked = z[np.arange(len(targets)), targets]
-        return picked - np.log(np.exp(z, out=z).sum(axis=-1))
 
     def elbo(self, resp_ids: np.ndarray, x: Tensor, r_e: Tensor,
              kl_weight: float, eps: np.ndarray, want_generated: bool = False) -> dict:

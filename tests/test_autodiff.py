@@ -485,6 +485,50 @@ class TestInPlaceForms:
             assert np.isnan(results[0][1][:2]).all() and np.isfinite(results[0][1][2:]).all()
 
 
+class TestChunkedLogSoftmax:
+    """_log_softmax takes its log-sum-exp a chunk of rows at a time through
+    one scratch: the bits of the one-shot ``z - log(sum(exp(z)))``."""
+
+    @staticmethod
+    def _one_shot(x):
+        z = x - x.max(axis=-1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("shape", [(7,), (1, 7), (3, 7), (8, 7), (2, 4, 7)])
+    def test_equals_the_one_shot_form(self, shape, masked, in_place, monkeypatch):
+        """Chunks of three rows: one row, exactly one chunk, and (8 rows,
+        2-d and 3-d) two full chunks and a partial one."""
+        monkeypatch.setattr(ad, "LSE_SCRATCH_BYTES", 3 * 8 * shape[-1])
+        r = np.random.default_rng(35)
+        x = r.normal(size=shape) * 3.0
+        if masked:  # -inf entries, but never a whole row
+            x[r.uniform(size=shape) < 0.4] = -np.inf
+            x[..., 0] = 1.5
+        a = _t(x.copy())
+        out = ad._log_softmax(a, in_place=in_place)
+        assert np.array_equal(out.values, self._one_shot(x))
+        assert np.isneginf(out.values).any() == masked
+        assert np.shares_memory(out.values, a.values) == in_place
+
+    def test_makes_no_array_of_the_input_size(self):
+        """At the paper's vocabulary, the default scratch takes a few rows at
+        a time; beyond the input, the peak is the scratch, the row maxima and
+        sums and numpy's ufunc buffer."""
+        x = np.random.default_rng(36).normal(size=(64, 5004))
+        a = _t(x.copy(), grad=False)
+        tracemalloc.start()
+        try:
+            out = ad._log_softmax(a, in_place=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ad.LSE_SCRATCH_BYTES < 64 * 8 * 5004 // 4
+        assert peak <= ad.LSE_SCRATCH_BYTES + 2 * 64 * 8 + 8 * np.getbufsize() + 4096
+        assert np.array_equal(out.values, self._one_shot(x))
+
+
 class TestConvSeq:
     def test_output_shape_matches_contract(self):
         c = _t(np.zeros((1, 25, 300)))

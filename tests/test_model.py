@@ -1,6 +1,7 @@
 """Unit tests for trigger selection, latent heads, and the semantic norms."""
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from segcvae import autodiff as ad
 from segcvae import model as m
 from segcvae.autodiff import Rng, Tensor
-from segcvae.corpus import PAD_ID, DialoguePair, build_vocab, encode_pairs
+from segcvae.corpus import BOS_ID, PAD_ID, DialoguePair, build_vocab, encode_pairs
 from segcvae.errors import DomainError, ShapeError
 
 from branches import branch_slices
@@ -569,8 +570,8 @@ class TestTeacherForcedBlocks:
 
     @pytest.mark.parametrize("block_steps", [None, 1, 3])
     def test_scoring_pass_equals_the_graph_chain(self, block_steps, monkeypatch):
-        """Without a graph and without the distillation input, only the
-        target entries are computed, in place; the bits are the graph's."""
+        """Without a graph and without the distillation input, the blocks
+        run the same head and record nothing; the bits are the graph's."""
         net, resp, state = _ablation_shape_setup()
         if block_steps is not None:
             monkeypatch.setattr(m, "TF_BLOCK_BYTES",
@@ -603,16 +604,12 @@ class TestPackedPositions:
     positions only, packed into blocks, and scatters the results back."""
 
     @staticmethod
-    def _block_rows(net, monkeypatch) -> tuple[list[int], list[int]]:
-        """Rows of each out-projection block: the in-place scorer's and the
-        graph path's."""
-        scorer, graph = [], []
-        target_log_probs, linear = net._target_log_probs, ad.linear
-        monkeypatch.setattr(net, "_target_log_probs", lambda states, targets: (
-            scorer.append(states.shape[0]) or target_log_probs(states, targets)))
+    def _block_rows(net, monkeypatch) -> list[int]:
+        """Rows of each out-projection block, as they are projected."""
+        rows, linear = [], ad.linear
         monkeypatch.setattr(ad, "linear", lambda x, w, b: (
-            graph.append(x.shape[0]) if w is net.out_w else None) or linear(x, w, b))
-        return scorer, graph
+            rows.append(x.shape[0]) if w is net.out_w else None) or linear(x, w, b))
+        return rows
 
     @pytest.mark.parametrize("budget_positions", [0, 1, 5, 16])
     def test_blocks_keep_to_the_budget_whatever_the_row_count(self, budget_positions,
@@ -624,15 +621,50 @@ class TestPackedPositions:
         one = 8 * net.config.vocab_size  # bytes of one position's (1, vocab) array
         budget = max(1, budget_positions * one)
         monkeypatch.setattr(m, "TF_BLOCK_BYTES", budget)
-        scorer, graph = self._block_rows(net, monkeypatch)
+        projected = self._block_rows(net, monkeypatch)
+        per_call = []  # the scoring blocks, then the distillation pass's
         with ad.no_grad():
-            net._teacher_forced(resp, state, want_generated=False)
-            net._teacher_forced(resp, state, want_generated=True)
+            for want_generated in (False, True):
+                net._teacher_forced(resp, state, want_generated=want_generated)
+                per_call.append(projected[:])
+                projected.clear()
         live = int((resp[:, 1:] != PAD_ID).sum())
         assert one * resp.shape[0] > budget
-        for rows in (scorer, graph):
+        for rows in per_call:
             assert sum(rows) == live
             assert all(r * one <= max(budget, one) for r in rows)
+
+    def test_a_scoring_pass_holds_one_block_at_a_time(self, monkeypatch):
+        """Without a graph, a pass over several blocks peaks at the decoder
+        states, the packed live states, one (positions, vocab) block and the
+        log-softmax's scratch, plus numpy's ufunc buffer and 16 KiB for the
+        per-position index arrays and the Python objects: each block dies
+        before the next is projected."""
+        vocab, hidden, block = 4000, 32, 8
+        cfg = m.ModelConfig(vocab_size=vocab, max_len=12, emb_dim=8, hidden_dim=hidden,
+                            latent_dim=4, kernel_width=2, conv_channels=1, num_triggers=2,
+                            tau=0.1)
+        net = m.SegCVAE(cfg, np.random.default_rng(40).normal(size=(vocab, 8)), Rng(41))
+        r = np.random.default_rng(42)
+        resp = r.integers(4, vocab, size=(4, 12))
+        resp[:, 0], resp[1, 7:], resp[2, 4:] = BOS_ID, PAD_ID, PAD_ID
+        state = Tensor(r.normal(size=(8, hidden)))  # two branch-major copies
+        monkeypatch.setattr(m, "TF_BLOCK_BYTES", 8 * vocab * block)
+        live = 2 * int((resp[:, 1:] != PAD_ID).sum())
+        assert live >= 3 * block
+        with ad.no_grad():
+            net._teacher_forced(resp, state, want_generated=False)  # numpy's first-call caches
+            tracemalloc.start()
+            try:
+                net._teacher_forced(resp, state, want_generated=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        states = 8 * resp.shape[1] * hidden * 8  # the initial state and one per input step
+        packed = live * hidden * 8
+        scratch = min(block, ad.LSE_SCRATCH_BYTES // (8 * vocab)) * vocab * 8
+        small = 8 * np.getbufsize() + (16 << 10)
+        assert peak <= states + packed + 8 * vocab * block + scratch + small
 
     def test_row_without_a_target_scores_zero_and_gets_no_gradient(self):
         net, resp, state = _ablation_shape_setup()

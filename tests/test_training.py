@@ -744,9 +744,8 @@ class TestPerplexity:
 
     def test_scoring_pass_equals_the_node_path(self, monkeypatch):
         """At the test_09 configuration, after a few steps, perplexity is the
-        same number whether the targets are scored in place or through
-        log_softmax nodes (recorded when ``no_grad`` does not switch the
-        graph off)."""
+        same number whether its passes record no graph or record log_softmax
+        nodes (when ``no_grad`` does not switch the graph off)."""
         cfg, pairs, vocab, data = _setup(batch_size=4, snorm_step=100, kl_anneal_steps=200)
         state = tr.init_state(cfg, vocab)
         for index in tr.iterate_batches(len(pairs), cfg.batch_size, state.data_rng):
@@ -754,8 +753,6 @@ class TestPerplexity:
         monkeypatch.setattr(tr, "PASS_ROWS", cfg.batch_size)
         scored = tr.perplexity(state.model, data)
         monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
-        monkeypatch.setattr(tr.SegCVAE, "_target_log_probs",
-                            lambda *a: pytest.fail("the in-place scorer ran"))
         assert tr.perplexity(state.model, data) == scored
 
 
