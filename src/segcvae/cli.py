@@ -4,7 +4,7 @@ An input is named by ``--in`` (or ``--run`` and ``--data``) and nothing
 else: a config file holds hyperparameters only, and no path option may be
 empty, so no input is ever the working directory by default.  Every
 artifact-producing run records a manifest (tool version, the config
-snapshot and seed where it reads a config, the options it ran with, content
+snapshot where it reads a config, the options it ran with, content
 digests of the inputs, run files read included, artifact names) before any
 work starts, so a run can be reproduced byte for byte from its manifest.
 The manifest is every command's first write, and it refuses an ``--out``
@@ -61,7 +61,6 @@ def write_manifest(out_dir: Path, command: str, cfg: tr.TrainingConfig | None,
     if cfg is not None:
         for key, value in sorted(config_snapshot(cfg).items()):
             lines.append(f"config.{key} = {value}")
-        lines.append(f"seed = {cfg.seed}")
     for key, value in sorted((extra or {}).items()):
         lines.append(f"{key} = {value}")
     for path in inputs:

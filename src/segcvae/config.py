@@ -139,13 +139,14 @@ class TrainingConfig(Architecture):
 def parse_config(path) -> TrainingConfig:
     """Read line-oriented ``key = value`` text into a full configuration.
 
-    Unknown keys, wrong types, out-of-range values and non-UTF-8 text are
-    reported with their line number, an unreadable file or keys that break
-    a rule between them by its name; absent keys keep their documented
-    defaults.
+    Unknown or repeated keys, wrong types, out-of-range values and non-UTF-8
+    text are reported with their line number, an unreadable file or keys
+    that break a rule between them by its name; absent keys keep their
+    documented defaults.
     """
     by_key = {key_of(f): f for f in fields(TrainingConfig)}
     values: dict[str, object] = {}
+    first: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw in text_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -156,6 +157,8 @@ def parse_config(path) -> TrainingConfig:
         key, text = key.strip(), text.strip()
         if key not in by_key:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if first.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' repeats line {first[key]}")
         f = by_key[key]
         try:
             value = parse_value(f, text)

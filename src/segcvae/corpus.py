@@ -14,6 +14,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -97,7 +98,7 @@ class Vocabulary:
         if (embedding is None) == (draw is None):
             raise DomainError("a vocabulary takes either a table or the (emb_dim, seed) of one")
         self._embedding = embedding
-        self._draw = draw  # (emb_dim, seed) of a table not yet drawn
+        self.draw = draw  # (emb_dim, seed) of the table; None for a given table
 
     @property
     def embedding(self) -> np.ndarray:
@@ -114,7 +115,7 @@ class Vocabulary:
         the model's ``emb``; an ``out`` of another shape is a ShapeError."""
         if out is None and self._embedding is not None:
             return self._embedding
-        width = self._draw[0] if self._embedding is None else self._embedding.shape[1]
+        width = self.draw[0] if self._embedding is None else self._embedding.shape[1]
         if out is None:
             out = np.empty((self.size, width))
         if out.shape != (self.size, width):
@@ -123,7 +124,7 @@ class Vocabulary:
             np.copyto(out, self._embedding)
         else:
             out[PAD_ID] = 0.0  # the other rows, in id order, are one draw of the table's stream
-            Rng(self._draw[1]).uniform_into(-0.1, 0.1, out[1:])
+            Rng(self.draw[1]).uniform_into(-0.1, 0.1, out[1:])
         return out
 
     @property
@@ -262,9 +263,13 @@ def _split_of(key: tuple[str, ...]) -> str:
     return "test"
 
 
-def _split_manifest(mode: str, groups: int, splits: dict[str, list]) -> dict:
-    return {"mode": mode, "ratios": SPLIT_RATIOS, "groups": groups,
-            "pairs": {name: len(split) for name, split in splits.items()}}
+def _split(mode: str, groups: int, pairs: Iterable[DialoguePair], key_of) -> tuple[dict, dict]:
+    """Each pair routed to the split ``_split_of`` gives its key, and the splits' manifest."""
+    splits: dict[str, list[DialoguePair]] = {"train": [], "valid": [], "test": []}
+    for pair in pairs:
+        splits[_split_of(key_of(pair))].append(pair)
+    return splits, {"mode": mode, "ratios": SPLIT_RATIOS, "groups": groups,
+                    "pairs": {name: len(split) for name, split in splits.items()}}
 
 
 def build_cdm_dataset(pairs: Sequence[DialoguePair], mode: str
@@ -282,22 +287,15 @@ def build_cdm_dataset(pairs: Sequence[DialoguePair], mode: str
     if not groups:
         raise EmptyCorpus(f"no qualifying {mode} groups")
     keys = {key for key, _ in groups}
-    splits: dict[str, list[DialoguePair]] = {"train": [], "valid": [], "test": []}
-    for pair in pairs:
-        key = pair.context if mode == "o2m" else pair.response
-        if key in keys:
-            splits[_split_of(key)].append(pair)
-    return splits, _split_manifest(mode, len(groups), splits)
+    key_of = attrgetter("context" if mode == "o2m" else "response")
+    return _split(mode, len(groups), (pair for pair in pairs if key_of(pair) in keys), key_of)
 
 
 def general_split(pairs: Sequence[DialoguePair]) -> tuple[dict[str, list[DialoguePair]], dict]:
     """Plain deterministic split of all pairs, hashed on the whole pair."""
     if not pairs:
         raise EmptyCorpus("no pairs to split")
-    splits: dict[str, list[DialoguePair]] = {"train": [], "valid": [], "test": []}
-    for pair in pairs:
-        splits[_split_of(pair.context + ("\t",) + pair.response)].append(pair)
-    return splits, _split_manifest("general", len(pairs), splits)
+    return _split("general", len(pairs), pairs, lambda p: p.context + ("\t",) + p.response)
 
 
 # ---------------------------------------------------------------------------

@@ -85,31 +85,28 @@ class SegCVAE:
 
     def __init__(self, config: ModelConfig, embedding: np.ndarray, rng: Rng):
         """A fresh network (``initial_arrays``) whose ``emb`` is a float64
-        copy of ``embedding``, so the caller's table is never written.
-        ``training.init_state`` builds its model from ``initial_arrays`` and
-        ``from_arrays`` instead, with the table drawn into ``emb`` itself."""
-        shapes = parameter_shapes(config)
-        if embedding.shape != shapes["emb"]:
-            raise ShapeError(f"embedding shape {embedding.shape} does not match {shapes['emb']}")
+        copy of ``embedding``, so the caller's table is never written (one of
+        another shape is ``_adopt``'s ShapeError).  ``training.init_state``
+        uses ``from_arrays`` instead, with the table drawn into ``emb`` itself."""
         self._adopt(config, initial_arrays(config, np.array(embedding, dtype=np.float64), rng))
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "SegCVAE":
         """The network whose parameters are ``arrays``, keyed by parameter
-        name, each checked against ``parameter_shapes`` by ``stored_array``:
-        no random draws, and float64 arrays are used without a copy, so they
-        become the live parameters that an optimizer updates in place."""
+        name and checked by ``_adopt``, with no random draw and no copy of a
+        C-contiguous float64 array, so an optimizer updates it in place."""
         model = cls.__new__(cls)
-        model._adopt(config, {name: stored_array(arrays, name, shape)
-                              for name, shape in parameter_shapes(config).items()})
+        model._adopt(config, arrays)
         return model
 
     def _adopt(self, config: ModelConfig, arrays: dict[str, np.ndarray]):
-        """Make ``arrays``, in ``parameter_shapes`` order, the parameters, and
-        alias each by attribute: ``rec.w`` as ``rec_w``, a GRU's four (listed in
-        field order) as one ``GruParams``; an ablated family's aliases stay None."""
+        """Make ``arrays`` the parameters in ``parameter_shapes`` order, each
+        checked by ``stored_array`` here alone, where every route to a model
+        ends, and alias each by attribute: ``rec.w`` as ``rec_w``, a GRU's four
+        (in field order) as one ``GruParams``; an ablated family's aliases stay None."""
         self.config = config
-        self.params = {name: Tensor(values, requires_grad=True) for name, values in arrays.items()}
+        self.params = {name: Tensor(stored_array(arrays, name, shape), requires_grad=True)
+                       for name, shape in parameter_shapes(config).items()}
         self.is_kernel = self.is_dense = self.eg_kernel = self.eg_dense = None
         for name, tensor in self.params.items():
             if not name.startswith(("enc.", "dec.")):
@@ -377,19 +374,20 @@ class SegCVAE:
     def load_state(self, arrays: dict[str, np.ndarray]):
         """Copy the parameters of ``arrays``, keyed by parameter name, into
         the live parameter buffers, but only once ``from_arrays`` has checked
-        every one, so a rejected ``arrays`` changes nothing.  Each parameter
-        keeps its array, so an optimizer's view of it stays valid; the
-        model's own ``state_arrays()`` leave it unchanged."""
+        every one (in ``_adopt``), so a rejected ``arrays`` changes nothing.
+        Each parameter keeps its array, so an optimizer's view of it stays
+        valid; the model's own ``state_arrays()`` leave it unchanged."""
         checked = SegCVAE.from_arrays(self.config, arrays).params
         for name, p in self.params.items():
             np.copyto(p.values, checked[name].values)
 
 
 def stored_array(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """``arrays[name]`` as a C-contiguous float64 array, one that already is
-    as it is; a missing name is a DomainError and another shape a ShapeError."""
+    """The one parameter check, run by ``SegCVAE._adopt``: ``arrays[name]`` as
+    a C-contiguous float64 array, one that already is as it is; a missing
+    name is a DomainError and another shape a ShapeError."""
     if name not in arrays:
-        raise DomainError(f"checkpoint is missing parameter '{name}'")
+        raise DomainError(f"missing parameter '{name}'")
     if arrays[name].shape != shape:
         raise ShapeError(f"parameter '{name}' has shape {arrays[name].shape}, want {shape}")
     return np.ascontiguousarray(arrays[name], dtype=np.float64)

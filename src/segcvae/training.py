@@ -28,7 +28,7 @@ from .autodiff import Rng, Tensor
 from .config import ModelConfig, TrainingConfig
 from .corpus import PAD_ID, DialoguePair, Vocabulary, encode_pairs
 from .errors import DomainError, EmptyCorpus, NonFiniteGradient, NonFiniteLoss, ShapeError
-from .model import SegCVAE, initial_arrays, parameter_shapes, total_loss
+from .model import SegCVAE, initial_arrays, total_loss
 
 # the files of a training run, in manifest order, and those load_run reads back
 RUN_FILES = CHECKPOINT_NAME, LOG_NAME, VOCAB_NAME = "checkpoint.bin", "train_log.txt", "vocab.txt"
@@ -170,8 +170,8 @@ def init_state(cfg: TrainingConfig, vocab: Vocabulary) -> TrainState:
     the table straight into it, or copies in the table the vocabulary
     already holds."""
     cfg.validate()
-    if vocab._draw is not None and vocab._draw[1] != cfg.seed:  # a given table records no seed
-        raise DomainError(f"the vocabulary's table is drawn from seed {vocab._draw[1]}, "
+    if vocab.draw is not None and vocab.draw[1] != cfg.seed:  # a given table records no seed
+        raise DomainError(f"the vocabulary's table is drawn from seed {vocab.draw[1]}, "
                           f"not from cfg.seed {cfg.seed}")
     noise, batches, weights = (Rng(cfg.seed + k) for k in (1, 2, 3))
     config = cfg.model_config(vocab.size)
@@ -335,8 +335,8 @@ def load_model(path) -> SegCVAE:
 
 
 def _entry(path, arrays: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
-    """The stored array of checkpoint entry ``name``; a missing or misshapen
-    entry is a DomainError naming the file and the entry."""
+    """The stored array of checkpoint entry ``name`` (not a parameter's: see
+    ``_model_of``); a missing or misshapen one is a DomainError naming both."""
     value = arrays.get(name)
     if value is None or value.shape != shape:
         what = "is missing" if value is None else f"has shape {value.shape}, want {shape}"
@@ -345,7 +345,8 @@ def _entry(path, arrays: dict[str, np.ndarray], name: str, shape: tuple) -> np.n
 
 
 def _model_of(path, arrays: dict[str, np.ndarray], meta: dict[str, str]) -> SegCVAE:
-    """The network of a checkpoint's meta and ``param.*`` arrays."""
+    """The network of a checkpoint's meta and ``param.*`` arrays, which
+    ``from_arrays`` checks, once; a rejected one is a DomainError naming the file."""
     try:
         config = ModelConfig.from_meta(meta)
         config.validate()
@@ -353,8 +354,11 @@ def _model_of(path, arrays: dict[str, np.ndarray], meta: dict[str, str]) -> SegC
         raise DomainError(f"{path}: checkpoint meta lacks {err}")
     except (ValueError, DomainError) as err:
         raise DomainError(f"{path}: malformed checkpoint meta: {err}")
-    return SegCVAE.from_arrays(config, {name: _entry(path, arrays, PARAM + name, shape)
-                                        for name, shape in parameter_shapes(config).items()})
+    params = {name.removeprefix(PARAM): a for name, a in arrays.items() if name.startswith(PARAM)}
+    try:
+        return SegCVAE.from_arrays(config, params)
+    except (DomainError, ShapeError) as err:  # what ``stored_array`` raises
+        raise DomainError(f"{path}: {err}")
 
 
 def load_state(path, cfg: TrainingConfig) -> TrainState:

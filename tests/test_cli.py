@@ -331,18 +331,32 @@ class TestTrainGenerateEvaluate:
         manifest = (run_dir / "manifest.txt").read_text()
         assert "config.m = 2" in manifest
         assert "config.tau = 0.1" in manifest
-        assert "seed = 123456" in manifest
+        assert "config.seed = 123456" in manifest.splitlines()
+        assert not any(line.startswith("seed =") for line in manifest.splitlines())
         assert "input.train.tsv = sha256:" in manifest
 
     def test_config_that_cannot_train_creates_nothing(self, data_dir, tmp_path, capsys):
         """The kernel-width rule is checked with the file, before any output."""
         config = tmp_path / "short.cfg"
-        config.write_text(CONFIG_TEXT + "max_clen = 2\nm = 3\n", encoding="utf-8")
+        config.write_text(CONFIG_TEXT.replace("max_clen = 8\n", "max_clen = 2\n")
+                          .replace("\nm = 2\n", "\nm = 3\n"), encoding="utf-8")
         out = tmp_path / "run"
         assert cli.dispatch(["train", "--config", str(config), "--in", str(data_dir),
                              "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "short.cfg" in err and "'max_clen'" in err and "'m'" in err
+        assert not out.exists()
+
+    def test_a_repeated_config_key_creates_nothing(self, data_dir, tmp_path, capsys):
+        """A key set twice is exit 1 naming the file, the line and the line it
+        repeats, before any output."""
+        config = tmp_path / "twice.cfg"
+        config.write_text(CONFIG_TEXT + "seed = 1\nseed = 2\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert cli.dispatch(["train", "--config", str(config), "--in", str(data_dir),
+                             "--out", str(out)]) == 1
+        lines = len(CONFIG_TEXT.splitlines())
+        assert f"{config}:{lines + 2}: key 'seed' repeats line {lines + 1}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
@@ -490,7 +504,7 @@ class TestTrainGenerateEvaluate:
     def test_a_checkpoint_missing_a_parameter_is_refused(self, run_dir, data_dir, tmp_path,
                                                         capsys):
         """generate on a run whose checkpoint lacks one parameter exits 1 with
-        a message naming the file and the entry as it is stored."""
+        a message naming the file and the parameter."""
         broken = tmp_path / "broken"
         shutil.copytree(run_dir, broken)
         arrays, meta = ad.load_checkpoint(broken / tr.CHECKPOINT_NAME)
@@ -499,7 +513,7 @@ class TestTrainGenerateEvaluate:
         capsys.readouterr()
         assert self._generate(broken, data_dir, tmp_path) == 1
         err = capsys.readouterr().err
-        assert f"{broken / tr.CHECKPOINT_NAME}: checkpoint entry 'param.dec.bh' is missing" in err
+        assert f"{broken / tr.CHECKPOINT_NAME}: missing parameter 'dec.bh'" in err
         assert not (tmp_path / "gen" / "generated.tsv").exists()
 
     def test_an_older_full_state_checkpoint_still_loads(self, run_dir, data_dir, tmp_path):

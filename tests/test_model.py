@@ -1069,6 +1069,14 @@ class TestModelState:
         assert table.tobytes() == before.tobytes()
         assert b.emb.values.tobytes() == before.tobytes()
 
+    def test_a_table_of_another_shape_is_refused(self):
+        """``SegCVAE(config, table, rng)`` refuses a table whose shape is not
+        ``emb``'s with a ShapeError naming ``emb``."""
+        net, vocab, _, _ = _tiny_setup()
+        for table in (vocab.embedding[:-1], vocab.embedding[:, :-1], vocab.embedding[0]):
+            with pytest.raises(ShapeError, match="'emb'"):
+                m.SegCVAE(net.config, table, Rng(11))
+
     @pytest.mark.parametrize("num_triggers, overrides", [(3, {}), (2, {"no_is": True})])
     def test_fresh_families_are_drawn_one_trigger_at_a_time(self, num_triggers, overrides):
         """A fresh model's families hold what drawing each trigger alone,

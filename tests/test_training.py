@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from segcvae import autodiff as ad
+from segcvae import model as m
 from segcvae import training as tr
 from segcvae.autodiff import Rng, Tensor
 from segcvae.corpus import PAD_ID, DialoguePair, Vocabulary, build_vocab, encode_pairs
@@ -936,8 +937,8 @@ class TestModelFile:
             assert models[0].params[name].values.tobytes() == p.values.tobytes(), name
 
     @pytest.mark.parametrize("name, change, what", [
-        ("param.emb", None, "is missing"),
-        ("param.out.b", lambda a: a[:-1], "has shape"),
+        ("param.emb", None, "missing parameter 'emb'"),
+        ("param.out.b", lambda a: a[:-1], "parameter 'out.b' has shape"),
     ])
     def test_a_missing_or_misshapen_parameter_names_the_file(self, tmp_path, name, change, what):
         cfg, pairs, vocab, data = _setup()
@@ -949,7 +950,7 @@ class TestModelFile:
         else:
             arrays[name] = change(arrays[name])
         ad.save_checkpoint(path, arrays, meta)
-        want = f"{path}: checkpoint entry '{name}' {what}"
+        want = f"{path}: {what}"
         with pytest.raises(DomainError, match=re.escape(want)):
             tr.load_model(path)
 
@@ -963,6 +964,50 @@ class TestModelFile:
         want = f"{path}: malformed checkpoint meta: num_triggers must be positive"
         with pytest.raises(DomainError, match=re.escape(want)):
             tr.load_model(path)
+
+
+# every route to a model, from a fresh run's state and vocabulary and a
+# directory holding the run's state file and its model-only run files
+ROUTES = {
+    "SegCVAE(config, table, rng)": lambda cfg, vocab, state, d:
+        SegCVAE(state.model.config, vocab.table(), Rng(5)),
+    "SegCVAE.from_arrays": lambda cfg, vocab, state, d:
+        SegCVAE.from_arrays(state.model.config, state.model.state_arrays()),
+    "SegCVAE.load_state": lambda cfg, vocab, state, d:
+        state.model.load_state(state.model.state_arrays()),
+    "init_state": lambda cfg, vocab, state, d: tr.init_state(cfg, vocab),
+    "load_model": lambda cfg, vocab, state, d: tr.load_model(d / tr.CHECKPOINT_NAME),
+    "training.load_state": lambda cfg, vocab, state, d: tr.load_state(d / "state.ckpt", cfg),
+    "load_run": lambda cfg, vocab, state, d: tr.load_run(d),
+}
+
+
+class TestOneParameterCheck:
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_each_route_checks_each_parameter_once(self, route, tmp_path, monkeypatch):
+        """Each array that becomes a parameter is checked exactly once:
+        ``model.stored_array`` calls and ``_entry`` calls on ``param.*``
+        entries together name every parameter once, in parameter order."""
+        cfg, pairs, vocab, data = _setup()
+        state = tr.init_state(cfg, vocab)
+        tr.save_state(state, cfg, tmp_path / "state.ckpt")
+        tr.save_model(state.model, tmp_path / tr.CHECKPOINT_NAME)
+        vocab.save(tmp_path / tr.VOCAB_NAME)
+        checked, stored_array, entry = [], m.stored_array, tr._entry
+
+        def counted_stored_array(arrays, name, shape):
+            checked.append(name)
+            return stored_array(arrays, name, shape)
+
+        def counted_entry(path, arrays, name, shape):
+            if name.startswith(tr.PARAM):
+                checked.append(name.removeprefix(tr.PARAM))
+            return entry(path, arrays, name, shape)
+
+        monkeypatch.setattr(m, "stored_array", counted_stored_array)
+        monkeypatch.setattr(tr, "_entry", counted_entry)
+        ROUTES[route](cfg, vocab, state, tmp_path)
+        assert checked == list(parameter_shapes(state.model.config))
 
 
 def _index(path) -> list[str]:
